@@ -1,5 +1,6 @@
 // Networked-serving QPS benchmark (docs/networking.md): a loopback
-// end-to-end sweep over the src/net/ front-end. Four rows:
+// end-to-end sweep over the src/net/ front-end. The leader is a one-shard
+// ShardedServer behind a ShardedBackend. Four rows:
 //
 //   cache_off    leader NetServer, query cache disabled
 //   cache_on     same workload with the epoch-keyed cache (hit rate
@@ -36,7 +37,7 @@
 #include "net/client.h"
 #include "net/replica.h"
 #include "net/server.h"
-#include "serve/server.h"
+#include "shard/sharded_server.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -67,6 +68,16 @@ std::vector<Activation> MakeStream(const Graph& g, size_t count) {
                              static_cast<double>(i + 1)});
   }
   return out;
+}
+
+/// A started one-shard ShardedServer: the leader engine of every row.
+std::unique_ptr<shard::ShardedServer> StartLeader(const Graph& graph) {
+  shard::ShardedOptions options;
+  options.partition.num_shards = 1;
+  auto server = shard::ShardedServer::Create(graph, NetConfig(), options);
+  ANC_CHECK(server.ok(), "server create");
+  ANC_CHECK(server.value()->Start().ok(), "server start");
+  return std::move(server).value();
 }
 
 size_t EnvSize(const char* name, size_t fallback) {
@@ -155,11 +166,8 @@ int Main() {
 
   // --- Rows 1+2: cache off vs on, leader only -----------------------------
   for (const bool cache_on : {false, true}) {
-    auto index = AncIndex::Create(data.graph, NetConfig());
-    ANC_CHECK(index.ok(), "index create");
-    serve::AncServer server(index->get(), serve::ServeOptions{});
-    ANC_CHECK(server.Start().ok(), "server start");
-    net::ServerBackend backend(&server);
+    std::unique_ptr<shard::ShardedServer> server = StartLeader(data.graph);
+    net::ShardedBackend backend(server.get());
     net::NetServerOptions options;
     options.num_workers = num_threads;
     if (!cache_on) options.cache.byte_budget = 0;
@@ -194,17 +202,14 @@ int Main() {
     AddRun(exporter, label, net_server.metrics().Snapshot(), row, 0.0);
 
     net_server.Stop();
-    server.Stop();
+    server->Stop();
   }
 
   // --- Rows 3+4: leader-only vs leader + 2 followers (caches off, so the
   // ratio measures backend read capacity, not cache luck) ------------------
   {
-    auto index = AncIndex::Create(data.graph, NetConfig());
-    ANC_CHECK(index.ok(), "index create");
-    serve::AncServer server(index->get(), serve::ServeOptions{});
-    ANC_CHECK(server.Start().ok(), "server start");
-    net::ServerBackend backend(&server);
+    std::unique_ptr<shard::ShardedServer> server = StartLeader(data.graph);
+    net::ShardedBackend backend(server.get());
     net::NetServerOptions options;
     options.num_workers = num_threads;
     options.cache.byte_budget = 0;
@@ -301,7 +306,7 @@ int Main() {
     for (auto& puller : pullers) puller->Stop();
     for (auto& net_server : follower_nets) net_server->Stop();
     leader.Stop();
-    server.Stop();
+    server->Stop();
   }
 
   const std::string path = exporter.Flush();

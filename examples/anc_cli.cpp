@@ -117,8 +117,10 @@
 //                           critical verdicts
 //
 // Networking (docs/networking.md) — RPC serving, remote clients:
-//   net-serve [port]        expose the running serve/shard engine over TCP
-//                           (port 0 = ephemeral; the bound port is printed)
+//   net-serve [port]        expose the running shard engine over TCP
+//                           (shard-start <k> first, shard-start 1 for one
+//                           shard; port 0 = ephemeral, the bound port is
+//                           printed)
 //   net-stop                stop the RPC front-end
 //   connect <host> <port> [tenant]
 //                           open a client connection to a NetServer
@@ -1178,21 +1180,17 @@ bool HandleLine(Session& session, const std::string& line) {
                   session.net_server->port());
       return true;
     }
-    if (session.server == nullptr && session.sharded == nullptr) {
+    if (session.sharded == nullptr) {
       std::printf(
-          "error: nothing to expose (serve-start or shard-start first)\n");
+          "error: net-serve fronts the shard engine (shard-start <k> first; "
+          "shard-start 1 for a single shard)\n");
       return true;
     }
     net::NetServerOptions options;
     unsigned port = 0;
     if (args >> port) options.port = static_cast<uint16_t>(port);
-    if (session.sharded != nullptr) {
-      session.net_backend =
-          std::make_unique<net::ShardedBackend>(session.sharded.get());
-    } else {
-      session.net_backend =
-          std::make_unique<net::ServerBackend>(session.server.get());
-    }
+    session.net_backend =
+        std::make_unique<net::ShardedBackend>(session.sharded.get());
     session.net_server = std::make_unique<net::NetServer>(
         session.net_backend.get(), options);
     Status s = session.net_server->Start();
@@ -1202,9 +1200,8 @@ bool HandleLine(Session& session, const std::string& line) {
       session.net_backend.reset();
       return true;
     }
-    std::printf("rpc: serving %s on 127.0.0.1:%u\n",
-                session.sharded != nullptr ? "sharded" : "single",
-                session.net_server->port());
+    std::printf("rpc: serving %u shard(s) on 127.0.0.1:%u\n",
+                session.sharded->num_shards(), session.net_server->port());
   } else if (command == "net-stop") {
     if (session.net_server == nullptr) {
       std::printf("error: no RPC front-end running\n");

@@ -1,7 +1,6 @@
 #include "net/backend.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "obs/json.h"
@@ -10,9 +9,21 @@
 namespace anc::net {
 namespace {
 
+/// How long a leader read waits for its min_seq barrier.
+constexpr std::chrono::milliseconds kBarrierTimeout{5000};
+
+/// Replication log budget. Overflow drops the oldest frames, and a follower
+/// that still needed them gets FailedPrecondition and must re-bootstrap.
+/// Bounds the RAM of a leader that no follower drains.
+constexpr size_t kMaxLogBytes = size_t{64} << 20;
+
+/// A follower that has not pulled within this window no longer pins the
+/// replication log (it re-bootstraps if it comes back too late).
+constexpr std::chrono::milliseconds kFollowerExpiry{10000};
+
 /// Resolves a requested level (0 = default) against a view's geometry.
-template <typename ViewT>
-Result<uint32_t> ResolveLevel(const ViewT& view, uint32_t requested) {
+Result<uint32_t> ResolveLevel(const shard::ShardedView& view,
+                              uint32_t requested) {
   const uint32_t level = requested == 0 ? view.DefaultLevel() : requested;
   if (level < 1 || level > view.num_levels()) {
     return Status::InvalidArgument(
@@ -22,8 +33,7 @@ Result<uint32_t> ResolveLevel(const ViewT& view, uint32_t requested) {
   return level;
 }
 
-template <typename ViewT>
-Status CheckNode(const ViewT& view, uint32_t node) {
+Status CheckNode(const shard::ShardedView& view, uint32_t node) {
   if (node >= view.graph().NumNodes()) {
     return Status::InvalidArgument(
         "node " + std::to_string(node) + " out of range (graph has " +
@@ -32,50 +42,152 @@ Status CheckNode(const ViewT& view, uint32_t node) {
   return Status::OK();
 }
 
-template <typename ViewT>
-ClustersBody ClustersOver(const ViewT& view, uint64_t epoch, uint64_t seq,
-                          uint32_t level) {
-  Clustering clustering = view.Clusters(level);
+/// Adds every entry of `from` into the same-named entry of `into`,
+/// appending the names `into` lacks.
+template <typename Entry, typename Add>
+void SumByName(const std::vector<Entry>& from, std::vector<Entry>* into,
+               const Add& add) {
+  for (const Entry& entry : from) {
+    const auto same =
+        std::find_if(into->begin(), into->end(),
+                     [&entry](const Entry& e) { return e.name == entry.name; });
+    if (same == into->end()) {
+      into->push_back(entry);
+    } else {
+      add(entry, &*same);
+    }
+  }
+}
+
+}  // namespace
+
+// --- Backend: the one read path ----------------------------------------------
+
+uint64_t Backend::StampFor(const shard::ShardedView& view) {
+  // One shard never changes owner (a handoff needs two), so its epoch is
+  // already a collision-free monotone stamp.
+  if (view.num_shards() == 1) return view.shard(0).epoch();
+  // Fold the vertex->shard assignment epoch in alongside the per-shard view
+  // epochs: live migration changes which shard owns an edge without touching
+  // any shard's view epoch, so a cached answer merged under the old
+  // assignment would otherwise survive the swap. assignment_epoch() is
+  // monotonic, so reading it after View() can only over-invalidate.
+  std::vector<uint64_t> epochs = view.Epochs();
+  epochs.push_back(server_->assignment_epoch());
+  util::MutexLock lock(stamp_mutex_);
+  if (epochs != last_epochs_) {
+    last_epochs_ = std::move(epochs);
+    ++stamp_;
+  }
+  return stamp_;
+}
+
+uint64_t Backend::Epoch() { return StampFor(server_->View()); }
+
+Result<ClustersBody> Backend::Clusters(const QueryBody& query) {
+  auto pinned = Pin(query.min_seq);
+  ANC_RETURN_NOT_OK(pinned.status());
+  const shard::ShardedView& view = pinned->view;
+  auto level = ResolveLevel(view, query.level);
+  ANC_RETURN_NOT_OK(level.status());
+  Clustering clustering = view.Clusters(*level);
   ClustersBody body;
-  body.epoch = epoch;
-  body.watermark_seq = seq;
-  body.level = level;
+  body.epoch = StampFor(view);
+  body.watermark_seq = pinned->covered_seq;
+  body.level = *level;
   body.num_clusters = clustering.num_clusters;
   body.labels = std::move(clustering.labels);
   return body;
 }
 
-template <typename ViewT>
-ZoomBody ZoomOver(const ViewT& view, uint64_t epoch, uint64_t seq,
-                  uint32_t node) {
+Result<MembersBody> Backend::LocalCluster(const QueryBody& query) {
+  auto pinned = Pin(query.min_seq);
+  ANC_RETURN_NOT_OK(pinned.status());
+  const shard::ShardedView& view = pinned->view;
+  ANC_RETURN_NOT_OK(CheckNode(view, query.node));
+  auto level = ResolveLevel(view, query.level);
+  ANC_RETURN_NOT_OK(level.status());
+  MembersBody body;
+  body.epoch = StampFor(view);
+  body.watermark_seq = pinned->covered_seq;
+  body.level = *level;
+  body.members = view.LocalCluster(query.node, *level);
+  return body;
+}
+
+Result<MembersBody> Backend::SmallestCluster(const QueryBody& query) {
+  auto pinned = Pin(query.min_seq);
+  ANC_RETURN_NOT_OK(pinned.status());
+  const shard::ShardedView& view = pinned->view;
+  ANC_RETURN_NOT_OK(CheckNode(view, query.node));
+  MembersBody body;
+  body.epoch = StampFor(view);
+  body.watermark_seq = pinned->covered_seq;
+  uint32_t level = 0;
+  body.members = view.SmallestCluster(query.node, query.min_size, &level);
+  body.level = level;
+  return body;
+}
+
+Result<ZoomBody> Backend::Zoom(const QueryBody& query) {
+  auto pinned = Pin(query.min_seq);
+  ANC_RETURN_NOT_OK(pinned.status());
+  const shard::ShardedView& view = pinned->view;
+  ANC_RETURN_NOT_OK(CheckNode(view, query.node));
   ZoomBody body;
-  body.epoch = epoch;
-  body.watermark_seq = seq;
+  body.epoch = StampFor(view);
+  body.watermark_seq = pinned->covered_seq;
   body.default_level = view.DefaultLevel();
   body.cluster_sizes.reserve(view.num_levels());
   for (uint32_t level = 1; level <= view.num_levels(); ++level) {
     body.cluster_sizes.push_back(
-        static_cast<uint32_t>(view.LocalCluster(node, level).size()));
+        static_cast<uint32_t>(view.LocalCluster(query.node, level).size()));
   }
   return body;
 }
 
-}  // namespace
+obs::StatsSnapshot Backend::Stats() {
+  obs::StatsSnapshot merged = server_->Stats();
+  const auto add_value = [](const auto& from, auto* into) {
+    into->value += from.value;
+  };
+  const auto add_histogram = [](const obs::StatsSnapshot::HistogramEntry& from,
+                                obs::StatsSnapshot::HistogramEntry* into) {
+    into->count += from.count;
+    into->sum += from.sum;
+    // Every histogram shares one bucket layout (obs/stats.h).
+    for (size_t b = 0; b < into->buckets.size() && b < from.buckets.size();
+         ++b) {
+      into->buckets[b] += from.buckets[b];
+    }
+  };
+  for (uint32_t s = 0; s < server_->num_shards(); ++s) {
+    const obs::StatsSnapshot shard = server_->ShardStats(s);
+    SumByName(shard.counters, &merged.counters, add_value);
+    SumByName(shard.gauges, &merged.gauges, add_value);
+    SumByName(shard.histograms, &merged.histograms, add_histogram);
+  }
+  return merged;
+}
 
-std::string BackendHealthJson(const char* role, const WatermarkBody& mark,
-                              size_t ingest_depth, const Status& writer_status,
-                              const Status& store_status) {
-  const bool ok = writer_status.ok() && store_status.ok();
+std::string Backend::StatsJson() { return Stats().ToJson(); }
+
+std::string Backend::HealthJson() {
+  const WatermarkBody mark = Watermark();
+  const Status writer_status = server_->writer_status();
+  const Status store_status = server_->store_status();
   obs::Json doc = obs::Json::Object();
-  doc.Set("status", obs::Json::Str(ok ? "ok" : "degraded"));
-  doc.Set("role", obs::Json::Str(role));
+  doc.Set("status", obs::Json::Str(writer_status.ok() && store_status.ok()
+                                       ? "ok"
+                                       : "degraded"));
+  doc.Set("role", obs::Json::Str(follower() ? "follower" : "leader"));
   doc.Set("epoch", obs::Json::Number(static_cast<double>(mark.epoch)));
   doc.Set("watermark_seq", obs::Json::Number(static_cast<double>(mark.seq)));
   doc.Set("watermark_time", obs::Json::Number(mark.time));
   doc.Set("durable_seq",
           obs::Json::Number(static_cast<double>(mark.durable_seq)));
   doc.Set("ingest_depth",
-          obs::Json::Number(static_cast<double>(ingest_depth)));
+          obs::Json::Number(static_cast<double>(server_->IngestDepth())));
   if (!writer_status.ok()) {
     doc.Set("writer_error", obs::Json::Str(writer_status.ToString()));
   }
@@ -85,31 +197,23 @@ std::string BackendHealthJson(const char* role, const WatermarkBody& mark,
   return doc.Dump(2);
 }
 
-// --- ServerBackend ----------------------------------------------------------
+// --- ShardedBackend ---------------------------------------------------------
 
-ServerBackend::ServerBackend(serve::AncServer* server, Options options,
-                             obs::MetricsRegistry* metrics)
-    : server_(server), options_(options), metrics_(metrics) {
-  if (metrics_ != nullptr) {
-    repl_log_bytes_id_ = metrics_->Gauge("anc.net.repl_log_bytes");
-  }
+ShardedBackend::ShardedBackend(shard::ShardedServer* server)
+    : Backend(server),
+      repl_log_bytes_id_(server->metrics().Gauge("anc.net.repl_log_bytes")) {}
+
+void ShardedBackend::UpdateLogGaugeLocked() {
+  server_->metrics().Set(repl_log_bytes_id_, static_cast<int64_t>(log_bytes_));
 }
 
-void ServerBackend::UpdateLogGaugeLocked() {
-  if (metrics_ != nullptr) {
-    metrics_->Set(repl_log_bytes_id_, static_cast<int64_t>(log_bytes_));
-  }
-}
-
-void ServerBackend::TrimAckedLocked() {
-  if (options_.follower_expiry.count() > 0) {
-    const auto now = std::chrono::steady_clock::now();
-    for (auto it = followers_.begin(); it != followers_.end();) {
-      if (now - it->second.last_seen > options_.follower_expiry) {
-        it = followers_.erase(it);
-      } else {
-        ++it;
-      }
+void ShardedBackend::TrimAckedLocked() {
+  const auto now = std::chrono::steady_clock::now();
+  for (auto it = followers_.begin(); it != followers_.end();) {
+    if (now - it->second.last_seen > kFollowerExpiry) {
+      it = followers_.erase(it);
+    } else {
+      ++it;
     }
   }
   if (followers_.empty()) return;
@@ -127,7 +231,8 @@ void ServerBackend::TrimAckedLocked() {
   }
 }
 
-Result<SubmitAck> ServerBackend::Submit(const Activation* data, size_t count) {
+Result<SubmitAck> ShardedBackend::Submit(const Activation* data,
+                                         size_t count) {
   // Ticket issue and log append are one critical section: once the batch
   // holds tickets, the record covering them is already in the log, so the
   // watermark can never advance past a ticket PullLog cannot ship.
@@ -141,131 +246,76 @@ Result<SubmitAck> ServerBackend::Submit(const Activation* data, size_t count) {
   SubmitAck ack;
   ack.accepted = *accepted;
   ack.last_seq = last_seq;
-  if (*accepted > 0) {
+  if (server_->num_shards() == 1 && *accepted > 0) {
     if (*accepted == count) {
       LogEntry entry;
-      entry.first_seq = last_seq - *accepted + 1;
+      entry.first_seq = last_seq - count + 1;
       entry.last_seq = last_seq;
       store::AppendWalFrame(&entry.frame, data, count, entry.first_seq);
       log_bytes_ += entry.frame.size();
       log_.push_back(std::move(entry));
-      while (options_.max_log_bytes > 0 &&
-             log_bytes_ > options_.max_log_bytes && !log_.empty()) {
+      while (log_bytes_ > kMaxLogBytes && !log_.empty()) {
         log_bytes_ -= log_.front().frame.size();
         log_base_seq_ = log_.front().last_seq;
         log_.pop_front();
       }
-      UpdateLogGaugeLocked();
     } else {
-      // The queue skipped some entries mid-batch; which tickets map to
-      // which activations is no longer known, so the log has a hole.
-      // Followers past this point must re-bootstrap.
+      // The queue refused some entries mid-batch; which tickets map to
+      // which applied activations is no longer known, so the log has a
+      // hole. Followers past this point must re-bootstrap.
       log_base_seq_ = std::max(log_base_seq_, last_seq);
       log_bytes_ = 0;
       log_.clear();
-      UpdateLogGaugeLocked();
     }
+    UpdateLogGaugeLocked();
   }
   return ack;
 }
 
-Status ServerBackend::Flush(std::chrono::milliseconds timeout) {
+Status ShardedBackend::Flush(std::chrono::milliseconds timeout) {
   return server_->Flush(timeout);
 }
 
-Status ServerBackend::AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout) {
+Status ShardedBackend::AwaitSeq(uint64_t seq,
+                                std::chrono::milliseconds timeout) {
   return server_->AwaitSeq(seq, timeout);
 }
 
-Status ServerBackend::FlushDurable(std::chrono::milliseconds timeout) {
+Status ShardedBackend::FlushDurable(std::chrono::milliseconds timeout) {
   return server_->FlushDurable(timeout);
 }
 
-WatermarkBody ServerBackend::Watermark() {
-  const auto view = server_->View();
+WatermarkBody ShardedBackend::Watermark() {
+  const serve::Watermark published = server_->watermark();
   const serve::Watermark durable = server_->durable_watermark();
-  WatermarkBody mark;
-  mark.seq = view->watermark().seq;
-  mark.time = view->watermark().time;
-  mark.durable_seq = durable.seq;
-  mark.durable_time = durable.time;
-  mark.epoch = view->epoch();
-  return mark;
+  return WatermarkBody{published.seq, published.time, durable.seq,
+                       durable.time, Epoch()};
 }
 
-uint64_t ServerBackend::Epoch() { return server_->View()->epoch(); }
-
-Result<std::shared_ptr<const serve::ClusterView>> ServerBackend::Pin(
-    uint64_t min_seq) {
-  auto view = server_->View();
-  if (min_seq > 0 && view->watermark().seq < min_seq) {
-    ANC_RETURN_NOT_OK(server_->AwaitSeq(min_seq, options_.barrier_timeout));
-    view = server_->View();
+Result<Backend::Pinned> ShardedBackend::Pin(uint64_t min_seq) {
+  // The watermark is read before the view: everything it covers is already
+  // published, so the view captured after it covers it too.
+  uint64_t covered = server_->watermark().seq;
+  if (covered < min_seq) {
+    // Once AwaitSeq returns, every later View() covers min_seq.
+    ANC_RETURN_NOT_OK(server_->AwaitSeq(min_seq, kBarrierTimeout));
+    covered = std::max(min_seq, server_->watermark().seq);
   }
-  return view;
+  return Pinned{server_->View(), covered};
 }
 
-Result<ClustersBody> ServerBackend::Clusters(const QueryBody& query) {
-  auto view = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(view.status());
-  auto level = ResolveLevel(**view, query.level);
-  ANC_RETURN_NOT_OK(level.status());
-  return ClustersOver(**view, (*view)->epoch(), (*view)->watermark().seq,
-                      *level);
-}
-
-Result<MembersBody> ServerBackend::LocalCluster(const QueryBody& query) {
-  auto view = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(view.status());
-  ANC_RETURN_NOT_OK(CheckNode(**view, query.node));
-  auto level = ResolveLevel(**view, query.level);
-  ANC_RETURN_NOT_OK(level.status());
-  MembersBody body;
-  body.epoch = (*view)->epoch();
-  body.watermark_seq = (*view)->watermark().seq;
-  body.level = *level;
-  body.members = (*view)->LocalCluster(query.node, *level);
-  return body;
-}
-
-Result<MembersBody> ServerBackend::SmallestCluster(const QueryBody& query) {
-  auto view = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(view.status());
-  ANC_RETURN_NOT_OK(CheckNode(**view, query.node));
-  MembersBody body;
-  body.epoch = (*view)->epoch();
-  body.watermark_seq = (*view)->watermark().seq;
-  uint32_t level = 0;
-  body.members = (*view)->SmallestCluster(query.node, query.min_size, &level);
-  body.level = level;
-  return body;
-}
-
-Result<ZoomBody> ServerBackend::Zoom(const QueryBody& query) {
-  auto view = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(view.status());
-  ANC_RETURN_NOT_OK(CheckNode(**view, query.node));
-  return ZoomOver(**view, (*view)->epoch(), (*view)->watermark().seq,
-                  query.node);
-}
-
-std::string ServerBackend::StatsJson() { return server_->Stats().ToJson(); }
-
-std::string ServerBackend::HealthJson() {
-  return BackendHealthJson("leader", Watermark(), server_->IngestDepth(),
-                           server_->writer_status(), server_->store_status());
-}
-
-obs::StatsSnapshot ServerBackend::Stats() { return server_->Stats(); }
-
-Result<LogChunkBody> ServerBackend::PullLog(const PullLogBody& req) {
+Result<LogChunkBody> ShardedBackend::PullLog(const PullLogBody& req) {
+  if (server_->num_shards() != 1) {
+    return Status::FailedPrecondition(
+        "a sharded leader serves no single-stream replication log; "
+        "replicate a one-shard leader (docs/networking.md)");
+  }
   // The ship mark caps what followers may apply: the durable watermark
   // when the leader runs with durability (a follower must never be ahead
   // of what leader recovery reproduces), the published watermark
   // otherwise.
-  const serve::Watermark durable = server_->durable_watermark();
-  const uint64_t ship_mark = options_.ship_durable_only
-                                 ? durable.seq
+  const uint64_t ship_mark = server_->durable()
+                                 ? server_->durable_watermark().seq
                                  : server_->watermark().seq;
   LogChunkBody chunk;
   chunk.ship_seq = ship_mark;
@@ -297,146 +347,6 @@ Result<LogChunkBody> ServerBackend::PullLog(const PullLogBody& req) {
     ++shipped;
   }
   return chunk;
-}
-
-// --- ShardedBackend ---------------------------------------------------------
-
-ShardedBackend::ShardedBackend(shard::ShardedServer* server, Options options)
-    : server_(server), options_(options) {}
-
-Result<SubmitAck> ShardedBackend::Submit(const Activation* data,
-                                         size_t count) {
-  SubmitAck ack;
-  for (size_t i = 0; i < count; ++i) {
-    auto ticket = server_->Submit(data[i]);
-    if (!ticket.ok()) {
-      if (ack.accepted == 0) return ticket.status();
-      break;  // partial batch: report what got in
-    }
-    ++ack.accepted;
-    ack.last_seq = *ticket;
-  }
-  return ack;
-}
-
-Status ShardedBackend::Flush(std::chrono::milliseconds timeout) {
-  return server_->Flush(timeout);
-}
-
-Status ShardedBackend::AwaitSeq(uint64_t seq,
-                                std::chrono::milliseconds timeout) {
-  return server_->AwaitSeq(seq, timeout);
-}
-
-Status ShardedBackend::FlushDurable(std::chrono::milliseconds timeout) {
-  return server_->FlushDurable(timeout);
-}
-
-uint64_t ShardedBackend::StampFor(std::vector<uint64_t> epochs) {
-  // Fold the vertex->shard assignment epoch in alongside the per-shard view
-  // epochs: live migration changes which shard owns an edge without touching
-  // any shard's view epoch, so a cached answer merged under the old
-  // assignment would otherwise survive the swap. assignment_epoch() is
-  // monotonic, so reading it after View() can only over-invalidate.
-  epochs.push_back(server_->assignment_epoch());
-  util::MutexLock lock(stamp_mutex_);
-  if (epochs != last_epochs_) {
-    last_epochs_ = epochs;
-    ++stamp_;
-  }
-  return stamp_;
-}
-
-Result<shard::ShardedView> ShardedBackend::Pin(uint64_t min_seq,
-                                               uint64_t* stamp) {
-  shard::ShardedView view = server_->View();
-  if (min_seq > 0 && view.TotalSeq() < min_seq) {
-    // Global tickets resolve into per-shard deliveries; AwaitSeq blocks
-    // until every delivery routed at or before `min_seq` is published.
-    ANC_RETURN_NOT_OK(server_->AwaitSeq(min_seq, options_.barrier_timeout));
-    view = server_->View();
-  }
-  *stamp = StampFor(view.Epochs());
-  return view;
-}
-
-WatermarkBody ShardedBackend::Watermark() {
-  const shard::ShardedView view = server_->View();
-  WatermarkBody mark;
-  mark.seq = view.TotalSeq();
-  mark.time = view.MaxTime();
-  for (uint32_t s = 0; s < server_->num_shards(); ++s) {
-    const serve::Watermark durable = server_->shard(s).durable_watermark();
-    mark.durable_seq += durable.seq;
-    mark.durable_time = std::max(mark.durable_time, durable.time);
-  }
-  mark.epoch = StampFor(view.Epochs());
-  return mark;
-}
-
-uint64_t ShardedBackend::Epoch() { return StampFor(server_->View().Epochs()); }
-
-Result<ClustersBody> ShardedBackend::Clusters(const QueryBody& query) {
-  uint64_t stamp = 0;
-  auto view = Pin(query.min_seq, &stamp);
-  ANC_RETURN_NOT_OK(view.status());
-  auto level = ResolveLevel(*view, query.level);
-  ANC_RETURN_NOT_OK(level.status());
-  return ClustersOver(*view, stamp, view->TotalSeq(), *level);
-}
-
-Result<MembersBody> ShardedBackend::LocalCluster(const QueryBody& query) {
-  uint64_t stamp = 0;
-  auto view = Pin(query.min_seq, &stamp);
-  ANC_RETURN_NOT_OK(view.status());
-  ANC_RETURN_NOT_OK(CheckNode(*view, query.node));
-  auto level = ResolveLevel(*view, query.level);
-  ANC_RETURN_NOT_OK(level.status());
-  MembersBody body;
-  body.epoch = stamp;
-  body.watermark_seq = view->TotalSeq();
-  body.level = *level;
-  body.members = view->LocalCluster(query.node, *level);
-  return body;
-}
-
-Result<MembersBody> ShardedBackend::SmallestCluster(const QueryBody& query) {
-  uint64_t stamp = 0;
-  auto view = Pin(query.min_seq, &stamp);
-  ANC_RETURN_NOT_OK(view.status());
-  ANC_RETURN_NOT_OK(CheckNode(*view, query.node));
-  MembersBody body;
-  body.epoch = stamp;
-  body.watermark_seq = view->TotalSeq();
-  uint32_t level = 0;
-  body.members = view->SmallestCluster(query.node, query.min_size, &level);
-  body.level = level;
-  return body;
-}
-
-Result<ZoomBody> ShardedBackend::Zoom(const QueryBody& query) {
-  uint64_t stamp = 0;
-  auto view = Pin(query.min_seq, &stamp);
-  ANC_RETURN_NOT_OK(view.status());
-  ANC_RETURN_NOT_OK(CheckNode(*view, query.node));
-  return ZoomOver(*view, stamp, view->TotalSeq(), query.node);
-}
-
-std::string ShardedBackend::StatsJson() { return server_->Stats().ToJson(); }
-
-std::string ShardedBackend::HealthJson() {
-  return BackendHealthJson("sharded-leader", Watermark(),
-                           server_->IngestDepth(), server_->writer_status(),
-                           server_->store_status());
-}
-
-obs::StatsSnapshot ShardedBackend::Stats() { return server_->Stats(); }
-
-Result<LogChunkBody> ShardedBackend::PullLog(const PullLogBody& req) {
-  (void)req;
-  return Status::FailedPrecondition(
-      "a sharded leader serves no single-stream replication log; replicate "
-      "per shard (docs/networking.md)");
 }
 
 }  // namespace anc::net

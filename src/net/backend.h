@@ -11,29 +11,32 @@
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
-#include "serve/server.h"
 #include "shard/sharded_server.h"
+#include "shard/sharded_view.h"
 #include "util/status.h"
 #include "util/sync.h"
 
 namespace anc::net {
 
-/// What the networked front-end serves (docs/networking.md): one interface
-/// over the in-process serving stacks, so the same NetServer fronts a
-/// single AncServer, a ShardedServer, or a follower replica.
+/// What the networked front-end serves (docs/networking.md): one
+/// ShardedServer engine (k >= 1 shards), either as the leader that takes
+/// writes or as a follower replica fed by the leader's log.
 ///
 /// Contract for the read ops (Clusters / LocalCluster / SmallestCluster /
-/// Zoom): the implementation pins ONE published snapshot, answers entirely
-/// from it, and reports the snapshot's epoch and watermark in the response
-/// body. The reported epoch is the cache key the front-end stores the
-/// response under — pinning makes the pair (epoch, response) exact even
-/// while the writer publishes newer epochs mid-request. `min_seq` is the
-/// read barrier: the answer must cover every leader ticket <= min_seq;
-/// a leader waits for it, a follower refuses Unavailable (the client then
-/// falls back to the leader).
+/// Zoom), one code path for every backend: Pin enforces the `min_seq` read
+/// barrier and captures ONE ShardedView, the answer comes entirely from it,
+/// and the body reports the view's publish stamp and the leader ticket the
+/// view covers. The stamp is the cache key the front-end stores the
+/// response under — pinning makes the pair (stamp, response) exact even
+/// while the shards publish newer epochs mid-request. A leader waits for
+/// the barrier; a follower refuses Unavailable (the client then falls back
+/// to the leader).
 class Backend {
  public:
   virtual ~Backend() = default;
+
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
 
   /// True for a follower replica: reads are flagged kFlagFollower and
   /// writes are refused.
@@ -50,79 +53,84 @@ class Backend {
   /// Current publish stamp: monotone, advances exactly when a read could
   /// observe a different snapshot. The front-end invalidates its cache
   /// wholesale whenever this moves.
-  virtual uint64_t Epoch() = 0;
+  ///
+  /// Per-shard epochs form a vector, and no single u64 of it (e.g. the sum)
+  /// is collision-free — shard A publishing while B idles must not collide
+  /// with B publishing while A idles. Each distinct epoch vector (plus the
+  /// assignment epoch) is therefore registered under a process-local
+  /// monotone stamp; a cache hit requires the exact same registered vector.
+  /// With one shard the epoch itself is the stamp.
+  uint64_t Epoch();
 
   // --- Reads (pin one snapshot; fill epoch + watermark_seq) ---------------
-  virtual Result<ClustersBody> Clusters(const QueryBody& query) = 0;
-  virtual Result<MembersBody> LocalCluster(const QueryBody& query) = 0;
-  virtual Result<MembersBody> SmallestCluster(const QueryBody& query) = 0;
-  virtual Result<ZoomBody> Zoom(const QueryBody& query) = 0;
+  Result<ClustersBody> Clusters(const QueryBody& query);
+  Result<MembersBody> LocalCluster(const QueryBody& query);
+  Result<MembersBody> SmallestCluster(const QueryBody& query);
+  Result<ZoomBody> Zoom(const QueryBody& query);
 
   // --- Introspection ------------------------------------------------------
-  virtual std::string StatsJson() = 0;
-  virtual std::string HealthJson() = 0;
-  /// Metric snapshot for the Prometheus exposition op.
-  virtual obs::StatsSnapshot Stats() = 0;
+  std::string StatsJson();
+  std::string HealthJson();
+  /// Metric snapshot for the Prometheus exposition op: the router's series
+  /// plus every shard's own registry, summed by name.
+  obs::StatsSnapshot Stats();
 
   // --- Replication --------------------------------------------------------
   /// Leader-side log stream: WAL frames covering tickets after
-  /// `req.after_seq`, capped at the ship mark (the durable watermark when
-  /// the leader runs with durability, the published watermark otherwise).
-  /// FailedPrecondition when this backend does not serve a log.
+  /// `req.after_seq`, capped at the ship mark. FailedPrecondition when this
+  /// backend does not serve a log.
   virtual Result<LogChunkBody> PullLog(const PullLogBody& req) = 0;
+
+ protected:
+  /// `server` answers the reads; it must be started and outlive the
+  /// backend.
+  explicit Backend(shard::ShardedServer* server) : server_(server) {}
+
+  /// One pinned snapshot and the leader ticket it is known to cover.
+  struct Pinned {
+    shard::ShardedView view;
+    uint64_t covered_seq = 0;
+  };
+
+  /// Enforces the min_seq barrier, then pins one view.
+  virtual Result<Pinned> Pin(uint64_t min_seq) = 0;
+
+  /// The publish stamp of a captured view (see Epoch()).
+  uint64_t StampFor(const shard::ShardedView& view);
+
+  shard::ShardedServer* const server_;
+
+ private:
+  util::Mutex stamp_mutex_;
+  std::vector<uint64_t> last_epochs_ ANC_GUARDED_BY(stamp_mutex_);
+  uint64_t stamp_ ANC_GUARDED_BY(stamp_mutex_) = 0;
 };
 
-/// Leader backend over one AncServer. Owns the replication log: Submit
-/// appends every accepted batch to an in-memory record log (byte-identical
-/// store:: WAL frames) *under the same mutex that issues the tickets*, so
-/// the published watermark can never advance past a ticket the log does
-/// not hold — PullLog never has a gap below the ship mark.
-struct ServerBackendOptions {
-    /// Default timeout of the min_seq read barrier.
-    std::chrono::milliseconds barrier_timeout{5000};
-    /// Replication log budget; 0 = unbounded. When trimming drops records
-    /// a follower still needs, its PullLog fails FailedPrecondition (it
-    /// must re-bootstrap) — size this to cover follower lag.
-    size_t max_log_bytes = 0;
-    /// True when the wrapped server runs with a durability policy: the
-    /// ship mark becomes the durable watermark, so a follower is never
-    /// ahead of what leader recovery reproduces. (The serve layer does not
-    /// expose its policy; whoever wires the backend knows it.)
-    bool ship_durable_only = false;
-    /// Ack-based log truncation: a follower that identifies itself in
-    /// PullLog (follower_id != 0) acks everything <= after_seq, and
-    /// entries acked by every live follower are dropped eagerly instead
-    /// of waiting for the byte cap. A follower that has not pulled within
-    /// this window no longer pins the log (it re-bootstraps if it comes
-    /// back too late). 0 disables expiry — a vanished follower then pins
-    /// the log until max_log_bytes forces the trim.
-    std::chrono::milliseconds follower_expiry{10000};
-};
-
-class ServerBackend : public Backend {
+/// The leader backend over a ShardedServer (k >= 1): writes route through
+/// the sharded ingest as one SubmitBatch, reads are byte-identical to
+/// in-process ShardedView queries, and every watermark is in the server's
+/// global tickets.
+///
+/// A one-shard leader also owns the replication log: Submit appends each
+/// accepted batch as one store:: WAL frame *under the same mutex that
+/// issues its tickets*, so the watermark can never pass a ticket the log
+/// does not hold — PullLog never has a gap below the ship mark. The ship
+/// mark is the durable watermark when the server runs with durability (a
+/// follower is never ahead of what leader recovery reproduces), the
+/// published watermark otherwise. With k > 1 PullLog is FailedPrecondition:
+/// a follower tracks one ticket stream, and the shards' streams do not form
+/// one (docs/networking.md "Replication and sharding").
+class ShardedBackend : public Backend {
  public:
-  using Options = ServerBackendOptions;
-
-  /// `server` must be started and outlive the backend. `metrics`
-  /// (optional) receives the anc.net.repl_log_bytes gauge and must
-  /// outlive the backend — pass the NetServer's registry so the gauge
-  /// rides the same Prometheus exposition as the front-end counters.
-  explicit ServerBackend(serve::AncServer* server, Options options = {},
-                         obs::MetricsRegistry* metrics = nullptr);
+  /// `server` must be started and outlive the backend. The
+  /// anc.net.repl_log_bytes gauge lands in server->metrics().
+  explicit ShardedBackend(shard::ShardedServer* server);
 
   Result<SubmitAck> Submit(const Activation* data, size_t count) override;
   Status Flush(std::chrono::milliseconds timeout) override;
   Status AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout) override;
   Status FlushDurable(std::chrono::milliseconds timeout) override;
   WatermarkBody Watermark() override;
-  uint64_t Epoch() override;
-  Result<ClustersBody> Clusters(const QueryBody& query) override;
-  Result<MembersBody> LocalCluster(const QueryBody& query) override;
-  Result<MembersBody> SmallestCluster(const QueryBody& query) override;
-  Result<ZoomBody> Zoom(const QueryBody& query) override;
-  std::string StatsJson() override;
-  std::string HealthJson() override;
-  obs::StatsSnapshot Stats() override;
   Result<LogChunkBody> PullLog(const PullLogBody& req) override;
 
  private:
@@ -137,8 +145,7 @@ class ServerBackend : public Backend {
     std::chrono::steady_clock::time_point last_seen;
   };
 
-  /// Pins the published view after enforcing the min_seq barrier.
-  Result<std::shared_ptr<const serve::ClusterView>> Pin(uint64_t min_seq);
+  Result<Pinned> Pin(uint64_t min_seq) override;
 
   /// Drops expired followers, then trims every entry acked by all live
   /// ones. No-op while no live follower is registered (nothing proves the
@@ -146,9 +153,6 @@ class ServerBackend : public Backend {
   void TrimAckedLocked() ANC_REQUIRES(log_mutex_);
   void UpdateLogGaugeLocked() ANC_REQUIRES(log_mutex_);
 
-  serve::AncServer* server_;
-  Options options_;
-  obs::MetricsRegistry* metrics_;
   obs::GaugeId repl_log_bytes_id_;
 
   util::Mutex log_mutex_;
@@ -159,66 +163,6 @@ class ServerBackend : public Backend {
   /// follower_id -> latest ack, for ack-keyed truncation.
   std::map<uint64_t, FollowerAck> followers_ ANC_GUARDED_BY(log_mutex_);
 };
-
-/// Leader backend over a ShardedServer: writes route through the sharded
-/// ingest fan-out, reads pin one ShardedView (the vector watermark) and are
-/// byte-identical to in-process ShardedView queries.
-///
-/// The publish stamp: per-shard epochs form a vector, and no single u64 of
-/// it (e.g. the sum) is collision-free — shard A publishing while B idles
-/// must not collide with B publishing while A idles. The backend therefore
-/// registers each distinct epoch vector under a process-local monotone
-/// stamp; a cache hit requires the exact same registered vector, so merged
-/// answers from different vector watermarks can never share a cache slot.
-///
-/// PullLog is FailedPrecondition: replication followers track a single
-/// leader ticket stream, which a sharded deployment does not expose (each
-/// shard has its own; run one NetServer per shard to replicate a sharded
-/// tier — docs/networking.md "Replication x sharding").
-struct ShardedBackendOptions {
-  std::chrono::milliseconds barrier_timeout{5000};
-};
-
-class ShardedBackend : public Backend {
- public:
-  using Options = ShardedBackendOptions;
-
-  explicit ShardedBackend(shard::ShardedServer* server, Options options = {});
-
-  Result<SubmitAck> Submit(const Activation* data, size_t count) override;
-  Status Flush(std::chrono::milliseconds timeout) override;
-  Status AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout) override;
-  Status FlushDurable(std::chrono::milliseconds timeout) override;
-  WatermarkBody Watermark() override;
-  uint64_t Epoch() override;
-  Result<ClustersBody> Clusters(const QueryBody& query) override;
-  Result<MembersBody> LocalCluster(const QueryBody& query) override;
-  Result<MembersBody> SmallestCluster(const QueryBody& query) override;
-  Result<ZoomBody> Zoom(const QueryBody& query) override;
-  std::string StatsJson() override;
-  std::string HealthJson() override;
-  obs::StatsSnapshot Stats() override;
-  Result<LogChunkBody> PullLog(const PullLogBody& req) override;
-
- private:
-  /// The monotone stamp registered for this epoch vector (see class docs).
-  uint64_t StampFor(std::vector<uint64_t> epochs);
-  /// Pins a ShardedView whose total resolved tickets cover min_seq.
-  Result<shard::ShardedView> Pin(uint64_t min_seq, uint64_t* stamp);
-
-  shard::ShardedServer* server_;
-  Options options_;
-
-  util::Mutex stamp_mutex_;
-  std::vector<uint64_t> last_epochs_ ANC_GUARDED_BY(stamp_mutex_);
-  uint64_t stamp_ ANC_GUARDED_BY(stamp_mutex_) = 0;
-};
-
-/// Builds the JSON health document shared by every backend (status,
-/// watermarks, epoch, ingest depth).
-std::string BackendHealthJson(const char* role, const WatermarkBody& mark,
-                              size_t ingest_depth, const Status& writer_status,
-                              const Status& store_status);
 
 }  // namespace anc::net
 

@@ -6,6 +6,14 @@
 #include "store/wal.h"
 
 namespace anc::net {
+namespace {
+
+/// How long a follower read waits for replication to reach its min_seq
+/// barrier before refusing Unavailable. Deliberately short: a follower's
+/// job is to be cheap, not to block.
+constexpr std::chrono::milliseconds kBarrierWait{20};
+
+}  // namespace
 
 // --- Follower ---------------------------------------------------------------
 
@@ -18,18 +26,15 @@ Result<std::unique_ptr<Follower>> Follower::Create(
         "followers run without local durability: the leader's log is the "
         "record of truth, a lost follower re-bootstraps from it");
   }
+  shard::ShardedOptions options;
+  options.partition.num_shards = 1;
+  options.serve = serve_options;
+  auto server = shard::ShardedServer::Create(graph, config, std::move(options));
+  ANC_RETURN_NOT_OK(server.status());
+  ANC_RETURN_NOT_OK(server.value()->Start());
   auto follower = std::unique_ptr<Follower>(new Follower());
-  auto index = AncIndex::Create(graph, config);
-  ANC_RETURN_NOT_OK(index.status());
-  follower->index_ = std::move(*index);
-  follower->server_ = std::make_unique<serve::AncServer>(
-      follower->index_.get(), serve_options);
-  ANC_RETURN_NOT_OK(follower->server_->Start());
+  follower->server_ = std::move(server).value();
   return follower;
-}
-
-Follower::~Follower() {
-  if (server_ != nullptr) server_->Stop();
 }
 
 Status Follower::ApplyChunk(const LogChunkBody& chunk) {
@@ -61,10 +66,8 @@ Status Follower::ApplyChunk(const LogChunkBody& chunk) {
           "] straddles the submitted mark " + std::to_string(submitted_));
       break;
     }
-    uint64_t last_seq = 0;
     auto accepted = server_->SubmitBatch(record->activations.data(),
-                                         record->activations.size(),
-                                         &last_seq);
+                                         record->activations.size());
     if (!accepted.ok()) {
       failure = accepted.status();
       break;
@@ -116,8 +119,8 @@ Status Follower::AwaitApplied(uint64_t seq,
 
 // --- FollowerBackend --------------------------------------------------------
 
-FollowerBackend::FollowerBackend(Follower* follower, Options options)
-    : follower_(follower), options_(options) {}
+FollowerBackend::FollowerBackend(Follower* follower)
+    : Backend(&follower->server()), follower_(follower) {}
 
 Result<SubmitAck> FollowerBackend::Submit(const Activation* data,
                                           size_t count) {
@@ -150,120 +153,20 @@ WatermarkBody FollowerBackend::Watermark() {
   // Capture the mark before the view: the mark only advances after
   // publication, so the view is always at least as fresh as the mark.
   const uint64_t applied = follower_->applied_leader_seq();
-  const auto view = follower_->server().View();
+  const shard::ShardedView view = server_->View();
   WatermarkBody mark;
   mark.seq = applied;  // leader ticket space
-  mark.time = view->watermark().time;
-  mark.epoch = view->epoch();
+  mark.time = view.MaxTime();
+  mark.epoch = StampFor(view);
   return mark;
 }
 
-uint64_t FollowerBackend::Epoch() {
-  return follower_->server().View()->epoch();
-}
-
-Result<std::pair<uint64_t, std::shared_ptr<const serve::ClusterView>>>
-FollowerBackend::Pin(uint64_t min_seq) {
-  if (min_seq > 0 && follower_->applied_leader_seq() < min_seq) {
-    ANC_RETURN_NOT_OK(
-        follower_->AwaitApplied(min_seq, options_.barrier_wait));
+Result<Backend::Pinned> FollowerBackend::Pin(uint64_t min_seq) {
+  if (follower_->applied_leader_seq() < min_seq) {
+    ANC_RETURN_NOT_OK(follower_->AwaitApplied(min_seq, kBarrierWait));
   }
   const uint64_t applied = follower_->applied_leader_seq();
-  return std::make_pair(applied, follower_->server().View());
-}
-
-Result<ClustersBody> FollowerBackend::Clusters(const QueryBody& query) {
-  auto pin = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(pin.status());
-  const auto& [applied, view] = *pin;
-  const uint32_t level = query.level == 0 ? view->DefaultLevel() : query.level;
-  if (level < 1 || level > view->num_levels()) {
-    return Status::InvalidArgument("level " + std::to_string(query.level) +
-                                   " out of range [1, " +
-                                   std::to_string(view->num_levels()) + "]");
-  }
-  Clustering clustering = view->Clusters(level);
-  ClustersBody body;
-  body.epoch = view->epoch();
-  body.watermark_seq = applied;
-  body.level = level;
-  body.num_clusters = clustering.num_clusters;
-  body.labels = std::move(clustering.labels);
-  return body;
-}
-
-Result<MembersBody> FollowerBackend::LocalCluster(const QueryBody& query) {
-  auto pin = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(pin.status());
-  const auto& [applied, view] = *pin;
-  if (query.node >= view->graph().NumNodes()) {
-    return Status::InvalidArgument("node " + std::to_string(query.node) +
-                                   " out of range");
-  }
-  const uint32_t level = query.level == 0 ? view->DefaultLevel() : query.level;
-  if (level < 1 || level > view->num_levels()) {
-    return Status::InvalidArgument("level " + std::to_string(query.level) +
-                                   " out of range [1, " +
-                                   std::to_string(view->num_levels()) + "]");
-  }
-  MembersBody body;
-  body.epoch = view->epoch();
-  body.watermark_seq = applied;
-  body.level = level;
-  body.members = view->LocalCluster(query.node, level);
-  return body;
-}
-
-Result<MembersBody> FollowerBackend::SmallestCluster(const QueryBody& query) {
-  auto pin = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(pin.status());
-  const auto& [applied, view] = *pin;
-  if (query.node >= view->graph().NumNodes()) {
-    return Status::InvalidArgument("node " + std::to_string(query.node) +
-                                   " out of range");
-  }
-  MembersBody body;
-  body.epoch = view->epoch();
-  body.watermark_seq = applied;
-  uint32_t level = 0;
-  body.members = view->SmallestCluster(query.node, query.min_size, &level);
-  body.level = level;
-  return body;
-}
-
-Result<ZoomBody> FollowerBackend::Zoom(const QueryBody& query) {
-  auto pin = Pin(query.min_seq);
-  ANC_RETURN_NOT_OK(pin.status());
-  const auto& [applied, view] = *pin;
-  if (query.node >= view->graph().NumNodes()) {
-    return Status::InvalidArgument("node " + std::to_string(query.node) +
-                                   " out of range");
-  }
-  ZoomBody body;
-  body.epoch = view->epoch();
-  body.watermark_seq = applied;
-  body.default_level = view->DefaultLevel();
-  body.cluster_sizes.reserve(view->num_levels());
-  for (uint32_t level = 1; level <= view->num_levels(); ++level) {
-    body.cluster_sizes.push_back(static_cast<uint32_t>(
-        view->LocalCluster(query.node, level).size()));
-  }
-  return body;
-}
-
-std::string FollowerBackend::StatsJson() {
-  return follower_->server().Stats().ToJson();
-}
-
-std::string FollowerBackend::HealthJson() {
-  return BackendHealthJson("follower", Watermark(),
-                           follower_->server().IngestDepth(),
-                           follower_->server().writer_status(),
-                           follower_->server().store_status());
-}
-
-obs::StatsSnapshot FollowerBackend::Stats() {
-  return follower_->server().Stats();
+  return Pinned{server_->View(), applied};
 }
 
 Result<LogChunkBody> FollowerBackend::PullLog(const PullLogBody& req) {

@@ -12,7 +12,7 @@
 #include "net/backend.h"
 #include "net/client.h"
 #include "net/protocol.h"
-#include "serve/server.h"
+#include "shard/sharded_server.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -23,10 +23,10 @@ namespace anc::net {
 /// The follower owns a full replica of the leader's index — same graph,
 /// same config, hence (by construction determinism, the same argument the
 /// sharding layer rests on) an identical initial state — and applies the
-/// leader's WAL records in ticket order through its own AncServer.
-/// Because the activation stream fully determines the index state, replica
-/// snapshots are byte-identical to leader snapshots at the same ticket
-/// horizon.
+/// leader's WAL records in ticket order through its own one-shard
+/// ShardedServer. Because the activation stream fully determines the index
+/// state, replica snapshots are byte-identical to leader snapshots at the
+/// same ticket horizon.
 ///
 /// The applied mark (`applied_leader_seq`, in LEADER ticket space)
 /// advances only after the applied records are *published* in the replica
@@ -34,14 +34,13 @@ namespace anc::net {
 /// pinned snapshot — the min_seq barrier is exact.
 class Follower {
  public:
-  /// Builds the replica index/server over `graph` (must outlive the
-  /// follower) and starts serving. `serve_options` shapes the replica's
-  /// publish cadence; durability/store must stay unset (the leader owns
-  /// the log of record — a follower re-bootstraps from it).
+  /// Builds the replica server over `graph` (must outlive the follower)
+  /// and starts serving. `serve_options` shapes the replica's publish
+  /// cadence; durability/store must stay unset (the leader owns the log of
+  /// record — a follower re-bootstraps from it).
   static Result<std::unique_ptr<Follower>> Create(
       const Graph& graph, const AncConfig& config,
       serve::ServeOptions serve_options = {});
-  ~Follower();
 
   Follower(const Follower&) = delete;
   Follower& operator=(const Follower&) = delete;
@@ -63,14 +62,13 @@ class Follower {
   /// Blocks until the applied mark covers `seq` (Unavailable on timeout).
   Status AwaitApplied(uint64_t seq, std::chrono::milliseconds timeout);
 
-  serve::AncServer& server() { return *server_; }
-  const serve::AncServer& server() const { return *server_; }
+  shard::ShardedServer& server() { return *server_; }
+  const shard::ShardedServer& server() const { return *server_; }
 
  private:
   Follower() = default;
 
-  std::unique_ptr<AncIndex> index_;
-  std::unique_ptr<serve::AncServer> server_;
+  std::unique_ptr<shard::ShardedServer> server_;
 
   util::Mutex apply_mutex_;  ///< serializes ApplyChunk (puller + tests)
   /// Last leader ticket *ingested* into the replica server — the dedup
@@ -92,19 +90,12 @@ class Follower {
 /// (FailedPrecondition — write to the leader).
 ///
 /// Bounded staleness: a read whose min_seq barrier exceeds the applied
-/// mark waits at most `barrier_wait` for replication to catch up, then
-/// refuses Unavailable — the client's cue to fall back to the leader. The
-/// wait is deliberately short: a follower's job is to be cheap, not to
-/// block.
-struct FollowerBackendOptions {
-  std::chrono::milliseconds barrier_wait{20};
-};
-
+/// mark waits a few milliseconds for replication to catch up, then refuses
+/// Unavailable — the client's cue to fall back to the leader.
 class FollowerBackend : public Backend {
  public:
-  using Options = FollowerBackendOptions;
-
-  explicit FollowerBackend(Follower* follower, Options options = {});
+  /// `follower` must outlive the backend.
+  explicit FollowerBackend(Follower* follower);
 
   bool follower() const override { return true; }
 
@@ -113,25 +104,15 @@ class FollowerBackend : public Backend {
   Status AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout) override;
   Status FlushDurable(std::chrono::milliseconds timeout) override;
   WatermarkBody Watermark() override;
-  uint64_t Epoch() override;
-  Result<ClustersBody> Clusters(const QueryBody& query) override;
-  Result<MembersBody> LocalCluster(const QueryBody& query) override;
-  Result<MembersBody> SmallestCluster(const QueryBody& query) override;
-  Result<ZoomBody> Zoom(const QueryBody& query) override;
-  std::string StatsJson() override;
-  std::string HealthJson() override;
-  obs::StatsSnapshot Stats() override;
   Result<LogChunkBody> PullLog(const PullLogBody& req) override;
 
  private:
   /// Enforces the barrier, then captures (applied mark, pinned view) in
   /// that order — the mark advances only after publication, so the view
   /// always covers the mark it is reported under.
-  Result<std::pair<uint64_t, std::shared_ptr<const serve::ClusterView>>> Pin(
-      uint64_t min_seq);
+  Result<Pinned> Pin(uint64_t min_seq) override;
 
   Follower* follower_;
-  Options options_;
 };
 
 /// The follower's pull loop: a background thread that drains the leader's

@@ -39,8 +39,8 @@ struct NetServerOptions {
 /// The networked serving front-end (docs/networking.md): a blocking
 /// acceptor thread plus a fixed worker pool (over anc::ThreadPool)
 /// serving the length-prefixed CRC-framed RPC protocol of net/protocol.h
-/// over TCP, in front of any Backend (single-server leader, sharded
-/// leader, or follower replica).
+/// over TCP, in front of a Backend (a leader over k >= 1 shards, or a
+/// follower replica).
 ///
 /// Request path per frame: decode + validate (parser discipline of PR 7)
 /// -> per-tenant token-bucket admission -> epoch-keyed cache lookup for

@@ -457,6 +457,23 @@ void ShardedServer::Stop() {
   }
 }
 
+void ShardedServer::RouteLocked(const Router& router,
+                                const Activation& activation,
+                                obs::TraceContext trace) {
+  const auto [owner, halo] = router.DeliveryOf(activation.edge);
+  StageLocked(owner, activation, trace);
+  if (halo != Router::kNoShard) {
+    halo_deliveries_.fetch_add(1, std::memory_order_relaxed);
+    StageLocked(halo, activation, trace);
+  }
+  if (handoff_ != nullptr && handoff_->edge_in_handoff[activation.edge]) {
+    // Live migration in progress: the moving vertices' target shard gets a
+    // side-buffered copy on top of the normal delivery (the old owner
+    // stays authoritative until the swap).
+    handoff_->buffer.push_back(activation);
+  }
+}
+
 void ShardedServer::StageLocked(uint32_t s, const Activation& activation,
                                 obs::TraceContext trace) {
   if (staged_total_ == 0) {
@@ -515,18 +532,7 @@ Result<uint64_t> ShardedServer::Submit(const Activation& activation,
   // Holding route_mutex_ pins the assignment (FinalizeHandoff swaps it
   // only under both locks), so one snapshot covers the whole routing step.
   const std::shared_ptr<const Router> router = this->router();
-  const auto [owner, halo] = router->DeliveryOf(activation.edge);
-  StageLocked(owner, activation, trace);
-  if (halo != Router::kNoShard) {
-    halo_deliveries_.fetch_add(1, std::memory_order_relaxed);
-    StageLocked(halo, activation, trace);
-  }
-  if (handoff_ != nullptr && handoff_->edge_in_handoff[activation.edge]) {
-    // Live migration in progress: the moving vertices' target shard gets a
-    // side-buffered copy on top of the normal delivery (the old owner
-    // stays authoritative until the swap).
-    handoff_->buffer.push_back(activation);
-  }
+  RouteLocked(*router, activation, trace);
   // Bound the visibility latency of half-full batches under continued
   // traffic (idle buffers drain on the next Flush/AwaitSeq instead).
   if (staged_total_ > 0 &&
@@ -545,6 +551,38 @@ Status ShardedServer::SubmitStream(const ActivationStream& stream,
     if (last_seq != nullptr) *last_seq = seq.value();
   }
   return Status::OK();
+}
+
+Result<size_t> ShardedServer::SubmitBatch(const Activation* data, size_t count,
+                                          uint64_t* last_seq) {
+  if (!running_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("ShardedServer is not running");
+  }
+  for (size_t i = 0; i < count; ++i) {
+    if (data[i].edge >= graph_->NumEdges()) {
+      rejected_.fetch_add(count, std::memory_order_relaxed);
+      return Status::InvalidArgument("activation edge out of range");
+    }
+  }
+  obs::TraceContext trace;
+  if (obs::kMetricsEnabled && registry_.trace_sink() != nullptr) {
+    trace = obs::TraceContext::NewTrace();
+  }
+  util::MutexLock lock(route_mutex_);
+  // Hand earlier submissions' staged deliveries over first, so the refusals
+  // counted below are this batch's alone.
+  FlushAllLocked();
+  const uint64_t refused_before =
+      halo_partial_.load(std::memory_order_relaxed);
+  const std::shared_ptr<const Router> router = this->router();
+  for (size_t i = 0; i < count; ++i) RouteLocked(*router, data[i], trace);
+  FlushAllLocked();
+  const uint64_t refused =
+      halo_partial_.load(std::memory_order_relaxed) - refused_before;
+  issued_ += count;
+  accepted_.fetch_add(count, std::memory_order_relaxed);
+  if (last_seq != nullptr) *last_seq = issued_;
+  return count - static_cast<size_t>(std::min<uint64_t>(refused, count));
 }
 
 Result<std::vector<uint64_t>> ShardedServer::ShardFrontiers(uint64_t seq) {
@@ -578,6 +616,32 @@ Status ShardedServer::AwaitSeq(uint64_t seq,
         shards_[s].server->AwaitSeq(frontiers.value()[s], remaining));
   }
   return Status::OK();
+}
+
+serve::Watermark ShardedServer::GlobalMark(bool durable) const {
+  if (!started_once_) return {};
+  serve::Watermark global;
+  util::MutexLock lock(route_mutex_);
+  global.seq = issued_;
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    const serve::AncServer& server = *shards_[s].server;
+    const serve::Watermark mark =
+        durable ? server.durable_watermark() : server.watermark();
+    global.time = std::max(global.time, mark.time);
+    // A delivery's per-shard ticket never exceeds its global one, so a
+    // shard that still owes deliveries covers every global ticket up to its
+    // own mark, and no further one is known to be covered.
+    if (!staging_[s].empty() || mark.seq < shard_last_ticket_[s]) {
+      global.seq = std::min(global.seq, mark.seq);
+    }
+  }
+  return global;
+}
+
+serve::Watermark ShardedServer::watermark() const { return GlobalMark(false); }
+
+serve::Watermark ShardedServer::durable_watermark() const {
+  return durable() ? GlobalMark(true) : serve::Watermark{};
 }
 
 Status ShardedServer::Flush(std::chrono::milliseconds timeout) {

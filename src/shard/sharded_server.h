@@ -141,6 +141,18 @@ class ShardedServer {
   Status SubmitStream(const ActivationStream& stream,
                       uint64_t* last_seq = nullptr);
 
+  /// Routes `count` activations as one batch (the net leader's write path).
+  /// Validates every edge up front (InvalidArgument, nothing routed), issues
+  /// the batch's global tickets contiguously under one hold of the route
+  /// lock (the last one via *last_seq, optional) and hands every staged
+  /// delivery to the shard queues before returning. Returns `count` only
+  /// when every delivery was accepted — AncServer::SubmitBatch's contract;
+  /// each delivery a receiving queue refused lowers it, and the tickets
+  /// stay issued. With a trace sink attached, the batch gets one root
+  /// trace.
+  Result<size_t> SubmitBatch(const Activation* data, size_t count,
+                             uint64_t* last_seq = nullptr);
+
   /// Blocks until every shard has drained and published everything
   /// accepted before the call.
   Status Flush(std::chrono::milliseconds timeout = std::chrono::minutes(1));
@@ -149,12 +161,22 @@ class ShardedServer {
   /// is reflected in every shard's published view.
   Status AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout);
 
+  /// The published watermark in global tickets: every delivery routed at
+  /// or before `seq` is reflected in any View() captured afterwards. `time`
+  /// is the highest activation time any shard has published.
+  serve::Watermark watermark() const;
+
   // --- Durability ---------------------------------------------------------
 
   /// Flush + fsync on every shard: when OK, RecoverAll reproduces a state
   /// covering everything accepted before the call.
   Status FlushDurable(
       std::chrono::milliseconds timeout = std::chrono::minutes(1));
+
+  /// The durable watermark in global tickets: every delivery routed at or
+  /// before `seq` is covered by its shard's fsynced WAL. Zero-valued when
+  /// the shards run without durability.
+  serve::Watermark durable_watermark() const;
 
   /// Rotates a checkpoint on every shard.
   Status RequestCheckpointAll(
@@ -378,6 +400,16 @@ class ShardedServer {
   /// Captures the vector watermark like View(), emitting one shard.gather
   /// span per shard under `trace` (and the gather_us histogram).
   ShardedView GatherView(obs::TraceContext trace) const;
+
+  /// watermark() / durable_watermark(): the lowest per-shard mark over the
+  /// shards that still owe deliveries, or every issued ticket when none
+  /// does.
+  serve::Watermark GlobalMark(bool durable) const ANC_EXCLUDES(route_mutex_);
+
+  /// Stages one activation's deliveries under `router`: its owner, its
+  /// halo shard for a cut edge, and the handoff copy during a migration.
+  void RouteLocked(const Router& router, const Activation& activation,
+                   obs::TraceContext trace) ANC_REQUIRES(route_mutex_);
 
   /// Stages one delivery for shard `s` (route_mutex_ held), flushing the
   /// shard's batch when it reaches kRouteBatch.

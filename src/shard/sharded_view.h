@@ -74,14 +74,6 @@ class ShardedView {
     return epochs;
   }
 
-  /// Sum of per-shard resolved tickets (halo deliveries counted once per
-  /// receiving shard) — the scalar ingest-progress signal.
-  uint64_t TotalSeq() const {
-    uint64_t total = 0;
-    for (const auto& view : views_) total += view->watermark().seq;
-    return total;
-  }
-
   /// Highest activation timestamp any shard has applied.
   double MaxTime() const {
     double max_time = 0.0;

