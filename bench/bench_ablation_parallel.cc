@@ -1,80 +1,103 @@
 // Ablation: parallel index maintenance (Lemma 13) — the k * ceil(log2 n)
 // Voronoi partitions are mutually independent in storage and update, so a
 // batch of activations can be absorbed with level-parallel workers. This
-// bench measures the wall-clock speedup of the same update stream with
-// 1, 2, 4 and 8 threads and verifies the results are identical.
+// bench feeds the same activation stream through AncIndex::ApplyBatch (the
+// serve writer's path: one similarity pass per batch, then one
+// level-parallel repair) with 1, 2, 3 and 4 pool threads, and through one
+// Apply per activation as the reference. Every run must end on the same
+// vote checksum and touched-node total.
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "activation/stream_generators.h"
 #include "bench/bench_common.h"
+#include "core/anc.h"
 #include "datasets/synthetic.h"
-#include "pyramid/pyramid_index.h"
-#include "similarity/similarity_engine.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
 namespace anc::bench {
 namespace {
 
+constexpr size_t kBatch = 256;  // the serve writer's default max_batch
+
+uint64_t VoteChecksum(const AncIndex& index) {
+  uint64_t checksum = 0;
+  for (const auto& level : index.index().ExportVoteCounts()) {
+    for (uint16_t votes : level) checksum = checksum * 1099511628211ull + votes;
+  }
+  return checksum;
+}
+
 void Run() {
   PrintHeader("Ablation: Parallel Index Updates (Lemma 13)");
   Rng rng(19);
   Graph g = BarabasiAlbert(20000, 4, rng);
 
-  SimilarityParams sim_params;
-  SimilarityEngine engine(g, sim_params);
-  engine.InitializeStatic(2);
-  std::vector<double> weights(g.NumEdges());
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) weights[e] = engine.Weight(e);
-
-  // A fixed update stream shared by every thread-count run.
-  std::vector<std::pair<EdgeId, double>> updates;
+  // A fixed activation stream shared by every run.
+  ActivationStream stream;
   double t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     t += 0.01;
-    const EdgeId e = static_cast<EdgeId>(rng.Uniform(g.NumEdges()));
-    double w = 0.0;
-    ANC_CHECK(engine.ApplyActivation(e, t, &w).ok(), "activation");
-    updates.emplace_back(e, w);
+    stream.push_back({static_cast<EdgeId>(rng.Uniform(g.NumEdges())), t});
   }
 
-  std::printf("graph: n=%u m=%u; %zu weight updates; k=8 pyramids\n",
-              g.NumNodes(), g.NumEdges(), updates.size());
-  PrintRow({"threads", "seconds", "speedup", "checksum"});
+  AncConfig config;
+  config.pyramid.num_pyramids = 8;
+  config.pyramid.seed = 3;
+  config.rep = 2;
+  std::printf("graph: n=%u m=%u; %zu activations in batches of %zu; k=%u\n",
+              g.NumNodes(), g.NumEdges(), stream.size(), kBatch,
+              config.pyramid.num_pyramids);
+  PrintRow({"path", "threads", "seconds", "speedup", "checksum"});
   double baseline = 0.0;
   uint64_t reference_checksum = 0;
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    PyramidParams params;
-    params.num_pyramids = 8;
-    params.seed = 3;
-    params.num_threads = threads;
-    PyramidIndex idx(g, weights, params);
+  size_t reference_touched = 0;
+  // threads == 0 is the per-activation Apply reference (serial by design).
+  for (uint32_t threads : {0u, 1u, 2u, 3u, 4u}) {
+    config.pyramid.num_threads = threads == 0 ? 1 : threads;
+    AncIndex index(g, config);
     Timer timer;
-    idx.UpdateEdgeWeights(updates);
-    const double elapsed = timer.ElapsedSeconds();
-    if (threads == 1) baseline = elapsed;
-    // Vote checksum proves thread counts do not change results.
-    uint64_t checksum = 0;
-    for (uint32_t l = 1; l <= idx.num_levels(); ++l) {
-      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-        checksum = checksum * 1099511628211ull + idx.VotesOf(e, l);
+    if (threads == 0) {
+      for (const Activation& a : stream) {
+        ANC_CHECK(index.Apply(a).ok(), "activation");
+      }
+    } else {
+      const std::span<const Activation> all(stream);
+      for (size_t start = 0; start < all.size(); start += kBatch) {
+        const auto batch =
+            all.subspan(start, std::min(kBatch, all.size() - start));
+        ANC_CHECK(index.ApplyBatch(batch).refused == 0, "activation");
       }
     }
-    if (threads == 1) reference_checksum = checksum;
-    ANC_CHECK(checksum == reference_checksum,
-              "parallel update changed the result");
-    PrintRow({std::to_string(threads), FormatDouble(elapsed, 3),
+    const double elapsed = timer.ElapsedSeconds();
+    // Vote checksum and touched nodes prove neither batching nor the
+    // thread count changes results.
+    const uint64_t checksum = VoteChecksum(index);
+    if (threads == 0) {
+      baseline = elapsed;
+      reference_checksum = checksum;
+      reference_touched = index.total_touched_nodes();
+    }
+    ANC_CHECK(checksum == reference_checksum &&
+                  index.total_touched_nodes() == reference_touched,
+              "batched or parallel apply changed the result");
+    PrintRow({threads == 0 ? "Apply" : "ApplyBatch",
+              std::to_string(config.pyramid.num_threads),
+              FormatDouble(elapsed, 3),
               FormatDouble(baseline / elapsed, 2) + "x",
               std::to_string(checksum % 100000)});
   }
   std::printf(
       "\nhardware concurrency on this machine: %u\n"
-      "expected shape: speedup grows with threads up to the hardware "
-      "concurrency, bounded by the number of levels and per-update repair "
-      "skew (Lemma 13). On a single-core machine all rows are ~1x; the "
-      "identical checksums still demonstrate thread-count independence.\n",
+      "expected shape: ApplyBatch speedup grows with threads up to the "
+      "hardware concurrency, bounded by the number of levels, per-level "
+      "repair skew (Lemma 13) and the serial similarity pass. On a "
+      "single-core machine all rows are ~1x; the identical checksums still "
+      "demonstrate batch and thread-count independence.\n",
       std::thread::hardware_concurrency());
 }
 

@@ -15,6 +15,11 @@ std::vector<double> AllWeights(const SimilarityEngine& engine) {
   return weights;
 }
 
+// Queued repairs that force a flush inside one ApplyBatch: bounds the
+// per-level overlays of a long stream while keeping batches large enough
+// for the level-parallel repair.
+constexpr size_t kMaxPendingRepairs = 1024;
+
 #ifdef ANC_CHECK_INVARIANTS
 // Applies between periodic self-checks when the lemma-level tripwire is
 // compiled in. The shallow validator pass is O(k n log n + m log n) — far
@@ -111,14 +116,17 @@ void AncIndex::HookRescale() {
   // weights all scale by 1/g, which preserves shortest-path structure
   // (Lemma 10) — the index just rescales its stored weights and distances.
   // Edges pinned by the similarity clamp broke the uniform scale and get
-  // exact individual repairs.
+  // exact individual repairs. Repairs an ApplyBatch queued before the
+  // rescale run first, against the weights they were computed in.
   engine_.SetRescaleCallback(
       [this](double factor, const std::vector<EdgeId>& clamped) {
         if (index_ == nullptr) return;  // construction order guard
+        FlushRepairs();
         index_->ScaleAll(1.0 / factor);
         for (EdgeId e : clamped) {
-          total_touched_ += index_->UpdateEdgeWeight(e, engine_.Weight(e));
+          pending_repairs_.emplace_back(e, engine_.Weight(e));
         }
+        FlushRepairs();
       });
 }
 
@@ -137,82 +145,97 @@ std::unique_ptr<AncIndex> AncIndex::FromSnapshot(
 }
 
 Status AncIndex::Apply(const Activation& activation) {
-  obs::ScopedTimer apply_timer(&metrics_, m_.apply_latency_us, "apply");
-  metrics_.Add(m_.apply_count);
-  if (config_.mode == AncMode::kOffline) {
-    metrics_.Add(m_.apply_offline);
-    // ANCF keeps only the activeness fresh; S and P are snapshot-derived.
-    double delta = 0.0;
-    obs::ScopedTimer sim_timer(&metrics_, m_.apply_sim_us, "similarity");
-    // The engine's activeness and sigma caches stay consistent so the next
-    // RecomputeSnapshot() reinforces against the true activeness.
-    return engine_.ApplyActivationNoReinforce(activation.edge, activation.time,
-                                              &delta);
-  }
-  metrics_.Add(config_.mode == AncMode::kOnlineReinforce ? m_.apply_ancor
-                                                         : m_.apply_online);
-  MaybeRunPeriodicReinforce(activation.time);
-  double new_weight = 0.0;
-  {
-    obs::ScopedTimer sim_timer(&metrics_, m_.apply_sim_us, "similarity");
-    ANC_RETURN_NOT_OK(
-        engine_.ApplyActivation(activation.edge, activation.time, &new_weight));
-  }
-  {
-    obs::ScopedTimer repair_timer(&metrics_, m_.apply_repair_us,
-                                  "index_repair");
-    total_touched_ += index_->UpdateEdgeWeight(activation.edge, new_weight);
-  }
-  if (config_.mode == AncMode::kOnlineReinforce) {
-    interval_edges_.insert(activation.edge);
-    metrics_.Set(m_.ancor_pending_edges,
-                 static_cast<int64_t>(interval_edges_.size()));
-  }
-#ifdef ANC_CHECK_INVARIANTS
-  if (++applies_since_check_ >= kSelfCheckInterval) {
-    applies_since_check_ = 0;
-    check::CheckReport report;
-    check::CheckAll(engine_, *index_, /*deep=*/false, &report);
-    ANC_CHECK(report.ok(), report.ToString().c_str());
-  }
-#endif
-  return Status::OK();
+  return ApplyBatch({&activation, 1}).first_error;
+}
+
+AncIndex::BatchOutcome AncIndex::ApplyBatch(
+    std::span<const Activation> batch) {
+  return ApplyRun(batch, /*anchored=*/false);
 }
 
 Status AncIndex::ApplyOutOfOrder(const Activation& activation) {
-  obs::ScopedTimer apply_timer(&metrics_, m_.apply_latency_us, "apply");
-  metrics_.Add(m_.apply_count);
   if (config_.mode == AncMode::kOffline) {
+    metrics_.Add(m_.apply_count);
     return Status::FailedPrecondition(
         "out-of-order apply is an online-replica import path");
   }
-  metrics_.Add(config_.mode == AncMode::kOnlineReinforce ? m_.apply_ancor
-                                                         : m_.apply_online);
-  MaybeRunPeriodicReinforce(activation.time);
-  double new_weight = 0.0;
-  {
-    obs::ScopedTimer sim_timer(&metrics_, m_.apply_sim_us, "similarity");
-    ANC_RETURN_NOT_OK(engine_.ApplyActivationAnchored(
-        activation.edge, activation.time, &new_weight));
-  }
-  {
-    obs::ScopedTimer repair_timer(&metrics_, m_.apply_repair_us,
-                                  "index_repair");
-    total_touched_ += index_->UpdateEdgeWeight(activation.edge, new_weight);
-  }
-  if (config_.mode == AncMode::kOnlineReinforce) {
-    interval_edges_.insert(activation.edge);
-    metrics_.Set(m_.ancor_pending_edges,
-                 static_cast<int64_t>(interval_edges_.size()));
-  }
-  return Status::OK();
+  return ApplyRun({&activation, 1}, /*anchored=*/true).first_error;
 }
 
 Status AncIndex::ApplyStream(const ActivationStream& stream) {
-  for (const Activation& a : stream) {
-    ANC_RETURN_NOT_OK(Apply(a));
+  return ApplyBatch(stream).first_error;
+}
+
+AncIndex::BatchOutcome AncIndex::ApplyRun(std::span<const Activation> batch,
+                                          bool anchored) {
+  BatchOutcome outcome;
+  const auto settle = [&outcome](const Activation& activation,
+                                 const Status& status) {
+    if (status.ok()) {
+      ++outcome.applied;
+      outcome.max_time = std::max(outcome.max_time, activation.time);
+    } else {
+      ++outcome.refused;
+      if (outcome.first_error.ok()) outcome.first_error = status;
+    }
+  };
+  obs::ScopedTimer apply_timer(&metrics_, m_.apply_latency_us, "apply");
+  metrics_.Add(m_.apply_count, batch.size());
+  if (config_.mode == AncMode::kOffline) {
+    metrics_.Add(m_.apply_offline, batch.size());
+    // ANCF keeps only the activeness fresh; S and P are snapshot-derived.
+    // The engine's activeness and sigma caches stay consistent so the next
+    // RecomputeSnapshot() reinforces against the true activeness.
+    obs::ScopedTimer sim_timer(&metrics_, m_.apply_sim_us, "similarity");
+    for (const Activation& activation : batch) {
+      double delta = 0.0;
+      settle(activation, engine_.ApplyActivationNoReinforce(
+                             activation.edge, activation.time, &delta));
+    }
+    return outcome;
   }
-  return Status::OK();
+  metrics_.Add(config_.mode == AncMode::kOnlineReinforce ? m_.apply_ancor
+                                                         : m_.apply_online,
+               batch.size());
+  {
+    obs::ScopedTimer sim_timer(&metrics_, m_.apply_sim_us, "similarity");
+    for (const Activation& activation : batch) {
+      MaybeRunPeriodicReinforce(activation.time);
+      double new_weight = 0.0;
+      const Status status =
+          anchored ? engine_.ApplyActivationAnchored(
+                         activation.edge, activation.time, &new_weight)
+                   : engine_.ApplyActivation(activation.edge, activation.time,
+                                             &new_weight);
+      settle(activation, status);
+      if (!status.ok()) continue;
+      pending_repairs_.emplace_back(activation.edge, new_weight);
+      if (config_.mode == AncMode::kOnlineReinforce) {
+        interval_edges_.insert(activation.edge);
+        metrics_.Set(m_.ancor_pending_edges,
+                     static_cast<int64_t>(interval_edges_.size()));
+      }
+      if (pending_repairs_.size() >= kMaxPendingRepairs) FlushRepairs();
+#ifdef ANC_CHECK_INVARIANTS
+      if (!anchored && ++applies_since_check_ >= kSelfCheckInterval) {
+        applies_since_check_ = 0;
+        FlushRepairs();
+        check::CheckReport report;
+        check::CheckAll(engine_, *index_, /*deep=*/false, &report);
+        ANC_CHECK(report.ok(), report.ToString().c_str());
+      }
+#endif
+    }
+  }
+  FlushRepairs();
+  return outcome;
+}
+
+void AncIndex::FlushRepairs() {
+  if (pending_repairs_.empty()) return;
+  obs::ScopedTimer repair_timer(&metrics_, m_.apply_repair_us, "index_repair");
+  total_touched_ += index_->UpdateEdgeWeights(pending_repairs_);
+  pending_repairs_.clear();
 }
 
 void AncIndex::MaybeRunPeriodicReinforce(double now) {
@@ -227,7 +250,7 @@ void AncIndex::MaybeRunPeriodicReinforce(double now) {
   std::sort(edges.begin(), edges.end());
   for (EdgeId e : edges) {
     engine_.ReinforceEdge(e);
-    total_touched_ += index_->UpdateEdgeWeight(e, engine_.Weight(e));
+    pending_repairs_.emplace_back(e, engine_.Weight(e));
   }
   interval_edges_.clear();
   metrics_.Add(m_.ancor_passes);

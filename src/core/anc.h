@@ -2,8 +2,11 @@
 #define ANC_CORE_ANC_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "activation/activeness.h"
@@ -54,10 +57,10 @@ struct AncConfig {
 /// relation graph.
 ///
 /// Lifecycle: construct (builds S_0 with `rep` reinforcement sweeps and the
-/// pyramid index P), feed activations with Apply/ApplyStream, query with
-/// Clusters / LocalCluster / Zoom at any granularity level in
-/// [1, num_levels()]. In ANCF mode call RecomputeSnapshot() before querying
-/// a new snapshot.
+/// pyramid index P), feed activations with Apply / ApplyBatch /
+/// ApplyStream, query with Clusters / LocalCluster / Zoom at any
+/// granularity level in [1, num_levels()]. In ANCF mode call
+/// RecomputeSnapshot() before querying a new snapshot.
 class AncIndex {
  public:
   /// Validating factory: rejects malformed configurations and degenerate
@@ -95,6 +98,26 @@ class AncIndex {
   ///    per pyramid (Lemma 12), plus the periodic ANCOR pass.
   Status Apply(const Activation& activation);
 
+  /// What ApplyBatch did with a batch.
+  struct BatchOutcome {
+    size_t applied = 0;  ///< activations absorbed
+    size_t refused = 0;  ///< activations rejected and skipped
+    Status first_error;  ///< the first rejection (OK when none)
+    /// Latest timestamp among the applied activations (-inf when none).
+    double max_time = -std::numeric_limits<double>::infinity();
+  };
+
+  /// Feeds a batch in order, with exactly the state, answers and
+  /// total_touched_nodes() of one Apply per activation. The similarity
+  /// pass runs over the whole batch and queues the index repairs; they run
+  /// in one level-parallel PyramidIndex::UpdateEdgeWeights call (Lemma 13)
+  /// at the end, or earlier when a decay rescale must see them applied
+  /// first. A rejected activation (Apply's error) is skipped and counted —
+  /// the serve writer's and recovery's policy — and the rest still apply.
+  /// The anc.apply.* histograms and the apply / similarity / index_repair
+  /// spans are recorded once per batch.
+  BatchOutcome ApplyBatch(std::span<const Activation> batch);
+
   /// Like Apply, but tolerates a timestamp behind the index clock — the
   /// replica-import path of live shard migration (and its crash-recovery
   /// splice), which replays one component's history into an index whose
@@ -107,7 +130,8 @@ class AncIndex {
   /// (kFailedPrecondition in kOffline — nothing serves from one).
   Status ApplyOutOfOrder(const Activation& activation);
 
-  /// Feeds a whole stream in order.
+  /// Feeds a whole stream in order through ApplyBatch: rejected
+  /// activations are skipped, and the first rejection is returned.
   Status ApplyStream(const ActivationStream& stream);
 
   /// ANCF snapshot recompute: re-derives S from the current activeness with
@@ -220,6 +244,12 @@ class AncIndex {
   void InitMetrics();
   void MaybeRunPeriodicReinforce(double now);
 
+  /// ApplyBatch's body; `anchored` selects ApplyOutOfOrder's engine path.
+  BatchOutcome ApplyRun(std::span<const Activation> batch, bool anchored);
+
+  /// Runs the queued index repairs (one UpdateEdgeWeights call).
+  void FlushRepairs();
+
   const Graph* graph_;
   AncConfig config_;
   // Declared before engine_/index_: both record into it (and the registry
@@ -248,6 +278,9 @@ class AncIndex {
   SimilarityEngine engine_;
   std::unique_ptr<PyramidIndex> index_;
   size_t total_touched_ = 0;
+  // Index repairs the current ApplyBatch queued, in apply order (empty
+  // between calls).
+  std::vector<std::pair<EdgeId, double>> pending_repairs_;
 #ifdef ANC_CHECK_INVARIANTS
   // Applies since the last periodic self-check (ANC_CHECK_INVARIANTS
   // builds only; see MaybeSelfCheck in anc.cc).

@@ -194,6 +194,9 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
   // --- configuration ---
   AncConfig config;
   uint8_t mode = 0;
+  // The persisted worker count is read and discarded: it is a runtime
+  // choice, so a restored index runs on this build's default.
+  uint32_t saved_num_threads = 0;
   bool ok = ReadPod(in, &config.similarity.lambda) &&
             ReadPod(in, &config.similarity.epsilon) &&
             ReadPod(in, &config.similarity.mu) &&
@@ -203,7 +206,7 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
             ReadPod(in, &config.pyramid.num_pyramids) &&
             ReadPod(in, &config.pyramid.theta) &&
             ReadPod(in, &config.pyramid.seed) &&
-            ReadPod(in, &config.pyramid.num_threads) && ReadPod(in, &mode) &&
+            ReadPod(in, &saved_num_threads) && ReadPod(in, &mode) &&
             ReadPod(in, &config.rep) && ReadPod(in, &config.reinforce_interval);
   if (!ok) return Status::IoError(path + ": truncated config section");
   if (mode > static_cast<uint8_t>(AncMode::kOnlineReinforce)) {

@@ -47,6 +47,7 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
   seed_changed_scratch_.resize(partitions_.size());
   watched_.assign(g.NumNodes(), 0);
   pending_changes_.resize(num_levels_);
+  level_overlays_.resize(num_levels_);
   pool_ = std::make_unique<ThreadPool>(params_.num_threads);
   if (metrics_ != nullptr) {
     m_.repairs = metrics_->Counter("anc.index.repairs");
@@ -143,6 +144,45 @@ void PyramidIndex::RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e) {
   }
 }
 
+size_t PyramidIndex::RepairLevel(uint32_t level, EdgeId e, double old_w,
+                                 double new_w, EdgeWeights weights) {
+  size_t touched = 0;
+  for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
+    const size_t slot = PartitionSlot(p, level);
+    auto& changed = seed_changed_scratch_[slot];
+    changed.clear();
+    touched += partitions_[slot].UpdateEdgeWeight(*graph_, weights, e, old_w,
+                                                  new_w, &changed);
+    // Seed changes invalidate the same-seed bit of every incident edge.
+    for (NodeId x : changed) {
+      for (const Neighbor& nb : graph_->Neighbors(x)) {
+        RefreshEdgeBit(p, level, nb.edge);
+      }
+    }
+    // The updated edge itself may change vote without any seed change
+    // elsewhere (e.g. endpoints joining across the repaired boundary).
+    RefreshEdgeBit(p, level, e);
+  }
+  return touched;
+}
+
+void PyramidIndex::RecordLevelRepair(uint32_t level, size_t touched) {
+  // touched == 0 levels are identity updates; skipping them keeps the
+  // recording cost proportional to actual repair work.
+  if (obs::kMetricsEnabled && metrics_ != nullptr && touched > 0) {
+    metrics_->Add(m_.level_repairs[level - 1]);
+    metrics_->Add(m_.level_touched_nodes[level - 1], touched);
+  }
+}
+
+void PyramidIndex::RecordRepair(size_t touched) {
+  if (obs::kMetricsEnabled && metrics_ != nullptr) {
+    metrics_->Add(m_.repairs);
+    metrics_->Add(m_.touched_nodes, touched);
+    metrics_->Record(m_.touched_per_repair, static_cast<double>(touched));
+  }
+}
+
 size_t PyramidIndex::UpdateEdgeWeight(EdgeId e, double new_weight) {
   ANC_CHECK(e < graph_->NumEdges(), "edge id out of range");
   ANC_CHECK(new_weight > 0.0 && std::isfinite(new_weight),
@@ -150,107 +190,70 @@ size_t PyramidIndex::UpdateEdgeWeight(EdgeId e, double new_weight) {
   const double old_weight = weights_[e];
   weights_[e] = new_weight;
   if (old_weight == new_weight) return 0;
-
-  // One task per level: partitions are mutually independent and the vote
-  // row of a level is touched only by its own task (Lemma 13).
-  std::vector<size_t> touched_per_level(num_levels_, 0);
-  pool_->ParallelFor(num_levels_, [&](size_t level_idx) {
-    const uint32_t level = static_cast<uint32_t>(level_idx) + 1;
-    size_t touched = 0;
-    for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
-      const size_t slot = PartitionSlot(p, level);
-      auto& changed = seed_changed_scratch_[slot];
-      changed.clear();
-      touched += partitions_[slot].UpdateEdgeWeight(*graph_, weights_, e,
-                                                    old_weight, new_weight,
-                                                    &changed);
-      // Seed changes invalidate the same-seed bit of every incident edge.
-      for (NodeId x : changed) {
-        for (const Neighbor& nb : graph_->Neighbors(x)) {
-          RefreshEdgeBit(p, level, nb.edge);
-        }
-      }
-      // The updated edge itself may change vote without any seed change
-      // elsewhere (e.g. endpoints joining across the repaired boundary).
-      RefreshEdgeBit(p, level, e);
-    }
-    touched_per_level[level_idx] = touched;
-    // touched == 0 levels are identity updates; skipping them keeps the
-    // per-activation recording cost proportional to actual repair work.
-    if (obs::kMetricsEnabled && metrics_ != nullptr && touched > 0) {
-      metrics_->Add(m_.level_repairs[level_idx]);
-      metrics_->Add(m_.level_touched_nodes[level_idx], touched);
-    }
-  });
   size_t total = 0;
-  for (size_t t : touched_per_level) total += t;
-  if (obs::kMetricsEnabled && metrics_ != nullptr) {
-    metrics_->Add(m_.repairs);
-    metrics_->Add(m_.touched_nodes, total);
-    metrics_->Record(m_.touched_per_repair, static_cast<double>(total));
+  for (uint32_t level = 1; level <= num_levels_; ++level) {
+    const size_t touched =
+        RepairLevel(level, e, old_weight, new_weight, weights_);
+    RecordLevelRepair(level, touched);
+    total += touched;
   }
+  RecordRepair(total);
   return total;
 }
 
 size_t PyramidIndex::UpdateEdgeWeights(
     std::span<const std::pair<EdgeId, double>> updates) {
-  // Small batches (or single-threaded configs) process edge-by-edge; the
-  // level-parallel path below amortizes its per-level weight-array copy.
-  if (pool_->num_threads() <= 1 || updates.size() < 16) {
+  // Below this many updates one pool dispatch costs more than the level
+  // parallelism saves.
+  constexpr size_t kMinParallelBatch = 16;
+  if (pool_->num_threads() <= 1 || updates.size() < kMinParallelBatch) {
     size_t total = 0;
     for (const auto& [e, w] : updates) total += UpdateEdgeWeight(e, w);
     return total;
   }
 
+  // Give each distinct batch edge an overlay slot holding its pre-batch
+  // weight, and tag its entry in the shared array with that slot.
+  batch_pre_weights_.clear();
+  batch_slots_.clear();
   for (const auto& [e, w] : updates) {
     ANC_CHECK(e < graph_->NumEdges(), "edge id out of range");
     ANC_CHECK(w > 0.0 && std::isfinite(w),
               "distance weights must be positive and finite");
+    double& shared = weights_[e];
+    if (shared > 0.0) {
+      batch_pre_weights_.push_back(shared);
+      shared = EdgeWeights::Tag(batch_pre_weights_.size() - 1);
+    }
+    batch_slots_.push_back(EdgeWeights::SlotOf(shared));
   }
-  // Each level replays the whole batch against its own copy of the
-  // pre-batch weights, so every partition observes exactly the weight
-  // evolution the serial path would (results are bit-identical); levels
-  // are mutually independent and own their vote rows (Lemma 13).
+  // Each level replays the whole batch against its own overlay, so every
+  // partition observes exactly the weight evolution of one UpdateEdgeWeight
+  // per update (results are bit-identical); levels are mutually
+  // independent and own their vote rows (Lemma 13).
   std::vector<size_t> touched_per_level(num_levels_, 0);
-  const std::vector<double>& pre_batch = weights_;
   pool_->ParallelFor(num_levels_, [&](size_t level_idx) {
     const uint32_t level = static_cast<uint32_t>(level_idx) + 1;
-    std::vector<double> local_weights = pre_batch;
+    std::vector<double>& overlay = level_overlays_[level_idx];
+    overlay.assign(batch_pre_weights_.begin(), batch_pre_weights_.end());
+    const EdgeWeights weights(weights_, overlay.data());
     size_t touched = 0;
-    for (const auto& [e, w] : updates) {
-      const double old_w = local_weights[e];
-      local_weights[e] = w;
+    for (size_t i = 0; i < updates.size(); ++i) {
+      const auto& [e, w] = updates[i];
+      double& current = overlay[batch_slots_[i]];
+      const double old_w = current;
+      current = w;
       if (old_w == w) continue;
-      for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
-        const size_t slot = PartitionSlot(p, level);
-        auto& changed = seed_changed_scratch_[slot];
-        changed.clear();
-        touched += partitions_[slot].UpdateEdgeWeight(
-            *graph_, local_weights, e, old_w, w, &changed);
-        for (NodeId x : changed) {
-          for (const Neighbor& nb : graph_->Neighbors(x)) {
-            RefreshEdgeBit(p, level, nb.edge);
-          }
-        }
-        RefreshEdgeBit(p, level, e);
-      }
+      touched += RepairLevel(level, e, old_w, w, weights);
     }
     touched_per_level[level_idx] = touched;
-    // touched == 0 levels are identity updates; skipping them keeps the
-    // per-activation recording cost proportional to actual repair work.
-    if (obs::kMetricsEnabled && metrics_ != nullptr && touched > 0) {
-      metrics_->Add(m_.level_repairs[level_idx]);
-      metrics_->Add(m_.level_touched_nodes[level_idx], touched);
-    }
+    RecordLevelRepair(level, touched);
   });
+  // The last update of each edge wins, which also clears every tag.
   for (const auto& [e, w] : updates) weights_[e] = w;
   size_t total = 0;
   for (size_t t : touched_per_level) total += t;
-  if (obs::kMetricsEnabled && metrics_ != nullptr) {
-    metrics_->Add(m_.repairs);
-    metrics_->Add(m_.touched_nodes, total);
-    metrics_->Record(m_.touched_per_repair, static_cast<double>(total));
-  }
+  RecordRepair(total);
   return total;
 }
 

@@ -24,7 +24,9 @@ struct PyramidParams {
   uint32_t num_pyramids = 4;  ///< k, the voting-ensemble size
   double theta = 0.7;         ///< support threshold of the voting function
   uint64_t seed = 42;         ///< RNG seed for the Voronoi seed sets
-  uint32_t num_threads = 1;   ///< workers for parallel updates (Lemma 13)
+  /// Workers for the level-parallel batch repair and the build (Lemma 13).
+  /// A runtime choice, not index state: a restored index takes the default.
+  uint32_t num_threads = 3;
 };
 
 /// The index P of Section V: k pyramids, each a suite of ceil(log2 n)
@@ -107,13 +109,18 @@ class PyramidIndex {
   }
 
   /// Applies one weight update to every partition of every pyramid and
-  /// repairs vote counts. Levels are processed in parallel when
-  /// num_threads > 1 (partitions are mutually independent, Lemma 13; vote
-  /// rows are per level so level-parallelism is contention-free). Returns
-  /// the total number of touched nodes across partitions (stats).
+  /// repairs vote counts, serially at any thread count (one update is too
+  /// little work to pay for a pool dispatch). Returns the total number of
+  /// touched nodes across partitions (stats).
   size_t UpdateEdgeWeight(EdgeId e, double new_weight);
 
-  /// Applies a batch of updates (same edge may repeat) in order.
+  /// Applies a batch of updates (same edge may repeat) in order, with the
+  /// same result as one UpdateEdgeWeight call per update. With
+  /// num_threads > 1 the levels replay the batch in parallel: partitions
+  /// are mutually independent (Lemma 13) and each level owns its vote row.
+  /// Every level reads the batch's edges through its own batch-local
+  /// overlay of the weights (EdgeWeights), so the extra memory is
+  /// O(levels * distinct batch edges), not a weight-array copy per level.
   size_t UpdateEdgeWeights(std::span<const std::pair<EdgeId, double>> updates);
 
   /// Rebuilds every partition from scratch against `new_weights` keeping
@@ -212,6 +219,16 @@ class PyramidIndex {
   /// and adjusts the level's vote count on change.
   void RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e);
 
+  /// Repairs the k partitions of one level after edge e moved from old_w
+  /// to new_w (`weights` already reads new_w at e) and refreshes the
+  /// level's vote row. Returns the touched nodes.
+  size_t RepairLevel(uint32_t level, EdgeId e, double old_w, double new_w,
+                     EdgeWeights weights);
+
+  /// Per-level and per-call repair metrics (no-ops without a registry).
+  void RecordLevelRepair(uint32_t level, size_t touched);
+  void RecordRepair(size_t touched);
+
   /// Initializes same-seed bits and vote counts for one partition.
   void InitVotes(uint32_t pyramid, uint32_t level);
 
@@ -227,6 +244,12 @@ class PyramidIndex {
   std::vector<tier::Column<uint8_t>> same_seed_bits_;
   std::vector<tier::Column<uint16_t>> vote_counts_;  // [level-1][edge]
   std::unique_ptr<ThreadPool> pool_;
+  // UpdateEdgeWeights scratch: the pre-batch weight of each distinct batch
+  // edge (overlay slot order), each update's overlay slot, and every
+  // level's overlay ([level-1], replayed by that level's task).
+  std::vector<double> batch_pre_weights_;
+  std::vector<size_t> batch_slots_;
+  std::vector<std::vector<double>> level_overlays_;
   // Per-slot scratch for seed-change reporting (avoids reallocating in the
   // update hot path).
   std::vector<std::vector<NodeId>> seed_changed_scratch_;

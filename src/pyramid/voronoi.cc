@@ -46,8 +46,7 @@ void VoronoiPartition::Build(const Graph& g,
   }
 }
 
-size_t VoronoiPartition::UpdateEdgeWeight(const Graph& g,
-                                          const std::vector<double>& weights,
+size_t VoronoiPartition::UpdateEdgeWeight(const Graph& g, EdgeWeights weights,
                                           EdgeId e, double old_w, double new_w,
                                           std::vector<NodeId>* seed_changed) {
   if (old_w == new_w) return 0;
@@ -70,8 +69,7 @@ size_t VoronoiPartition::UpdateEdgeWeight(const Graph& g,
   return touched_.size();
 }
 
-void VoronoiPartition::RunDecrease(const Graph& g,
-                                   const std::vector<double>& weights,
+void VoronoiPartition::RunDecrease(const Graph& g, EdgeWeights weights,
                                    NodeId u, NodeId v, EdgeId e) {
   // Algorithm 1: seed the queue with whichever endpoint the cheaper edge
   // now improves, then run Dijkstra-like relaxation outward. Distances can
@@ -90,8 +88,7 @@ void VoronoiPartition::RunDecrease(const Graph& g,
   }
 }
 
-void VoronoiPartition::RunIncrease(const Graph& g,
-                                   const std::vector<double>& weights,
+void VoronoiPartition::RunIncrease(const Graph& g, EdgeWeights weights,
                                    NodeId u, NodeId v, EdgeId e) {
   // Algorithm 3. A heavier edge matters only when it is a tree edge: the
   // orphaned endpoint's whole subtree loses its witness path and must be
@@ -164,7 +161,7 @@ void VoronoiPartition::RunIncrease(const Graph& g,
 }
 
 bool VoronoiPartition::TryImprove(NodeId a, NodeId b, EdgeId e_ab,
-                                  const std::vector<double>& weights) {
+                                  EdgeWeights weights) {
   if (dist_[b] == kInfDist) return false;
   const double cand = dist_[b] + weights[e_ab];
   if (cand >= dist_[a]) return false;

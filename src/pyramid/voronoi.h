@@ -17,6 +17,39 @@ namespace anc {
 
 inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 
+/// The distance weights a partition repair reads: the shared anchored
+/// weight array, optionally overlaid by a small batch-local array. The
+/// batched repair (PyramidIndex::UpdateEdgeWeights) lets every level replay
+/// the batch at its own pace, so an edge of the batch must read the level's
+/// current value while every other edge reads the shared array. It marks
+/// each batch edge in the shared array with the tag -(slot + 1) — real
+/// weights are positive — so an unmarked read costs one sign test and no
+/// extra memory access.
+class EdgeWeights {
+ public:
+  /// A plain view of `weights` (no overlay; entries must be positive).
+  EdgeWeights(const std::vector<double>& weights)  // NOLINT: implicit
+      : base_(weights.data()) {}
+
+  /// `weights` with tagged entries resolved through `overlay`.
+  EdgeWeights(const std::vector<double>& weights, const double* overlay)
+      : base_(weights.data()), overlay_(overlay) {}
+
+  double operator[](EdgeId e) const {
+    const double w = base_[e];
+    if (w > 0.0) [[likely]] return w;
+    return overlay_[SlotOf(w)];
+  }
+
+  /// The shared-array tag of overlay slot `slot`, and its inverse.
+  static double Tag(size_t slot) { return -static_cast<double>(slot + 1); }
+  static size_t SlotOf(double tag) { return static_cast<size_t>(-tag) - 1; }
+
+ private:
+  const double* base_;
+  const double* overlay_ = nullptr;
+};
+
 /// One Voronoi partition of the graph under the distance weights S_t^{-1}
 /// (Section V-A): a seed set S, and for every node v its closest seed
 /// S[v], the distance dist(S[v], v), and the shortest-path tree (parent +
@@ -55,8 +88,8 @@ class VoronoiPartition {
   /// whose *seed* changed are appended to `seed_changed` (callers maintain
   /// vote counts from it). Returns the number of nodes whose distance or
   /// seed was touched (the |U'| of Lemma 12, for stats and tests).
-  size_t UpdateEdgeWeight(const Graph& g, const std::vector<double>& weights,
-                          EdgeId e, double old_w, double new_w,
+  size_t UpdateEdgeWeight(const Graph& g, EdgeWeights weights, EdgeId e,
+                          double old_w, double new_w,
                           std::vector<NodeId>* seed_changed);
 
   /// Recomputes everything from scratch and reports whether distances and
@@ -103,13 +136,12 @@ class VoronoiPartition {
   /// Probe (Algorithm 2): tries to improve a's distance via its neighbor b
   /// along edge e_ab. On success rewires a's parent to b and records a in
   /// the touched set. Returns true when a improved.
-  bool TryImprove(NodeId a, NodeId b, EdgeId e_ab,
-                  const std::vector<double>& weights);
+  bool TryImprove(NodeId a, NodeId b, EdgeId e_ab, EdgeWeights weights);
 
-  void RunDecrease(const Graph& g, const std::vector<double>& weights,
-                   NodeId u, NodeId v, EdgeId e);
-  void RunIncrease(const Graph& g, const std::vector<double>& weights,
-                   NodeId u, NodeId v, EdgeId e);
+  void RunDecrease(const Graph& g, EdgeWeights weights, NodeId u, NodeId v,
+                   EdgeId e);
+  void RunIncrease(const Graph& g, EdgeWeights weights, NodeId u, NodeId v,
+                   EdgeId e);
 
   /// Rewires the tree so that `parent` becomes the parent of v (unlinking v
   /// from its previous parent's child list first). parent == kInvalidNode

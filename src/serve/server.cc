@@ -231,20 +231,17 @@ void AncServer::WriterLoop() {
 
     const Clock::time_point apply_start = Clock::now();
     if (sink != nullptr) obs::TraceSink::EnterSpan(sink->uid());
-    for (const Activation& activation : batch) {
-      const Status status = index_->Apply(activation);
-      if (status.ok()) {
-        index_->metrics().Add(m_.applied);
-        last_applied_time = std::max(last_applied_time, activation.time);
-      } else {
-        index_->metrics().Add(m_.apply_errors);
-        util::MutexLock lock(writer_status_mutex_);
-        if (writer_status_.ok()) writer_status_ = status;
-      }
+    const AncIndex::BatchOutcome outcome = index_->ApplyBatch(batch);
+    index_->metrics().Add(m_.applied, outcome.applied);
+    last_applied_time = std::max(last_applied_time, outcome.max_time);
+    if (outcome.refused > 0) {
+      index_->metrics().Add(m_.apply_errors, outcome.refused);
+      util::MutexLock lock(writer_status_mutex_);
+      if (writer_status_.ok()) writer_status_ = outcome.first_error;
     }
     if (sink != nullptr) {
       // One batch apply interval, attributed to every trace it covered
-      // (the per-activation "apply" spans nest inside, untraced).
+      // (the index's untraced "apply" span nests inside).
       const int depth = obs::TraceSink::ExitSpan(sink->uid());
       const double dur_us = MicrosSince(apply_start);
       uint64_t last_trace = 0;

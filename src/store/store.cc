@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "util/crc32c.h"
 #include "store/test_hooks.h"
@@ -631,28 +632,39 @@ Result<RecoveredStore> Recover(const std::string& dir,
         ++rec->skipped_records;
         return Status::OK();
       }
-      for (size_t i = 0; i < record.activations.size(); ++i) {
-        const uint64_t seq = record.first_seq + i;
-        if (seq <= rec->checkpoint_seq) continue;  // covered by the snapshot
-        if (options.defer && options.defer(record.activations[i], seq)) {
-          // Held back for the caller to re-apply after migration sidecars;
-          // the ticket itself is accounted for (the live writer applied it).
-          rec->deferred.push_back(record.activations[i]);
-          ++rec->replayed_activations;
-          rec->watermark.seq = std::max(rec->watermark.seq, seq);
-          continue;
+      // Activations up to the checkpoint are covered by the snapshot.
+      const std::span<const Activation> acts(record.activations);
+      size_t begin = record.first_seq > rec->checkpoint_seq
+                         ? 0
+                         : rec->checkpoint_seq - record.first_seq + 1;
+      while (begin < acts.size()) {
+        // Each run of non-deferred activations replays as one batch.
+        size_t end = begin;
+        while (end < acts.size() &&
+               !(options.defer &&
+                 options.defer(acts[end], record.first_seq + end))) {
+          ++end;
         }
-        const Status applied = index->Apply(record.activations[i]);
-        if (applied.ok()) {
-          ++rec->replayed_activations;
-          rec->watermark.time =
-              std::max(rec->watermark.time, record.activations[i].time);
-        } else {
+        if (end > begin) {
           // Mirror the serve writer: a failed apply is counted and skipped,
           // so replay converges to the same state the live index reached.
-          ++rec->skipped_applies;
+          const AncIndex::BatchOutcome outcome =
+              index->ApplyBatch(acts.subspan(begin, end - begin));
+          rec->replayed_activations += outcome.applied;
+          rec->skipped_applies += outcome.refused;
+          rec->watermark.time = std::max(rec->watermark.time, outcome.max_time);
+          rec->watermark.seq =
+              std::max(rec->watermark.seq, record.first_seq + end - 1);
         }
-        rec->watermark.seq = std::max(rec->watermark.seq, seq);
+        if (end < acts.size()) {
+          // Held back for the caller to re-apply after migration sidecars;
+          // the ticket itself is accounted for (the live writer applied it).
+          rec->deferred.push_back(acts[end]);
+          ++rec->replayed_activations;
+          rec->watermark.seq =
+              std::max(rec->watermark.seq, record.first_seq + end);
+        }
+        begin = end + 1;
       }
       ++rec->replayed_records;
       return Status::OK();

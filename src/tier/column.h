@@ -254,10 +254,13 @@ class Column : public ColumnBase {
     ForEachMutable([&values](size_t i, T& v) { v = values[i]; });
   }
 
+  /// A flat copy; each page's bytes are copied once, with no zero pass.
   std::vector<T> ToVector() const {
-    std::vector<T> out(size_);
+    std::vector<T> out;
+    out.reserve(size_);
     for (size_t p = 0; p < pages_.size(); ++p) {
-      std::memcpy(out.data() + (p << shift_), pages_[p].read, PageBytes(p));
+      const T* page = reinterpret_cast<const T*>(pages_[p].read);
+      out.insert(out.end(), page, page + PageBytes(p) / sizeof(T));
     }
     return out;
   }

@@ -7,6 +7,9 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "shard/sharded_view.h"
 #include "similarity/similarity_engine.h"
 #include "store/store.h"
+#include "tier/tiered_store.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -246,6 +250,205 @@ TEST(ParallelPyramidTest, StreamApplyWithConcurrentStatsReader) {
     EXPECT_EQ(anc.Stats().counter("anc.apply.count"), stream.size());
   }
   EXPECT_TRUE(anc.ValidateInvariants(/*deep=*/false).ok());
+}
+
+/// Everything a per-update replay determines: vote tallies, weights and
+/// the exact partition trees (tie-breaks included).
+void ExpectSamePyramid(const PyramidIndex& actual,
+                       const PyramidIndex& expected) {
+  EXPECT_EQ(actual.ExportVoteCounts(), expected.ExportVoteCounts());
+  for (EdgeId e = 0; e < expected.graph().NumEdges(); ++e) {
+    ASSERT_EQ(actual.WeightOf(e), expected.WeightOf(e)) << "edge " << e;
+  }
+  const auto a = actual.ExportTreeStates();
+  const auto b = expected.ExportTreeStates();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t slot = 0; slot < a.size(); ++slot) {
+    EXPECT_EQ(a[slot].seeds, b[slot].seeds) << "slot " << slot;
+    EXPECT_EQ(a[slot].seed_of, b[slot].seed_of) << "slot " << slot;
+    EXPECT_EQ(a[slot].dist, b[slot].dist) << "slot " << slot;
+    EXPECT_EQ(a[slot].parent, b[slot].parent) << "slot " << slot;
+    EXPECT_EQ(a[slot].parent_edge, b[slot].parent_edge) << "slot " << slot;
+    EXPECT_EQ(a[slot].first_child, b[slot].first_child) << "slot " << slot;
+    EXPECT_EQ(a[slot].next_sibling, b[slot].next_sibling) << "slot " << slot;
+    EXPECT_EQ(a[slot].prev_sibling, b[slot].prev_sibling) << "slot " << slot;
+  }
+}
+
+/// The same for two AncIndexes, plus the Lemma-12 touched-node total.
+void ExpectSameIndexState(const AncIndex& actual, const AncIndex& expected) {
+  EXPECT_EQ(actual.total_touched_nodes(), expected.total_touched_nodes());
+  ExpectSamePyramid(actual.index(), expected.index());
+}
+
+/// Repeated edges inside one batch: every level's overlay must replay the
+/// edge's whole weight history (including a no-op repeat of the current
+/// value), so the level-parallel batch matches one UpdateEdgeWeight per
+/// update exactly.
+TEST(ParallelPyramidTest, BatchWithRepeatedEdgesMatchesPerUpdate) {
+  Rng rng(41);
+  Graph g = BarabasiAlbert(200, 3, rng);
+  std::vector<double> weights(g.NumEdges(), 1.0);
+  PyramidParams serial_params;
+  serial_params.num_pyramids = 3;
+  serial_params.seed = 9;
+  serial_params.num_threads = 1;
+  PyramidParams parallel_params = serial_params;
+  parallel_params.num_threads = 3;
+  PyramidIndex serial(g, weights, serial_params);
+  PyramidIndex parallel(g, weights, parallel_params);
+
+  size_t serial_touched = 0;
+  size_t parallel_touched = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<std::pair<EdgeId, double>> batch;
+    for (int i = 0; i < 48; ++i) {
+      if (i % 5 == 4) {
+        batch.push_back(batch.back());  // a no-op repeat of the current value
+        continue;
+      }
+      // Six hot edges: each recurs ~6 times per batch.
+      batch.emplace_back(static_cast<EdgeId>(rng.Next() % 6),
+                         0.1 + 3.0 * rng.NextDouble());
+    }
+    for (const auto& [e, w] : batch) {
+      serial_touched += serial.UpdateEdgeWeight(e, w);
+    }
+    parallel_touched += parallel.UpdateEdgeWeights(batch);
+  }
+  EXPECT_EQ(parallel_touched, serial_touched);
+  ExpectSamePyramid(parallel, serial);
+}
+
+struct BatchDiffInput {
+  GroundTruthGraph data;
+  AncConfig config;
+  ActivationStream stream;
+};
+
+/// A planted graph under aggressive decay: a forced rescale every 40
+/// activations with lambda = 2 pushes idle similarities under the clamp
+/// floor, so rescales land mid-batch and clamp edges. ANCOR mode adds the
+/// periodic reinforcement pass's repairs to the queue.
+BatchDiffInput MakeBatchDiffInput(uint64_t seed) {
+  PlantedPartitionParams pp;
+  pp.num_communities = 4;
+  pp.min_size = 12;
+  pp.max_size = 16;
+  Rng rng(seed);
+  BatchDiffInput in{PlantedPartition(pp, rng), {}, {}};
+  in.config.pyramid.num_pyramids = 3;
+  in.config.pyramid.seed = seed;
+  in.config.similarity.lambda = 2.0;
+  in.config.similarity.min_similarity = 0.05;
+  in.config.similarity.rescale_interval = 40;
+  in.config.mode = AncMode::kOnlineReinforce;
+  in.config.reinforce_interval = 3;
+  double t = 0.0;
+  for (int i = 0; i < 400; ++i) {
+    t += 0.05;
+    // Repeats within a batch are common: edges come from a 40-edge pool.
+    in.stream.push_back(
+        {static_cast<EdgeId>(rng.Uniform(std::min<uint32_t>(
+             40, in.data.graph.NumEdges()))),
+         t});
+  }
+  return in;
+}
+
+/// Per-activation Apply at one thread: the reference every batched run
+/// must reproduce. Rejected activations are skipped, as ApplyBatch does.
+std::unique_ptr<AncIndex> ApplyOneByOne(const BatchDiffInput& in) {
+  AncConfig config = in.config;
+  config.pyramid.num_threads = 1;
+  auto index = std::make_unique<AncIndex>(in.data.graph, config);
+  for (const Activation& a : in.stream) (void)index->Apply(a);
+  return index;
+}
+
+TEST(ParallelPyramidTest, ApplyBatchMatchesPerActivationAcrossRescales) {
+  const BatchDiffInput in = MakeBatchDiffInput(61);
+  const std::unique_ptr<AncIndex> reference = ApplyOneByOne(in);
+  ASSERT_GE(reference->engine().activeness().rescale_count(), 5u);
+  if (obs::kMetricsEnabled) {
+    ASSERT_GT(reference->Stats().counter("anc.sim.rescale_clamped_edges"),
+              0u);
+  }
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AncConfig config = in.config;
+    config.pyramid.num_threads = threads;
+    AncIndex batched(in.data.graph, config);
+    // 64-activation batches: every rescale (one per 40) lands mid-batch.
+    const std::span<const Activation> stream(in.stream);
+    for (size_t start = 0; start < stream.size(); start += 64) {
+      const auto batch =
+          stream.subspan(start, std::min<size_t>(64, stream.size() - start));
+      const AncIndex::BatchOutcome outcome = batched.ApplyBatch(batch);
+      ASSERT_EQ(outcome.applied, batch.size());
+      ASSERT_EQ(outcome.refused, 0u);
+      ASSERT_EQ(outcome.max_time, batch.back().time);
+    }
+    ExpectSameIndexState(batched, *reference);
+  }
+}
+
+TEST(ParallelPyramidTest, ApplyBatchSkipsRefusedActivationsMidBatch) {
+  BatchDiffInput in = MakeBatchDiffInput(62);
+  // An out-of-range edge and a timestamp behind the clock, mid-batch.
+  const double t = in.stream[30].time;
+  in.stream.insert(in.stream.begin() + 31,
+                   {in.data.graph.NumEdges() + 3, t});
+  in.stream.insert(in.stream.begin() + 45, {0, t - 1.0});
+  const std::unique_ptr<AncIndex> reference = ApplyOneByOne(in);
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AncConfig config = in.config;
+    config.pyramid.num_threads = threads;
+    AncIndex batched(in.data.graph, config);
+    const std::span<const Activation> stream(in.stream);
+    const AncIndex::BatchOutcome first = batched.ApplyBatch(stream.first(60));
+    EXPECT_EQ(first.applied, 58u);
+    EXPECT_EQ(first.refused, 2u);
+    EXPECT_EQ(first.first_error.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(first.max_time, in.stream[59].time);
+    const AncIndex::BatchOutcome rest =
+        batched.ApplyBatch(stream.subspan(60));
+    EXPECT_EQ(rest.refused, 0u);
+    ExpectSameIndexState(batched, *reference);
+  }
+}
+
+TEST(ParallelPyramidTest, ApplyBatchPromotesColdPagesFromPoolThreads) {
+  const BatchDiffInput in = MakeBatchDiffInput(63);
+  const std::unique_ptr<AncIndex> reference = ApplyOneByOne(in);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "anc_parallel_tier")
+          .string();
+  std::filesystem::remove_all(dir);
+  AncConfig config = in.config;
+  config.pyramid.num_threads = 3;
+  AncIndex batched(in.data.graph, config);
+  tier::TierOptions options;
+  options.tier_budget_bytes = 1;  // demote every page at each Maintain
+  options.page_elems = 16;
+  options.background_compaction = false;
+  auto opened = tier::TieredStore::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  tier::TieredStore& tier_store = *opened.value();
+  batched.AttachTier(&tier_store);
+  const std::span<const Activation> stream(in.stream);
+  for (size_t start = 0; start < stream.size(); start += 50) {
+    ASSERT_TRUE(tier_store.Maintain().ok());  // writer quiescent point
+    const auto batch =
+        stream.subspan(start, std::min<size_t>(50, stream.size() - start));
+    ASSERT_EQ(batched.ApplyBatch(batch).applied, batch.size());
+  }
+  EXPECT_GT(tier_store.Stats().promotions, 0u);
+  ExpectSameIndexState(batched, *reference);
+  tier_store.DetachAll();
+  ExpectSameIndexState(batched, *reference);
+  std::filesystem::remove_all(dir);
 }
 
 /// The serving stack's shared-state surfaces under TSan: racing producers

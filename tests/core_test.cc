@@ -117,10 +117,15 @@ TEST(AncIndexTest, StatsMatchesTouchedNodesAfterStream) {
   // InitializeStatic resets nothing here — so >= stream.size()).
   EXPECT_GE(stats.counter("anc.sim.reinforcements"), stream.size());
   EXPECT_GT(stats.counter("anc.sim.activeness_updates"), 0u);
-  // Latency histograms saw one sample per apply.
+  // Latency histograms see one sample per batch: ApplyStream is one
+  // ApplyBatch call, and every Apply is a batch of one.
   const auto* latency = stats.histogram("anc.apply.latency_us");
   ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->count, stream.size());
+  EXPECT_EQ(latency->count, 1u);
+  const double t = stream.back().time;
+  ASSERT_TRUE(anc.Apply({0, t}).ok());
+  ASSERT_TRUE(anc.Apply({1, t}).ok());
+  EXPECT_EQ(anc.Stats().histogram("anc.apply.latency_us")->count, 3u);
   // The snapshot serializes and parses back intact.
   obs::StatsSnapshot parsed;
   ASSERT_TRUE(obs::StatsSnapshot::FromJson(stats.ToJson(), &parsed));

@@ -1,6 +1,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,38 @@ TEST(SerializationTest, RestoredIndexContinuesTheStream) {
     Clustering b = restored.Clusters(l);
     ASSERT_EQ(a.labels, b.labels) << "level " << l;
   }
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, RestoreTakesTheDefaultThreadCount) {
+  // The worker count is a runtime choice: a checkpoint written by a
+  // one-thread index restores onto this build's default, and the
+  // level-parallel batch path continues the stream exactly.
+  Rng rng(3);
+  Graph g = BarabasiAlbert(120, 3, rng);
+  AncConfig config = TestConfig();
+  config.pyramid.num_threads = 1;
+  ASSERT_NE(config.pyramid.num_threads, PyramidParams{}.num_threads);
+  AncIndex original(g, config);
+  ActivationStream stream = UniformStream(g, 20, 0.02, rng);
+  const size_t half = stream.size() / 2;
+  const std::span<const Activation> all(stream);
+  ASSERT_EQ(original.ApplyBatch(all.first(half)).refused, 0u);
+
+  const std::string path = TempPath("anc_threads.idx");
+  ASSERT_TRUE(SaveIndex(original, path).ok());
+  Result<LoadedIndex> loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  AncIndex& restored = *loaded.value().index;
+  EXPECT_EQ(restored.config().pyramid.num_threads,
+            PyramidParams{}.num_threads);
+  EXPECT_EQ(restored.index().params().num_threads,
+            PyramidParams{}.num_threads);
+
+  ASSERT_EQ(original.ApplyBatch(all.subspan(half)).refused, 0u);
+  ASSERT_EQ(restored.ApplyBatch(all.subspan(half)).refused, 0u);
+  EXPECT_EQ(restored.index().ExportVoteCounts(),
+            original.index().ExportVoteCounts());
   std::remove(path.c_str());
 }
 

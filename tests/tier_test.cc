@@ -369,6 +369,7 @@ TEST(TieredStoreTest, CompactionRewritesColdSideWithoutChangingAnswers) {
 
 TEST(TieredHeadTest, HeadRoundTripsThroughSegmentReferences) {
   TieredFixture f = TieredFixture::Make("anc_tier_head", 140, 41, 6);
+  f.config.pyramid.num_threads = 1;  // not the default; see below
 
   AncIndex live(f.graph, f.config);
   TierOptions options;
@@ -399,6 +400,9 @@ TEST(TieredHeadTest, HeadRoundTripsThroughSegmentReferences) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE(refs.empty()) << "a budgeted head should reference segments";
   ExpectIndexStatesEqual(*loaded->index, live);
+  // The persisted worker count is discarded: heads restore on the default.
+  EXPECT_EQ(loaded->index->config().pyramid.num_threads,
+            PyramidParams{}.num_threads);
 
   // The head must also match what the untiered loader reconstructs from
   // the full snapshot — both paths land on the same bytes.
