@@ -199,7 +199,8 @@ int Main() {
     PrintRow({"config", "acts", "act/s", "resident_MB", "cold_MB", "spills",
               "promos", "segs", "ckpt_ms"});
 
-    // In-RAM baseline: plain durable stack, full ANCIDX02 checkpoints.
+    // In-RAM baseline: plain durable stack, all-inline SaveIndex
+    // checkpoints.
     double ram_elapsed = 0.0;
     {
       std::filesystem::remove_all(dir);

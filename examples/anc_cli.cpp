@@ -52,9 +52,10 @@
 //   store-stats             generation / marks / segments / sync counters
 //   wal-close               sync and close the store (refused while serving)
 //   recover <dir>           rebuild graph + index from checkpoint + WAL
-//                           (tier-aware: ANCTHD01 heads load through their
-//                           cold segments and the tier dir is swept);
-//                           wal-open / tier-open the same dir to continue
+//                           (page references load through the cold
+//                           segments under <dir>/tier); wal-open /
+//                           tier-open the same dir to continue (tier-open
+//                           sweeps the tier dir)
 //
 // Tiered storage (docs/storage_tiers.md) — larger-than-RAM operation:
 //   tier-open <dir> [budget]
@@ -62,8 +63,8 @@
 //                           per-edge columns spill to mmap'd cold segments
 //                           until the resident delta fits <budget> bytes
 //                           (0 = spill only at checkpoints), and
-//                           checkpoints rotate as incremental ANCTHD01
-//                           heads instead of full-index rewrites
+//                           checkpoints reference sealed segments instead
+//                           of rewriting every page
 //   tier-stats              budget / resident / cold bytes, page + segment
 //                           counts, spill / promotion / compaction totals
 //   tier-compact            merge every live cold segment into one
@@ -160,7 +161,6 @@
 #include "shard/partitioner.h"
 #include "shard/sharded_server.h"
 #include "store/store.h"
-#include "tier/head.h"
 #include "tier/tiered_store.h"
 #include "util/rng.h"
 
@@ -812,10 +812,9 @@ bool HandleLine(Session& session, const std::string& line) {
       std::printf("usage: recover <dir>\n");
       return true;
     }
-    // Tier-aware: loads ANCTHD01 heads through their cold segments, plain
-    // ANCIDX02 checkpoints as before, and sweeps crash wreckage from the
-    // tier directory.
-    Result<store::RecoveredStore> recovered = tier::Recover(dir);
+    // Page references load through the cold segments under <dir>/tier;
+    // tier-open on the same dir later sweeps what a crash left there.
+    Result<store::RecoveredStore> recovered = store::Recover(dir);
     if (!recovered.ok()) {
       std::printf("error: %s\n", recovered.status().ToString().c_str());
       return true;

@@ -1,7 +1,7 @@
-// Fuzz target: the ANCIDX02 checkpoint loader (core/serialization.h
-// LoadIndex) and the store MANIFEST reader, exercised through
-// store::Recover — the exact code path crash recovery runs over whatever
-// bytes a died process (or damaged disk) left behind.
+// Fuzz target: the checkpoint loader (core/serialization.h LoadIndex,
+// page-table parser included) and the store MANIFEST reader, exercised
+// through store::Recover — the exact code path crash recovery runs over
+// whatever bytes a died process (or damaged disk) left behind.
 
 #include <cstdint>
 #include <filesystem>
@@ -12,9 +12,13 @@
 #include "store/store.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  // Surface 1: the checkpoint loader on a raw candidate file.
-  static const std::string idx_path = anc::fuzz::ScratchPath("idx");
-  if (anc::fuzz::WriteInput(idx_path, data, size)) {
+  // Surface 1: the checkpoint loader on a raw candidate file. It sits in
+  // its own directory, so page references resolve under <that dir>/tier.
+  static const std::string idx_dir = anc::fuzz::ScratchPath("idx");
+  static const std::string idx_path = idx_dir + "/ckpt.idx";
+  std::error_code ec;
+  std::filesystem::create_directories(idx_dir, ec);
+  if (!ec && anc::fuzz::WriteInput(idx_path, data, size)) {
     (void)anc::LoadIndex(idx_path);
   }
 
@@ -23,13 +27,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // the manifest parses) is absent, so Recover also walks its fallback
   // candidate scan.
   static const std::string dir = anc::fuzz::ScratchPath("store");
-  std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (!ec && anc::fuzz::WriteInput(dir + "/MANIFEST", data, size)) {
     (void)anc::store::Recover(dir);
   }
 
-  std::filesystem::remove(idx_path, ec);
+  std::filesystem::remove_all(idx_dir, ec);
   std::filesystem::remove_all(dir, ec);
   return 0;
 }

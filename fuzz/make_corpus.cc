@@ -1,8 +1,9 @@
 // Seed-corpus generator: writes one well-formed exemplar per fuzz target
 // into <out_dir>/{wal,index,json,stream,rpc,segment}/ using the real
 // production writers (WalAppender, DurableStore, SaveIndex, the net::
-// frame codec, tier::SegmentWriter), so the checked-in corpora under
-// fuzz/corpus/ always decode on the current format version.
+// frame codec, tier::SegmentWriter, tier::TieredStore::WriteHead), so the
+// checked-in corpora under fuzz/corpus/ always decode on the current
+// format version.
 // Rerun after a format change:
 //
 //   cmake -B build -S . -DANC_FUZZ=ON && cmake --build build --target make_corpus
@@ -22,6 +23,7 @@
 #include "store/store.h"
 #include "store/wal.h"
 #include "tier/segment.h"
+#include "tier/tiered_store.h"
 #include "util/status.h"
 
 namespace fs = std::filesystem;
@@ -122,14 +124,32 @@ int main(int argc, char** argv) {
     bad.put(static_cast<char>(orig ^ 0x5a));
   }
 
-  // index/: a real ANCIDX02 checkpoint and a real MANIFEST (produced by
-  // opening a store in a scratch dir), plus a truncated checkpoint.
+  // index/: a real all-inline checkpoint, a checkpoint whose page tables
+  // reference a sealed tier segment (written by TieredStore::WriteHead),
+  // and a real MANIFEST (produced by opening a store in a scratch dir),
+  // plus a truncated checkpoint.
   {
     anc::AncConfig config;
     auto index = anc::AncIndex::Create(graph, config);
     if (!index.ok()) return 1;
     const std::string ckpt = (out / "index" / "checkpoint.idx").string();
     ANC_CHECK(anc::SaveIndex(*index.value(), ckpt).ok(), "save index");
+
+    {
+      const fs::path tier_scratch = out / "index" / ".tier_scratch";
+      auto tier = anc::tier::TieredStore::Open(tier_scratch.string(), {});
+      if (!tier.ok()) return 1;
+      index.value()->AttachTier(tier.value().get());
+      ANC_CHECK(tier.value()
+                    ->WriteHead(*index.value(),
+                                (out / "index" / "page_refs.idx").string())
+                    .ok(),
+                "write head");
+      tier.value()->DetachAll();
+      tier.value().reset();
+      std::error_code ec;
+      fs::remove_all(tier_scratch, ec);
+    }
 
     const fs::path scratch = out / "index" / ".store_scratch";
     auto store = anc::store::DurableStore::Open(scratch.string(),

@@ -1,28 +1,37 @@
 #include "core/serialization.h"
-#include <cstring>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "util/crc32c.h"
+#include "util/mapped_file.h"
 
 namespace anc {
 
 namespace {
 
-// Format v2 (current): [magic "ANCIDX02"][u32 version][u64 payload_bytes]
+// Frame: [magic "ANCTHD01"][u32 version][u64 payload_bytes]
 // [u32 crc32c(payload)][payload]. The checksum rejects bit rot and
 // truncation with InvalidArgument instead of loading silently-corrupt
-// state; the explicit version field rejects files from a different format
-// generation ("ANCIDX01" seeds included) rather than misparsing them.
-constexpr char kMagic[8] = {'A', 'N', 'C', 'I', 'D', 'X', '0', '2'};
-constexpr char kMagicPrefix[6] = {'A', 'N', 'C', 'I', 'D', 'X'};
-constexpr uint32_t kFormatVersion = 2;
+// state; the magic and the explicit version field reject files from a
+// different format generation (the ANCIDX01/ANCIDX02 full snapshots
+// included) rather than misparsing them.
+constexpr char kMagic[8] = {'A', 'N', 'C', 'T', 'H', 'D', '0', '1'};
+constexpr char kOldMagicPrefix[6] = {'A', 'N', 'C', 'I', 'D', 'X'};
+constexpr uint32_t kFormatVersion = 1;
 // Corruption guard: refuse to allocate payloads beyond this (a corrupt
 // size field must not drive a multi-GB resize).
 constexpr uint64_t kMaxPayloadBytes = 16ull << 30;
+// Generous corruption guard for vector lengths (64M elements).
+constexpr uint64_t kMaxElements = 1ull << 26;
+constexpr uint8_t kPageInline = 0;
+constexpr uint8_t kPageRef = 1;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -54,16 +63,141 @@ bool ReadVec(std::istream& in, std::vector<T>* values,
   return static_cast<bool>(in);
 }
 
-// Generous corruption guard for vector lengths (64M elements).
-constexpr uint64_t kMaxElements = 1ull << 26;
+/// Every page of `values` inline, kCheckpointPageElems elements each.
+HeadColumn InlineColumn(const std::vector<double>& values) {
+  HeadColumn column;
+  column.elems = values.size();
+  column.page_elems = kCheckpointPageElems;
+  for (size_t begin = 0; begin < values.size();
+       begin += kCheckpointPageElems) {
+    const size_t count =
+        std::min<size_t>(kCheckpointPageElems, values.size() - begin);
+    HeadPage page;
+    page.inline_data = reinterpret_cast<const char*>(values.data() + begin);
+    page.bytes = static_cast<uint32_t>(count * sizeof(double));
+    column.pages.push_back(std::move(page));
+  }
+  return column;
+}
+
+void WritePageTable(std::ostream& out, const HeadColumn& column) {
+  WritePod<uint64_t>(out, column.elems);
+  WritePod<uint32_t>(out, column.page_elems);
+  WritePod<uint32_t>(out, static_cast<uint32_t>(column.pages.size()));
+  for (const HeadPage& page : column.pages) {
+    if (page.segment.empty()) {
+      WritePod<uint8_t>(out, kPageInline);
+      WritePod<uint32_t>(out, page.bytes);
+      out.write(page.inline_data, page.bytes);
+    } else {
+      WritePod<uint8_t>(out, kPageRef);
+      WritePod<uint16_t>(out, static_cast<uint16_t>(page.segment.size()));
+      out.write(page.segment.data(),
+                static_cast<std::streamsize>(page.segment.size()));
+      WritePod<uint64_t>(out, page.offset);
+      WritePod<uint32_t>(out, page.bytes);
+      WritePod<uint32_t>(out, page.crc);
+    }
+  }
+}
+
+/// Materializes one page-table column of doubles, resolving references
+/// against mmap'd segments under `tier_dir` (opened once each, cached in
+/// `mappings`) with per-page bounds and CRC checks.
+Status ReadPageTable(std::istream& in, const std::string& path,
+                     const std::string& tier_dir,
+                     std::map<std::string, std::unique_ptr<MappedFile>>*
+                         mappings,
+                     std::vector<double>* out) {
+  uint64_t elems = 0;
+  uint32_t page_elems = 0;
+  uint32_t page_count = 0;
+  if (!ReadPod(in, &elems) || !ReadPod(in, &page_elems) ||
+      !ReadPod(in, &page_count) || elems > kMaxElements) {
+    return Status::IoError(path + ": truncated page table header");
+  }
+  if (page_elems == 0 ||
+      (page_count == 0) != (elems == 0) ||
+      (page_count != 0 &&
+       (uint64_t{page_count - 1} * page_elems >= elems ||
+        uint64_t{page_count} * page_elems < elems))) {
+    return Status::InvalidArgument(path + ": inconsistent page geometry");
+  }
+  out->assign(elems, 0.0);
+  for (uint32_t p = 0; p < page_count; ++p) {
+    const uint64_t begin = uint64_t{p} * page_elems;
+    const uint64_t page_end = std::min<uint64_t>(elems, begin + page_elems);
+    const uint64_t expected_bytes = (page_end - begin) * sizeof(double);
+    uint8_t kind = 0;
+    if (!ReadPod(in, &kind)) {
+      return Status::IoError(path + ": truncated page table");
+    }
+    if (kind == kPageInline) {
+      uint32_t bytes = 0;
+      if (!ReadPod(in, &bytes) || bytes != expected_bytes) {
+        return Status::InvalidArgument(path + ": bad inline page size");
+      }
+      in.read(reinterpret_cast<char*>(out->data() + begin), bytes);
+      if (!in) return Status::IoError(path + ": truncated inline page");
+      continue;
+    }
+    if (kind != kPageRef) {
+      return Status::InvalidArgument(path + ": unknown page kind");
+    }
+    uint16_t name_len = 0;
+    if (!ReadPod(in, &name_len) || name_len == 0 || name_len > 512) {
+      return Status::InvalidArgument(path + ": bad segment name length");
+    }
+    std::string name(name_len, '\0');
+    in.read(name.data(), name_len);
+    uint64_t offset = 0;
+    uint32_t bytes = 0;
+    uint32_t crc = 0;
+    if (!in || !ReadPod(in, &offset) || !ReadPod(in, &bytes) ||
+        !ReadPod(in, &crc)) {
+      return Status::IoError(path + ": truncated page reference");
+    }
+    if (bytes != expected_bytes ||
+        name.find('/') != std::string::npos) {  // refs never escape tier_dir
+      return Status::InvalidArgument(path + ": malformed page reference");
+    }
+    auto it = mappings->find(name);
+    if (it == mappings->end()) {
+      auto mapped = MappedFile::Open(tier_dir + "/" + name);
+      if (!mapped.ok()) {
+        return Status(mapped.status().code(),
+                      path + ": referenced segment " + name + ": " +
+                          mapped.status().message());
+      }
+      it = mappings->emplace(name, std::move(*mapped)).first;
+    }
+    const MappedFile& file = *it->second;
+    if (offset > file.size() || bytes > file.size() - offset) {
+      return Status::InvalidArgument(path + ": page reference out of bounds "
+                                     "in " + name);
+    }
+    const char* data = file.data() + offset;
+    if (Crc32c(data, bytes) != crc) {
+      return Status::InvalidArgument(path + ": page checksum mismatch in " +
+                                     name);
+    }
+    std::memcpy(out->data() + begin, data, bytes);
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
 Status SaveIndex(const AncIndex& index, const std::string& path) {
+  const SimilarityEngine::Snapshot snapshot = index.engine().TakeSnapshot();
+  return SaveIndex(index, InlineColumn(snapshot.anchored_activeness),
+                   InlineColumn(snapshot.similarity), path);
+}
+
+Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
+                 const HeadColumn& similarity, const std::string& path) {
   // Serialize the payload into memory first so its checksum and size can
-  // frame it; index snapshots are bounded by kMaxElements sections, so
-  // this stays well under the write-then-rename working set of a
-  // checkpoint anyway.
+  // frame it.
   std::ostringstream out(std::ios::binary);
 
   // --- graph topology ---
@@ -92,12 +226,12 @@ Status SaveIndex(const AncIndex& index, const std::string& path) {
   WritePod(out, config.rep);
   WritePod(out, config.reinforce_interval);
 
-  // --- similarity / activeness state ---
-  SimilarityEngine::Snapshot snapshot = index.engine().TakeSnapshot();
-  WritePod(out, snapshot.anchor_time);
-  WritePod(out, snapshot.last_time);
-  WriteVec(out, snapshot.anchored_activeness);
-  WriteVec(out, snapshot.similarity);
+  // --- similarity / activeness state, as page tables ---
+  const ActivenessStore& activeness = index.engine().activeness();
+  WritePod(out, activeness.anchor_time());
+  WritePod(out, activeness.last_time());
+  WritePageTable(out, anchored);
+  WritePageTable(out, similarity);
 
   // --- ANCOR interval bookkeeping ---
   WritePod(out, index.last_reinforce_time());
@@ -138,13 +272,14 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
 
   char magic[sizeof(kMagic)] = {};
   file.read(magic, sizeof(magic));
-  if (!file || std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0) {
-    return Status::InvalidArgument(path + ": not an ANC index file");
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (file && std::memcmp(magic, kOldMagicPrefix,
+                          sizeof(kOldMagicPrefix)) == 0) {
     return Status::InvalidArgument(
         path + ": unsupported index format generation '" +
-        std::string(magic, sizeof(magic)) + "' (this build reads ANCIDX02)");
+        std::string(magic, sizeof(magic)) + "' (this build reads ANCTHD01)");
+  }
+  if (!file || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument(path + ": not an ANC checkpoint file");
   }
   uint32_t version = 0;
   uint64_t payload_bytes = 0;
@@ -214,12 +349,19 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
   }
   config.mode = static_cast<AncMode>(mode);
 
-  // --- similarity state ---
+  // --- similarity state: materialize the page tables ---
   SimilarityEngine::Snapshot snapshot;
-  ok = ReadPod(in, &snapshot.anchor_time) && ReadPod(in, &snapshot.last_time) &&
-       ReadVec(in, &snapshot.anchored_activeness, kMaxElements) &&
-       ReadVec(in, &snapshot.similarity, kMaxElements);
-  if (!ok) return Status::IoError(path + ": truncated similarity section");
+  if (!ReadPod(in, &snapshot.anchor_time) ||
+      !ReadPod(in, &snapshot.last_time)) {
+    return Status::IoError(path + ": truncated similarity section");
+  }
+  const std::string tier_dir =
+      (std::filesystem::path(path).parent_path() / kTierDirName).string();
+  std::map<std::string, std::unique_ptr<MappedFile>> mappings;
+  ANC_RETURN_NOT_OK(ReadPageTable(in, path, tier_dir, &mappings,
+                                  &snapshot.anchored_activeness));
+  ANC_RETURN_NOT_OK(
+      ReadPageTable(in, path, tier_dir, &mappings, &snapshot.similarity));
 
   // --- ANCOR interval bookkeeping ---
   double last_reinforce_time = 0.0;
@@ -248,6 +390,8 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
     }
   }
 
+  // FromSnapshot rebuilds sigma caches and votes from the materialized
+  // vectors, so inline and referenced pages load to the same bytes.
   LoadedIndex loaded;
   loaded.index =
       AncIndex::FromSnapshot(*graph, config, snapshot, std::move(trees));

@@ -580,9 +580,7 @@ Result<RecoveredStore> Recover(const std::string& dir,
     uint64_t generation = 0;
     uint64_t seq = 0;
     if (!ParseCheckpointName(name, &generation, &seq)) continue;
-    Result<LoadedIndex> checkpoint =
-        options.checkpoint_loader ? options.checkpoint_loader(dir + "/" + name)
-                                  : LoadIndex(dir + "/" + name);
+    Result<LoadedIndex> checkpoint = LoadIndex(dir + "/" + name);
     if (!checkpoint.ok()) continue;  // damaged: fall back to the next newest
     recovered.graph = std::move(checkpoint.value().graph);
     recovered.index = std::move(checkpoint.value().index);

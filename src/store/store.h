@@ -32,9 +32,10 @@ struct StoreOptions {
   double flush_interval_s = 0.0;
   /// When set, WriteCheckpoint delegates snapshot serialization to this
   /// hook instead of SaveIndex — the tiering subsystem plugs in
-  /// tier::TieredStore::CheckpointWriter() here so checkpoints rotate as
-  /// incremental ANCTHD01 heads (docs/storage_tiers.md). The hook writes
-  /// `path` without fsync; the store owns temp-file/fsync/rename.
+  /// tier::TieredStore::CheckpointWriter() here so checkpoint page tables
+  /// reference sealed segments instead of holding every page inline
+  /// (docs/storage_tiers.md). The hook writes `path` without fsync; the
+  /// store owns temp-file/fsync/rename.
   std::function<Status(const AncIndex&, const std::string& path)>
       checkpoint_writer;
   /// Keep sealed WAL segments across serving-time checkpoints instead of
@@ -202,13 +203,6 @@ struct RecoveredStore {
 /// Recovery hooks. The default-constructed value reproduces Recover(dir)
 /// exactly.
 struct RecoverOptions {
-  /// Loads a checkpoint file into an index (default: core LoadIndex). The
-  /// tiering subsystem passes a loader that also understands ANCTHD01
-  /// heads (tier::Recover). A failed load falls back to the next-newest
-  /// candidate checkpoint, same as the default.
-  std::function<Result<LoadedIndex>(const std::string& path)>
-      checkpoint_loader;
-
   /// Deferral gate for live-migration roll-forward (src/rebalance/): when
   /// set, a replayed activation for which defer(activation, seq) returns
   /// true is *not* applied — it is collected, in replay order, into
@@ -222,10 +216,11 @@ struct RecoverOptions {
 };
 
 /// Crash recovery (docs/durability.md "Recovery"): loads the newest valid
-/// checkpoint — the manifest's, or, when the manifest or its checkpoint is
-/// damaged, the newest loadable ckpt-*.idx on disk — then replays every
-/// WAL record with ticket > checkpoint seq through AncIndex::Apply in seq
-/// order, truncating torn segment tails. Replay stops at the first invalid
+/// checkpoint through LoadIndex — the manifest's, or, when the manifest or
+/// its checkpoint is damaged, the newest loadable ckpt-*.idx on disk; page
+/// references resolve against the store's tier/ directory — then replays
+/// every WAL record with ticket > checkpoint seq through AncIndex::Apply in
+/// seq order, truncating torn segment tails. Replay stops at the first invalid
 /// frame of a segment (nothing past it can be trusted). Fails NotFound
 /// when no checkpoint is recoverable.
 ///

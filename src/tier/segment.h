@@ -7,13 +7,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "tier/mapped_file.h"
+#include "util/mapped_file.h"
 #include "util/status.h"
 
 namespace anc::tier {
 
 /// Cold-segment layout (docs/storage_tiers.md), versioned like the other
-/// on-disk formats (ANCIDX02 / ANCWAL01 / ANCMAN01):
+/// on-disk formats (ANCTHD01 / ANCWAL01 / ANCMAN01):
 ///
 ///   [8B magic "ANCSEG01"][u32 version = 1][u32 reserved]     header
 ///   repeat: raw page payload, start 8-byte aligned            pages

@@ -12,7 +12,6 @@
 #include "core/serialization.h"
 #include "store/test_hooks.h"
 #include "store/wal.h"
-#include "tier/head.h"
 #include "util/crc32c.h"
 
 namespace anc::tier {
@@ -36,6 +35,11 @@ template <typename T>
 bool ReadPod(std::istream& in, T* value) {
   in.read(reinterpret_cast<char*>(value), sizeof(T));
   return static_cast<bool>(in);
+}
+
+/// Segment (`.tmp`) and manifest (`.swap`) staging files.
+bool IsTempFileName(const std::string& name) {
+  return name.ends_with(".tmp") || name.ends_with(".swap");
 }
 
 }  // namespace
@@ -169,7 +173,7 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Open(
       (options.page_elems & (options.page_elems - 1)) != 0) {
     return Status::InvalidArgument("tier page_elems must be a power of two");
   }
-  const std::string tier_dir = store_dir + "/tier";
+  const std::string tier_dir = store_dir + "/" + kTierDirName;
   std::error_code ec;
   fs::create_directories(tier_dir, ec);
   if (ec) {
@@ -184,6 +188,11 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Open(
   if (manifest.ok()) next = manifest->next_segment_id;
   for (const auto& entry : fs::directory_iterator(tier_dir, ec)) {
     const std::string name = entry.path().filename().string();
+    if (IsTempFileName(name)) {
+      // A torn segment or manifest write: nothing ever referenced it.
+      fs::remove(entry.path(), ec);
+      continue;
+    }
     uint64_t id = 0;
     if (!ParseSegmentFileName(name, &id)) continue;
     next = std::max(next, id + 1);
@@ -191,11 +200,9 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Open(
     // the store's installed checkpoint head, so nothing may be deleted
     // until a new head supersedes it (OnCheckpointInstalled clears this).
     store->preexisting_.insert(name);
-    if (options.verify_on_open) {
-      auto reader =
-          SegmentReader::Open(entry.path().string(), /*verify_pages=*/true);
-      if (!reader.ok()) return reader.status();
-    }
+    auto reader =
+        SegmentReader::Open(entry.path().string(), /*verify_pages=*/true);
+    if (!reader.ok()) return reader.status();
   }
   store->next_segment_id_ = next;
   store->protect_preexisting_ = !store->preexisting_.empty();
@@ -262,8 +269,7 @@ Status TieredStore::Maintain() {
   ANC_RETURN_NOT_OK(PollCompactionLocked());
   const uint64_t resident = RecomputeResidentLocked();
   resident_bytes_.store(resident, std::memory_order_relaxed);
-  if (options_.tier_mode == TierMode::kCold &&
-      options_.tier_budget_bytes > 0 && resident > options_.tier_budget_bytes) {
+  if (options_.tier_budget_bytes > 0 && resident > options_.tier_budget_bytes) {
     ColumnBase* anchored_base = FindColumnLocked(kColAnchored);
     if (anchored_base != nullptr &&
         anchored_base->elem_size() == sizeof(double)) {
@@ -394,10 +400,7 @@ Status TieredStore::WriteManifestLocked() {
 }
 
 void TieredStore::MaybeStartCompactionLocked() {
-  if (!options_.background_compaction ||
-      options_.tier_mode != TierMode::kCold || compaction_inflight_) {
-    return;
-  }
+  if (!options_.background_compaction || compaction_inflight_) return;
   if (segments_.size() < options_.compact_min_segments) return;
   if (compactor_ == nullptr) compactor_ = std::make_unique<Compactor>();
   Compactor::Job job;
@@ -514,25 +517,20 @@ void TieredStore::GcLocked() {
       if (protect_preexisting_ && preexisting_.count(name) != 0) continue;
       fs::remove(entry.path(), ec);
       if (!ec) ++segments_deleted_;
-    } else if (name.size() > 5 &&
-               name.compare(name.size() - 5, 5, ".swap") == 0) {
-      fs::remove(entry.path(), ec);
-    } else if (name.size() > 4 &&
-               name.compare(name.size() - 4, 4, ".tmp") == 0) {
+    } else if (IsTempFileName(name) && !compaction_inflight_) {
       // Never sweep the temp file a running background merge is writing.
-      if (!compaction_inflight_) fs::remove(entry.path(), ec);
+      fs::remove(entry.path(), ec);
     }
   }
 }
 
 Status TieredStore::WriteHead(const AncIndex& index, const std::string& path) {
-  if (options_.tier_mode == TierMode::kOff) return SaveIndex(index, path);
   util::MutexLock lock(mutex_);
   ColumnBase* anchored = FindColumnLocked(kColAnchored);
   ColumnBase* similarity = FindColumnLocked(kColSimilarity);
   if (anchored == nullptr || similarity == nullptr) {
     // Nothing attached (e.g. the index was rebuilt without re-attaching):
-    // a full snapshot is always correct.
+    // an all-inline checkpoint is always correct.
     return SaveIndex(index, path);
   }
 
@@ -623,7 +621,7 @@ Status TieredStore::WriteHead(const AncIndex& index, const std::string& path) {
       staged_refs_.insert(head_page.segment);
     }
   }
-  return WriteTieredHead(index, tables[0], tables[1], path);
+  return SaveIndex(index, tables[0], tables[1], path);
 }
 
 std::function<Status(const AncIndex&, const std::string&)>

@@ -20,23 +20,11 @@
 
 namespace anc::tier {
 
-/// Whether the tier actively demotes (docs/storage_tiers.md "Modes").
-enum class TierMode {
-  /// Pass-through: columns stay fully resident and checkpoints are full
-  /// ANCIDX02 snapshots — byte-for-byte the untiered configuration.
-  kOff,
-  /// Hot/cold: pages whose peak anchored activeness is lowest spill to
-  /// mmap'd cold segments until the resident delta fits the budget, and
-  /// checkpoints rotate as incremental ANCTHD01 heads.
-  kCold,
-};
-
 struct TierOptions {
   /// Resident-delta cap for the tiered columns. 0 = no cap (pages still
   /// spill at checkpoints so heads stay incremental, but Maintain never
   /// demotes for space).
   uint64_t tier_budget_bytes = 0;
-  TierMode tier_mode = TierMode::kCold;
   /// Elements per column page (power of two). Smaller pages track the
   /// hot set more precisely; larger pages amortize directory overhead.
   size_t page_elems = 4096;
@@ -45,8 +33,6 @@ struct TierOptions {
   /// Run the background compactor thread (tests and the CLI use
   /// CompactNow() instead when false).
   bool background_compaction = true;
-  /// CRC every page of every manifest-listed segment at Open.
-  bool verify_on_open = true;
 };
 
 /// Point-in-time tier health for tier-stats / bench reporting.
@@ -106,9 +92,12 @@ bool ParseSegmentFileName(const std::string& name, uint64_t* id);
 class TieredStore : public ColumnHost {
  public:
   /// Opens the tier under `<store_dir>/tier` (created if missing),
-  /// restoring the manifest when one exists. Existing segments stay
-  /// protected from GC until the first OnCheckpointInstalled() — until a
-  /// new head is durable, the previous head may still rule recovery.
+  /// restoring the manifest when one exists. Torn `.tmp`/`.swap` files a
+  /// crash left behind are deleted and every existing segment is
+  /// CRC-verified. Existing segments stay protected from GC until the
+  /// first OnCheckpointInstalled() — until a new head is durable, the
+  /// previous head may still rule recovery; that first install deletes
+  /// every segment the new head does not reference.
   static Result<std::unique_ptr<TieredStore>> Open(
       const std::string& store_dir, TierOptions options,
       obs::MetricsRegistry* metrics = nullptr);
@@ -129,10 +118,10 @@ class TieredStore : public ColumnHost {
 
   /// Checkpoint snapshot writer (plugs into StoreOptions::checkpoint_writer):
   /// spills the dirty pages of the anchored/similarity columns into a fresh
-  /// segment ("segment promotion"), then writes an ANCTHD01 head whose page
-  /// tables reference the sealed segments — checkpoint cost scales with the
-  /// delta, not the index. In kOff mode (or with nothing attached) falls
-  /// back to a full SaveIndex snapshot.
+  /// segment ("segment promotion"), then writes a checkpoint through
+  /// SaveIndex whose page tables reference the sealed segments — checkpoint
+  /// cost scales with the delta, not the index. With nothing attached it
+  /// writes every page inline.
   Status WriteHead(const AncIndex& index, const std::string& path);
 
   /// The WriteHead hook in StoreOptions::checkpoint_writer form. The

@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -260,22 +261,24 @@ TEST(SerializationTest, VersionSkewRejected) {
   AncIndex index(g, TestConfig());
   const std::string path = TempPath("anc_skew.idx");
   ASSERT_TRUE(SaveIndex(index, path).ok());
+  const auto put_magic = [&path](const char (&magic)[9]) {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.write(magic, 8);
+  };
 
-  // A file from the previous format generation (magic "ANCIDX01") must be
-  // rejected as version skew, not misparsed.
-  {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(7);
-    file.put('1');
+  // Files from the older full-snapshot generations (magic "ANCIDX02" and
+  // "ANCIDX01") must be rejected as version skew, not misparsed.
+  for (const char* old_magic : {"ANCIDX02", "ANCIDX01"}) {
+    char magic[9] = {};
+    std::memcpy(magic, old_magic, 8);
+    put_magic(magic);
+    Result<LoadedIndex> old_gen = LoadIndex(path);
+    ASSERT_FALSE(old_gen.ok()) << old_magic;
+    EXPECT_EQ(old_gen.status().code(), StatusCode::kInvalidArgument)
+        << old_magic;
   }
-  Result<LoadedIndex> old_gen = LoadIndex(path);
-  ASSERT_FALSE(old_gen.ok());
-  EXPECT_EQ(old_gen.status().code(), StatusCode::kInvalidArgument);
-  {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(7);
-    file.put('2');
-  }
+  put_magic("ANCTHD01");
+  ASSERT_TRUE(LoadIndex(path).ok());
 
   // Matching magic but a skewed version field is rejected too.
   {
@@ -287,6 +290,33 @@ TEST(SerializationTest, VersionSkewRejected) {
   Result<LoadedIndex> skewed = LoadIndex(path);
   ASSERT_FALSE(skewed.ok());
   EXPECT_EQ(skewed.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, MultiPageColumnsRoundTrip) {
+  // More edges than one inline page holds: the per-edge arrays span
+  // several page-table entries and must reassemble in order.
+  Rng rng(6);
+  Graph g = BarabasiAlbert(1500, 3, rng);
+  ASSERT_GT(g.NumEdges(), kCheckpointPageElems);
+  AncIndex original(g, TestConfig());
+  ActivationStream stream = UniformStream(g, 2, 0.05, rng);
+  ASSERT_TRUE(original.ApplyStream(stream).ok());
+
+  const std::string path = TempPath("anc_multipage.idx");
+  ASSERT_TRUE(SaveIndex(original, path).ok());
+  Result<LoadedIndex> loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  AncIndex& restored = *loaded.value().index;
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    ASSERT_EQ(restored.engine().Similarity(e), original.engine().Similarity(e))
+        << "edge " << e;
+    ASSERT_EQ(restored.engine().activeness().Anchored(e),
+              original.engine().activeness().Anchored(e))
+        << "edge " << e;
+  }
+  EXPECT_EQ(restored.index().ExportVoteCounts(),
+            original.index().ExportVoteCounts());
   std::remove(path.c_str());
 }
 

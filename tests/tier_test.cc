@@ -1,11 +1,13 @@
 // Hot/cold tier tests (src/tier/): the ANCSEG01 segment format round-trips
 // and rejects corruption wholesale, a budgeted TieredStore keeps the
 // resident delta under tier_budget_bytes while every §V-B query answers
-// byte-identical to the untiered index, checkpoint heads (ANCTHD01)
-// round-trip through segment references, compaction rewrites the cold side
-// without changing a single answer, and each tier crash seam
+// byte-identical to the untiered index, checkpoint heads whose page tables
+// reference segments load through LoadIndex exactly like all-inline
+// checkpoints (and refuse damaged or missing segments), compaction rewrites
+// the cold side without changing a single answer, and each tier crash seam
 // (mid-segment-write, pre-tier-manifest-swap, mid-compaction) recovers
-// byte-identical to an untiered replay of the same prefix.
+// through store::Recover byte-identical to an untiered replay of the same
+// prefix.
 
 #include <algorithm>
 #include <chrono>
@@ -28,7 +30,6 @@
 #include "store/store.h"
 #include "store/test_hooks.h"
 #include "tier/column.h"
-#include "tier/head.h"
 #include "tier/segment.h"
 #include "tier/tiered_store.h"
 #include "util/rng.h"
@@ -40,13 +41,13 @@ using store::CrashPoint;
 using store::CrashPointName;
 using store::DurableStore;
 using store::Mark;
+using store::Recover;
 using store::RecoveredStore;
 using store::StoreOptions;
 using store::TestHooks;
 using tier::SegmentReader;
 using tier::SegmentWriter;
 using tier::TieredStore;
-using tier::TierMode;
 using tier::TierOptions;
 using tier::TierStats;
 
@@ -365,7 +366,7 @@ TEST(TieredStoreTest, CompactionRewritesColdSideWithoutChangingAnswers) {
   fs::remove_all(f.dir);
 }
 
-// --- ANCTHD01 checkpoint heads --------------------------------------------
+// --- Checkpoint heads: page tables referencing segments ------------------
 
 TEST(TieredHeadTest, HeadRoundTripsThroughSegmentReferences) {
   TieredFixture f = TieredFixture::Make("anc_tier_head", 140, 41, 6);
@@ -386,39 +387,94 @@ TEST(TieredHeadTest, HeadRoundTripsThroughSegmentReferences) {
   }
   ASSERT_TRUE(tier_store.Maintain().ok());
 
+  // The head sits next to the tier directory, where LoadIndex resolves
+  // its page references.
   const std::string head_path = f.dir + "/head.idx";
   ASSERT_TRUE(tier_store.WriteHead(live, head_path).ok());
-  EXPECT_TRUE(tier::IsTieredHead(head_path));
-
-  // A full SaveIndex snapshot of the same state is NOT a tiered head.
   const std::string full_path = f.dir + "/full.idx";
   ASSERT_TRUE(SaveIndex(live, full_path).ok());
-  EXPECT_FALSE(tier::IsTieredHead(full_path));
+  // References replace the per-edge payload, so the head is the smaller
+  // file of the two.
+  EXPECT_LT(fs::file_size(head_path), fs::file_size(full_path))
+      << "a budgeted head should reference segments";
 
-  std::set<std::string> refs;
-  auto loaded = tier::LoadTieredHead(head_path, tier_store.dir(), &refs);
+  auto loaded = LoadIndex(head_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(refs.empty()) << "a budgeted head should reference segments";
   ExpectIndexStatesEqual(*loaded->index, live);
   // The persisted worker count is discarded: heads restore on the default.
   EXPECT_EQ(loaded->index->config().pyramid.num_threads,
             PyramidParams{}.num_threads);
 
-  // The head must also match what the untiered loader reconstructs from
-  // the full snapshot — both paths land on the same bytes.
+  // The all-inline checkpoint of the same state loads to the same bytes.
   auto full = LoadIndex(full_path);
-  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
   ExpectIndexStatesEqual(*loaded->index, *full->index);
+  EXPECT_EQ(loaded->index->index().ExportVoteCounts(),
+            full->index->index().ExportVoteCounts());
 
   tier_store.DetachAll();
+  fs::remove_all(f.dir);
+}
+
+TEST(TieredHeadTest, DamagedOrMissingReferencedSegmentFailsLoad) {
+  TieredFixture f = TieredFixture::Make("anc_tier_head_damage", 140, 43, 6);
+
+  AncIndex live(f.graph, f.config);
+  TierOptions options;
+  options.tier_budget_bytes = 0;  // no demotion: WriteHead seals one segment
+  options.page_elems = 64;
+  options.background_compaction = false;
+  auto opened = TieredStore::Open(f.dir, options);
+  ASSERT_TRUE(opened.ok());
+  TieredStore& tier_store = *opened.value();
+  live.AttachTier(&tier_store);
+  for (const Activation& activation : f.stream) {
+    ASSERT_TRUE(live.Apply(activation).ok());
+  }
+  const std::string head_path = f.dir + "/head.idx";
+  ASSERT_TRUE(tier_store.WriteHead(live, head_path).ok());
+  // Promote the cold pages back to RAM before the segment is damaged.
+  tier_store.DetachAll();
+
+  // The one segment WriteHead sealed holds every page the head references.
+  std::vector<std::string> segments;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(tier_store.dir(), ec)) {
+    uint64_t id = 0;
+    if (tier::ParseSegmentFileName(entry.path().filename().string(), &id)) {
+      segments.push_back(entry.path().string());
+    }
+  }
+  ASSERT_EQ(segments.size(), 1u);
+  ASSERT_TRUE(LoadIndex(head_path).ok());
+
+  // One flipped byte in the first referenced page (right after the
+  // segment header): the per-page CRC refuses the head.
+  const int64_t page_byte = static_cast<int64_t>(tier::kSegmentHeaderBytes) + 1;
+  ASSERT_TRUE(TestHooks::CorruptByte(segments[0], page_byte).ok());
+  Result<LoadedIndex> corrupt = LoadIndex(head_path);
+  ASSERT_FALSE(corrupt.ok()) << "a damaged page loaded silently";
+  EXPECT_EQ(corrupt.status().code(), StatusCode::kInvalidArgument)
+      << corrupt.status().ToString();
+
+  // Undo the flip: the head loads again, byte-identical to the live state.
+  ASSERT_TRUE(TestHooks::CorruptByte(segments[0], page_byte).ok());
+  Result<LoadedIndex> restored = LoadIndex(head_path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectIndexStatesEqual(*restored->index, live);
+
+  // A head whose segment is gone cannot load either.
+  fs::remove(segments[0]);
+  EXPECT_FALSE(LoadIndex(head_path).ok());
   fs::remove_all(f.dir);
 }
 
 // --- Tiered serving + recovery --------------------------------------------
 
 /// Drives `stream` against a tiered durable stack the way the serve writer
-/// does — append, apply, Maintain each batch, checkpoint every 3 batches —
-/// stopping at the first failure (the simulated crash).
+/// does — append, apply, Maintain each batch, compact the cold side and
+/// checkpoint every 3 batches — stopping at the first failure (the
+/// simulated crash).
 struct TierDriveOutcome {
   Status failure;
   uint64_t applied = 0;
@@ -446,6 +502,7 @@ TierDriveOutcome DriveTiered(DurableStore* store, TieredStore* tier,
       ++out.applied;
     }
     status = tier->Maintain();
+    if (status.ok() && batch_index % 3 == 1) status = tier->CompactNow();
     if (!status.ok()) {
       out.failure = status;
       break;
@@ -492,7 +549,7 @@ TEST(TierRecoveryTest, TieredStackRecoversByteIdenticalToUntieredReplay) {
     tier_store.DetachAll();
   }
 
-  Result<RecoveredStore> recovered = tier::Recover(f.dir);
+  Result<RecoveredStore> recovered = Recover(f.dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   RecoveredStore& rec = recovered.value();
   EXPECT_EQ(rec.watermark.seq, f.stream.size());
@@ -505,11 +562,52 @@ TEST(TierRecoveryTest, TieredStackRecoversByteIdenticalToUntieredReplay) {
   fs::remove_all(f.dir);
 }
 
+TEST(TierRecoveryTest, StoreRecoverReturnsTheLiveTieredState) {
+  TieredFixture f = TieredFixture::Make("anc_tier_recover_live", 160, 45, 8);
+
+  AncIndex live(f.graph, f.config);
+  TierOptions tier_options;
+  tier_options.tier_budget_bytes = 2048;
+  tier_options.page_elems = 64;
+  tier_options.background_compaction = false;
+  auto tier_opened = TieredStore::Open(f.dir, tier_options);
+  ASSERT_TRUE(tier_opened.ok());
+  TieredStore& tier_store = *tier_opened.value();
+  live.AttachTier(&tier_store);
+
+  StoreOptions store_options;
+  store_options.checkpoint_writer = tier_store.CheckpointWriter();
+  auto opened = DurableStore::Open(f.dir, live, Mark{0, 0.0}, store_options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  tier_store.OnCheckpointInstalled();
+  const TierDriveOutcome outcome =
+      DriveTiered(opened.value().get(), &tier_store, &live, f.stream);
+  ASSERT_TRUE(outcome.failure.ok()) << outcome.failure.ToString();
+  opened.value().reset();  // clean close: every appended batch is durable
+
+  // The one recovery entry point loads the tiered head and replays the
+  // tail onto exactly the state the live (still tiered) index holds.
+  Result<RecoveredStore> recovered = Recover(f.dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  RecoveredStore& rec = recovered.value();
+  EXPECT_GT(rec.checkpoint_seq, 0u) << "recovery skipped the tiered heads";
+  EXPECT_EQ(rec.watermark.seq, f.stream.size());
+  ExpectIndexStatesEqual(*rec.index, live);
+  EXPECT_EQ(rec.index->index().ExportVoteCounts(),
+            live.index().ExportVoteCounts());
+  const Status invariants = rec.index->ValidateInvariants(/*deep=*/true);
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+
+  tier_store.DetachAll();
+  fs::remove_all(f.dir);
+}
+
 TEST(TierCrashMatrixTest, EverySeamRecoversByteIdenticalUnderReplay) {
   TieredFixture f = TieredFixture::Make("anc_tier_crash_src", 160, 47, 8);
 
   const CrashPoint kPoints[] = {CrashPoint::kMidSegmentWrite,
-                                CrashPoint::kPreTierManifestSwap};
+                                CrashPoint::kPreTierManifestSwap,
+                                CrashPoint::kMidCompaction};
   for (const CrashPoint point : kPoints) {
     for (const uint32_t skip : {0u, 1u, 2u}) {
       SCOPED_TRACE(std::string(CrashPointName(point)) + " skip=" +
@@ -548,7 +646,7 @@ TEST(TierCrashMatrixTest, EverySeamRecoversByteIdenticalUnderReplay) {
         tier_store.DetachAll();
       }
 
-      Result<RecoveredStore> recovered = tier::Recover(dir);
+      Result<RecoveredStore> recovered = Recover(dir);
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
       RecoveredStore& rec = recovered.value();
       ASSERT_LE(rec.watermark.seq, f.stream.size());
@@ -561,15 +659,19 @@ TEST(TierCrashMatrixTest, EverySeamRecoversByteIdenticalUnderReplay) {
           rec.index->ValidateInvariants(/*deep=*/true);
       EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 
-      // Recovery swept the wreckage: no temp files or unreferenced
-      // segments survive under tier/.
-      std::set<std::string> live_refs;
+      // Reopening the tier sweeps the wreckage: no torn temp files
+      // survive under tier/, and every surviving segment verifies.
+      TierOptions reopen_options;
+      reopen_options.background_compaction = false;
+      auto reopened = TieredStore::Open(dir, reopen_options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
       std::error_code ec;
       for (const auto& entry : fs::directory_iterator(dir + "/tier", ec)) {
         const std::string name = entry.path().filename().string();
         EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
         EXPECT_EQ(name.find(".swap"), std::string::npos) << name;
       }
+      reopened.value().reset();
       fs::remove_all(dir);
     }
   }
@@ -668,23 +770,76 @@ TEST(TierRecoveryTest, SweepDeletesStrayFilesButKeepsReferencedSegments) {
     std::ofstream(tier_dir + "/TIERMANIFEST.swap") << "torn";
   }
 
-  Result<RecoveredStore> recovered = tier::Recover(f.dir);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const auto list_tier_dir = [&tier_dir] {
+    std::set<std::string> names;
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(tier_dir, ec)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
+  const auto segments_of = [](const std::set<std::string>& names) {
+    std::set<std::string> segments;
+    for (const std::string& name : names) {
+      uint64_t id = 0;
+      if (tier::ParseSegmentFileName(name, &id)) segments.insert(name);
+    }
+    return segments;
+  };
+  const std::set<std::string> segments_before = segments_of(list_tier_dir());
 
-  std::set<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(tier_dir, ec)) {
-    names.insert(entry.path().filename().string());
-  }
-  EXPECT_EQ(names.count(tier::SegmentFileName(999999)), 0u)
-      << "unreferenced segment should be swept";
+  Result<RecoveredStore> recovered = Recover(f.dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  RecoveredStore& rec = recovered.value();
+  std::unique_ptr<AncIndex> expected =
+      FreshPrefixIndex(f.graph, f.config, f.stream, rec.watermark.seq);
+  ExpectIndexStatesEqual(*rec.index, *expected);
+
+  // Reopening the tier deletes the torn temp files but no segment: the
+  // installed checkpoint may still reference any of them.
+  TierOptions tier_options;
+  tier_options.page_elems = 64;
+  tier_options.background_compaction = false;
+  auto tier_opened = TieredStore::Open(f.dir, tier_options);
+  ASSERT_TRUE(tier_opened.ok()) << tier_opened.status().ToString();
+  TieredStore& tier_store = *tier_opened.value();
+  std::set<std::string> names = list_tier_dir();
   EXPECT_EQ(names.count("seg-000000888888.tseg.tmp"), 0u);
   EXPECT_EQ(names.count("TIERMANIFEST.swap"), 0u);
+  EXPECT_EQ(segments_of(names), segments_before);
+  // The referenced segments are intact: recovery still lands on the same
+  // checkpoint and state.
+  {
+    Result<RecoveredStore> again = Recover(f.dir);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().checkpoint_seq, rec.checkpoint_seq);
+    ExpectIndexStatesEqual(*again.value().index, *expected);
+  }
 
-  std::unique_ptr<AncIndex> expected =
-      FreshPrefixIndex(f.graph, f.config, f.stream,
-                       recovered.value().watermark.seq);
-  ExpectIndexStatesEqual(*recovered.value().index, *expected);
+  // Continue the store on the recovered index: installing its first head
+  // garbage-collects every segment that head does not reference, the
+  // planted stray included.
+  rec.index->AttachTier(&tier_store);
+  StoreOptions store_options;
+  store_options.checkpoint_writer = tier_store.CheckpointWriter();
+  auto opened =
+      DurableStore::Open(f.dir, *rec.index, rec.watermark, store_options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  tier_store.OnCheckpointInstalled();
+  names = list_tier_dir();
+  EXPECT_EQ(names.count(tier::SegmentFileName(999999)), 0u)
+      << "unreferenced segment should be swept";
+  for (const std::string& name : segments_before) {
+    EXPECT_EQ(names.count(name), 0u)
+        << name << " is not referenced by the new head";
+  }
+  opened.value().reset();
+  tier_store.DetachAll();
+
+  Result<RecoveredStore> continued = Recover(f.dir);
+  ASSERT_TRUE(continued.ok()) << continued.status().ToString();
+  EXPECT_EQ(continued.value().watermark.seq, rec.watermark.seq);
+  ExpectIndexStatesEqual(*continued.value().index, *expected);
   fs::remove_all(f.dir);
 }
 
@@ -731,7 +886,7 @@ TEST(TierServeTest, ServerDrivesTierAtQuiescentPoints) {
   opened.value().reset();
   tier_store.DetachAll();
 
-  Result<RecoveredStore> recovered = tier::Recover(f.dir);
+  Result<RecoveredStore> recovered = Recover(f.dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.value().watermark.seq, f.stream.size());
   std::unique_ptr<AncIndex> expected =
