@@ -1,5 +1,5 @@
-// Serving-layer throughput/latency benchmark (docs/serving.md): drives an
-// AncServer with N producer threads racing a prepared community stream
+// Serving-layer throughput/latency benchmark (docs/serving.md): drives a
+// one-shard ShardedServer with N producer threads racing a prepared community stream
 // against M query threads hammering the snapshot read path, across the
 // three backpressure policies and a producer/reader sweep. Reports ingest
 // throughput, query p50/p99, observed staleness (activations behind the
@@ -22,7 +22,7 @@
 #include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "serve/harness.h"
-#include "serve/server.h"
+#include "shard/sharded_server.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -53,15 +53,38 @@ AncConfig ServeConfig() {
   return config;
 }
 
-serve::ServeOptions OptionsFor(serve::BackpressurePolicy policy,
-                               size_t capacity) {
-  serve::ServeOptions options;
-  options.ingest.policy = policy;
-  options.ingest.capacity = capacity;
-  options.ingest.clamp_out_of_order = true;  // racing producers
-  options.snapshot_every_activations = 32;
-  options.snapshot_max_age_s = 0.005;
+shard::ShardedOptions OptionsFor(serve::BackpressurePolicy policy,
+                                 size_t capacity) {
+  shard::ShardedOptions options;
+  options.partition.num_shards = 1;
+  options.serve.ingest.policy = policy;
+  options.serve.ingest.capacity = capacity;
+  options.serve.ingest.clamp_out_of_order = true;  // racing producers
+  options.serve.snapshot_every_activations = 32;
+  options.serve.snapshot_max_age_s = 0.005;
   return options;
+}
+
+/// The shard engine's full snapshot (anc.serve.*, anc.apply.*, ...) plus
+/// the router's query histograms (anc.shard.query_us, ...).
+obs::StatsSnapshot ServerStats(const shard::ShardedServer& server) {
+  obs::StatsSnapshot stats = server.ShardStats(0);
+  const obs::StatsSnapshot router = server.metrics().Snapshot();
+  stats.counters.insert(stats.counters.end(), router.counters.begin(),
+                        router.counters.end());
+  stats.histograms.insert(stats.histograms.end(), router.histograms.begin(),
+                          router.histograms.end());
+  return stats;
+}
+
+std::string Row(const std::string& label, const serve::HarnessReport& r) {
+  PrintRow({label, std::to_string(r.accepted), FormatSci(r.ingest_per_sec),
+            FormatDouble(r.query_p50_us, 1), FormatDouble(r.query_p99_us, 1),
+            FormatDouble(r.mean_staleness_activations, 2),
+            std::to_string(r.max_staleness_activations),
+            std::to_string(r.dropped + r.rejected),
+            std::to_string(r.failed), std::to_string(r.epochs)});
+  return label;
 }
 
 /// Tick fast enough that even smoke runs retain a few per-interval deltas
@@ -72,14 +95,30 @@ obs::TelemetryOptions TelemetryTick() {
   return options;
 }
 
-std::string Row(const std::string& label, const serve::HarnessReport& r) {
-  PrintRow({label, std::to_string(r.accepted), FormatSci(r.ingest_per_sec),
-            FormatDouble(r.query_p50_us, 1), FormatDouble(r.query_p99_us, 1),
-            FormatDouble(r.mean_staleness_activations, 2),
-            std::to_string(r.max_staleness_activations),
-            std::to_string(r.dropped + r.rejected),
-            std::to_string(r.shed), std::to_string(r.epochs)});
-  return label;
+/// One harness run against a fresh one-shard server; false when the
+/// server cannot start.
+bool RunOnce(const Workload& w, const shard::ShardedOptions& options,
+             const serve::HarnessOptions& harness_options,
+             obs::TraceSink* trace, const std::string& label,
+             StatsJsonExporter& exporter) {
+  auto created =
+      shard::ShardedServer::Create(w.data.graph, ServeConfig(), options);
+  if (!created.ok()) return false;
+  shard::ShardedServer& server = *created.value();
+  if (trace != nullptr) server.SetTraceSink(trace);
+  if (!server.Start().ok()) return false;
+  obs::TelemetryExporter telemetry([&server] { return ServerStats(server); },
+                                   TelemetryTick());
+  telemetry.Start();
+  serve::ServeHarness harness(server.HarnessTarget(), harness_options);
+  Timer timer;
+  serve::HarnessReport report = harness.Run(w.stream);
+  const double elapsed = timer.ElapsedSeconds();
+  telemetry.Stop();
+  server.Stop();
+  Row(label, report);
+  exporter.Add(label, ServerStats(server), elapsed, telemetry.samples());
+  return true;
 }
 
 int Main() {
@@ -93,7 +132,7 @@ int Main() {
   const std::unique_ptr<obs::TraceSink> trace = OpenTraceSinkFromEnv();
   PrintHeader("serve throughput: producers x query-threads sweep");
   PrintRow({"config", "accepted", "ingest/s", "q_p50us", "q_p99us",
-            "stale_avg", "stale_max", "lost", "shed", "epochs"});
+            "stale_avg", "stale_max", "lost", "failed", "epochs"});
 
   // Producer/reader sweep under kBlock (the lossless default). The ISSUE's
   // acceptance bar — >= 4 concurrent query threads against live ingest —
@@ -103,27 +142,16 @@ int Main() {
             : std::vector<std::pair<uint32_t, uint32_t>>{
                   {1, 1}, {1, 4}, {2, 4}, {4, 4}, {4, 8}};
   for (const auto& [producers, readers] : sweep) {
-    AncIndex index(w.data.graph, ServeConfig());
-    if (trace != nullptr) index.SetTraceSink(trace.get());
-    serve::AncServer server(
-        &index, OptionsFor(serve::BackpressurePolicy::kBlock, 4096));
-    if (!server.Start().ok()) return 1;
-    obs::TelemetryExporter telemetry([&server] { return server.Stats(); },
-                                     TelemetryTick());
-    telemetry.Start();
     serve::HarnessOptions ho;
     ho.num_producers = producers;
     ho.num_query_threads = readers;
-    serve::ServeHarness harness(&server, ho);
-    Timer timer;
-    serve::HarnessReport report = harness.Run(w.stream);
-    const double elapsed = timer.ElapsedSeconds();
-    telemetry.Stop();
-    server.Stop();
-    const std::string label =
-        "block_p" + std::to_string(producers) + "_q" + std::to_string(readers);
-    Row(label, report);
-    exporter.Add(label, server.Stats(), elapsed, telemetry.samples());
+    if (!RunOnce(w, OptionsFor(serve::BackpressurePolicy::kBlock, 4096), ho,
+                 trace.get(),
+                 "block_p" + std::to_string(producers) + "_q" +
+                     std::to_string(readers),
+                 exporter)) {
+      return 1;
+    }
   }
 
   // Backpressure policies under a deliberately tiny queue: kBlock stays
@@ -131,30 +159,19 @@ int Main() {
   // kReject bounces the overflow back to the caller.
   PrintHeader("serve throughput: backpressure policies (capacity 64)");
   PrintRow({"config", "accepted", "ingest/s", "q_p50us", "q_p99us",
-            "stale_avg", "stale_max", "lost", "shed", "epochs"});
+            "stale_avg", "stale_max", "lost", "failed", "epochs"});
   const std::vector<std::pair<std::string, serve::BackpressurePolicy>>
       policies = {{"block", serve::BackpressurePolicy::kBlock},
                   {"drop_oldest", serve::BackpressurePolicy::kDropOldest},
                   {"reject", serve::BackpressurePolicy::kReject}};
   for (const auto& [name, policy] : policies) {
-    AncIndex index(w.data.graph, ServeConfig());
-    if (trace != nullptr) index.SetTraceSink(trace.get());
-    serve::AncServer server(&index, OptionsFor(policy, 64));
-    if (!server.Start().ok()) return 1;
-    obs::TelemetryExporter telemetry([&server] { return server.Stats(); },
-                                     TelemetryTick());
-    telemetry.Start();
     serve::HarnessOptions ho;
     ho.num_producers = 2;
     ho.num_query_threads = 4;
-    serve::ServeHarness harness(&server, ho);
-    Timer timer;
-    serve::HarnessReport report = harness.Run(w.stream);
-    const double elapsed = timer.ElapsedSeconds();
-    telemetry.Stop();
-    server.Stop();
-    Row(name, report);
-    exporter.Add(name, server.Stats(), elapsed, telemetry.samples());
+    if (!RunOnce(w, OptionsFor(policy, 64), ho, trace.get(), name,
+                 exporter)) {
+      return 1;
+    }
   }
 
   const std::string path = exporter.Flush();

@@ -28,84 +28,55 @@
 //   load <path>             restore a persisted index (graph included)
 //   quit
 //
-// Serve mode (docs/serving.md) — concurrent ingest + snapshot queries:
-//   serve-start [capacity] [block|drop|reject] [none|async|group]
-//                           start the serving engine; a durability policy
-//                           other than none requires a wal-open store
-//   submit <u> <v> <t>      enqueue one activation (prints its ticket)
-//   submit-file <path>      enqueue "u v t" lines through the ingest queue
-//                           (bad lines are skipped and counted)
+// Serving (docs/sharding.md) — one ShardedServer over k >= 1 shards (k = 1
+// is the unsharded server); concurrent ingest + snapshot queries:
+//   start <k> [hash|ldg|fennel|hdrf] [dir [tier_budget]]
+//                           partition the graph and start k shard engines;
+//                           with a directory, every shard logs durably under
+//                           <dir>/shard-<i> (WAL + checkpoints), and with a
+//                           tier budget (bytes, 0 = spill only at
+//                           checkpoints) each shard also tiers its per-edge
+//                           columns to cold segments under
+//                           <dir>/shard-<i>/tier (docs/storage_tiers.md)
+//   submit <u> <v> <t>      route one activation (prints its global ticket)
+//   submit-file <path>      route "u v t" lines (bad lines are skipped and
+//                           counted)
 //   flush                   await the watermark covering everything accepted
-//   flush-durable           additionally await the covering fsync
-//   view-clusters [level]   clusters from the current published snapshot
-//   view-local <v> [level]  local cluster from the snapshot
-//   serve-stats             watermark / epoch / queue depth / loss counters
-//   serve-stop              drain, publish the final view, stop the writer
-// While serving, the index belongs to the writer thread: activate / init /
-// save / load are refused until serve-stop.
-//
-// Durability (docs/durability.md) — WAL + checkpoint rotation + recovery:
-//   wal-open <dir>          open (or create) a durable store on the index;
-//                           refused while serving
-//   checkpoint              rotate a checkpoint (through the writer while
-//                           serving, directly when quiesced)
-//   store-stats             generation / marks / segments / sync counters
-//   wal-close               sync and close the store (refused while serving)
-//   recover <dir>           rebuild graph + index from checkpoint + WAL
-//                           (page references load through the cold
-//                           segments under <dir>/tier); wal-open /
-//                           tier-open the same dir to continue (tier-open
-//                           sweeps the tier dir)
-//
-// Tiered storage (docs/storage_tiers.md) — larger-than-RAM operation:
-//   tier-open <dir> [budget]
-//                           wal-open plus a hot/cold tier under <dir>/tier:
-//                           per-edge columns spill to mmap'd cold segments
-//                           until the resident delta fits <budget> bytes
-//                           (0 = spill only at checkpoints), and
-//                           checkpoints reference sealed segments instead
-//                           of rewriting every page
-//   tier-stats              budget / resident / cold bytes, page + segment
-//                           counts, spill / promotion / compaction totals
-//   tier-compact            merge every live cold segment into one
-//   tier-verify             CRC-audit every live segment + the manifest
-//   wal-close               also detaches the tier (cold pages promoted
-//                           back to RAM first)
-//
-// Sharding (docs/sharding.md) — partitioned ingest over N writer shards:
-//   shard-start <k> [hash|ldg|fennel|hdrf] [dir]
-//                           partition the graph and start k AncServer
-//                           shards (per-shard WAL under <dir>/shard-<i>
-//                           when a directory is given)
-//   shard-submit <u> <v> <t>  route one activation (prints global ticket)
-//   shard-submit-file <path>  route "u v t" lines through the router
-//   shard-flush             drain every shard, publish merged views
-//   shard-clusters [level]  scatter-gather merged clusters
-//   shard-stats             partition / balance / halo traffic and the
-//                           per-shard watermark vector
-//   shard-recover <dir>     rebuild every shard from its own checkpoint +
-//                           WAL and resume durable serving
-//   shard-stop              drain and stop all shards
-// While sharded serving is active, the single-index and single-server
-// commands are refused (and vice versa).
+//   flush-durable           additionally await every shard's covering fsync
+//   checkpoint              rotate a checkpoint on every shard
+//   view-clusters [level]   merged clusters from the published snapshots
+//   view-local <v> [level]  merged local cluster of node v
+//   status                  router line (partition, halo traffic, queues)
+//                           plus one watermark / store / tier line per shard
+//   health                  per-shard health scorecards (cut ratio, queue
+//                           depth/staleness, durable lag) with degraded /
+//                           critical verdicts
+//   recover <dir> [tier_budget]
+//                           rebuild every shard from its own checkpoint +
+//                           WAL (docs/durability.md) and resume durable
+//                           serving on <dir>
+//   stop                    drain every shard, publish the final views and
+//                           stop (also stops net-serve)
+// While a server runs, the graph cannot be replaced (load-graph / gen-ba /
+// load are refused until stop).
 //
 // Rebalancing (docs/sharding.md "Rebalancing & live migration") — every
-// shard-start / shard-recover attaches a Rebalancer that taps routed
-// submissions into the activity tracker:
+// start / recover attaches a Rebalancer that taps routed submissions into
+// the activity tracker:
 //   rebalance-stats         drift monitor (observed cut EWMA vs static
 //                           scorecard, ingest skew, windows, trigger
 //                           state) and migration counters
 //   rebalance-now           close the window, plan from the current
 //                           activity EWMAs and execute live migrations
 //                           immediately, ignoring the drift trigger
-//                           (requires durable shards: shard-start ... dir)
+//                           (requires durable shards: start ... dir)
 //   migrate <v> <shard>     hand vertex v's ownership to <shard> via the
 //                           live WAL-tail handoff (requires durable
 //                           shards; exactness needs whole-community moves)
 //
 // Observability (docs/observability.md) — tracing, telemetry, health:
 //   trace-open <path>       attach a JSONL trace sink to the index (and the
-//                           sharded server, when running): spans for every
+//                           server, when running): spans for every
 //                           apply / query / ingest stage, correlated by
 //                           trace id; validate with examples/trace_check
 //   trace-close             detach and close the trace sink
@@ -113,14 +84,10 @@
 //                           render the current metric snapshot as
 //                           Prometheus text exposition (default) or JSON,
 //                           to stdout or to <path>
-//   shard-health            per-shard health scorecards (cut ratio, queue
-//                           depth/staleness, durable lag) with degraded /
-//                           critical verdicts
 //
 // Networking (docs/networking.md) — RPC serving, remote clients:
-//   net-serve [port]        expose the running shard engine over TCP
-//                           (shard-start <k> first, shard-start 1 for one
-//                           shard; port 0 = ephemeral, the bound port is
+//   net-serve [port]        expose the running server over TCP (start <k>
+//                           first; port 0 = ephemeral, the bound port is
 //                           printed)
 //   net-stop                stop the RPC front-end
 //   connect <host> <port> [tenant]
@@ -136,13 +103,14 @@
 //   remote-stats | remote-health | remote-metrics
 //                           remote introspection (JSON / JSON / Prometheus)
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "activation/stream_io.h"
 #include "core/anc.h"
@@ -156,7 +124,6 @@
 #include "obs/health.h"
 #include "obs/trace.h"
 #include "rebalance/rebalancer.h"
-#include "serve/server.h"
 #include "shard/health.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_server.h"
@@ -171,23 +138,17 @@ namespace {
 struct Session {
   std::unique_ptr<Graph> graph;
   std::unique_ptr<AncIndex> index;
-  // Declared between index and store so teardown runs store → tier →
-  // index: the tier detaches its columns while the index is still alive.
-  std::unique_ptr<tier::TieredStore> tier;
-  std::unique_ptr<store::DurableStore> store;
-  std::unique_ptr<serve::AncServer> server;
-  std::unique_ptr<shard::ShardedServer> sharded;
-  // Declared after sharded, destroyed before it (holds a server pointer).
+  // Declared before the server so it outlives the spans the server emits
+  // while stopping.
+  std::unique_ptr<obs::TraceSink> trace;
+  std::string trace_path;
+  std::unique_ptr<shard::ShardedServer> server;
+  // Declared after the server, destroyed before it (they hold a pointer).
   std::unique_ptr<rebalance::Rebalancer> rebalancer;
   std::unique_ptr<net::Backend> net_backend;
   std::unique_ptr<net::NetServer> net_server;
   std::unique_ptr<net::Client> remote;
-  std::unique_ptr<obs::TraceSink> trace;
-  std::string trace_path;
   uint32_t level = 1;
-  /// Highest activation time the index already covers — recover sets it so
-  /// a follow-up wal-open checkpoints the store at the right mark.
-  double covered_time = 0.0;
 
   bool RequireGraph() const {
     if (graph == nullptr) std::printf("error: no graph loaded\n");
@@ -198,41 +159,64 @@ struct Session {
     return index != nullptr;
   }
   bool RequireServer() const {
-    if (server == nullptr) std::printf("error: not serving (serve-start)\n");
+    if (server == nullptr) std::printf("error: not serving (run start)\n");
     return server != nullptr;
-  }
-  bool RequireStore() const {
-    if (store == nullptr) std::printf("error: no store (run wal-open)\n");
-    return store != nullptr;
-  }
-  bool RequireTier() const {
-    if (tier == nullptr) std::printf("error: no tier (run tier-open)\n");
-    return tier != nullptr;
   }
   bool RequireRemote() const {
     if (remote == nullptr) std::printf("error: not connected (connect)\n");
     return remote != nullptr;
   }
-  bool RequireSharded() const {
-    if (sharded == nullptr) {
-      std::printf("error: not sharded-serving (shard-start)\n");
-    }
-    return sharded != nullptr;
-  }
-  /// Commands that touch the index or the store directly are illegal while
-  /// the serve writer (or the sharded writers) own them.
-  bool RequireQuiesced() const {
+  /// A running server borrows the session graph: never swap it out from
+  /// under the shard engines.
+  bool RequireStopped() const {
     if (server != nullptr) {
-      std::printf("error: index is being served; run serve-stop first\n");
-      return false;
+      std::printf("error: a server is running; run stop first\n");
     }
-    if (sharded != nullptr) {
-      std::printf("error: sharded serving is active; run shard-stop first\n");
-      return false;
-    }
-    return true;
+    return server == nullptr;
+  }
+  /// The graph edge ids resolve against: the server's while serving (a
+  /// recovered server owns its graph), else the loaded one.
+  const Graph* EdgeGraph() const {
+    return server != nullptr ? &server->graph() : graph.get();
+  }
+  /// Attaches the rebalancer and the trace sink to a freshly started
+  /// server.
+  void Adopt(std::unique_ptr<shard::ShardedServer> started) {
+    server = std::move(started);
+    rebalancer = std::make_unique<rebalance::Rebalancer>(server.get());
+    if (trace != nullptr) server->SetTraceSink(trace.get());
   }
 };
+
+/// Parses the optional `[dir [tier_budget]]` tail shared by start and
+/// recover into durable (and tiered) shard options.
+bool ParseStorageArgs(std::istringstream& args,
+                      shard::ShardedOptions* options) {
+  if (!(args >> options->store_dir)) return true;
+  options->serve.durability = serve::DurabilityPolicy::kGroupCommit;
+  tier::TierOptions tier_options;
+  if (!(args >> tier_options.tier_budget_bytes)) return args.eof();
+  options->tier = tier_options;
+  return true;
+}
+
+std::string DescribeStorage(const shard::ShardedOptions& options) {
+  if (options.store_dir.empty()) return "durability none";
+  std::string out = "durability " + options.store_dir;
+  if (options.tier.has_value()) {
+    out += ", tier budget " + std::to_string(options.tier->tier_budget_bytes) +
+           " bytes/shard";
+  }
+  return out;
+}
+
+void PrintMembers(const std::vector<NodeId>& members) {
+  for (size_t i = 0; i < std::min<size_t>(20, members.size()); ++i) {
+    std::printf(" %u", members[i]);
+  }
+  if (members.size() > 20) std::printf(" ...");
+  std::printf("\n");
+}
 
 void PrintClusters(const Clustering& c, const Graph& g) {
   std::printf("%u clusters over %u nodes\n", c.num_clusters, g.NumNodes());
@@ -266,9 +250,7 @@ bool HandleLine(Session& session, const std::string& line) {
   if (command == "quit" || command == "exit") return false;
 
   if (command == "load-graph") {
-    // The serve/shard writers borrow the current graph — never swap it out
-    // from under them.
-    if (!session.RequireQuiesced()) return true;
+    if (!session.RequireStopped()) return true;
     std::string path;
     args >> path;
     Result<Graph> loaded = LoadEdgeList(path);
@@ -278,11 +260,10 @@ bool HandleLine(Session& session, const std::string& line) {
     }
     session.graph = std::make_unique<Graph>(std::move(loaded.value()));
     session.index.reset();
-    session.store.reset();
     std::printf("graph: %u nodes, %u edges\n", session.graph->NumNodes(),
                 session.graph->NumEdges());
   } else if (command == "gen-ba") {
-    if (!session.RequireQuiesced()) return true;
+    if (!session.RequireStopped()) return true;
     uint32_t n = 0;
     uint32_t deg = 0;
     args >> n >> deg;
@@ -293,19 +274,16 @@ bool HandleLine(Session& session, const std::string& line) {
     Rng rng(7);
     session.graph = std::make_unique<Graph>(BarabasiAlbert(n, deg, rng));
     session.index.reset();
-    session.store.reset();
     std::printf("graph: %u nodes, %u edges\n", session.graph->NumNodes(),
                 session.graph->NumEdges());
   } else if (command == "init") {
-    if (!session.RequireGraph() || !session.RequireQuiesced()) return true;
+    if (!session.RequireGraph()) return true;
     uint32_t rep = 5;
     args >> rep;
     AncConfig config;
     config.rep = rep;
     config.similarity.epsilon = SuggestEpsilon(*session.graph);
     session.index = std::make_unique<AncIndex>(*session.graph, config);
-    session.store.reset();  // a store checkpoints one specific index
-    session.covered_time = 0.0;
     session.level = session.index->DefaultLevel();
     if (session.trace != nullptr) {
       session.index->SetTraceSink(session.trace.get());
@@ -314,7 +292,7 @@ bool HandleLine(Session& session, const std::string& line) {
                 config.pyramid.num_pyramids, session.index->num_levels(),
                 config.similarity.epsilon, rep);
   } else if (command == "activate") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
+    if (!session.RequireIndex()) return true;
     NodeId u = 0;
     NodeId v = 0;
     double t = 0.0;
@@ -327,7 +305,7 @@ bool HandleLine(Session& session, const std::string& line) {
     Status s = session.index->Apply({*e, t});
     std::printf(s.ok() ? "ok\n" : "error: %s\n", s.ToString().c_str());
   } else if (command == "activate-file") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
+    if (!session.RequireIndex()) return true;
     std::string path;
     args >> path;
     std::ifstream in(path);
@@ -347,12 +325,12 @@ bool HandleLine(Session& session, const std::string& line) {
     }
     std::printf("applied %zu activations\n", applied);
   } else if (command == "clusters") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
+    if (!session.RequireIndex()) return true;
     uint32_t level = session.level;
     args >> level;
     PrintClusters(session.index->Clusters(level), *session.graph);
   } else if (command == "local") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
+    if (!session.RequireIndex()) return true;
     NodeId v = 0;
     uint32_t level = session.level;
     args >> v >> level;
@@ -363,11 +341,7 @@ bool HandleLine(Session& session, const std::string& line) {
     std::vector<NodeId> members = session.index->LocalCluster(v, level);
     std::printf("cluster of %u at level %u (%zu members):", v, level,
                 members.size());
-    for (size_t i = 0; i < std::min<size_t>(20, members.size()); ++i) {
-      std::printf(" %u", members[i]);
-    }
-    if (members.size() > 20) std::printf(" ...");
-    std::printf("\n");
+    PrintMembers(members);
   } else if (command == "zoom-in") {
     if (!session.RequireIndex()) return true;
     if (session.level < session.index->num_levels()) ++session.level;
@@ -418,14 +392,14 @@ bool HandleLine(Session& session, const std::string& line) {
         session.index->MemoryBytes() / (1024.0 * 1024.0),
         session.index->total_touched_nodes());
   } else if (command == "save") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
+    if (!session.RequireIndex()) return true;
     std::string path;
     args >> path;
     Status s = SaveIndex(*session.index, path);
     std::printf(s.ok() ? "saved %s\n" : "error: %s\n",
                 s.ok() ? path.c_str() : s.ToString().c_str());
   } else if (command == "load") {
-    if (!session.RequireQuiesced()) return true;
+    if (!session.RequireStopped()) return true;
     std::string path;
     args >> path;
     Result<LoadedIndex> loaded = LoadIndex(path);
@@ -435,84 +409,72 @@ bool HandleLine(Session& session, const std::string& line) {
     }
     session.graph = std::move(loaded.value().graph);
     session.index = std::move(loaded.value().index);
-    session.store.reset();
-    session.covered_time = 0.0;
     session.level = session.index->DefaultLevel();
     std::printf("restored: %u nodes, %u edges\n", session.graph->NumNodes(),
                 session.graph->NumEdges());
-  } else if (command == "serve-start") {
-    if (!session.RequireIndex()) return true;
+  } else if (command == "start") {
+    if (!session.RequireGraph()) return true;
     if (session.server != nullptr) {
-      std::printf("error: already serving\n");
+      std::printf("error: already serving (stop first)\n");
       return true;
     }
-    if (session.sharded != nullptr) {
-      std::printf("error: sharded serving is active; run shard-stop first\n");
+    constexpr const char* kUsage =
+        "usage: start <k> [hash|ldg|fennel|hdrf] [dir [tier_budget]]\n";
+    uint32_t num_shards = 0;
+    if (!(args >> num_shards) || num_shards == 0) {
+      std::printf("%s", kUsage);
       return true;
     }
-    serve::ServeOptions options;
-    size_t capacity = 0;
-    std::string policy;
-    std::string durability;
-    if (args >> capacity && capacity > 0) options.ingest.capacity = capacity;
-    if (args >> policy) {
-      if (policy == "drop") {
-        options.ingest.policy = serve::BackpressurePolicy::kDropOldest;
-      } else if (policy == "reject") {
-        options.ingest.policy = serve::BackpressurePolicy::kReject;
-      } else if (policy != "block") {
-        std::printf(
-            "usage: serve-start [capacity] [block|drop|reject] "
-            "[none|async|group]\n");
+    shard::ShardedOptions options;
+    options.partition.num_shards = num_shards;
+    std::string kind_name;
+    if (args >> kind_name) {
+      Result<shard::PartitionerKind> kind =
+          shard::ParsePartitionerKind(kind_name);
+      if (!kind.ok()) {
+        std::printf("%s", kUsage);
         return true;
       }
+      options.partition.kind = kind.value();
     }
-    if (args >> durability && durability != "none") {
-      if (durability == "async") {
-        options.durability = serve::DurabilityPolicy::kAsync;
-      } else if (durability == "group") {
-        options.durability = serve::DurabilityPolicy::kGroupCommit;
-      } else {
-        std::printf(
-            "usage: serve-start [capacity] [block|drop|reject] "
-            "[none|async|group]\n");
-        return true;
-      }
-      if (!session.RequireStore()) return true;
-      options.store = session.store.get();
-      // The writer drives tier maintenance (spill/compaction install) at
-      // its quiescent points and completes checkpoint installs.
-      options.tier = session.tier.get();
+    options.partition.ldg_passes = 3;  // restreamed LDG: tighter cuts
+    options.serve.ingest.clamp_out_of_order = true;
+    if (!ParseStorageArgs(args, &options)) {
+      std::printf("%s", kUsage);
+      return true;
     }
-    session.server =
-        std::make_unique<serve::AncServer>(session.index.get(), options);
-    Status s = session.server->Start();
+    AncConfig config;
+    config.mode = AncMode::kOnline;
+    config.similarity.epsilon = SuggestEpsilon(*session.graph);
+    Result<std::unique_ptr<shard::ShardedServer>> created =
+        shard::ShardedServer::Create(*session.graph, config, options);
+    Status s = created.ok() ? created.value()->Start() : created.status();
     if (!s.ok()) {
       std::printf("error: %s\n", s.ToString().c_str());
-      session.server.reset();
       return true;
     }
-    std::printf(
-        "serving: ingest capacity %zu, policy %s, durability %s, epoch %llu\n",
-        options.ingest.capacity, policy.empty() ? "block" : policy.c_str(),
-        durability.empty() ? "none" : durability.c_str(),
-        static_cast<unsigned long long>(session.server->View()->epoch()));
-  } else if (command == "serve-stop") {
+    session.Adopt(std::move(created.value()));
+    std::printf("serving %u shard(s): %s | %s\n", num_shards,
+                session.server->partition_stats().ToString().c_str(),
+                DescribeStorage(options).c_str());
+  } else if (command == "stop") {
     if (!session.RequireServer()) return true;
-    session.server->Stop();
-    const serve::Watermark wm = session.server->watermark();
-    session.covered_time = wm.time;
-    std::printf("stopped at watermark seq=%llu time=%.3f (%llu dropped)\n",
-                static_cast<unsigned long long>(wm.seq), wm.time,
-                static_cast<unsigned long long>(session.server->dropped()));
-    if (session.store != nullptr) {
-      const serve::Watermark durable = session.server->durable_watermark();
-      std::printf("durable seq=%llu time=%.3f store=%s\n",
-                  static_cast<unsigned long long>(durable.seq), durable.time,
-                  session.server->store_status().ok()
-                      ? "ok"
-                      : session.server->store_status().ToString().c_str());
+    if (session.net_server != nullptr) {
+      session.net_server->Stop();
+      session.net_server.reset();
+      session.net_backend.reset();
+      std::printf("rpc: stopped\n");
     }
+    session.rebalancer.reset();  // before the server it watches
+    shard::ShardedServer& server = *session.server;
+    server.Stop();
+    const serve::Watermark wm = server.watermark();
+    std::printf("stopped %u shard(s) at watermark seq=%llu time=%.3f "
+                "(%llu halo deliveries) | store=%s\n",
+                server.num_shards(), static_cast<unsigned long long>(wm.seq),
+                wm.time,
+                static_cast<unsigned long long>(server.halo_deliveries()),
+                server.store_status().ToString().c_str());
     session.server.reset();
   } else if (command == "submit") {
     if (!session.RequireServer()) return true;
@@ -520,17 +482,18 @@ bool HandleLine(Session& session, const std::string& line) {
     NodeId v = 0;
     double t = 0.0;
     args >> u >> v >> t;
-    auto e = session.graph->FindEdge(u, v);
+    auto e = session.server->graph().FindEdge(u, v);
     if (!e.has_value()) {
       std::printf("error: (%u, %u) is not an edge\n", u, v);
       return true;
     }
     Result<uint64_t> ticket = session.server->Submit({*e, t});
-    if (ticket.ok()) {
-      std::printf("ticket %llu\n", static_cast<unsigned long long>(*ticket));
-    } else {
+    if (!ticket.ok()) {
       std::printf("error: %s\n", ticket.status().ToString().c_str());
+      return true;
     }
+    session.rebalancer->Observe({*e, t});
+    std::printf("ticket %llu\n", static_cast<unsigned long long>(*ticket));
   } else if (command == "submit-file") {
     if (!session.RequireServer()) return true;
     std::string path;
@@ -538,71 +501,87 @@ bool HandleLine(Session& session, const std::string& line) {
     StreamLoadOptions load;
     load.skip_bad_lines = true;
     StreamLoadReport load_report;
-    Result<ActivationStream> stream =
-        LoadActivationStream(*session.graph, path, load, &load_report);
+    Result<ActivationStream> stream = LoadActivationStream(
+        session.server->graph(), path, load, &load_report);
     if (!stream.ok()) {
       std::printf("error: %s\n", stream.status().ToString().c_str());
       return true;
     }
-    session.server->RecordLoadReport(load_report);
-    size_t submitted = 0;
-    size_t bounced = 0;
-    for (const Activation& activation : stream.value()) {
-      if (session.server->Submit(activation).ok()) {
-        ++submitted;
-      } else {
-        ++bounced;
-      }
-    }
-    std::printf("submitted %zu activations (%zu bounced, %zu lines skipped)\n",
-                submitted, bounced, load_report.skipped);
-    if (load_report.skipped > 0) {
-      std::printf("  first skip: %s\n", load_report.first_error.c_str());
-    }
-  } else if (command == "flush-durable") {
-    if (!session.RequireServer()) return true;
-    if (session.store == nullptr) {
-      std::printf("error: serving without durability (wal-open + serve-start "
-                  "... async|group)\n");
+    session.server->shard(0).RecordLoadReport(load_report);
+    uint64_t last_seq = 0;
+    Status s = session.server->SubmitStream(stream.value(), &last_seq);
+    if (!s.ok()) {
+      std::printf("error: %s\n", s.ToString().c_str());
       return true;
     }
-    Status s = session.server->FlushDurable();
-    if (s.ok()) {
-      const serve::Watermark durable = session.server->durable_watermark();
-      std::printf("durable: seq=%llu time=%.3f\n",
-                  static_cast<unsigned long long>(durable.seq), durable.time);
-    } else {
-      std::printf("error: %s\n", s.ToString().c_str());
+    for (const Activation& activation : stream.value()) {
+      session.rebalancer->Observe(activation);
+    }
+    std::printf("submitted %zu activations through ticket %llu "
+                "(%zu lines skipped)\n",
+                stream.value().size(),
+                static_cast<unsigned long long>(last_seq),
+                load_report.skipped);
+    if (load_report.skipped > 0) {
+      std::printf("  first skip: %s\n", load_report.first_error.c_str());
     }
   } else if (command == "flush") {
     if (!session.RequireServer()) return true;
     Status s = session.server->Flush();
-    if (s.ok()) {
-      const serve::Watermark wm = session.server->watermark();
-      std::printf("flushed: watermark seq=%llu time=%.3f\n",
-                  static_cast<unsigned long long>(wm.seq), wm.time);
-    } else {
+    if (!s.ok()) {
       std::printf("error: %s\n", s.ToString().c_str());
+      return true;
     }
+    const serve::Watermark wm = session.server->watermark();
+    std::printf("flushed: watermark seq=%llu time=%.3f\n",
+                static_cast<unsigned long long>(wm.seq), wm.time);
+  } else if (command == "flush-durable") {
+    if (!session.RequireServer()) return true;
+    if (!session.server->durable()) {
+      std::printf("error: serving without durability (start <k> <kind> "
+                  "<dir>)\n");
+      return true;
+    }
+    Status s = session.server->FlushDurable();
+    if (!s.ok()) {
+      std::printf("error: %s\n", s.ToString().c_str());
+      return true;
+    }
+    const serve::Watermark durable = session.server->durable_watermark();
+    std::printf("durable: seq=%llu time=%.3f\n",
+                static_cast<unsigned long long>(durable.seq), durable.time);
+  } else if (command == "checkpoint") {
+    if (!session.RequireServer()) return true;
+    if (!session.server->durable()) {
+      std::printf("error: serving without durability\n");
+      return true;
+    }
+    Status s = session.server->RequestCheckpointAll();
+    if (!s.ok()) {
+      std::printf("error: %s\n", s.ToString().c_str());
+      return true;
+    }
+    std::printf("checkpoint rotated on %u shard(s)\n",
+                session.server->num_shards());
   } else if (command == "view-clusters") {
     if (!session.RequireServer()) return true;
-    uint32_t level = session.server->View()->DefaultLevel();
-    args >> level;
-    Result<Clustering> c = session.server->Clusters(level);
+    uint32_t level = 0;
+    Result<Clustering> c = (args >> level) ? session.server->Clusters(level)
+                                           : session.server->Clusters();
     if (!c.ok()) {
       std::printf("error: %s\n", c.status().ToString().c_str());
       return true;
     }
-    std::printf("snapshot epoch %llu (watermark seq %llu):\n",
-                static_cast<unsigned long long>(session.server->View()->epoch()),
+    std::printf("snapshot at watermark seq %llu:\n",
                 static_cast<unsigned long long>(
-                    session.server->View()->watermark().seq));
-    PrintClusters(c.value(), *session.graph);
+                    session.server->watermark().seq));
+    PrintClusters(c.value(), session.server->graph());
   } else if (command == "view-local") {
     if (!session.RequireServer()) return true;
     NodeId v = 0;
-    uint32_t level = session.server->View()->DefaultLevel();
-    args >> v >> level;
+    uint32_t level = 0;
+    args >> v;
+    if (!(args >> level)) level = session.server->View().DefaultLevel();
     Result<std::vector<NodeId>> members = session.server->LocalCluster(v, level);
     if (!members.ok()) {
       std::printf("error: %s\n", members.status().ToString().c_str());
@@ -610,413 +589,80 @@ bool HandleLine(Session& session, const std::string& line) {
     }
     std::printf("snapshot cluster of %u at level %u (%zu members):", v, level,
                 members.value().size());
-    for (size_t i = 0; i < std::min<size_t>(20, members.value().size()); ++i) {
-      std::printf(" %u", members.value()[i]);
-    }
-    if (members.value().size() > 20) std::printf(" ...");
-    std::printf("\n");
-  } else if (command == "serve-stats") {
+    PrintMembers(members.value());
+  } else if (command == "status") {
     if (!session.RequireServer()) return true;
-    const serve::Watermark wm = session.server->watermark();
-    std::shared_ptr<const serve::ClusterView> view = session.server->View();
-    std::printf(
-        "watermark seq=%llu time=%.3f | epoch=%llu age=%.3fs | "
-        "queue depth=%zu | accepted=%llu dropped=%llu rejected=%llu | "
-        "writer=%s\n",
-        static_cast<unsigned long long>(wm.seq), wm.time,
-        static_cast<unsigned long long>(view->epoch()), view->AgeSeconds(),
-        session.server->IngestDepth(),
-        static_cast<unsigned long long>(session.server->accepted()),
-        static_cast<unsigned long long>(session.server->dropped()),
-        static_cast<unsigned long long>(session.server->rejected()),
-        session.server->writer_status().ok()
-            ? "ok"
-            : session.server->writer_status().ToString().c_str());
-    if (session.store != nullptr) {
-      const serve::Watermark durable = session.server->durable_watermark();
-      std::printf("durable seq=%llu time=%.3f store=%s\n",
-                  static_cast<unsigned long long>(durable.seq), durable.time,
-                  session.server->store_status().ok()
-                      ? "ok"
-                      : session.server->store_status().ToString().c_str());
-    }
-  } else if (command == "wal-open") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
-    if (session.store != nullptr) {
-      std::printf("error: store already open at %s (wal-close first)\n",
-                  session.store->dir().c_str());
-      return true;
-    }
-    std::string dir;
-    if (!(args >> dir)) {
-      std::printf("usage: wal-open <dir>\n");
-      return true;
-    }
-    store::StoreOptions options;
-    options.flush_interval_s = 0.05;  // async policy stays durable by itself
-    Result<std::unique_ptr<store::DurableStore>> opened =
-        store::DurableStore::Open(dir, *session.index,
-                                  store::Mark{0, session.covered_time},
-                                  options, &session.index->metrics());
-    if (!opened.ok()) {
-      std::printf("error: %s\n", opened.status().ToString().c_str());
-      return true;
-    }
-    session.store = std::move(opened.value());
-    std::printf("store open: %s generation %llu (checkpoint written)\n",
-                dir.c_str(),
-                static_cast<unsigned long long>(session.store->generation()));
-  } else if (command == "tier-open") {
-    if (!session.RequireIndex() || !session.RequireQuiesced()) return true;
-    if (session.store != nullptr) {
-      std::printf("error: store already open at %s (wal-close first)\n",
-                  session.store->dir().c_str());
-      return true;
-    }
-    std::string dir;
-    if (!(args >> dir)) {
-      std::printf("usage: tier-open <dir> [budget_bytes]\n");
-      return true;
-    }
-    tier::TierOptions tier_options;
-    args >> tier_options.tier_budget_bytes;
-    Result<std::unique_ptr<tier::TieredStore>> tier_opened =
-        tier::TieredStore::Open(dir, tier_options, &session.index->metrics());
-    if (!tier_opened.ok()) {
-      std::printf("error: %s\n", tier_opened.status().ToString().c_str());
-      return true;
-    }
-    session.tier = std::move(tier_opened.value());
-    session.index->AttachTier(session.tier.get());
-
-    store::StoreOptions options;
-    options.flush_interval_s = 0.05;
-    options.checkpoint_writer = session.tier->CheckpointWriter();
-    Result<std::unique_ptr<store::DurableStore>> opened =
-        store::DurableStore::Open(dir, *session.index,
-                                  store::Mark{0, session.covered_time},
-                                  options, &session.index->metrics());
-    if (!opened.ok()) {
-      std::printf("error: %s\n", opened.status().ToString().c_str());
-      session.tier->DetachAll();
-      session.tier.reset();
-      return true;
-    }
-    session.store = std::move(opened.value());
-    session.tier->OnCheckpointInstalled();  // Open's base head is durable
-    std::printf(
-        "tiered store open: %s generation %llu, budget %llu bytes "
-        "(tier under %s)\n",
-        dir.c_str(),
-        static_cast<unsigned long long>(session.store->generation()),
-        static_cast<unsigned long long>(tier_options.tier_budget_bytes),
-        session.tier->dir().c_str());
-  } else if (command == "wal-close") {
-    if (!session.RequireStore() || !session.RequireQuiesced()) return true;
-    Status s = session.store->Sync();
-    session.store.reset();
-    if (session.tier != nullptr) {
-      session.tier->DetachAll();
-      session.tier.reset();
-      std::printf("tier detached (cold pages promoted back to RAM)\n");
-    }
-    std::printf(s.ok() ? "store closed\n" : "store closed (last sync: %s)\n",
-                s.ToString().c_str());
-  } else if (command == "checkpoint") {
-    if (session.server != nullptr) {
-      // The writer owns index + store: rotate through its quiescent points.
-      if (session.store == nullptr) {
-        std::printf("error: serving without durability\n");
-        return true;
-      }
-      Status s = session.server->RequestCheckpoint();
-      std::printf(s.ok() ? "checkpoint rotated (via writer)\n"
-                         : "error: %s\n",
-                  s.ToString().c_str());
-      return true;
-    }
-    if (!session.RequireIndex() || !session.RequireStore()) return true;
-    Status s = session.store->WriteCheckpoint(*session.index,
-                                              session.store->appended());
-    if (s.ok()) {
-      if (session.tier != nullptr) session.tier->OnCheckpointInstalled();
-      std::printf("checkpoint rotated: generation %llu\n",
-                  static_cast<unsigned long long>(session.store->generation()));
-    } else {
-      std::printf("error: %s\n", s.ToString().c_str());
-    }
-  } else if (command == "store-stats") {
-    if (!session.RequireStore()) return true;
-    const store::StoreStats stats = session.store->Stats();
-    std::printf(
-        "dir=%s generation=%llu | appended seq=%llu durable seq=%llu | "
-        "wal: %llu segments, %llu bytes | records=%llu syncs=%llu "
-        "checkpoints=%llu | checkpoint=%s\n",
-        session.store->dir().c_str(),
-        static_cast<unsigned long long>(stats.generation),
-        static_cast<unsigned long long>(stats.appended.seq),
-        static_cast<unsigned long long>(stats.durable.seq),
-        static_cast<unsigned long long>(stats.wal_segments),
-        static_cast<unsigned long long>(stats.wal_bytes),
-        static_cast<unsigned long long>(stats.records),
-        static_cast<unsigned long long>(stats.syncs),
-        static_cast<unsigned long long>(stats.checkpoints),
-        stats.checkpoint_file.c_str());
-  } else if (command == "tier-stats") {
-    if (!session.RequireTier()) return true;
-    const tier::TierStats stats = session.tier->Stats();
-    std::printf(
-        "tier=%s budget=%llu resident=%llu cold=%llu bytes | "
-        "columns=%llu pages=%llu/%llu resident | segments=%llu | "
-        "spills=%llu (%llu pages, %llu bytes) promotions=%llu (%llu bytes) "
-        "| compactions=%llu segments_deleted=%llu\n",
-        session.tier->dir().c_str(),
-        static_cast<unsigned long long>(stats.budget_bytes),
-        static_cast<unsigned long long>(stats.resident_bytes),
-        static_cast<unsigned long long>(stats.cold_bytes),
-        static_cast<unsigned long long>(stats.columns),
-        static_cast<unsigned long long>(stats.pages_resident),
-        static_cast<unsigned long long>(stats.pages_total),
-        static_cast<unsigned long long>(stats.segments),
-        static_cast<unsigned long long>(stats.spills),
-        static_cast<unsigned long long>(stats.spilled_pages),
-        static_cast<unsigned long long>(stats.spilled_bytes),
-        static_cast<unsigned long long>(stats.promotions),
-        static_cast<unsigned long long>(stats.promoted_bytes),
-        static_cast<unsigned long long>(stats.compactions),
-        static_cast<unsigned long long>(stats.segments_deleted));
-  } else if (command == "tier-compact") {
-    // CompactNow runs on the caller's thread at a quiescent point; while
-    // serving, the writer owns those points (Maintain compacts in the
-    // background there).
-    if (!session.RequireTier() || !session.RequireQuiesced()) return true;
-    Status s = session.tier->CompactNow();
-    if (s.ok()) {
-      const tier::TierStats stats = session.tier->Stats();
-      std::printf("compacted: %llu live segments, %llu cold bytes\n",
-                  static_cast<unsigned long long>(stats.segments),
-                  static_cast<unsigned long long>(stats.cold_bytes));
-    } else {
-      std::printf("error: %s\n", s.ToString().c_str());
-    }
-  } else if (command == "tier-verify") {
-    if (!session.RequireTier()) return true;
-    Status s = session.tier->VerifySegments();
-    std::printf(s.ok() ? "tier verified: every live segment CRC-clean\n"
-                       : "error: %s\n",
-                s.ToString().c_str());
-  } else if (command == "recover") {
-    if (!session.RequireQuiesced()) return true;
-    std::string dir;
-    if (!(args >> dir)) {
-      std::printf("usage: recover <dir>\n");
-      return true;
-    }
-    // Page references load through the cold segments under <dir>/tier;
-    // tier-open on the same dir later sweeps what a crash left there.
-    Result<store::RecoveredStore> recovered = store::Recover(dir);
-    if (!recovered.ok()) {
-      std::printf("error: %s\n", recovered.status().ToString().c_str());
-      return true;
-    }
-    store::RecoveredStore& r = recovered.value();
-    if (session.tier != nullptr) {
-      session.tier->DetachAll();  // before the old index it feeds goes away
-      session.tier.reset();
-    }
-    session.graph = std::move(r.graph);
-    session.index = std::move(r.index);
-    session.store.reset();
-    session.covered_time = r.watermark.time;
-    session.level = session.index->DefaultLevel();
-    std::printf(
-        "recovered: %u nodes, %u edges | generation %llu, checkpoint seq "
-        "%llu + %llu replayed records (%llu activations, %llu skipped)%s\n"
-        "run 'wal-open %s' to continue durably\n",
-        session.graph->NumNodes(), session.graph->NumEdges(),
-        static_cast<unsigned long long>(r.generation),
-        static_cast<unsigned long long>(r.checkpoint_seq),
-        static_cast<unsigned long long>(r.replayed_records),
-        static_cast<unsigned long long>(r.replayed_activations),
-        static_cast<unsigned long long>(r.skipped_applies),
-        r.truncated_tail ? " | torn tail truncated" : "", dir.c_str());
-  } else if (command == "shard-start") {
-    if (!session.RequireGraph() || !session.RequireQuiesced()) return true;
-    uint32_t num_shards = 0;
-    std::string kind_name;
-    std::string dir;
-    if (!(args >> num_shards) || num_shards == 0) {
-      std::printf("usage: shard-start <k> [hash|ldg|fennel|hdrf] [dir]\n");
-      return true;
-    }
-    shard::ShardedOptions options;
-    options.partition.num_shards = num_shards;
-    if (args >> kind_name) {
-      Result<shard::PartitionerKind> kind =
-          shard::ParsePartitionerKind(kind_name);
-      if (!kind.ok()) {
-        std::printf("usage: shard-start <k> [hash|ldg|fennel|hdrf] [dir]\n");
-        return true;
-      }
-      options.partition.kind = kind.value();
-    }
-    options.partition.ldg_passes = 3;  // restreamed LDG: tighter cuts
-    options.serve.ingest.clamp_out_of_order = true;
-    if (args >> dir) {
-      options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
-      options.store_dir = dir;
-    }
-    AncConfig config;
-    config.mode = AncMode::kOnline;
-    config.similarity.epsilon = SuggestEpsilon(*session.graph);
-    Result<std::unique_ptr<shard::ShardedServer>> created =
-        shard::ShardedServer::Create(*session.graph, config, options);
-    if (!created.ok()) {
-      std::printf("error: %s\n", created.status().ToString().c_str());
-      return true;
-    }
-    Status s = created.value()->Start();
-    if (!s.ok()) {
-      std::printf("error: %s\n", s.ToString().c_str());
-      return true;
-    }
-    session.sharded = std::move(created.value());
-    session.rebalancer =
-        std::make_unique<rebalance::Rebalancer>(session.sharded.get());
-    if (session.trace != nullptr) {
-      session.sharded->SetTraceSink(session.trace.get());
-    }
-    std::printf("sharded serving: %s | durability %s\n",
-                session.sharded->partition_stats().ToString().c_str(),
-                dir.empty() ? "none" : dir.c_str());
-  } else if (command == "shard-submit") {
-    if (!session.RequireSharded()) return true;
-    NodeId u = 0;
-    NodeId v = 0;
-    double t = 0.0;
-    args >> u >> v >> t;
-    auto e = session.sharded->graph().FindEdge(u, v);
-    if (!e.has_value()) {
-      std::printf("error: (%u, %u) is not an edge\n", u, v);
-      return true;
-    }
-    Result<uint64_t> ticket = session.sharded->Submit({*e, t});
-    if (ticket.ok()) {
-      if (session.rebalancer != nullptr) session.rebalancer->Observe({*e, t});
-      std::printf("ticket %llu\n", static_cast<unsigned long long>(*ticket));
-    } else {
-      std::printf("error: %s\n", ticket.status().ToString().c_str());
-    }
-  } else if (command == "shard-submit-file") {
-    if (!session.RequireSharded()) return true;
-    std::string path;
-    args >> path;
-    StreamLoadOptions load;
-    load.skip_bad_lines = true;
-    StreamLoadReport load_report;
-    Result<ActivationStream> stream = LoadActivationStream(
-        session.sharded->graph(), path, load, &load_report);
-    if (!stream.ok()) {
-      std::printf("error: %s\n", stream.status().ToString().c_str());
-      return true;
-    }
-    uint64_t last_seq = 0;
-    Status s = session.sharded->SubmitStream(stream.value(), &last_seq);
-    if (!s.ok()) {
-      std::printf("error: %s\n", s.ToString().c_str());
-      return true;
-    }
-    if (session.rebalancer != nullptr) {
-      for (const Activation& activation : stream.value()) {
-        session.rebalancer->Observe(activation);
-      }
-    }
-    std::printf("submitted %zu activations through ticket %llu "
-                "(%zu lines skipped)\n",
-                stream.value().size(),
-                static_cast<unsigned long long>(last_seq),
-                load_report.skipped);
-  } else if (command == "shard-flush") {
-    if (!session.RequireSharded()) return true;
-    Status s = session.sharded->Flush();
-    if (!s.ok()) {
-      std::printf("error: %s\n", s.ToString().c_str());
-      return true;
-    }
-    std::printf("flushed: %llu accepted visible in every shard's view\n",
-                static_cast<unsigned long long>(session.sharded->accepted()));
-  } else if (command == "shard-clusters") {
-    if (!session.RequireSharded()) return true;
-    uint32_t level = 0;
-    Result<Clustering> c = (args >> level)
-                               ? session.sharded->Clusters(level)
-                               : session.sharded->Clusters();
-    if (!c.ok()) {
-      std::printf("error: %s\n", c.status().ToString().c_str());
-      return true;
-    }
-    PrintClusters(c.value(), session.sharded->graph());
-  } else if (command == "shard-stats") {
-    if (!session.RequireSharded()) return true;
-    shard::ShardedServer& sharded = *session.sharded;
+    const shard::ShardedServer& server = *session.server;
     std::printf(
         "%s | accepted=%llu rejected=%llu halo=%llu (%llu partial) | "
         "queued=%zu | writer=%s store=%s\n",
-        sharded.partition_stats().ToString().c_str(),
-        static_cast<unsigned long long>(sharded.accepted()),
-        static_cast<unsigned long long>(sharded.rejected()),
-        static_cast<unsigned long long>(sharded.halo_deliveries()),
-        static_cast<unsigned long long>(sharded.halo_partial()),
-        sharded.IngestDepth(),
-        sharded.writer_status().ok()
-            ? "ok"
-            : sharded.writer_status().ToString().c_str(),
-        sharded.store_status().ok()
-            ? "ok"
-            : sharded.store_status().ToString().c_str());
-    for (uint32_t s = 0; s < sharded.num_shards(); ++s) {
-      const serve::AncServer& shard_server = sharded.shard(s);
-      const serve::Watermark wm = shard_server.watermark();
+        server.partition_stats().ToString().c_str(),
+        static_cast<unsigned long long>(server.accepted()),
+        static_cast<unsigned long long>(server.rejected()),
+        static_cast<unsigned long long>(server.halo_deliveries()),
+        static_cast<unsigned long long>(server.halo_partial()),
+        server.IngestDepth(), server.writer_status().ToString().c_str(),
+        server.store_status().ToString().c_str());
+    for (uint32_t s = 0; s < server.num_shards(); ++s) {
+      const auto& engine = server.shard(s);
+      const serve::Watermark wm = engine.watermark();
       std::printf("  shard %u: accepted=%llu watermark seq=%llu time=%.3f "
-                  "epoch=%llu depth=%zu\n",
-                  s,
-                  static_cast<unsigned long long>(shard_server.accepted()),
+                  "epoch=%llu depth=%zu",
+                  s, static_cast<unsigned long long>(engine.accepted()),
                   static_cast<unsigned long long>(wm.seq), wm.time,
-                  static_cast<unsigned long long>(shard_server.View()->epoch()),
-                  shard_server.IngestDepth());
+                  static_cast<unsigned long long>(engine.View()->epoch()),
+                  engine.IngestDepth());
+      if (const store::DurableStore* store = server.shard_store(s)) {
+        const store::StoreStats stats = store->Stats();
+        std::printf(" | store generation=%llu durable seq=%llu wal=%llu "
+                    "segments/%llu bytes",
+                    static_cast<unsigned long long>(stats.generation),
+                    static_cast<unsigned long long>(stats.durable.seq),
+                    static_cast<unsigned long long>(stats.wal_segments),
+                    static_cast<unsigned long long>(stats.wal_bytes));
+      }
+      if (const tier::TieredStore* tier = server.shard_tier(s)) {
+        const tier::TierStats stats = tier->Stats();
+        std::printf(" | tier resident=%llu/%llu cold=%llu bytes, %llu "
+                    "segments, %llu spills, %llu compactions",
+                    static_cast<unsigned long long>(stats.resident_bytes),
+                    static_cast<unsigned long long>(stats.budget_bytes),
+                    static_cast<unsigned long long>(stats.cold_bytes),
+                    static_cast<unsigned long long>(stats.segments),
+                    static_cast<unsigned long long>(stats.spills),
+                    static_cast<unsigned long long>(stats.compactions));
+      }
+      std::printf("\n");
     }
-  } else if (command == "shard-recover") {
-    if (!session.RequireQuiesced()) return true;
-    std::string dir;
-    if (!(args >> dir)) {
-      std::printf("usage: shard-recover <dir>\n");
+  } else if (command == "health") {
+    if (!session.RequireServer()) return true;
+    const obs::HealthReport report = shard::AssessHealth(*session.server);
+    std::printf("%s\n", report.ToString().c_str());
+  } else if (command == "recover") {
+    if (session.server != nullptr) {
+      std::printf("error: already serving (stop first)\n");
       return true;
     }
     shard::ShardedOptions options;
     options.serve.ingest.clamp_out_of_order = true;
-    options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
-    options.store_dir = dir;
-    Result<std::unique_ptr<shard::ShardedServer>> recovered =
-        shard::ShardedServer::RecoverAll(dir, options);
-    if (!recovered.ok()) {
-      std::printf("error: %s\n", recovered.status().ToString().c_str());
+    if (!ParseStorageArgs(args, &options) || options.store_dir.empty()) {
+      std::printf("usage: recover <dir> [tier_budget]\n");
       return true;
     }
-    Status s = recovered.value()->Start();
+    Result<std::unique_ptr<shard::ShardedServer>> recovered =
+        shard::ShardedServer::RecoverAll(options.store_dir, options);
+    Status s = recovered.ok() ? recovered.value()->Start() : recovered.status();
     if (!s.ok()) {
       std::printf("error: %s\n", s.ToString().c_str());
       return true;
     }
-    session.sharded = std::move(recovered.value());
-    session.rebalancer =
-        std::make_unique<rebalance::Rebalancer>(session.sharded.get());
-    if (session.trace != nullptr) {
-      session.sharded->SetTraceSink(session.trace.get());
-    }
-    std::printf("recovered %u shards: %s\n", session.sharded->num_shards(),
-                session.sharded->partition_stats().ToString().c_str());
+    session.Adopt(std::move(recovered.value()));
+    std::printf("recovered %u shard(s): %s | %s\n",
+                session.server->num_shards(),
+                session.server->partition_stats().ToString().c_str(),
+                DescribeStorage(options).c_str());
     for (const shard::ShardRecoveryInfo& info :
-         session.sharded->recovery_info()) {
+         session.server->recovery_info()) {
       std::printf("  shard %u: watermark seq=%llu time=%.3f | generation "
                   "%llu, checkpoint seq %llu + %llu replayed records "
                   "(%llu activations)%s\n",
@@ -1029,22 +675,8 @@ bool HandleLine(Session& session, const std::string& line) {
                   static_cast<unsigned long long>(info.replayed_activations),
                   info.truncated_tail ? " | torn tail truncated" : "");
     }
-  } else if (command == "shard-stop") {
-    if (!session.RequireSharded()) return true;
-    session.rebalancer.reset();  // before the server it watches
-    session.sharded->Stop();
-    std::printf("stopped %u shards at %llu accepted (%llu halo deliveries, "
-                "store=%s)\n",
-                session.sharded->num_shards(),
-                static_cast<unsigned long long>(session.sharded->accepted()),
-                static_cast<unsigned long long>(
-                    session.sharded->halo_deliveries()),
-                session.sharded->store_status().ok()
-                    ? "ok"
-                    : session.sharded->store_status().ToString().c_str());
-    session.sharded.reset();
   } else if (command == "rebalance-stats") {
-    if (!session.RequireSharded()) return true;
+    if (!session.RequireServer()) return true;
     const rebalance::Rebalancer& reb = *session.rebalancer;
     const rebalance::CutMonitor& monitor = reb.monitor();
     std::printf(
@@ -1052,15 +684,15 @@ bool HandleLine(Session& session, const std::string& line) {
         "trigger=%s | observed=%llu activations, %llu rotations | "
         "migrations=%llu | epoch=%llu\n",
         monitor.observed_cut_ratio(),
-        session.sharded->partition_stats().cut_ratio, monitor.ingest_skew(),
+        session.server->partition_stats().cut_ratio, monitor.ingest_skew(),
         static_cast<unsigned long long>(monitor.windows()),
         monitor.ShouldRebalance() ? "ARMED" : "idle",
         static_cast<unsigned long long>(reb.tracker().observed()),
         static_cast<unsigned long long>(reb.tracker().rotations()),
         static_cast<unsigned long long>(reb.migrations()),
-        static_cast<unsigned long long>(session.sharded->assignment_epoch()));
+        static_cast<unsigned long long>(session.server->assignment_epoch()));
   } else if (command == "rebalance-now") {
-    if (!session.RequireSharded()) return true;
+    if (!session.RequireServer()) return true;
     const rebalance::RebalanceOutcome outcome =
         session.rebalancer->RebalanceNow();
     if (!outcome.status.ok()) {
@@ -1076,16 +708,16 @@ bool HandleLine(Session& session, const std::string& line) {
                 static_cast<unsigned long long>(outcome.planned_moves),
                 static_cast<unsigned long long>(outcome.migrations),
                 static_cast<unsigned long long>(outcome.migrated_vertices),
-                session.sharded->partition_stats().ToString().c_str());
+                session.server->partition_stats().ToString().c_str());
   } else if (command == "migrate") {
-    if (!session.RequireSharded()) return true;
+    if (!session.RequireServer()) return true;
     NodeId v = 0;
     uint32_t to = 0;
     if (!(args >> v >> to)) {
       std::printf("usage: migrate <vertex> <shard>\n");
       return true;
     }
-    if (v >= session.sharded->graph().NumNodes()) {
+    if (v >= session.server->graph().NumNodes()) {
       std::printf("error: node out of range\n");
       return true;
     }
@@ -1096,7 +728,7 @@ bool HandleLine(Session& session, const std::string& line) {
     }
     std::printf("vertex %u now owned by shard %u (epoch %llu)\n", v, to,
                 static_cast<unsigned long long>(
-                    session.sharded->assignment_epoch()));
+                    session.server->assignment_epoch()));
   } else if (command == "trace-open") {
     std::string path;
     if (!(args >> path)) {
@@ -1118,8 +750,8 @@ bool HandleLine(Session& session, const std::string& line) {
     if (session.index != nullptr) {
       session.index->SetTraceSink(session.trace.get());
     }
-    if (session.sharded != nullptr) {
-      session.sharded->SetTraceSink(session.trace.get());
+    if (session.server != nullptr) {
+      session.server->SetTraceSink(session.trace.get());
     }
     std::printf("tracing to %s (JSONL; check with trace_check)\n",
                 path.c_str());
@@ -1129,15 +761,13 @@ bool HandleLine(Session& session, const std::string& line) {
       return true;
     }
     if (session.index != nullptr) session.index->SetTraceSink(nullptr);
-    if (session.sharded != nullptr) session.sharded->SetTraceSink(nullptr);
+    if (session.server != nullptr) session.server->SetTraceSink(nullptr);
     session.trace.reset();
     std::printf("trace closed: %s\n", session.trace_path.c_str());
     session.trace_path.clear();
   } else if (command == "telemetry") {
     obs::StatsSnapshot snapshot;
-    if (session.sharded != nullptr) {
-      snapshot = session.sharded->Stats();
-    } else if (session.server != nullptr) {
+    if (session.server != nullptr) {
       snapshot = session.server->Stats();
     } else if (session.index != nullptr) {
       snapshot = session.index->Stats();
@@ -1169,27 +799,18 @@ bool HandleLine(Session& session, const std::string& line) {
       std::printf("wrote %zu bytes of %s to %s\n", rendered.size(),
                   format.c_str(), path.c_str());
     }
-  } else if (command == "shard-health") {
-    if (!session.RequireSharded()) return true;
-    const obs::HealthReport report = shard::AssessHealth(*session.sharded);
-    std::printf("%s\n", report.ToString().c_str());
   } else if (command == "net-serve") {
     if (session.net_server != nullptr) {
       std::printf("error: already serving RPC on port %u (net-stop first)\n",
                   session.net_server->port());
       return true;
     }
-    if (session.sharded == nullptr) {
-      std::printf(
-          "error: net-serve fronts the shard engine (shard-start <k> first; "
-          "shard-start 1 for a single shard)\n");
-      return true;
-    }
+    if (!session.RequireServer()) return true;
     net::NetServerOptions options;
     unsigned port = 0;
     if (args >> port) options.port = static_cast<uint16_t>(port);
     session.net_backend =
-        std::make_unique<net::ShardedBackend>(session.sharded.get());
+        std::make_unique<net::ShardedBackend>(session.server.get());
     session.net_server = std::make_unique<net::NetServer>(
         session.net_backend.get(), options);
     Status s = session.net_server->Start();
@@ -1200,7 +821,7 @@ bool HandleLine(Session& session, const std::string& line) {
       return true;
     }
     std::printf("rpc: serving %u shard(s) on 127.0.0.1:%u\n",
-                session.sharded->num_shards(), session.net_server->port());
+                session.server->num_shards(), session.net_server->port());
   } else if (command == "net-stop") {
     if (session.net_server == nullptr) {
       std::printf("error: no RPC front-end running\n");
@@ -1240,12 +861,17 @@ bool HandleLine(Session& session, const std::string& line) {
     session.remote.reset();
     std::printf("disconnected\n");
   } else if (command == "remote-submit") {
-    if (!session.RequireRemote() || !session.RequireGraph()) return true;
+    if (!session.RequireRemote()) return true;
+    const Graph* graph = session.EdgeGraph();
+    if (graph == nullptr) {
+      std::printf("error: no graph loaded\n");
+      return true;
+    }
     NodeId u = 0;
     NodeId v = 0;
     double t = 0.0;
     args >> u >> v >> t;
-    auto e = session.graph->FindEdge(u, v);
+    auto e = graph->FindEdge(u, v);
     if (!e.has_value()) {
       std::printf("error: (%u, %u) is not an edge\n", u, v);
       return true;

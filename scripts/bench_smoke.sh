@@ -10,7 +10,7 @@
 # group-commit sweep, the tiered-store spill rows (tiered ingest within
 # 2x of the in-RAM baseline with the resident delta under budget is the
 # tiering acceptance bar), the sharded-ingest scaling rows
-# (bench.speedup_x100 >= 200 at ldg_s4 is the sharding acceptance bar) and
+# (bench.speedup_x100 at ldg_s4, against the k=1 "single" row) and
 # the networked front-end's QPS rows (cache off/on with hit rate,
 # leader-only vs leader+2-follower scale-out) and the live-rebalance
 # recovery rows (bench.recovery_pct >= 70 on the rebalanced run is the

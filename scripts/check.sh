@@ -104,8 +104,9 @@ run_one() {
       # The tiered-storage suite under ASan: cold-segment format units,
       # budgeted spill and compaction byte-identity differentials against
       # the untiered index, tiered recovery, the tier crash-seam matrix,
-      # and the AncServer quiescent-point maintenance path — without
-      # re-running the full tier-1 battery.
+      # and tiered ShardedServer serving (per-shard maintenance at the
+      # writers' quiescent points, RecoverAll) — without re-running the
+      # full tier-1 battery.
       local dir=build-asan
       echo "=== [$dir] tier (tiered-storage suite under ASan) ==="
       cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,17 +1,14 @@
-#include "serve/admission.h"
+#include "net/admission.h"
 
 #include <algorithm>
 #include <string>
 
-namespace anc::serve {
+namespace anc::net {
 
 AdmissionController::AdmissionController(AdmissionOptions options,
                                          obs::MetricsRegistry* registry)
     : options_(options), metrics_(registry) {
   if (metrics_ != nullptr) {
-    served_id_ = metrics_->Counter("anc.serve.admit_served");
-    degraded_id_ = metrics_->Counter("anc.serve.admit_degraded");
-    shed_id_ = metrics_->Counter("anc.serve.admit_shed");
     quota_rejections_id_ = metrics_->Counter("anc.net.quota_rejections");
   }
 }
@@ -83,62 +80,4 @@ Status AdmissionController::AdmitTenant(uint64_t tenant_id) const {
       std::to_string(burst) + ")");
 }
 
-AdmissionDecision AdmissionController::Admit(uint32_t requested_level,
-                                             const ClusterView& view,
-                                             size_t ingest_depth,
-                                             const QueryOptions& query) const {
-  AdmissionDecision decision;
-  decision.level = requested_level;
-
-  const double age = view.AgeSeconds();
-  if (ingest_depth >= options_.shed_queue_depth) {
-    decision.action = AdmissionDecision::Action::kShed;
-    decision.status = Status::Unavailable(
-        "shed: ingest backlog at " + std::to_string(ingest_depth) +
-        " (threshold " + std::to_string(options_.shed_queue_depth) + ")");
-  } else if (age >= options_.shed_staleness_s) {
-    decision.action = AdmissionDecision::Action::kShed;
-    decision.status = Status::Unavailable(
-        "shed: published view is " + std::to_string(age) +
-        "s stale (threshold " + std::to_string(options_.shed_staleness_s) +
-        "s)");
-  } else if (LatencyEstimate() > query.deadline_s) {
-    decision.action = AdmissionDecision::Action::kShed;
-    decision.status = Status::Unavailable(
-        "shed: latency estimate " + std::to_string(LatencyEstimate()) +
-        "s exceeds the " + std::to_string(query.deadline_s) + "s deadline");
-  } else if (age >= options_.degrade_staleness_s) {
-    decision.action = AdmissionDecision::Action::kDegrade;
-    decision.level = requested_level > options_.degrade_levels
-                         ? requested_level - options_.degrade_levels
-                         : 1;
-  }
-
-  if (metrics_ != nullptr) {
-    switch (decision.action) {
-      case AdmissionDecision::Action::kServe:
-        metrics_->Add(served_id_);
-        break;
-      case AdmissionDecision::Action::kDegrade:
-        metrics_->Add(degraded_id_);
-        break;
-      case AdmissionDecision::Action::kShed:
-        metrics_->Add(shed_id_);
-        break;
-    }
-  }
-  return decision;
-}
-
-void AdmissionController::RecordLatency(double seconds) const {
-  double prev = latency_ewma_.load(std::memory_order_relaxed);
-  double next;
-  do {
-    next = prev == 0.0
-               ? seconds
-               : prev + options_.latency_ewma_alpha * (seconds - prev);
-  } while (!latency_ewma_.compare_exchange_weak(prev, next,
-                                                std::memory_order_relaxed));
-}
-
-}  // namespace anc::serve
+}  // namespace anc::net

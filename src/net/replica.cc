@@ -20,8 +20,7 @@ constexpr std::chrono::milliseconds kBarrierWait{20};
 Result<std::unique_ptr<Follower>> Follower::Create(
     const Graph& graph, const AncConfig& config,
     serve::ServeOptions serve_options) {
-  if (serve_options.durability != serve::DurabilityPolicy::kNone ||
-      serve_options.store != nullptr) {
+  if (serve_options.durability != serve::DurabilityPolicy::kNone) {
     return Status::InvalidArgument(
         "followers run without local durability: the leader's log is the "
         "record of truth, a lost follower re-bootstraps from it");

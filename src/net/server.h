@@ -8,11 +8,11 @@
 #include <thread>
 #include <vector>
 
+#include "net/admission.h"
 #include "net/backend.h"
 #include "net/cache.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "serve/admission.h"
 #include "util/status.h"
 #include "util/sync.h"
 #include "util/thread_pool.h"
@@ -31,9 +31,8 @@ struct NetServerOptions {
   int conn_recv_timeout_ms = 0;
 
   QueryCacheOptions cache;
-  /// Tenant quotas ride on serve::AdmissionOptions (tenant_quota_per_s /
-  /// tenant_quota_burst); the per-view fields are unused at this layer.
-  serve::AdmissionOptions admission;
+  /// Per-tenant request quotas (off by default).
+  AdmissionOptions admission;
 };
 
 /// The networked serving front-end (docs/networking.md): a blocking
@@ -75,7 +74,7 @@ class NetServer {
   uint16_t port() const { return port_; }
 
   QueryCache& cache() { return cache_; }
-  const serve::AdmissionController& admission() const { return admission_; }
+  const AdmissionController& admission() const { return admission_; }
   obs::MetricsRegistry& metrics() { return registry_; }
   uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
@@ -105,7 +104,7 @@ class NetServer {
 
   mutable obs::MetricsRegistry registry_;
   QueryCache cache_;
-  serve::AdmissionController admission_;
+  AdmissionController admission_;
 
   ThreadPool pool_;
   std::thread runner_;    ///< parks inside pool_.ParallelFor

@@ -67,7 +67,7 @@ class ClusterView {
   const Watermark& watermark() const { return watermark_; }
 
   /// Wall-clock age of the view (seconds since publication) — the
-  /// staleness signal the admission layer degrades and sheds on.
+  /// staleness signal the health scorecards judge.
   double AgeSeconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          published_at_)

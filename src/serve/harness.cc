@@ -29,7 +29,7 @@ std::string HarnessReport::ToString() const {
   std::snprintf(  // lint-ok: output (formats the report string, no I/O)
       buffer, sizeof(buffer),
       "ingest: %llu submitted (%llu accepted, %llu dropped, %llu rejected) "
-      "in %.3fs = %.0f act/s | queries: %llu (%llu shed) "
+      "in %.3fs = %.0f act/s | queries: %llu (%llu failed) "
       "p50=%.1fus p99=%.1fus | staleness: mean=%.1f max=%llu activations | "
       "epochs: %llu",
       static_cast<unsigned long long>(submitted),
@@ -37,7 +37,7 @@ std::string HarnessReport::ToString() const {
       static_cast<unsigned long long>(dropped),
       static_cast<unsigned long long>(rejected), ingest_seconds,
       ingest_per_sec, static_cast<unsigned long long>(queries),
-      static_cast<unsigned long long>(shed), query_p50_us, query_p99_us,
+      static_cast<unsigned long long>(failed), query_p50_us, query_p99_us,
       mean_staleness_activations,
       static_cast<unsigned long long>(max_staleness_activations),
       static_cast<unsigned long long>(epochs));
@@ -51,43 +51,6 @@ std::string HarnessReport::ToString() const {
   }
   return out;
 }
-
-HarnessTarget TargetFor(AncServer* server) {
-  ANC_CHECK(server != nullptr, "TargetFor requires a server");
-  HarnessTarget target;
-  target.submit = [server](const Activation& activation) {
-    return server->Submit(activation);
-  };
-  target.flush = [server](std::chrono::milliseconds timeout) {
-    return server->Flush(timeout);
-  };
-  target.accepted = [server] { return server->accepted(); };
-  target.dropped = [server] { return server->dropped(); };
-  target.rejected = [server] { return server->rejected(); };
-  target.frontier = [server] { return server->accepted(); };
-  target.view_seq = [server] { return server->View()->watermark().seq; };
-  target.epochs = [server] {
-    return server->Stats().counter("anc.serve.epochs");
-  };
-  target.num_nodes = [server]() -> uint32_t {
-    const auto view = server->View();
-    return view != nullptr ? view->graph().NumNodes() : 0;
-  };
-  target.query_clusters = [server](const QueryOptions& query) {
-    return server->Clusters(server->View()->DefaultLevel(), query).ok();
-  };
-  target.query_local = [server](NodeId node, const QueryOptions& query) {
-    return server->LocalCluster(node, server->View()->DefaultLevel(), query)
-        .ok();
-  };
-  target.record_load_report = [server](const StreamLoadReport& report) {
-    server->RecordLoadReport(report);
-  };
-  return target;
-}
-
-ServeHarness::ServeHarness(AncServer* server, HarnessOptions options)
-    : ServeHarness(TargetFor(server), options) {}
 
 ServeHarness::ServeHarness(HarnessTarget target, HarnessOptions options)
     : target_(std::move(target)), options_(options) {
@@ -113,7 +76,7 @@ HarnessReport ServeHarness::Run(const ActivationStream& stream) {
   struct QueryThreadStats {
     std::vector<double> latencies_us;
     uint64_t queries = 0;
-    uint64_t shed = 0;
+    uint64_t failed = 0;
     double staleness_sum = 0.0;
     uint64_t staleness_max = 0;
   };
@@ -140,10 +103,10 @@ HarnessReport ServeHarness::Run(const ActivationStream& stream) {
         if (options_.full_clusters_every != 0 &&
             stats.queries % options_.full_clusters_every ==
                 options_.full_clusters_every - 1) {
-          ok = target_.query_clusters(options_.query);
+          ok = target_.query_clusters();
         } else {
           const NodeId node = static_cast<NodeId>(rng.Next() % num_nodes);
-          ok = target_.query_local(node, options_.query);
+          ok = target_.query_local(node);
         }
         const double micros =
             std::chrono::duration<double, std::micro>(
@@ -153,7 +116,7 @@ HarnessReport ServeHarness::Run(const ActivationStream& stream) {
         if (ok) {
           stats.latencies_us.push_back(micros);
         } else {
-          ++stats.shed;
+          ++stats.failed;
         }
       }
     });
@@ -196,7 +159,7 @@ HarnessReport ServeHarness::Run(const ActivationStream& stream) {
   std::vector<double> all_latencies;
   for (QueryThreadStats& stats : per_thread) {
     report.queries += stats.queries;
-    report.shed += stats.shed;
+    report.failed += stats.failed;
     report.mean_staleness_activations += stats.staleness_sum;
     report.max_staleness_activations =
         std::max(report.max_staleness_activations, stats.staleness_max);

@@ -6,8 +6,8 @@
 #include <functional>
 #include <string>
 
-#include "activation/activeness.h"
-#include "serve/server.h"
+#include "activation/stream_io.h"
+#include "util/status.h"
 
 namespace anc::serve {
 
@@ -20,7 +20,6 @@ struct HarnessOptions {
   /// (0 disables the full sweeps).
   uint32_t full_clusters_every = 64;
   uint64_t rng_seed = 1;
-  QueryOptions query;
 };
 
 /// One harness run's scorecard (bench_serve_throughput and
@@ -40,7 +39,8 @@ struct HarnessReport {
   double ingest_per_sec = 0.0;
 
   uint64_t queries = 0;
-  uint64_t shed = 0;
+  /// Queries the target answered with an error (excluded from latency).
+  uint64_t failed = 0;
   double query_p50_us = 0.0;
   double query_p99_us = 0.0;
 
@@ -56,11 +56,11 @@ struct HarnessReport {
 };
 
 /// The routing seam between the harness and whatever it drives: a bundle
-/// of callbacks any serving stack can satisfy — a single AncServer
-/// (TargetFor), a shard::ShardedServer (ShardedServer::HarnessTarget), or
-/// a test double. All callbacks except record_load_report are required and
-/// must be thread-safe: producers call submit concurrently while query
-/// threads poll the counters and issue queries.
+/// of callbacks a serving stack satisfies — shard::ShardedServer
+/// (ShardedServer::HarnessTarget) or a test double. All callbacks except
+/// record_load_report are required and must be thread-safe: producers call
+/// submit concurrently while query threads poll the counters and issue
+/// queries.
 struct HarnessTarget {
   std::function<Result<uint64_t>(const Activation&)> submit;
   std::function<Status(std::chrono::milliseconds)> flush;
@@ -82,16 +82,13 @@ struct HarnessTarget {
   std::function<uint32_t()> num_nodes;
 
   /// Issue one full cluster sweep / one local-cluster query at the
-  /// target's default granularity; return false when shed.
-  std::function<bool(const QueryOptions&)> query_clusters;
-  std::function<bool(NodeId, const QueryOptions&)> query_local;
+  /// target's default granularity; return false when the query failed.
+  std::function<bool()> query_clusters;
+  std::function<bool(NodeId)> query_local;
 
   /// Optional: fold a stream loader's report into the target's stats.
   std::function<void(const StreamLoadReport&)> record_load_report;
 };
-
-/// The canonical single-server target.
-HarnessTarget TargetFor(AncServer* server);
 
 /// Multi-threaded load driver: N producer threads race to submit a
 /// prepared activation stream into a HarnessTarget while M query threads
@@ -102,11 +99,7 @@ HarnessTarget TargetFor(AncServer* server);
 /// boundary.
 class ServeHarness {
  public:
-  /// Convenience: drives a single AncServer (must be started and outlive
-  /// the harness).
-  ServeHarness(AncServer* server, HarnessOptions options);
-
-  /// Drives any target (e.g. a ShardedServer routing to N shards). The
+  /// Drives `target` (e.g. a ShardedServer routing to k >= 1 shards). The
   /// callbacks must stay valid for the harness lifetime.
   ServeHarness(HarnessTarget target, HarnessOptions options);
 

@@ -22,11 +22,13 @@ double MicrosSince(Clock::time_point t) {
 
 }  // namespace
 
-AncServer::AncServer(AncIndex* index, ServeOptions options)
+AncServer::AncServer(AncIndex* index, ServeOptions options,
+                     store::DurableStore* store, tier::TieredStore* tier)
     : index_(index),
       options_(options),
       queue_(options.ingest, &index->metrics()),
-      admission_(options.admission, &index->metrics()) {
+      store_(options.durability != DurabilityPolicy::kNone ? store : nullptr),
+      tier_(tier) {
   ANC_CHECK(index_ != nullptr, "AncServer requires an index");
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.snapshot_every_activations == 0) {
@@ -39,8 +41,6 @@ AncServer::AncServer(AncIndex* index, ServeOptions options)
   m_.batches = registry.Counter("anc.serve.batches");
   m_.batch_size = registry.Histogram("anc.serve.batch_size");
   m_.snapshot_build_us = registry.Histogram("anc.serve.snapshot_build_us");
-  m_.query_us = registry.Histogram("anc.serve.query_us");
-  m_.query_staleness_us = registry.Histogram("anc.serve.query_staleness_us");
   m_.watermark_seq = registry.Gauge("anc.serve.watermark_seq");
   m_.publish_lag = registry.Gauge("anc.serve.publish_lag_activations");
   m_.wal_errors = registry.Counter("anc.serve.wal_errors");
@@ -59,11 +59,10 @@ Status AncServer::Start() {
         "server already stopped; create a new AncServer to serve again");
   }
   if (options_.durability != DurabilityPolicy::kNone) {
-    if (options_.store == nullptr) {
+    if (store_ == nullptr) {
       return Status::FailedPrecondition(
-          "durability policy requires ServeOptions::store");
+          "durability policy requires a DurableStore");
     }
-    store_ = options_.store;
     // Seed from the store's current durable mark (the checkpoint base) and
     // route every fsync-advance back into the durable watermark.
     const store::Mark durable = store_->durable();
@@ -184,8 +183,8 @@ void AncServer::WriterLoop() {
       // Idle wakeups are quiescent points: let the tier demote pages that
       // decayed under the budget and service any finished compaction. A
       // spill failure freezes tiering but never stops live serving.
-      if (options_.tier != nullptr) {
-        const Status tiered = options_.tier->Maintain();
+      if (tier_ != nullptr) {
+        const Status tiered = tier_->Maintain();
         if (!tiered.ok()) RecordStoreError(tiered);
       }
       continue;
@@ -276,8 +275,8 @@ void AncServer::WriterLoop() {
     // Post-batch quiescent point: demotion/compaction never overlaps an
     // Apply, so the tier can move pages without synchronizing with reads
     // of the live index (docs/storage_tiers.md).
-    if (options_.tier != nullptr) {
-      const Status tiered = options_.tier->Maintain();
+    if (tier_ != nullptr) {
+      const Status tiered = tier_->Maintain();
       if (!tiered.ok()) RecordStoreError(tiered);
     }
   }
@@ -306,10 +305,10 @@ void AncServer::ServiceCheckpoint(uint64_t seq, double time) {
   const Status status =
       store_->WriteCheckpoint(*index_, store::Mark{seq, time});
   if (!status.ok()) RecordStoreError(status);
-  if (status.ok() && options_.tier != nullptr) {
+  if (status.ok() && tier_ != nullptr) {
     // The manifest now points at the new head: its segment refs are
     // durable roots, and segments referenced only by the old head can go.
-    options_.tier->OnCheckpointInstalled();
+    tier_->OnCheckpointInstalled();
   }
   {
     util::MutexLock lock(checkpoint_mutex_);
@@ -422,20 +421,6 @@ void AncServer::Publish(Watermark watermark) {
                static_cast<int64_t>(queue_.accepted() - watermark.seq));
 }
 
-Result<uint64_t> AncServer::Submit(const Activation& activation,
-                                   obs::TraceContext trace) {
-  if (activation.edge >= index_->graph().NumEdges()) {
-    return Status::InvalidArgument("activation references edge " +
-                                   std::to_string(activation.edge) +
-                                   " outside the graph");
-  }
-  if (obs::kMetricsEnabled && !trace.active() &&
-      index_->metrics().trace_sink() != nullptr) {
-    trace = obs::TraceContext::NewTrace();
-  }
-  return queue_.Push(activation, trace);
-}
-
 Result<size_t> AncServer::SubmitBatch(const Activation* data, size_t count,
                                       uint64_t* last_seq,
                                       const obs::TraceContext* traces) {
@@ -447,16 +432,6 @@ Result<size_t> AncServer::SubmitBatch(const Activation* data, size_t count,
     }
   }
   return queue_.PushBatch(data, count, last_seq, traces);
-}
-
-Status AncServer::SubmitStream(const ActivationStream& stream,
-                               uint64_t* last_seq) {
-  for (const Activation& activation : stream) {
-    Result<uint64_t> ticket = Submit(activation);
-    if (!ticket.ok()) return ticket.status();
-    if (last_seq != nullptr) *last_seq = *ticket;
-  }
-  return Status::OK();
 }
 
 Status AncServer::Flush(std::chrono::milliseconds timeout) {
@@ -481,20 +456,6 @@ Status AncServer::AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout) {
       reached ? "server stopped before ticket " + std::to_string(seq) +
                     " resolved"
               : "timed out awaiting ticket " + std::to_string(seq));
-}
-
-Status AncServer::AwaitTime(double t, std::chrono::milliseconds timeout) {
-  util::MutexLock lock(watermark_mutex_);
-  if (published_.time >= t) return Status::OK();
-  const bool reached = watermark_cv_.WaitFor(watermark_mutex_, timeout, [&] {
-    watermark_mutex_.AssertHeld();
-    return published_.time >= t ||
-           writer_done_.load(std::memory_order_acquire);
-  });
-  if (published_.time >= t) return Status::OK();
-  return Status::Unavailable(
-      reached ? "server stopped before watermark time " + std::to_string(t)
-              : "timed out awaiting watermark time " + std::to_string(t));
 }
 
 Watermark AncServer::durable_watermark() const {
@@ -594,95 +555,6 @@ void AncServer::RecordLoadReport(const StreamLoadReport& report) {
 std::shared_ptr<const ClusterView> AncServer::View() const {
   util::MutexLock lock(view_mutex_);
   return view_;
-}
-
-Result<Clustering> AncServer::Clusters(uint32_t level,
-                                       const QueryOptions& query) {
-  std::shared_ptr<const ClusterView> view = View();
-  if (view == nullptr) {
-    return Status::FailedPrecondition("server not started");
-  }
-  if (level < 1 || level > view->num_levels()) {
-    return Status::OutOfRange("level must be in [1, " +
-                              std::to_string(view->num_levels()) + "]");
-  }
-  const AdmissionDecision decision =
-      admission_.Admit(level, *view, queue_.Depth(), query);
-  if (decision.action == AdmissionDecision::Action::kShed) {
-    return decision.status;
-  }
-  obs::MetricsRegistry& registry = index_->metrics();
-  registry.Record(m_.query_staleness_us, view->AgeSeconds() * 1e6);
-  const Clock::time_point start = Clock::now();
-  Clustering out = view->Clusters(decision.level);
-  const double micros = MicrosSince(start);
-  registry.Record(m_.query_us, micros);
-  admission_.RecordLatency(micros * 1e-6);
-  return out;
-}
-
-Result<Clustering> AncServer::Clusters() {
-  std::shared_ptr<const ClusterView> view = View();
-  if (view == nullptr) {
-    return Status::FailedPrecondition("server not started");
-  }
-  return Clusters(view->DefaultLevel());
-}
-
-Result<std::vector<NodeId>> AncServer::LocalCluster(NodeId node,
-                                                    uint32_t level,
-                                                    const QueryOptions& query) {
-  std::shared_ptr<const ClusterView> view = View();
-  if (view == nullptr) {
-    return Status::FailedPrecondition("server not started");
-  }
-  if (node >= view->graph().NumNodes()) {
-    return Status::OutOfRange("node out of range");
-  }
-  if (level < 1 || level > view->num_levels()) {
-    return Status::OutOfRange("level must be in [1, " +
-                              std::to_string(view->num_levels()) + "]");
-  }
-  const AdmissionDecision decision =
-      admission_.Admit(level, *view, queue_.Depth(), query);
-  if (decision.action == AdmissionDecision::Action::kShed) {
-    return decision.status;
-  }
-  obs::MetricsRegistry& registry = index_->metrics();
-  registry.Record(m_.query_staleness_us, view->AgeSeconds() * 1e6);
-  const Clock::time_point start = Clock::now();
-  std::vector<NodeId> out = view->LocalCluster(node, decision.level);
-  const double micros = MicrosSince(start);
-  registry.Record(m_.query_us, micros);
-  admission_.RecordLatency(micros * 1e-6);
-  return out;
-}
-
-Result<std::vector<NodeId>> AncServer::SmallestCluster(
-    NodeId node, uint32_t min_size, uint32_t* level_out,
-    const QueryOptions& query) {
-  std::shared_ptr<const ClusterView> view = View();
-  if (view == nullptr) {
-    return Status::FailedPrecondition("server not started");
-  }
-  if (node >= view->graph().NumNodes()) {
-    return Status::OutOfRange("node out of range");
-  }
-  // SmallestCluster scans levels itself, so degradation does not apply;
-  // the admission check is for shedding only.
-  const AdmissionDecision decision =
-      admission_.Admit(view->DefaultLevel(), *view, queue_.Depth(), query);
-  if (decision.action == AdmissionDecision::Action::kShed) {
-    return decision.status;
-  }
-  obs::MetricsRegistry& registry = index_->metrics();
-  registry.Record(m_.query_staleness_us, view->AgeSeconds() * 1e6);
-  const Clock::time_point start = Clock::now();
-  std::vector<NodeId> out = view->SmallestCluster(node, min_size, level_out);
-  const double micros = MicrosSince(start);
-  registry.Record(m_.query_us, micros);
-  admission_.RecordLatency(micros * 1e-6);
-  return out;
 }
 
 Status AncServer::writer_status() const {

@@ -12,7 +12,6 @@
 #include "activation/stream_io.h"
 #include "core/anc.h"
 #include "obs/metrics.h"
-#include "serve/admission.h"
 #include "serve/cluster_view.h"
 #include "serve/ingest_queue.h"
 #include "util/status.h"
@@ -45,14 +44,12 @@ enum class DurabilityPolicy {
 /// Serving-layer configuration (docs/serving.md).
 struct ServeOptions {
   IngestOptions ingest;
-  AdmissionOptions admission;
 
-  /// Durability (docs/durability.md): with a policy other than kNone,
-  /// `store` must point at a DurableStore opened on this server's index
-  /// (it must outlive the server). The writer write-ahead-logs every
-  /// drained batch before applying it.
+  /// Durability (docs/durability.md): with a policy other than kNone, the
+  /// engine must be given a DurableStore opened on its index (see the
+  /// AncServer constructor). The writer write-ahead-logs every drained
+  /// batch before applying it.
   DurabilityPolicy durability = DurabilityPolicy::kNone;
-  store::DurableStore* store = nullptr;
 
   /// > 0: the writer rotates a checkpoint automatically after this many
   /// applied activations (on top of explicit RequestCheckpoint calls).
@@ -75,51 +72,52 @@ struct ServeOptions {
 
   /// Shard ordinal stamped onto this server's trace spans (the `shard`
   /// field), so a sharded deployment's interleaved spans attribute to the
-  /// right replica. < 0 (the standalone default) omits the field.
+  /// right replica. < 0 omits the field.
   int shard_ordinal = -1;
-
-  /// Hot/cold tiering (docs/storage_tiers.md): when set, the writer calls
-  /// tier->Maintain() at quiescent points (post-batch and on idle wakeups)
-  /// to demote cold pages and service compactions, and
-  /// tier->OnCheckpointInstalled() after every successful checkpoint so
-  /// newly referenced segments become durable roots. Pair with
-  /// StoreOptions::checkpoint_writer = tier->CheckpointWriter() so
-  /// checkpoints rotate as incremental segment promotions instead of full
-  /// index rewrites. Must outlive the server.
-  tier::TieredStore* tier = nullptr;
 };
 
-/// The concurrent serving engine: a batched single-writer ingest pipeline
-/// over an AncIndex plus epoch-published immutable snapshots for readers
+/// The per-shard serving engine of shard::ShardedServer (the only public
+/// server, docs/sharding.md): a batched single-writer ingest pipeline over
+/// one AncIndex plus epoch-published immutable snapshots for readers
 /// (docs/serving.md).
 ///
-///   producers --Submit--> [bounded MPSC IngestQueue] --PopBatch-->
-///     writer thread: AncIndex::Apply x batch --> publish ClusterView
+///   router --SubmitBatch--> [bounded MPSC IngestQueue] --PopBatch-->
+///     writer thread: AncIndex::ApplyBatch --> publish ClusterView
 ///       (shared_ptr swap under a micro-lock, epoch++) --> waiters notified
-///   readers  --View() / Clusters() / LocalCluster() / ...--> snapshot
+///   readers  --View()--> snapshot
 ///
 /// Threading contract:
-///  - Submit / SubmitStream: any thread.
-///  - View / Clusters / LocalCluster / SmallestCluster / watermark /
-///    AwaitSeq / AwaitTime / Stats: any thread; acquiring the snapshot is
-///    one shared_ptr copy under a mutex held for only that copy, and the
-///    query then runs entirely against the immutable snapshot with no
-///    further synchronization.
+///  - SubmitBatch: any thread.
+///  - View / watermark / AwaitSeq / Stats: any thread; acquiring the
+///    snapshot is one shared_ptr copy under a mutex held for only that
+///    copy, and the query then runs entirely against the immutable
+///    snapshot with no further synchronization.
 ///  - The underlying AncIndex is mutated *only* by the writer thread
 ///    between Start() and Stop(); callers must not touch it directly
 ///    while the server is running (quiesce with Stop() first).
 ///
-/// Watermark semantics are linearizable: when AwaitSeq(s) (or AwaitTime(t))
-/// returns OK, every later View() includes all activations with ticket
-/// <= s (timestamp <= t). Under kDropOldest, evicted activations resolve
-/// the watermark without being applied — bounded loss in exchange for
-/// liveness, visible in Stats() as anc.serve.ingest_dropped.
+/// Watermark semantics are linearizable: when AwaitSeq(s) returns OK,
+/// every later View() includes all activations with ticket <= s. Under
+/// kDropOldest, evicted activations resolve the watermark without being
+/// applied — bounded loss in exchange for liveness, visible in Stats() as
+/// anc.serve.ingest_dropped.
 class AncServer {
  public:
   /// `index` must outlive the server and be quiescent (no concurrent use)
   /// while the server runs. Serve metrics are recorded into the index's
   /// own registry, so AncIndex::Stats() covers the whole stack.
-  AncServer(AncIndex* index, ServeOptions options);
+  ///
+  /// `store` (required when options.durability != kNone) is a
+  /// DurableStore opened on `index`. `tier` (optional) is the TieredStore
+  /// the index's columns are attached to: the writer calls
+  /// tier->Maintain() at quiescent points (post-batch and on idle wakeups)
+  /// to demote cold pages and service compactions, and
+  /// tier->OnCheckpointInstalled() after every successful checkpoint so
+  /// newly referenced segments become durable roots (docs/storage_tiers.md).
+  /// Both must outlive the server.
+  AncServer(AncIndex* index, ServeOptions options,
+            store::DurableStore* store = nullptr,
+            tier::TieredStore* tier = nullptr);
   ~AncServer();
 
   AncServer(const AncServer&) = delete;
@@ -136,17 +134,8 @@ class AncServer {
 
   // --- Producer side ------------------------------------------------------
 
-  /// Enqueues one activation; returns its durability ticket (see
-  /// AwaitSeq). Backpressure behavior per ServeOptions::ingest. `trace`
-  /// correlates the activation's queue-wait/apply/publish spans
-  /// (docs/observability.md); when omitted and a trace sink is attached to
-  /// the index's registry, a fresh root trace is minted so every submitted
-  /// request is traceable without caller involvement.
-  Result<uint64_t> Submit(const Activation& activation,
-                          obs::TraceContext trace = {});
-
   /// Enqueues `count` activations under one queue lock and one writer
-  /// wakeup (IngestQueue::PushBatch) — the fan-out fast path used by
+  /// wakeup (IngestQueue::PushBatch) — the hand-off from
   /// shard::ShardedServer's router. Validates every edge up front
   /// (InvalidArgument, nothing enqueued, on any out-of-range edge), then
   /// returns the number the queue accepted and the last ticket issued via
@@ -157,11 +146,6 @@ class AncServer {
   Result<size_t> SubmitBatch(const Activation* data, size_t count,
                              uint64_t* last_seq = nullptr,
                              const obs::TraceContext* traces = nullptr);
-
-  /// Enqueues a whole stream in order; stops at the first rejected
-  /// activation. Returns the last ticket issued via *last_seq (optional).
-  Status SubmitStream(const ActivationStream& stream,
-                      uint64_t* last_seq = nullptr);
 
   /// Blocks until every activation accepted before the call is reflected
   /// in the published view (or `timeout` elapses -> Unavailable).
@@ -175,11 +159,6 @@ class AncServer {
 
   /// Blocks until the published watermark covers ticket `seq`.
   Status AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout);
-
-  /// Blocks until the published watermark covers activation timestamp `t`.
-  /// The watermark only reaches `t` once an activation with timestamp
-  /// >= t has been applied, so await a time you actually submitted.
-  Status AwaitTime(double t, std::chrono::milliseconds timeout);
 
   /// The durable watermark: every activation with ticket <= seq is covered
   /// by an fsynced WAL record (or a checkpoint), so crash recovery
@@ -248,22 +227,8 @@ class AncServer {
   /// query runs; the writer publishing newer epochs never invalidates it.
   std::shared_ptr<const ClusterView> View() const;
 
-  /// Admission-controlled snapshot queries: consult the overload layer
-  /// (shed / degrade per ServeOptions::admission and the per-query
-  /// deadline), then answer from the current view. Shed queries return
-  /// Status::Unavailable without touching the snapshot.
-  Result<Clustering> Clusters(uint32_t level, const QueryOptions& query = {});
-  Result<Clustering> Clusters() /*default level*/;
-  Result<std::vector<NodeId>> LocalCluster(NodeId node, uint32_t level,
-                                           const QueryOptions& query = {});
-  Result<std::vector<NodeId>> SmallestCluster(NodeId node,
-                                              uint32_t min_size = 2,
-                                              uint32_t* level_out = nullptr,
-                                              const QueryOptions& query = {});
-
   // --- Introspection ------------------------------------------------------
 
-  const AdmissionController& admission() const { return admission_; }
   size_t IngestDepth() const { return queue_.Depth(); }
   uint64_t accepted() const { return queue_.accepted(); }
   uint64_t dropped() const { return queue_.dropped(); }
@@ -310,8 +275,8 @@ class AncServer {
   AncIndex* index_;
   ServeOptions options_;
   IngestQueue queue_;
-  AdmissionController admission_;
-  store::DurableStore* store_ = nullptr;  // set in Start() when policy != kNone
+  store::DurableStore* const store_;  // null or the constructor's store
+  tier::TieredStore* const tier_;
 
   std::thread writer_;
   std::atomic<bool> running_{false};
@@ -381,8 +346,6 @@ class AncServer {
     obs::CounterId batches;
     obs::HistogramId batch_size;
     obs::HistogramId snapshot_build_us;
-    obs::HistogramId query_us;
-    obs::HistogramId query_staleness_us;
     obs::GaugeId watermark_seq;
     obs::GaugeId publish_lag;
     obs::CounterId wal_errors;

@@ -45,11 +45,6 @@ Status RemainingBudget(std::chrono::steady_clock::time_point deadline,
 
 Result<std::unique_ptr<ShardedServer>> ShardedServer::Create(
     const Graph& graph, const AncConfig& config, ShardedOptions options) {
-  if (options.serve.store != nullptr) {
-    return Status::InvalidArgument(
-        "leave ShardedOptions::serve.store null: per-shard stores are "
-        "opened by Start()");
-  }
   if (options.serve.durability != serve::DurabilityPolicy::kNone &&
       options.store_dir.empty()) {
     return Status::InvalidArgument(
@@ -373,11 +368,38 @@ Result<std::pair<Partition, uint32_t>> ShardedServer::ReadMeta(
   return std::make_pair(std::move(partition), header[2]);
 }
 
+Status ShardedServer::OpenShardStore(uint32_t s,
+                                     store::StoreOptions store_options) {
+  Shard& shard = shards_[s];
+  if (options_.tier.has_value()) {
+    // Same wiring as a single tiered store: attach the columns, checkpoint
+    // through the tier's segment writer, and mark Open's base head as
+    // installed so the tier's GC roots follow it (docs/storage_tiers.md).
+    Result<std::unique_ptr<tier::TieredStore>> tier = tier::TieredStore::Open(
+        ShardDir(s), *options_.tier, &shard.index->metrics());
+    ANC_RETURN_NOT_OK(tier.status());
+    shard.tier = std::move(tier.value());
+    shard.index->AttachTier(shard.tier.get());
+    store_options.checkpoint_writer = shard.tier->CheckpointWriter();
+  }
+  Result<std::unique_ptr<store::DurableStore>> store =
+      store::DurableStore::Open(ShardDir(s), *shard.index, shard.start_mark,
+                                store_options, &shard.index->metrics());
+  ANC_RETURN_NOT_OK(store.status());
+  shard.store = std::move(store.value());
+  if (shard.tier != nullptr) shard.tier->OnCheckpointInstalled();
+  return Status::OK();
+}
+
 Status ShardedServer::Start() {
   if (started_once_) {
     return Status::FailedPrecondition(
         "ShardedServer cannot restart; build a new instance (RecoverAll "
         "for durable state)");
+  }
+  if (options_.tier.has_value() &&
+      options_.serve.durability == serve::DurabilityPolicy::kNone) {
+    return Status::InvalidArgument("tiered shards require durability");
   }
   if (options_.serve.durability != serve::DurabilityPolicy::kNone) {
     if (options_.store_dir.empty()) {
@@ -396,17 +418,11 @@ Status ShardedServer::Start() {
     store::StoreOptions store_options = options_.store;
     store_options.retain_wal_history = true;
     for (uint32_t s = 0; s < num_shards(); ++s) {
-      Shard& shard = shards_[s];
-      Result<std::unique_ptr<store::DurableStore>> store =
-          store::DurableStore::Open(ShardDir(s), *shard.index,
-                                    shard.start_mark, store_options,
-                                    &shard.index->metrics());
-      if (!store.ok()) {
-        return Status(store.status().code(), "shard " + std::to_string(s) +
-                                                 ": " +
-                                                 store.status().message());
+      const Status opened = OpenShardStore(s, store_options);
+      if (!opened.ok()) {
+        return Status(opened.code(),
+                      "shard " + std::to_string(s) + ": " + opened.message());
       }
-      shard.store = std::move(store.value());
     }
     // Only now — with every store open and its Open-time checkpoint
     // durable — is a rolled-forward migration's state independent of its
@@ -429,13 +445,12 @@ Status ShardedServer::Start() {
   for (uint32_t s = 0; s < num_shards(); ++s) {
     Shard& shard = shards_[s];
     serve::ServeOptions serve_options = options_.serve;
-    serve_options.store = shard.store.get();
     serve_options.shard_ordinal = static_cast<int>(s);
-    if (serve_options.store == nullptr) {
+    if (shard.store == nullptr) {
       serve_options.durability = serve::DurabilityPolicy::kNone;
     }
-    shard.server =
-        std::make_unique<serve::AncServer>(shard.index.get(), serve_options);
+    shard.server = std::make_unique<serve::AncServer>(
+        shard.index.get(), serve_options, shard.store.get(), shard.tier.get());
     const Status status = shard.server->Start();
     if (!status.ok()) {
       for (uint32_t t = 0; t < s; ++t) shards_[t].server->Stop();
@@ -1011,7 +1026,9 @@ serve::HarnessTarget ShardedServer::HarnessTarget() {
     for (const Shard& shard : shards_) dropped += shard.server->dropped();
     return dropped;
   };
-  target.rejected = [this] { return rejected(); };
+  // Bad edges plus deliveries a shard queue refused (kReject overflow):
+  // both are submissions some replica never applied.
+  target.rejected = [this] { return rejected() + halo_partial(); };
   // Staleness in delivery units (halo duplicates counted once per
   // receiving shard) so frontier and view_seq share a scale.
   target.frontier = [this] {
@@ -1034,16 +1051,11 @@ serve::HarnessTarget ShardedServer::HarnessTarget() {
     return epochs;
   };
   target.num_nodes = [this] { return graph_->NumNodes(); };
-  // Merged queries bypass per-shard admission (docs/sharding.md), so they
-  // are never shed. Routing through Clusters()/LocalCluster() (not a raw
-  // View()) means harness-driven queries carry traces and land in the
-  // router registry's query histograms.
-  target.query_clusters = [this](const serve::QueryOptions&) {
-    return Clusters().ok();
-  };
-  target.query_local = [this](NodeId node, const serve::QueryOptions&) {
-    return LocalCluster(node).ok();
-  };
+  // Routing through Clusters()/LocalCluster() (not a raw View()) means
+  // harness-driven queries carry traces and land in the router registry's
+  // query histograms.
+  target.query_clusters = [this] { return Clusters().ok(); };
+  target.query_local = [this](NodeId node) { return LocalCluster(node).ok(); };
   target.record_load_report = [this](const StreamLoadReport& report) {
     shards_[0].server->RecordLoadReport(report);
   };

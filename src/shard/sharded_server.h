@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "shard/router.h"
 #include "shard/sharded_view.h"
 #include "store/store.h"
+#include "tier/tiered_store.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -28,9 +30,9 @@ struct ShardedOptions {
   /// How vertices are assigned to shards (docs/sharding.md).
   PartitionOptions partition;
 
-  /// Per-shard serving template, applied to every AncServer shard.
-  /// `serve.store` must stay null — per-shard stores are opened by
-  /// Start() from `store_dir` when `serve.durability` != kNone.
+  /// Per-shard serving template, applied to every AncServer engine.
+  /// Per-shard stores are opened by Start() from `store_dir` when
+  /// `serve.durability` != kNone.
   serve::ServeOptions serve;
 
   /// Base directory for per-shard durability: shard i logs under
@@ -41,6 +43,14 @@ struct ShardedOptions {
 
   /// Per-shard WAL/checkpoint knobs.
   store::StoreOptions store;
+
+  /// Hot/cold tiering (docs/storage_tiers.md): when set, Start() opens one
+  /// TieredStore per shard under <store_dir>/shard-<i>/tier, attaches the
+  /// shard index's columns to it and checkpoints through its segment
+  /// writer; the shard's writer drives demotion and compaction at its
+  /// quiescent points. Requires durability (Start() fails InvalidArgument
+  /// otherwise).
+  std::optional<tier::TierOptions> tier;
 };
 
 /// Per-shard scorecard of a RecoverAll (mirrors store::RecoveredStore).
@@ -54,8 +64,8 @@ struct ShardRecoveryInfo {
   bool truncated_tail = false;
 };
 
-/// A horizontally partitioned serving stack (docs/sharding.md): N
-/// single-writer AncServer shards behind one router.
+/// The serving stack (docs/sharding.md): k >= 1 single-writer AncServer
+/// engines behind one router. k = 1 is the unsharded server.
 ///
 /// Each shard holds a *full-graph replica* of the index (same graph, same
 /// config, hence — by construction determinism — an identical initial
@@ -76,12 +86,9 @@ struct ShardRecoveryInfo {
 ///  - Global tickets: Submit returns a ShardedServer-level sequence
 ///    number; AwaitSeq(seq) blocks until every shard has resolved every
 ///    delivery routed at or before ticket `seq` (conservative: it may wait
-///    for a few later ones too). AwaitTime is deliberately absent — shards
+///    for a few later ones too). There is no time watermark — shards
 ///    apply independent sub-streams, so a scalar time watermark would be
 ///    ambiguous; use Flush() or AwaitSeq.
-///  - Merged queries bypass per-shard admission (each shard still admits
-///    its own direct queries); overload shedding for merged reads is
-///    future work, tracked in docs/sharding.md.
 class ShardedServer {
  public:
   /// Builds `options.partition.num_shards` replicas of (graph, config).
@@ -255,6 +262,12 @@ class ShardedServer {
     return shards_[s].store.get();
   }
 
+  /// Shard s's tier (null unless ShardedOptions::tier is set, or before
+  /// Start).
+  const tier::TieredStore* shard_tier(uint32_t s) const {
+    return shards_[s].tier.get();
+  }
+
   /// Base directory of per-shard durability (ShardedOptions::store_dir;
   /// empty when non-durable). Shard i's WAL lives under shard-<i>, and
   /// migration artifacts live at the top level next to shards.meta.
@@ -291,10 +304,8 @@ class ShardedServer {
     return shards_[s].server->Stats();
   }
 
-  /// Adapter driving this server from a ServeHarness (satellite of the
-  /// sharding PR: the harness routes through callbacks, not a hardcoded
-  /// AncServer). The target borrows this server; keep it alive and
-  /// running for the harness run.
+  /// Adapter driving this server from a ServeHarness. The target borrows
+  /// this server; keep it alive and running for the harness run.
   serve::HarnessTarget HarnessTarget();
 
   // --- Live migration hooks (rebalance::Migrator; docs/sharding.md) -------
@@ -380,6 +391,9 @@ class ShardedServer {
   struct Shard {
     std::unique_ptr<Graph> owned_graph;  ///< recovery path only
     std::unique_ptr<AncIndex> index;
+    /// Declared between index and store so teardown runs store -> tier ->
+    /// index: the tier detaches its columns while the index is alive.
+    std::unique_ptr<tier::TieredStore> tier;
     std::unique_ptr<store::DurableStore> store;
     std::unique_ptr<serve::AncServer> server;
     store::Mark start_mark;  ///< durability base (recovered watermark)
@@ -389,6 +403,9 @@ class ShardedServer {
                 Partition partition, ShardedOptions options);
 
   std::string ShardDir(uint32_t s) const;
+  /// Opens shard s's durable store (and, with ShardedOptions::tier, its
+  /// TieredStore first) at the shard's start mark.
+  Status OpenShardStore(uint32_t s, store::StoreOptions store_options);
   Status WriteMeta() const;
   static Result<std::pair<Partition, uint32_t>> ReadMeta(
       const std::string& dir);

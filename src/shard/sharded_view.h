@@ -83,13 +83,6 @@ class ShardedView {
     return max_time;
   }
 
-  /// Age of the stalest per-shard snapshot (admission signal).
-  double AgeSeconds() const {
-    double age = 0.0;
-    for (const auto& view : views_) age = std::max(age, view->AgeSeconds());
-    return age;
-  }
-
   // --- Queries (identical semantics to AncIndex / ClusterView) ------------
 
   /// All clusters at `level`, merged across shards (power clustering by

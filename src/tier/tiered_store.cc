@@ -409,6 +409,7 @@ void TieredStore::MaybeStartCompactionLocked() {
   }
   const uint64_t out_id = next_segment_id_++;
   job.output = tier_dir_ + "/" + SegmentFileName(out_id);
+  compaction_output_ = SegmentFileName(out_id);
   compaction_inflight_ = compactor_->Submit(std::move(job)).ok();
 }
 
@@ -515,6 +516,9 @@ void TieredStore::GcLocked() {
       if (head_refs_.count(name) != 0) continue;        // recovery root
       if (staged_refs_.count(name) != 0) continue;      // head in flight
       if (protect_preexisting_ && preexisting_.count(name) != 0) continue;
+      // A finished background merge is sealed under its final name before
+      // the next Maintain installs it.
+      if (compaction_inflight_ && name == compaction_output_) continue;
       fs::remove(entry.path(), ec);
       if (!ec) ++segments_deleted_;
     } else if (IsTempFileName(name) && !compaction_inflight_) {

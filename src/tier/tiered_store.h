@@ -198,6 +198,8 @@ class TieredStore : public ColumnHost {
   std::set<std::string> preexisting_ ANC_GUARDED_BY(mutex_);
   std::unique_ptr<Compactor> compactor_ ANC_GUARDED_BY(mutex_);
   bool compaction_inflight_ ANC_GUARDED_BY(mutex_) = false;
+  /// Segment file name the in-flight merge seals into (GC must keep it).
+  std::string compaction_output_ ANC_GUARDED_BY(mutex_);
 
   std::atomic<uint64_t> resident_bytes_{0};
 

@@ -486,7 +486,7 @@ TEST(ServeStressTest, PublishRaceAudit) {
     producers.emplace_back([&] {
       for (size_t i = next.fetch_add(1); i < stream.size();
            i = next.fetch_add(1)) {
-        ASSERT_TRUE(server.Submit(stream[i]).ok());
+        ASSERT_EQ(server.SubmitBatch(&stream[i], 1).value(), 1u);
       }
     });
   }
@@ -563,8 +563,7 @@ TEST(StoreStressTest, WriterVsGroupCommitFlusherRaceAudit) {
   options.ingest.clamp_out_of_order = true;
   options.max_batch = 4;  // many small WAL appends racing the flusher
   options.durability = serve::DurabilityPolicy::kAsync;
-  options.store = opened.value().get();
-  serve::AncServer server(&index, options);
+  serve::AncServer server(&index, options, opened.value().get());
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kProducers = 3;
@@ -575,7 +574,7 @@ TEST(StoreStressTest, WriterVsGroupCommitFlusherRaceAudit) {
     producers.emplace_back([&] {
       for (size_t i = next.fetch_add(1); i < stream.size();
            i = next.fetch_add(1)) {
-        ASSERT_TRUE(server.Submit(stream[i]).ok());
+        ASSERT_EQ(server.SubmitBatch(&stream[i], 1).value(), 1u);
       }
     });
   }

@@ -598,11 +598,11 @@ TEST(NetServerTest, TenantQuotaRejectsWhenExhausted) {
 }
 
 TEST(NetServerTest, TenantQuotaMapIsBounded) {
-  serve::AdmissionOptions options;
+  net::AdmissionOptions options;
   options.tenant_quota_per_s = 0.001;  // effectively no refill
   options.tenant_quota_burst = 1.0;
   options.tenant_quota_max_tenants = 4;
-  serve::AdmissionController admission(options);
+  net::AdmissionController admission(options);
 
   ASSERT_TRUE(admission.AdmitTenant(1).ok());
   EXPECT_EQ(admission.AdmitTenant(1).code(), StatusCode::kUnavailable);

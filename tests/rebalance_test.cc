@@ -29,12 +29,12 @@
 #include "rebalance/migrator.h"
 #include "rebalance/monitor.h"
 #include "rebalance/rebalancer.h"
-#include "serve/server.h"
 #include "shard/partitioner.h"
 #include "shard/router.h"
 #include "shard/sharded_server.h"
 #include "shard/sharded_view.h"
 #include "store/test_hooks.h"
+#include "tier/tiered_store.h"
 #include "util/rng.h"
 
 namespace anc {
@@ -656,6 +656,80 @@ TEST(LiveMigrationTest, MergedAnswersStayByteIdenticalAcrossMigration) {
     ASSERT_TRUE(local.ok());
     EXPECT_EQ(local.value(), oracle.LocalCluster(v, oracle.DefaultLevel()));
   }
+  server.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LiveMigrationTest, TieredShardsMigrateAndRecoverByteIdentical) {
+  Rng rng(63);
+  GroundTruthGraph data = DisjointCommunities(rng);
+  const Graph& g = data.graph;
+  const AncConfig config = TestConfig();
+  const ActivationStream stream =
+      CommunityBiasedStream(g, data.truth.labels, 30, 0.05, 4.0, rng);
+  const size_t half = stream.size() / 2;
+  const ActivationStream first(stream.begin(), stream.begin() + half);
+  const ActivationStream second(stream.begin() + half, stream.end());
+  const std::string dir = TempDir("anc_rebalance_tiered");
+
+  // Two tiered shards: communities 0 and 2 on shard 0, 1 and 3 on shard 1.
+  // A small resident budget keeps both tiers spilling while the import
+  // writes moved edges' history into the target's columns.
+  ShardedOptions options;
+  options.partition.num_shards = 2;
+  options.partition.explicit_assignment = data.truth.labels;
+  for (uint32_t& shard : options.partition.explicit_assignment) shard %= 2;
+  options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
+  options.store_dir = dir;
+  tier::TierOptions tier_options;
+  tier_options.tier_budget_bytes = 4096;
+  tier_options.page_elems = 64;
+  tier_options.compact_min_segments = 4;
+  options.tier = tier_options;
+  const std::vector<NodeId> moving = CommunityMembers(data, 2);
+  AncIndex oracle(g, config);
+  {
+    auto created = ShardedServer::Create(g, config, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ShardedServer& server = *created.value();
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(server.SubmitStream(first).ok());
+    ASSERT_TRUE(server.FlushDurable(kAwait).ok());
+    ASSERT_TRUE(oracle.ApplyStream(first).ok());
+    ExpectMatchesOracle(server, oracle, "tiered, before migration");
+
+    // Ingest keeps flowing while community 2 moves from shard 0 to 1.
+    std::thread producer([&] {
+      for (const Activation& activation : second) {
+        ASSERT_TRUE(server.Submit(activation).ok());
+      }
+    });
+    Migrator migrator(&server);
+    const Status migrated = migrator.Migrate(moving, 1);
+    producer.join();
+    ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+    EXPECT_EQ(server.router()->NodeOwner(moving[0]), 1u);
+
+    ASSERT_TRUE(server.FlushDurable(kAwait).ok());
+    ASSERT_TRUE(oracle.ApplyStream(second).ok());
+    ExpectMatchesOracle(server, oracle, "tiered, after migration");
+    server.Stop();
+    EXPECT_TRUE(server.store_status().ok())
+        << server.store_status().ToString();
+    for (uint32_t s = 0; s < server.num_shards(); ++s) {
+      ASSERT_NE(server.shard_tier(s), nullptr);
+      EXPECT_GT(server.shard_tier(s)->Stats().spills, 0u) << "shard " << s;
+    }
+  }
+
+  // Recovery resolves each shard's page references and replays its WAL
+  // tail on top of the post-migration checkpoint.
+  auto recovered = ShardedServer::RecoverAll(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ShardedServer& server = *recovered.value();
+  EXPECT_EQ(server.router()->NodeOwner(moving[0]), 1u);
+  ASSERT_TRUE(server.Start().ok());
+  ExpectMatchesOracle(server, oracle, "tiered, recovered");
   server.Stop();
   std::filesystem::remove_all(dir);
 }

@@ -1,9 +1,10 @@
 // Serving-layer tests (src/serve/): ingest-queue backpressure and ticket
-// semantics, watermark linearizability, snapshot/live equivalence (views
-// must be byte-identical to a quiesced single-threaded AncIndex at the
-// same watermark), admission decisions, query edge cases under views, and
-// a reader-vs-writer stress that doubles as a TSan target (scripts/check.sh
-// tsan).
+// semantics, the per-shard AncServer engine's watermark linearizability and
+// snapshot/live equivalence (views must be byte-identical to a quiesced
+// single-threaded AncIndex at the same watermark), query edge cases under
+// views, and — through a one-shard ShardedServer, the public server — query
+// range validation, the harness and a reader-vs-writer stress that doubles
+// as a TSan target (scripts/check.sh tsan).
 
 #include <atomic>
 #include <chrono>
@@ -26,25 +27,21 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/admission.h"
 #include "serve/cluster_view.h"
 #include "serve/harness.h"
 #include "serve/ingest_queue.h"
 #include "serve/server.h"
+#include "shard/sharded_server.h"
 #include "util/rng.h"
 
 namespace anc {
 namespace {
 
-using serve::AdmissionController;
-using serve::AdmissionDecision;
-using serve::AdmissionOptions;
 using serve::AncServer;
 using serve::BackpressurePolicy;
 using serve::ClusterView;
 using serve::IngestOptions;
 using serve::IngestQueue;
-using serve::QueryOptions;
 using serve::ServeOptions;
 using serve::Watermark;
 
@@ -65,6 +62,30 @@ GroundTruthGraph SmallCommunityGraph(uint64_t seed = 11) {
   pp.max_size = 14;
   Rng rng(seed);
   return PlantedPartition(pp, rng);
+}
+
+/// Enqueues `stream` through the engine's batch hand-off (the router's
+/// path); every entry must be accepted. Returns the last ticket.
+uint64_t SubmitAll(AncServer& server, const ActivationStream& stream) {
+  uint64_t last_seq = 0;
+  Result<size_t> accepted =
+      server.SubmitBatch(stream.data(), stream.size(), &last_seq);
+  EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted.ok() ? accepted.value() : 0, stream.size());
+  return last_seq;
+}
+
+/// A started one-shard ShardedServer: the public server at k = 1.
+std::unique_ptr<shard::ShardedServer> StartOneShard(
+    const Graph& g, ServeOptions serve = ServeOptions{}) {
+  shard::ShardedOptions options;
+  options.partition.num_shards = 1;
+  options.serve = serve;
+  auto created = shard::ShardedServer::Create(g, SmallConfig(), options);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  if (!created.ok()) return nullptr;
+  EXPECT_TRUE(created.value()->Start().ok());
+  return std::move(created.value());
 }
 
 /// Asserts every query on `view` answers byte-identically to the (quiesced)
@@ -216,8 +237,7 @@ TEST(ServeEquivalenceTest, ViewMatchesQuiescedIndexAfterFlush) {
   options.snapshot_every_activations = 16;
   AncServer server(&served, options);
   ASSERT_TRUE(server.Start().ok());
-  uint64_t last_seq = 0;
-  ASSERT_TRUE(server.SubmitStream(stream, &last_seq).ok());
+  const uint64_t last_seq = SubmitAll(server, stream);
   EXPECT_EQ(last_seq, stream.size());
   ASSERT_TRUE(server.Flush(kAwait).ok());
   EXPECT_TRUE(server.writer_status().ok());
@@ -244,7 +264,7 @@ TEST(ServeEquivalenceTest, ZoomCursorOnViewMatchesIndexCursor) {
   AncIndex index(data.graph, SmallConfig());
   AncServer server(&index, ServeOptions{});
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  SubmitAll(server, stream);
   ASSERT_TRUE(server.Flush(kAwait).ok());
   server.Stop();
 
@@ -291,9 +311,9 @@ TEST(ServeWatermarkTest, AwaitSeqIsLinearizable) {
   const size_t half = stream.size() / 2;
   uint64_t mid_seq = 0;
   for (size_t i = 0; i < half; ++i) {
-    Result<uint64_t> ticket = server.Submit(stream[i]);
-    ASSERT_TRUE(ticket.ok());
-    mid_seq = *ticket;
+    Result<size_t> accepted = server.SubmitBatch(&stream[i], 1, &mid_seq);
+    ASSERT_TRUE(accepted.ok());
+    ASSERT_EQ(accepted.value(), 1u);
   }
   ASSERT_TRUE(server.AwaitSeq(mid_seq, kAwait).ok());
   std::shared_ptr<const ClusterView> mid_view = server.View();
@@ -308,27 +328,10 @@ TEST(ServeWatermarkTest, AwaitSeqIsLinearizable) {
   ExpectViewMatchesIndex(*mid_view, reference);
 
   for (size_t i = half; i < stream.size(); ++i) {
-    ASSERT_TRUE(server.Submit(stream[i]).ok());
+    ASSERT_EQ(server.SubmitBatch(&stream[i], 1).value(), 1u);
   }
   ASSERT_TRUE(server.Flush(kAwait).ok());
   EXPECT_GE(server.watermark().seq, stream.size());
-  server.Stop();
-}
-
-TEST(ServeWatermarkTest, AwaitTimeCoversTimestamp) {
-  GroundTruthGraph data = SmallCommunityGraph(41);
-  Rng rng(13);
-  ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 10, 0.1, 4.0, rng);
-  ASSERT_FALSE(stream.empty());
-  const double last_time = stream.back().time;
-
-  AncIndex index(data.graph, SmallConfig());
-  AncServer server(&index, ServeOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(server.SubmitStream(stream).ok());
-  ASSERT_TRUE(server.AwaitTime(last_time, kAwait).ok());
-  EXPECT_GE(server.watermark().time, last_time);
-  EXPECT_GE(server.View()->watermark().time, last_time);
   server.Stop();
 }
 
@@ -353,7 +356,8 @@ TEST(ServeWatermarkTest, DropOldestStillResolvesEveryTicket) {
   options.ingest.policy = BackpressurePolicy::kDropOldest;
   AncServer server(&index, options);
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  // Drop-oldest never refuses an entry: the whole stream is accepted.
+  SubmitAll(server, stream);
   // Every ticket resolves (applied or evicted): Flush cannot strand.
   ASSERT_TRUE(server.Flush(kAwait).ok());
   EXPECT_GE(server.watermark().seq, stream.size());
@@ -369,17 +373,17 @@ TEST(ServeWatermarkTest, RejectPolicySurfacesUnavailable) {
   options.ingest.capacity = 2;
   options.ingest.policy = BackpressurePolicy::kReject;
   // The server is deliberately not started: with no writer draining, the
-  // queue fills deterministically and Submit must surface the bounce as
-  // Unavailable (with a running writer the outcome depends on a drain
-  // race; the queue-level test covers the policy mechanics).
+  // queue fills deterministically and the batch hand-off must report the
+  // bounces as refused entries, counted as rejections (with a running
+  // writer the outcome depends on a drain race; the queue-level test
+  // covers the Unavailable status of a single refused Push).
   AncServer server(&index, options);
   size_t bounced = 0;
   for (int i = 0; i < 5; ++i) {
-    Result<uint64_t> r = server.Submit({0, static_cast<double>(i)});
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-      ++bounced;
-    }
+    const Activation activation{0, static_cast<double>(i)};
+    Result<size_t> r = server.SubmitBatch(&activation, 1);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r.value() == 0) ++bounced;
   }
   EXPECT_EQ(bounced, 3u);  // capacity 2, 5 submits, nothing drained
   EXPECT_EQ(server.rejected(), bounced);
@@ -391,9 +395,11 @@ TEST(ServeLifecycleTest, SubmitValidatesEdgeRange) {
   AncIndex index(data.graph, SmallConfig());
   AncServer server(&index, ServeOptions{});
   ASSERT_TRUE(server.Start().ok());
-  Result<uint64_t> r = server.Submit({data.graph.NumEdges(), 1.0});
+  const Activation bad{data.graph.NumEdges(), 1.0};
+  Result<size_t> r = server.SubmitBatch(&bad, 1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.accepted(), 0u);
   server.Stop();
 }
 
@@ -406,13 +412,13 @@ TEST(ServeLifecycleTest, StopIsIdempotentAndRestartRefused) {
   server.Stop();
   server.Stop();  // idempotent
   EXPECT_FALSE(server.Start().ok());  // one serving lifetime per instance
-  Result<uint64_t> r = server.Submit({0, 1.0});
+  const Activation activation{0, 1.0};
+  Result<size_t> r = server.SubmitBatch(&activation, 1);
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ServeLifecycleTest, RunFileSurfacesSkippedLinesInStats) {
   GroundTruthGraph data = SmallCommunityGraph(63);
-  AncIndex index(data.graph, SmallConfig());
   Rng rng(63);
   ActivationStream stream = UniformStream(data.graph, 4, 0.05, rng);
   ASSERT_GE(stream.size(), 3u);
@@ -429,14 +435,14 @@ TEST(ServeLifecycleTest, RunFileSurfacesSkippedLinesInStats) {
     append << "0 1\n";  // missing timestamp
   }
 
-  serve::AncServer server(&index, ServeOptions{});
-  ASSERT_TRUE(server.Start().ok());
+  std::unique_ptr<shard::ShardedServer> server = StartOneShard(data.graph);
+  ASSERT_NE(server, nullptr);
   serve::HarnessOptions harness_options;
   harness_options.num_producers = 1;  // keep timestamps ordered at the queue
-  serve::ServeHarness harness(&server, harness_options);
+  serve::ServeHarness harness(server->HarnessTarget(), harness_options);
   Result<serve::HarnessReport> report = harness.RunFile(data.graph, path);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  server.Stop();
+  server->Stop();
 
   EXPECT_EQ(report.value().accepted, stream.size());
   EXPECT_EQ(report.value().load_skipped, 2u);
@@ -445,96 +451,11 @@ TEST(ServeLifecycleTest, RunFileSurfacesSkippedLinesInStats) {
   EXPECT_NE(report.value().ToString().find("2 lines skipped"),
             std::string::npos);
   if (obs::kMetricsEnabled) {
-    obs::StatsSnapshot snap = server.Stats();
+    obs::StatsSnapshot snap = server->ShardStats(0);
     EXPECT_EQ(snap.counter("anc.serve.load_skipped"), 2u);
     EXPECT_EQ(snap.counter("anc.serve.load_lines"), stream.size() + 2u);
   }
   std::remove(path.c_str());
-}
-
-// --- Admission ------------------------------------------------------------
-
-class AdmissionFixture : public ::testing::Test {
- protected:
-  AdmissionFixture()
-      : data_(SmallCommunityGraph(67)), index_(data_.graph, SmallConfig()) {}
-
-  ClusterView MakeView() {
-    return ClusterView(data_.graph, index_.ExportClusterState(), 1,
-                       Watermark{});
-  }
-
-  GroundTruthGraph data_;
-  AncIndex index_;
-};
-
-TEST_F(AdmissionFixture, DefaultsAlwaysServeAtRequestedLevel) {
-  AdmissionController admission{AdmissionOptions{}};
-  ClusterView view = MakeView();
-  AdmissionDecision d = admission.Admit(3, view, /*ingest_depth=*/1 << 20);
-  EXPECT_EQ(d.action, AdmissionDecision::Action::kServe);
-  EXPECT_EQ(d.level, 3u);
-  EXPECT_TRUE(d.status.ok());
-}
-
-TEST_F(AdmissionFixture, ShedsOnIngestBacklog) {
-  AdmissionOptions options;
-  options.shed_queue_depth = 10;
-  AdmissionController admission{options};
-  ClusterView view = MakeView();
-  EXPECT_EQ(admission.Admit(2, view, 9).action,
-            AdmissionDecision::Action::kServe);
-  AdmissionDecision d = admission.Admit(2, view, 10);
-  EXPECT_EQ(d.action, AdmissionDecision::Action::kShed);
-  EXPECT_EQ(d.status.code(), StatusCode::kUnavailable);
-}
-
-TEST_F(AdmissionFixture, DegradesToCoarserLevelOnStaleness) {
-  AdmissionOptions options;
-  options.degrade_staleness_s = 0.0;  // any age counts as stale
-  options.degrade_levels = 2;
-  AdmissionController admission{options};
-  ClusterView view = MakeView();
-  AdmissionDecision d = admission.Admit(4, view, 0);
-  EXPECT_EQ(d.action, AdmissionDecision::Action::kDegrade);
-  EXPECT_EQ(d.level, 2u);
-  // Degradation clamps at the coarsest level (1), never below.
-  EXPECT_EQ(admission.Admit(1, view, 0).level, 1u);
-}
-
-TEST_F(AdmissionFixture, ShedsOnExtremeStaleness) {
-  AdmissionOptions options;
-  options.shed_staleness_s = 0.0;
-  AdmissionController admission{options};
-  ClusterView view = MakeView();
-  AdmissionDecision d = admission.Admit(2, view, 0);
-  EXPECT_EQ(d.action, AdmissionDecision::Action::kShed);
-  EXPECT_EQ(d.status.code(), StatusCode::kUnavailable);
-}
-
-TEST_F(AdmissionFixture, ShedsWhenLatencyEstimateExceedsDeadline) {
-  AdmissionController admission{AdmissionOptions{}};
-  ClusterView view = MakeView();
-  admission.RecordLatency(1.0);  // smoothed estimate rises above 0
-  QueryOptions query;
-  query.deadline_s = 1e-9;
-  AdmissionDecision d = admission.Admit(2, view, 0, query);
-  EXPECT_EQ(d.action, AdmissionDecision::Action::kShed);
-  // Without a deadline the same query is served.
-  EXPECT_EQ(admission.Admit(2, view, 0).action,
-            AdmissionDecision::Action::kServe);
-}
-
-TEST_F(AdmissionFixture, ServerShedsQueriesWhenConfigured) {
-  AncIndex index(data_.graph, SmallConfig());
-  ServeOptions options;
-  options.admission.shed_staleness_s = 0.0;
-  AncServer server(&index, options);
-  ASSERT_TRUE(server.Start().ok());
-  Result<Clustering> r = server.Clusters(index.DefaultLevel());
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  server.Stop();
 }
 
 // --- Query edge cases under views ----------------------------------------
@@ -557,7 +478,7 @@ TEST(ServeEdgeCaseTest, IsolatedQueryNodeUnderView) {
   AncServer server(&index, ServeOptions{});
   ASSERT_TRUE(server.Start().ok());
   ActivationStream stream = UniformStream(g, 5, 0.1, rng);
-  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  SubmitAll(server, stream);
   ASSERT_TRUE(server.Flush(kAwait).ok());
   server.Stop();
 
@@ -603,18 +524,23 @@ TEST(ServeEdgeCaseTest, MaxLevelAndEmptyNeighborhoodUnderView) {
 
 TEST(ServeEdgeCaseTest, ServerQueriesValidateRanges) {
   GroundTruthGraph data = SmallCommunityGraph(79);
-  AncIndex index(data.graph, SmallConfig());
-  AncServer server(&index, ServeOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.Clusters(0).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(server.Clusters(index.num_levels() + 1).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(server.LocalCluster(data.graph.NumNodes(), 1).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(
-      server.SmallestCluster(data.graph.NumNodes()).status().code(),
-      StatusCode::kOutOfRange);
-  server.Stop();
+  std::unique_ptr<shard::ShardedServer> server = StartOneShard(data.graph);
+  ASSERT_NE(server, nullptr);
+  const uint32_t num_levels = server->View().num_levels();
+  EXPECT_EQ(server->Clusters(0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->Clusters(num_levels + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->LocalCluster(data.graph.NumNodes(), 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->LocalCluster(0, num_levels + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->SmallestCluster(data.graph.NumNodes()).status().code(),
+            StatusCode::kInvalidArgument);
+  // In-range queries answer.
+  EXPECT_TRUE(server->Clusters(num_levels).ok());
+  EXPECT_TRUE(server->LocalCluster(0, 1).ok());
+  server->Stop();
 }
 
 // --- Reader-vs-writer stress (TSan target) --------------------------------
@@ -624,13 +550,14 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
   Rng rng(19);
   ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 20, 0.05, 4.0, rng);
 
-  AncIndex index(data.graph, SmallConfig());
   ServeOptions options;
   options.ingest.clamp_out_of_order = true;  // racing producers
   options.snapshot_every_activations = 8;
   options.snapshot_max_age_s = 0.001;
-  AncServer server(&index, options);
-  ASSERT_TRUE(server.Start().ok());
+  std::unique_ptr<shard::ShardedServer> started =
+      StartOneShard(data.graph, options);
+  ASSERT_NE(started, nullptr);
+  shard::ShardedServer& server = *started;
 
   constexpr int kProducers = 2;
   constexpr int kReaders = 4;
@@ -660,11 +587,10 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
       // finish before this thread is first scheduled, so the
       // total_queries > 0 assertion below cannot flake under load.
       do {
-        std::shared_ptr<const ClusterView> view = server.View();
-        ASSERT_NE(view, nullptr);
+        const shard::ShardedView view = server.View();
         // Epochs only move forward under a single writer.
-        ASSERT_GE(view->epoch(), last_epoch);
-        last_epoch = view->epoch();
+        ASSERT_GE(view.shard(0).epoch(), last_epoch);
+        last_epoch = view.shard(0).epoch();
         const NodeId probe =
             static_cast<NodeId>((n * 7 + t) % data.graph.NumNodes());
         if (n % 16 == 0) {
@@ -673,7 +599,7 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
           ASSERT_EQ(c.value().labels.size(), data.graph.NumNodes());
         } else {
           Result<std::vector<NodeId>> local =
-              server.LocalCluster(probe, view->DefaultLevel());
+              server.LocalCluster(probe, view.DefaultLevel());
           ASSERT_TRUE(local.ok()) << local.status().ToString();
         }
         ++n;
@@ -693,7 +619,8 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
 
   // Quiesced: the final view answers byte-identically to the index it was
   // built from, and the index still passes the deep validators.
-  ExpectViewMatchesIndex(*server.View(), index);
+  AncIndex& index = server.shard_index(0);
+  ExpectViewMatchesIndex(*server.shard(0).View(), index);
   EXPECT_TRUE(index.ValidateInvariants(/*deep=*/true).ok());
   uint64_t total_queries = 0;
   for (uint64_t q : queries_per_reader) total_queries += q;
@@ -758,13 +685,16 @@ TEST(ServeTraceTest, SubmitSpansCorrelateAcrossQueueApplyPublish) {
   options.snapshot_every_activations = 4;
   AncServer server(&index, options);
   ASSERT_TRUE(server.Start().ok());
-  uint64_t last_seq = 0;
-  for (const Activation& activation : stream) {
-    // With a sink attached, Submit mints a root trace per request.
-    Result<uint64_t> ticket = server.Submit(activation);
-    ASSERT_TRUE(ticket.ok());
-    last_seq = *ticket;
+  // One root trace per request, carried through the batch hand-off.
+  std::vector<obs::TraceContext> traces;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    traces.push_back(obs::TraceContext::NewTrace());
   }
+  uint64_t last_seq = 0;
+  Result<size_t> accepted = server.SubmitBatch(stream.data(), stream.size(),
+                                               &last_seq, traces.data());
+  ASSERT_TRUE(accepted.ok());
+  ASSERT_EQ(accepted.value(), stream.size());
   ASSERT_TRUE(server.AwaitSeq(last_seq, kAwait).ok());
   server.Stop();
   index.SetTraceSink(nullptr);
@@ -778,7 +708,7 @@ TEST(ServeTraceTest, SubmitSpansCorrelateAcrossQueueApplyPublish) {
     const obs::Json* name = event.Find("name");
     ASSERT_NE(name, nullptr) << line;
     ASSERT_NE(event.Find("tid"), nullptr) << line;
-    // shard_ordinal defaults to -1: no shard field on a plain AncServer.
+    // shard_ordinal defaults to -1: no shard field outside a ShardedServer.
     EXPECT_EQ(event.Find("shard"), nullptr) << line;
     if (const obs::Json* trace = event.Find("trace"); trace != nullptr) {
       traces_by_name[name->str()].insert(

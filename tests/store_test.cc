@@ -477,6 +477,17 @@ TEST(StoreRecoveryTest, RecoveredPrefixPassesDifferentialOracle) {
 
 // --- Serve integration ----------------------------------------------------
 
+/// Enqueues `stream` through the engine's batch hand-off (the router's
+/// path); every entry must be accepted. Returns the last ticket.
+uint64_t SubmitAll(serve::AncServer& server, const ActivationStream& stream) {
+  uint64_t last_seq = 0;
+  Result<size_t> accepted =
+      server.SubmitBatch(stream.data(), stream.size(), &last_seq);
+  EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted.ok() ? accepted.value() : 0, stream.size());
+  return last_seq;
+}
+
 TEST(DurableServeTest, FlushDurableCoversRecovery) {
   Rng rng(31);
   const Graph g = BarabasiAlbert(90, 3, rng);
@@ -493,11 +504,9 @@ TEST(DurableServeTest, FlushDurableCoversRecovery) {
 
   serve::ServeOptions options;
   options.durability = serve::DurabilityPolicy::kGroupCommit;
-  options.store = opened.value().get();
-  serve::AncServer server(&index, options);
+  serve::AncServer server(&index, options, opened.value().get());
   ASSERT_TRUE(server.Start().ok());
-  uint64_t last_seq = 0;
-  ASSERT_TRUE(server.SubmitStream(stream, &last_seq).ok());
+  const uint64_t last_seq = SubmitAll(server, stream);
   ASSERT_EQ(last_seq, stream.size());
 
   ASSERT_TRUE(server.FlushDurable(kAwait).ok());
@@ -533,16 +542,15 @@ TEST(DurableServeTest, WalCrashFreezesDurableWatermarkAndFlushFails) {
 
   serve::ServeOptions options;
   options.durability = serve::DurabilityPolicy::kGroupCommit;
-  options.store = opened.value().get();
   // Small batches: the writer drains the stream over many WAL appends, so
   // the armed crash reliably fires mid-stream rather than never.
   options.max_batch = 4;
-  serve::AncServer server(&index, options);
+  serve::AncServer server(&index, options, opened.value().get());
   ASSERT_TRUE(server.Start().ok());
 
   DisarmGuard guard;
   TestHooks::ArmCrash(CrashPoint::kPostAppendPreFsync, /*skip=*/2);
-  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  SubmitAll(server, stream);
   // Live serving keeps going after the WAL dies...
   ASSERT_TRUE(server.Flush(kAwait).ok());
   EXPECT_TRUE(server.writer_status().ok());
@@ -586,10 +594,9 @@ TEST(DurableServeTest, ServingContinuesAfterRecovery) {
     ASSERT_TRUE(opened.ok());
     serve::ServeOptions options;
     options.durability = serve::DurabilityPolicy::kGroupCommit;
-    options.store = opened.value().get();
-    serve::AncServer server(&index, options);
+    serve::AncServer server(&index, options, opened.value().get());
     ASSERT_TRUE(server.Start().ok());
-    ASSERT_TRUE(server.SubmitStream(phase1).ok());
+    SubmitAll(server, phase1);
     ASSERT_TRUE(server.FlushDurable(kAwait).ok());
     server.Stop();
   }
@@ -608,10 +615,9 @@ TEST(DurableServeTest, ServingContinuesAfterRecovery) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     serve::ServeOptions options;
     options.durability = serve::DurabilityPolicy::kGroupCommit;
-    options.store = opened.value().get();
-    serve::AncServer server(&index, options);
+    serve::AncServer server(&index, options, opened.value().get());
     ASSERT_TRUE(server.Start().ok());
-    ASSERT_TRUE(server.SubmitStream(phase2).ok());
+    SubmitAll(server, phase2);
     const Status durable_flush = server.FlushDurable(kAwait);
     ASSERT_TRUE(durable_flush.ok())
         << durable_flush.ToString()

@@ -7,7 +7,9 @@
 // the cold side without changing a single answer, and each tier crash seam
 // (mid-segment-write, pre-tier-manifest-swap, mid-compaction) recovers
 // through store::Recover byte-identical to an untiered replay of the same
-// prefix.
+// prefix. Tiered serving runs through ShardedServer (ShardedOptions::tier):
+// one tier per shard, driven at the shard writers' quiescent points and
+// recovered by RecoverAll.
 
 #include <algorithm>
 #include <chrono>
@@ -18,6 +20,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,7 +29,7 @@
 #include "core/anc.h"
 #include "core/serialization.h"
 #include "datasets/synthetic.h"
-#include "serve/server.h"
+#include "shard/sharded_server.h"
 #include "store/store.h"
 #include "store/test_hooks.h"
 #include "tier/column.h"
@@ -37,6 +40,8 @@
 namespace anc {
 namespace {
 
+using shard::ShardedOptions;
+using shard::ShardedServer;
 using store::CrashPoint;
 using store::CrashPointName;
 using store::DurableStore;
@@ -362,6 +367,71 @@ TEST(TieredStoreTest, CompactionRewritesColdSideWithoutChangingAnswers) {
   ASSERT_TRUE(tier_store.Maintain().ok());
   ExpectIndexStatesEqual(tiered, untiered);
 
+  tier_store.DetachAll();
+  fs::remove_all(f.dir);
+}
+
+TEST(TieredStoreTest, CheckpointGcKeepsAFinishedBackgroundMerge) {
+  TieredFixture f = TieredFixture::Make("anc_tier_gc_merge", 160, 43, 8);
+  AncIndex tiered(f.graph, f.config);
+  TierOptions options;
+  options.tier_budget_bytes = 1;  // a segment per Maintain
+  options.page_elems = 64;
+  options.compact_min_segments = 2;
+  options.background_compaction = true;
+  auto opened = TieredStore::Open(f.dir, options);
+  ASSERT_TRUE(opened.ok());
+  TieredStore& tier_store = *opened.value();
+  tiered.AttachTier(&tier_store);
+
+  // Two spills: the second Maintain starts a background merge of both.
+  const size_t half = f.stream.size() / 2;
+  for (size_t i = 0; i < f.stream.size(); ++i) {
+    ASSERT_TRUE(tiered.Apply(f.stream[i]).ok());
+    if (i + 1 == half || i + 1 == f.stream.size()) {
+      ASSERT_TRUE(tier_store.Maintain().ok());
+    }
+  }
+  ASSERT_EQ(tier_store.Stats().segments, 2u);
+
+  // Wait until the merge has sealed its output under its final name: a
+  // segment file the tier manifest does not list yet.
+  const auto sealed_merge = [&] {
+    Result<tier::TierManifest> manifest = tier::ReadTierManifest(
+        tier_store.dir());
+    if (!manifest.ok()) return false;
+    const std::set<std::string> listed(manifest->segments.begin(),
+                                       manifest->segments.end());
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(tier_store.dir(), ec)) {
+      uint64_t id = 0;
+      const std::string name = entry.path().filename().string();
+      if (tier::ParseSegmentFileName(name, &id) && listed.count(name) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!sealed_merge() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(sealed_merge()) << "background merge never sealed";
+
+  // A checkpoint install between the seal and the next Maintain sweeps
+  // garbage, but must keep the merge output the install below needs.
+  tier_store.OnCheckpointInstalled();
+  // The merge installs at the first Maintain after the worker reports it.
+  while (tier_store.Stats().compactions == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    const Status maintained = tier_store.Maintain();
+    ASSERT_TRUE(maintained.ok()) << maintained.ToString();
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(tier_store.Stats().compactions, 1u);
+  EXPECT_EQ(tier_store.Stats().segments, 1u);
+  EXPECT_TRUE(tier_store.VerifySegments().ok());
   tier_store.DetachAll();
   fs::remove_all(f.dir);
 }
@@ -843,55 +913,136 @@ TEST(TierRecoveryTest, SweepDeletesStrayFilesButKeepsReferencedSegments) {
   fs::remove_all(f.dir);
 }
 
-TEST(TierServeTest, ServerDrivesTierAtQuiescentPoints) {
-  TieredFixture f = TieredFixture::Make("anc_tier_serve", 160, 61, 8);
-
-  AncIndex live(f.graph, f.config);
+/// Durable, tiered shard options: one TieredStore per shard under
+/// <dir>/shard-<i>/tier, with small pages and an 8 KiB resident budget so a
+/// short stream already spills and compacts.
+ShardedOptions TieredShardOptions(const std::string& dir, uint32_t shards) {
+  ShardedOptions options;
+  options.partition.num_shards = shards;
+  options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
+  options.store_dir = dir;
   TierOptions tier_options;
   tier_options.tier_budget_bytes = 8192;
   tier_options.page_elems = 64;
   tier_options.compact_min_segments = 4;
   tier_options.background_compaction = true;  // exercise the worker thread
-  auto tier_opened = TieredStore::Open(f.dir, tier_options);
-  ASSERT_TRUE(tier_opened.ok());
-  TieredStore& tier_store = *tier_opened.value();
-  live.AttachTier(&tier_store);
+  options.tier = tier_options;
+  return options;
+}
 
-  StoreOptions store_options;
-  store_options.checkpoint_writer = tier_store.CheckpointWriter();
-  auto opened = DurableStore::Open(f.dir, live, Mark{0, 0.0}, store_options);
-  ASSERT_TRUE(opened.ok());
-  tier_store.OnCheckpointInstalled();
+TEST(TierServeTest, ServerDrivesTierAtQuiescentPoints) {
+  TieredFixture f = TieredFixture::Make("anc_tier_serve", 160, 61, 8);
+  ShardedOptions options = TieredShardOptions(f.dir, 1);
+  options.serve.checkpoint_every_applied = 64;
 
-  serve::ServeOptions serve_options;
-  serve_options.durability = serve::DurabilityPolicy::kGroupCommit;
-  serve_options.store = opened.value().get();
-  serve_options.tier = &tier_store;
-  serve_options.checkpoint_every_applied = 64;
-  serve::AncServer server(&live, serve_options);
-  ASSERT_TRUE(server.Start().ok());
+  // A tier without durability has no checkpoints to root its segments.
+  ShardedOptions volatile_options = options;
+  volatile_options.serve.durability = serve::DurabilityPolicy::kNone;
+  auto volatile_server =
+      ShardedServer::Create(f.graph, f.config, volatile_options);
+  ASSERT_TRUE(volatile_server.ok());
+  EXPECT_EQ(volatile_server.value()->Start().code(),
+            StatusCode::kInvalidArgument);
 
-  uint64_t last_seq = 0;
-  ASSERT_TRUE(server.SubmitStream(f.stream, &last_seq).ok());
-  ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(10000)).ok());
-  server.Stop();
-  EXPECT_TRUE(server.writer_status().ok())
-      << server.writer_status().ToString();
-  EXPECT_TRUE(server.store_status().ok()) << server.store_status().ToString();
+  {
+    auto created = ShardedServer::Create(f.graph, f.config, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ShardedServer& server = *created.value();
+    ASSERT_TRUE(server.Start().ok());
+    uint64_t last_seq = 0;
+    ASSERT_TRUE(server.SubmitStream(f.stream, &last_seq).ok());
+    ASSERT_EQ(last_seq, f.stream.size());
+    ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(10000)).ok());
+    server.Stop();
+    EXPECT_TRUE(server.writer_status().ok())
+        << server.writer_status().ToString();
+    EXPECT_TRUE(server.store_status().ok())
+        << server.store_status().ToString();
 
-  const TierStats stats = tier_store.Stats();
-  EXPECT_GT(stats.spills, 0u) << "the writer loop must call Maintain";
-  EXPECT_LE(tier_store.resident_bytes(), tier_options.tier_budget_bytes);
+    const TieredStore* tier_store = server.shard_tier(0);
+    ASSERT_NE(tier_store, nullptr);
+    const TierStats stats = tier_store->Stats();
+    EXPECT_GT(stats.spills, 0u) << "the writer loop must call Maintain";
+    EXPECT_LE(tier_store->resident_bytes(),
+              options.tier->tier_budget_bytes);
+  }
 
-  opened.value().reset();
-  tier_store.DetachAll();
-
-  Result<RecoveredStore> recovered = Recover(f.dir);
+  auto recovered = ShardedServer::RecoverAll(f.dir, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered.value().watermark.seq, f.stream.size());
+  ASSERT_EQ(recovered.value()->recovery_info().size(), 1u);
+  EXPECT_EQ(recovered.value()->recovery_info()[0].watermark.seq,
+            f.stream.size());
   std::unique_ptr<AncIndex> expected =
       FreshPrefixIndex(f.graph, f.config, f.stream, f.stream.size());
-  ExpectIndexStatesEqual(*recovered.value().index, *expected);
+  ExpectIndexStatesEqual(recovered.value()->shard_index(0), *expected);
+  fs::remove_all(f.dir);
+}
+
+TEST(TierServeTest, TieredShardsRecoverMergedAnswersByteIdentical) {
+  TieredFixture f = TieredFixture::Make("anc_tier_serve_k2", 160, 67, 8);
+  const ShardedOptions options = TieredShardOptions(f.dir, 2);
+  const Graph& g = f.graph;
+
+  // Merged answers of the stopped server: every level's clustering and a
+  // sample of local clusters.
+  std::vector<Clustering> clusters;
+  std::vector<std::vector<NodeId>> locals;
+  const auto capture = [&](const ShardedServer& server,
+                           std::vector<Clustering>* all_clusters,
+                           std::vector<std::vector<NodeId>>* all_locals) {
+    const uint32_t num_levels = server.View().num_levels();
+    for (uint32_t level = 1; level <= num_levels; ++level) {
+      Result<Clustering> c = server.Clusters(level);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      all_clusters->push_back(std::move(c.value()));
+      for (NodeId v = 0; v < g.NumNodes(); v += 7) {
+        Result<std::vector<NodeId>> local = server.LocalCluster(v, level);
+        ASSERT_TRUE(local.ok()) << local.status().ToString();
+        all_locals->push_back(std::move(local.value()));
+      }
+    }
+  };
+  {
+    auto created = ShardedServer::Create(g, f.config, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ShardedServer& server = *created.value();
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(server.SubmitStream(f.stream).ok());
+    ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(10000)).ok());
+    ASSERT_TRUE(
+        server.RequestCheckpointAll(std::chrono::milliseconds(10000)).ok());
+    ASSERT_TRUE(server.Flush(std::chrono::milliseconds(10000)).ok());
+    capture(server, &clusters, &locals);
+    server.Stop();
+    EXPECT_TRUE(server.store_status().ok())
+        << server.store_status().ToString();
+    for (uint32_t s = 0; s < server.num_shards(); ++s) {
+      const TieredStore* tier_store = server.shard_tier(s);
+      ASSERT_NE(tier_store, nullptr);
+      EXPECT_GT(tier_store->Stats().spills, 0u) << "shard " << s;
+      EXPECT_LE(tier_store->resident_bytes(),
+                options.tier->tier_budget_bytes)
+          << "shard " << s;
+    }
+  }
+
+  auto recovered = ShardedServer::RecoverAll(f.dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ShardedServer& server = *recovered.value();
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<Clustering> recovered_clusters;
+  std::vector<std::vector<NodeId>> recovered_locals;
+  capture(server, &recovered_clusters, &recovered_locals);
+  server.Stop();
+
+  ASSERT_EQ(recovered_clusters.size(), clusters.size());
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    EXPECT_EQ(recovered_clusters[i].num_clusters, clusters[i].num_clusters)
+        << "level " << i + 1;
+    EXPECT_EQ(recovered_clusters[i].labels, clusters[i].labels)
+        << "level " << i + 1;
+  }
+  EXPECT_EQ(recovered_locals, locals);
   fs::remove_all(f.dir);
 }
 
