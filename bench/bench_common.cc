@@ -111,28 +111,14 @@ std::string FormatSci(double value) {
   return buf;
 }
 
-std::unique_ptr<obs::TraceSink> OpenTraceSinkFromEnv() {
-  const char* path = std::getenv("ANC_TRACE_FILE");
-  if (path == nullptr || path[0] == '\0') return nullptr;
-  auto sink = std::make_unique<obs::TraceSink>(path);
-  if (!sink->ok()) {
-    std::fprintf(stderr, "[trace] cannot open %s for writing\n", path);
-    return nullptr;
-  }
-  std::printf("[trace] spans -> %s\n", path);
-  return sink;
-}
-
 StatsJsonExporter::StatsJsonExporter(std::string bench_name)
     : bench_name_(std::move(bench_name)) {}
 
 StatsJsonExporter::~StatsJsonExporter() { Flush(); }
 
 void StatsJsonExporter::Add(std::string label, obs::StatsSnapshot stats,
-                            double elapsed_seconds,
-                            std::vector<obs::TelemetrySample> timeseries) {
-  runs_.push_back({std::move(label), std::move(stats), elapsed_seconds,
-                   std::move(timeseries)});
+                            double elapsed_seconds) {
+  runs_.push_back({std::move(label), std::move(stats), elapsed_seconds});
 }
 
 std::string StatsJsonExporter::Flush() {
@@ -147,37 +133,6 @@ std::string StatsJsonExporter::Flush() {
     entry.Set("label", obs::Json::Str(run.label));
     entry.Set("elapsed_seconds", obs::Json::Number(run.elapsed_seconds));
     entry.Set("stats", run.stats.ToJsonValue());
-    if (!run.timeseries.empty()) {
-      // Reuse the exporter's lean JSONL rendering (zero-delta entries
-      // omitted) so the bench artifact matches the live telemetry format.
-      // Long runs at a fast telemetry interval produce thousands of
-      // windows; the artifact is for eyeballing trends, so hold each run
-      // to a fixed sample budget with an even-stride downsample that
-      // always keeps the first and last window. timeseries_total records
-      // how many windows the run really produced.
-      const size_t total = run.timeseries.size();
-      obs::Json series = obs::Json::Array();
-      const auto append = [&series](const obs::TelemetrySample& sample) {
-        obs::Json parsed;
-        if (obs::Json::Parse(obs::TelemetrySampleToJsonLine(sample),
-                             &parsed)) {
-          series.Append(std::move(parsed));
-        }
-      };
-      if (total <= kTimeseriesSampleBudget) {
-        for (const obs::TelemetrySample& sample : run.timeseries) {
-          append(sample);
-        }
-      } else {
-        for (size_t k = 0; k < kTimeseriesSampleBudget; ++k) {
-          append(run.timeseries[k * (total - 1) /
-                                (kTimeseriesSampleBudget - 1)]);
-        }
-      }
-      entry.Set("timeseries_total",
-                obs::Json::Number(static_cast<double>(total)));
-      entry.Set("timeseries", std::move(series));
-    }
     runs.Append(std::move(entry));
   }
   doc.Set("runs", std::move(runs));

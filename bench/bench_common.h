@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,15 +11,10 @@
 #include "graph/graph.h"
 #include "metrics/quality.h"
 #include "metrics/structural.h"
-#include "obs/exporter.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace anc::bench {
-
-/// Per-run cap on "timeseries" samples in BENCH_*.json (StatsJsonExporter).
-inline constexpr size_t kTimeseriesSampleBudget = 128;
 
 /// All five quality scores of Section VI-A for one clustering.
 struct QualityRow {
@@ -59,35 +53,18 @@ void PrintRow(const std::vector<std::string>& cells, int width = 12);
 std::string FormatDouble(double value, int precision = 4);
 std::string FormatSci(double value);
 
-/// Opens a JSONL obs::TraceSink on the path in $ANC_TRACE_FILE, or returns
-/// nullptr when the variable is unset/empty or the file cannot be opened.
-/// Benches attach the sink to whatever they drive (AncIndex::SetTraceSink /
-/// shard::ShardedServer::SetTraceSink) so a traced bench run costs one env
-/// var:  ANC_TRACE_FILE=/tmp/bench.trace ./bench_serve_throughput
-std::unique_ptr<obs::TraceSink> OpenTraceSinkFromEnv();
-
 /// Collects labeled StatsSnapshots over a bench run and writes them as one
 /// JSON document `<bench_name>_stats.json` in $ANC_STATS_DIR (falling back
 /// to the working directory) on Flush/destruction:
 ///
 ///   { "bench": "...", "runs": [
 ///       {"label": "...", "elapsed_seconds": ..., "stats": {counters,
-///        gauges, histograms},
-///        "timeseries": [{"t_s":..,"interval_s":..,"delta":{...}}, ...]},
+///        gauges, histograms}},
 ///       ... ] }
 ///
 /// Typical use: `exporter.Add(label, anc.Stats(), timer.ElapsedSeconds())`
 /// after each configuration, so every row of a bench table has the full
-/// per-stage metric breakdown next to it (docs/observability.md). Runs that
-/// kept a TelemetryExporter ticking pass its samples() as `timeseries`,
-/// turning the per-run summary into a live time-series of per-interval
-/// deltas (the "timeseries" section of BENCH_*.json).
-///
-/// Each run's series is capped at kTimeseriesSampleBudget samples by an
-/// even-stride downsample (first and last window always kept); the run's
-/// `timeseries_total` field records the pre-cap window count, so the
-/// artifact stays reviewable no matter how long the run or how fast the
-/// telemetry interval.
+/// per-stage metric breakdown next to it (docs/observability.md).
 class StatsJsonExporter {
  public:
   explicit StatsJsonExporter(std::string bench_name);
@@ -97,8 +74,7 @@ class StatsJsonExporter {
   StatsJsonExporter& operator=(const StatsJsonExporter&) = delete;
 
   void Add(std::string label, obs::StatsSnapshot stats,
-           double elapsed_seconds = 0.0,
-           std::vector<obs::TelemetrySample> timeseries = {});
+           double elapsed_seconds = 0.0);
 
   /// Writes the document; returns the output path ("" on I/O failure).
   /// Idempotent: the second and later calls do nothing and return the
@@ -110,7 +86,6 @@ class StatsJsonExporter {
     std::string label;
     obs::StatsSnapshot stats;
     double elapsed_seconds = 0.0;
-    std::vector<obs::TelemetrySample> timeseries;
   };
   std::string bench_name_;
   std::vector<Run> runs_;

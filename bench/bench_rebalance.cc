@@ -1,6 +1,6 @@
 // Adaptive re-partitioning benchmark (docs/sharding.md "Rebalancing &
-// live migration"): quantifies how much of the partition-quality ingest
-// advantage (BENCH_shard) survives activation drift, and how much a
+// live migration"): quantifies how much of a community-aligned
+// partition's ingest advantage survives activation drift, and how much a
 // drift-triggered Rebalancer claws back — live, without stopping ingest.
 //
 // Setup: a 16-community planted graph served at k = 4. The "fresh" row
@@ -15,16 +15,16 @@
 // the hot communities by activity mass, and the Migrator moves them shard
 // to shard while the producer keeps submitting.
 //
-// Acceptance (ISSUE/ROADMAP): post-recovery (tail) ingest throughput of
-// the rebalanced run recovers >= 70% of the gap between static_decayed
-// and fresh — the bench.recovery_pct gauge on the "rebalanced" run of
-// BENCH_rebalance.json (bench_rebalance_stats.json via $ANC_STATS_DIR) —
+// Acceptance: post-recovery (tail) ingest throughput of the rebalanced
+// run recovers >= 70% of the gap between static_decayed and fresh — the
+// bench.recovery_pct gauge on the "rebalanced" run
+// (bench_rebalance_stats.json via $ANC_STATS_DIR) —
 // and no single Submit blocks longer than one batch takes end-to-end
 // (bench.max_submit_block_us vs bench.batch_ms_max: the route lock is
 // held across one residual drain at most).
 //
-// ANC_REBALANCE_SMOKE=1 trims the batch count so scripts/bench_smoke.sh
-// and CI finish in seconds (the drift still trips inside the trimmed run).
+// ANC_REBALANCE_SMOKE=1 trims the batch count so the rebalance-tsan CI
+// job finishes in seconds (the drift still trips inside the trimmed run).
 // ANC_REBALANCE_NO_ACCEPT=1 skips the perf gate — for sanitizer smoke
 // runs whose timings say nothing (the run still fails on drive errors or
 // sanitizer reports).

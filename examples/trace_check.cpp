@@ -1,6 +1,7 @@
 // trace_check: validates a JSONL trace file produced by obs::TraceSink
-// (docs/observability.md). Used by the obs-trace CI job to prove that a
-// traced serving run emits well-formed, properly nested, correlated spans.
+// (docs/observability.md). The AncCliTraceTest ctest runs it over a traced
+// anc_cli session to prove that serving emits well-formed, properly
+// nested, correlated spans.
 //
 //   $ ./build/examples/trace_check /tmp/serve.trace [required-name ...]
 //
@@ -16,10 +17,6 @@
 //      appears on a serve.apply span, and every trace id on a shard.query_*
 //      span also appears on a shard.gather span.
 //   5. Every name passed on the command line appears at least once.
-//
-// Flight-recorder replays (lines tagged "flight":true) and flight_dump
-// marker lines must parse but are exempt from nesting/correlation — they
-// duplicate spans the live stream already contains.
 //
 // Exits 0 and prints a summary on success; prints the first few violations
 // and exits 1 otherwise.
@@ -56,7 +53,6 @@ struct Checker {
   std::set<uint64_t> all_traces;
   size_t lines = 0;
   size_t spans = 0;
-  size_t flight_lines = 0;
   size_t errors = 0;
 
   void Error(size_t line_no, const std::string& what) {
@@ -71,10 +67,6 @@ struct Checker {
     anc::obs::Json doc;
     if (!anc::obs::Json::Parse(line, &doc) || !doc.is_object()) {
       Error(line_no, "not a JSON object: " + line);
-      return;
-    }
-    if (doc.Find("event") != nullptr || doc.Find("flight") != nullptr) {
-      ++flight_lines;  // replayed history: parse-checked only
       return;
     }
     const anc::obs::Json* name = doc.Find("name");
@@ -202,10 +194,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "%zu lines, %zu spans (%zu flight), %zu distinct names, "
+      "%zu lines, %zu spans, %zu distinct names, "
       "%zu traces (%zu queue_wait, %zu apply, %zu query, %zu gather), "
       "%zu errors\n",
-      checker.lines, checker.spans, checker.flight_lines,
+      checker.lines, checker.spans,
       checker.names_seen.size(), checker.all_traces.size(),
       checker.queue_wait_traces.size(), checker.apply_traces.size(),
       checker.query_traces.size(), checker.gather_traces.size(),

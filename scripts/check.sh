@@ -21,10 +21,6 @@
 #               ShardedServer differential + recovery tests and the
 #               racing-producers scatter-gather stress in
 #               concurrency_test.cc (docs/sharding.md)
-#   obs-trace   Release build, traced smoke runs of the serving and
-#               sharding benches; trace_check validates the emitted JSONL
-#               (span nesting, queue-wait→apply and query→gather
-#               correlation, required span names — docs/observability.md)
 #   tsa         Clang Thread Safety Analysis build
 #               (-DANC_THREAD_SAFETY=ON, -Werror=thread-safety): every
 #               GUARDED_BY / REQUIRES contract in serve/shard/store/obs/
@@ -43,8 +39,9 @@
 #               units, query-cache semantics, loopback client/server
 #               end-to-end (byte-identity vs. the in-process view, tenant
 #               quotas, garbage connections) and the replication chain
-#               (WAL shipping, follower staleness barrier) — plus a smoke
-#               run of the net QPS bench under TSan (docs/networking.md)
+#               (WAL shipping, follower staleness barrier) — plus a
+#               net_durable smoke run of perfbench_driver under TSan
+#               (scripts/perfbench_smoke.sh, docs/networking.md)
 #   fuzz-smoke  ASan/UBSan build of the fuzz/ harnesses, replayed over the
 #               checked-in corpora (plus bounded deterministic mutations)
 #               by the standalone driver: WAL frames, checkpoints +
@@ -147,43 +144,17 @@ run_one() {
       # The networking suite under TSan: codec + cache units, the loopback
       # end-to-end matrix, and leader/follower replication with its pause/
       # resume staleness stall — the raciest surfaces in src/net/. Finishes
-      # with a smoke run of the loopback QPS bench (acceptor + workers +
-      # pullers + client threads all live at once).
+      # with a net_durable smoke run of perfbench_driver (acceptor, workers,
+      # client connections and the durable per-shard writers all live at
+      # once).
       local dir=build-tsan
       echo "=== [$dir] net (networking suite under TSan) ==="
       cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DANC_SANITIZE=thread
-      cmake --build "$dir" -j "$JOBS" --target net_test bench_net_qps
+      cmake --build "$dir" -j "$JOBS" --target net_test
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
         -R '^(NetProtocolTest|QueryCacheTest|NetServerTest|NetReplicationTest)\.'
-      local statsdir
-      statsdir=$(mktemp -d)
-      ANC_NET_SMOKE=1 ANC_NET_THREADS=2 ANC_STATS_DIR="$statsdir" \
-        "$dir/bench/bench_net_qps"
-      rm -rf "$statsdir"
-      ;;
-    obs-trace)
-      # Traced smoke runs of the serving and sharding benches; trace_check
-      # rejects malformed JSONL, broken span nesting, queue-wait spans with
-      # no matching apply, query spans with no matching gather, and missing
-      # required span names (docs/observability.md).
-      local dir=build
-      echo "=== [$dir] obs-trace (traced bench smoke + trace_check) ==="
-      cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
-      cmake --build "$dir" -j "$JOBS" \
-        --target bench_serve_throughput bench_shard_scaling trace_check
-      local tracedir
-      tracedir=$(mktemp -d)
-      ANC_SERVE_SMOKE=1 ANC_TRACE_FILE="$tracedir/serve.jsonl" \
-        "$dir/bench/bench_serve_throughput"
-      "$dir/examples/trace_check" "$tracedir/serve.jsonl" \
-        ingest.queue_wait serve.apply serve.publish
-      ANC_SHARD_SMOKE=1 ANC_TRACE_FILE="$tracedir/shard.jsonl" \
-        "$dir/bench/bench_shard_scaling"
-      "$dir/examples/trace_check" "$tracedir/shard.jsonl" \
-        ingest.queue_wait serve.apply serve.publish \
-        shard.query_clusters shard.gather shard.merge
-      rm -rf "$tracedir"
+      scripts/perfbench_smoke.sh thread net_durable
       ;;
     tsa)
       # Compile-time lock-discipline audit. Build-only: the point is the
@@ -221,7 +192,7 @@ run_one() {
       ;;
     *)
       echo "unknown configuration '$1'" >&2
-      echo "known: default nometrics asan tsan invariants store-crash tier shard rebalance net obs-trace tsa fuzz-smoke" >&2
+      echo "known: default nometrics asan tsan invariants store-crash tier shard rebalance net tsa fuzz-smoke" >&2
       exit 2
       ;;
   esac

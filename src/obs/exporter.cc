@@ -1,12 +1,6 @@
 #include "obs/exporter.h"
 
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <unordered_map>
-#include <utility>
-
-#include "obs/json.h"
 
 namespace anc::obs {
 
@@ -30,53 +24,6 @@ std::string FormatDouble(double value) {
 }
 
 }  // namespace
-
-StatsSnapshot DiffSnapshots(const StatsSnapshot& current,
-                            const StatsSnapshot& previous) {
-  StatsSnapshot delta;
-  std::unordered_map<std::string_view, uint64_t> prev_counters;
-  for (const auto& entry : previous.counters) {
-    prev_counters[entry.name] = entry.value;
-  }
-  delta.counters.reserve(current.counters.size());
-  for (const auto& entry : current.counters) {
-    const auto it = prev_counters.find(entry.name);
-    const uint64_t base = it == prev_counters.end() ? 0 : it->second;
-    delta.counters.push_back(
-        {entry.name, entry.value >= base ? entry.value - base : 0});
-  }
-  // Gauges are point-in-time: the "delta" is simply the current reading.
-  delta.gauges = current.gauges;
-  std::unordered_map<std::string_view, const StatsSnapshot::HistogramEntry*>
-      prev_hists;
-  for (const auto& entry : previous.histograms) {
-    prev_hists[entry.name] = &entry;
-  }
-  delta.histograms.reserve(current.histograms.size());
-  for (const auto& entry : current.histograms) {
-    StatsSnapshot::HistogramEntry diff;
-    diff.name = entry.name;
-    const auto it = prev_hists.find(entry.name);
-    const StatsSnapshot::HistogramEntry* prev =
-        it == prev_hists.end() ? nullptr : it->second;
-    const bool shapes_match =
-        prev != nullptr && prev->buckets.size() == entry.buckets.size();
-    diff.count = prev != nullptr && entry.count >= prev->count
-                     ? entry.count - prev->count
-                     : entry.count;
-    diff.sum = prev != nullptr && entry.sum >= prev->sum
-                   ? entry.sum - prev->sum
-                   : entry.sum;
-    diff.buckets.resize(entry.buckets.size(), 0);
-    for (size_t b = 0; b < entry.buckets.size(); ++b) {
-      const uint64_t base = shapes_match ? prev->buckets[b] : 0;
-      diff.buckets[b] =
-          entry.buckets[b] >= base ? entry.buckets[b] - base : 0;
-    }
-    delta.histograms.push_back(std::move(diff));
-  }
-  return delta;
-}
 
 std::string RenderPrometheus(const StatsSnapshot& snapshot) {
   std::string out;
@@ -108,135 +55,6 @@ std::string RenderPrometheus(const StatsSnapshot& snapshot) {
     out += name + "_count " + std::to_string(entry.count) + "\n";
   }
   return out;
-}
-
-std::string TelemetrySampleToJsonLine(const TelemetrySample& sample) {
-  Json line = Json::Object();
-  line.Set("t_s", Json::Number(sample.t_s));
-  line.Set("interval_s", Json::Number(sample.interval_s));
-  Json counters = Json::Object();
-  for (const auto& entry : sample.delta.counters) {
-    if (entry.value == 0) continue;
-    counters.Set(entry.name, Json::Number(static_cast<double>(entry.value)));
-  }
-  Json gauges = Json::Object();
-  for (const auto& entry : sample.delta.gauges) {
-    gauges.Set(entry.name, Json::Number(static_cast<double>(entry.value)));
-  }
-  Json histograms = Json::Object();
-  for (const auto& entry : sample.delta.histograms) {
-    if (entry.count == 0) continue;
-    Json hist = Json::Object();
-    hist.Set("count", Json::Number(static_cast<double>(entry.count)));
-    hist.Set("sum", Json::Number(entry.sum));
-    histograms.Set(entry.name, std::move(hist));
-  }
-  Json delta = Json::Object();
-  delta.Set("counters", std::move(counters));
-  delta.Set("gauges", std::move(gauges));
-  delta.Set("histograms", std::move(histograms));
-  line.Set("delta", std::move(delta));
-  return line.Dump(0);
-}
-
-TelemetryExporter::TelemetryExporter(std::function<StatsSnapshot()> source,
-                                     TelemetryOptions options)
-    : source_(std::move(source)),
-      options_(std::move(options)),
-      epoch_(std::chrono::steady_clock::now()),
-      previous_at_(epoch_) {
-  if (options_.interval <= std::chrono::milliseconds(0)) {
-    options_.interval = std::chrono::milliseconds(1);
-  }
-  if (options_.max_samples == 0) options_.max_samples = 1;
-}
-
-TelemetryExporter::~TelemetryExporter() { Stop(); }
-
-bool TelemetryExporter::Start() {
-  {
-    util::MutexLock lock(mutex_);
-    if (running_) return false;
-    running_ = true;
-    stop_requested_ = false;
-  }
-  thread_ = std::thread(&TelemetryExporter::Loop, this);
-  return true;
-}
-
-void TelemetryExporter::Stop() {
-  {
-    util::MutexLock lock(mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  stop_cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  util::MutexLock lock(mutex_);
-  running_ = false;
-}
-
-bool TelemetryExporter::running() const {
-  util::MutexLock lock(mutex_);
-  return running_;
-}
-
-TelemetrySample TelemetryExporter::SampleNow() {
-  util::MutexLock lock(mutex_);
-  return TickLocked();
-}
-
-std::vector<TelemetrySample> TelemetryExporter::samples() const {
-  util::MutexLock lock(mutex_);
-  return samples_;
-}
-
-TelemetrySample TelemetryExporter::TickLocked() {
-  const auto now = std::chrono::steady_clock::now();
-  TelemetrySample sample;
-  sample.t_s = std::chrono::duration<double>(now - epoch_).count();
-  sample.interval_s =
-      std::chrono::duration<double>(now - previous_at_).count();
-  sample.stats = source_();
-  sample.delta = DiffSnapshots(sample.stats, previous_);
-  previous_ = sample.stats;
-  previous_at_ = now;
-  samples_.push_back(sample);
-  if (samples_.size() > options_.max_samples) {
-    samples_.erase(samples_.begin());
-  }
-  WriteFilesLocked(sample);
-  return sample;
-}
-
-void TelemetryExporter::WriteFilesLocked(const TelemetrySample& sample) {
-  if (!options_.prometheus_path.empty()) {
-    // Rewrite whole-file: scrapers read a complete exposition, and a
-    // truncate+write of a few KB needs no rename dance.
-    std::ofstream out(options_.prometheus_path, std::ios::trunc);
-    if (out.good()) out << RenderPrometheus(sample.stats);
-  }
-  if (!options_.json_path.empty()) {
-    const auto mode = json_truncated_ ? std::ios::app : std::ios::trunc;
-    json_truncated_ = true;
-    std::ofstream out(options_.json_path, mode);
-    if (out.good()) out << TelemetrySampleToJsonLine(sample) << '\n';
-  }
-}
-
-void TelemetryExporter::Loop() {
-  // One lock scope per tick (ticks write files under the lock; nobody
-  // contends except Stop and on-demand SampleNow callers).
-  while (true) {
-    util::MutexLock lock(mutex_);
-    const bool stopping = stop_cv_.WaitFor(
-        mutex_, options_.interval, [this] {
-          mutex_.AssertHeld();
-          return stop_requested_;
-        });
-    TickLocked();
-    if (stopping) break;
-  }
 }
 
 }  // namespace anc::obs

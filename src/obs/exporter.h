@@ -1,24 +1,11 @@
 #ifndef ANC_OBS_EXPORTER_H_
 #define ANC_OBS_EXPORTER_H_
 
-#include <chrono>
-#include <cstdint>
-#include <functional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/stats.h"
-#include "util/sync.h"
 
 namespace anc::obs {
-
-/// Counter / histogram delta of `current` against `previous` (matched by
-/// name; names absent from `previous` diff against zero). Gauges are
-/// last-write-wins and pass through unchanged. Negative deltas (a Reset()
-/// between snapshots) clamp to zero.
-StatsSnapshot DiffSnapshots(const StatsSnapshot& current,
-                            const StatsSnapshot& previous);
 
 /// Renders a snapshot in Prometheus text exposition format 0.0.4: counters
 /// as `counter`, gauges as `gauge`, histograms as `histogram` with
@@ -26,89 +13,6 @@ StatsSnapshot DiffSnapshots(const StatsSnapshot& current,
 /// names are sanitized ('.', '-' and other non-[a-zA-Z0-9_] bytes become
 /// '_').
 std::string RenderPrometheus(const StatsSnapshot& snapshot);
-
-/// One exporter tick: the cumulative snapshot plus its delta against the
-/// previous tick.
-struct TelemetrySample {
-  double t_s = 0.0;         ///< seconds since the exporter was created
-  double interval_s = 0.0;  ///< seconds since the previous sample
-  StatsSnapshot stats;      ///< cumulative values at this tick
-  StatsSnapshot delta;      ///< diff vs the previous tick (DiffSnapshots)
-};
-
-/// Renders one sample as the compact JSON object written to the JSONL
-/// file: {"t_s":..,"interval_s":..,"delta":{counters/gauges/histograms}}.
-/// Gauges in `delta` carry current values; zero-delta counters and
-/// empty-delta histograms are omitted to keep time-series lean.
-std::string TelemetrySampleToJsonLine(const TelemetrySample& sample);
-
-struct TelemetryOptions {
-  /// Background tick period (Start()).
-  std::chrono::milliseconds interval{1000};
-  /// When non-empty, every tick rewrites this file with the cumulative
-  /// snapshot in Prometheus text exposition (scrape it, or `cat` it).
-  std::string prometheus_path;
-  /// When non-empty, every tick appends one TelemetrySampleToJsonLine line
-  /// to this file (truncated at Start / first tick).
-  std::string json_path;
-  /// In-memory sample ring for samples(): oldest entries are discarded
-  /// beyond this count.
-  size_t max_samples = 4096;
-};
-
-/// Periodic StatsSnapshot exporter (docs/observability.md): a background
-/// thread ticks every `interval`, diffs the source snapshot against the
-/// previous tick and renders the result as Prometheus text and/or JSONL
-/// time-series, keeping the samples in memory for benches to fold into
-/// their artifacts. `source` is called from the exporter thread (and from
-/// SampleNow callers) — StatsSnapshot producers are thread-safe, so any
-/// `[&] { return server.Stats(); }` works. Under ANC_METRICS=OFF the
-/// exporter runs unchanged over all-zero snapshots.
-class TelemetryExporter {
- public:
-  TelemetryExporter(std::function<StatsSnapshot()> source,
-                    TelemetryOptions options);
-  ~TelemetryExporter();
-
-  TelemetryExporter(const TelemetryExporter&) = delete;
-  TelemetryExporter& operator=(const TelemetryExporter&) = delete;
-
-  /// Starts the background tick thread. Returns false if already running.
-  bool Start();
-
-  /// Takes a final sample, stops and joins the thread. Idempotent.
-  void Stop();
-
-  bool running() const;
-
-  /// Takes one sample immediately (also usable without Start, for
-  /// on-demand export — the anc_cli `telemetry` command).
-  TelemetrySample SampleNow();
-
-  /// All retained samples, oldest first.
-  std::vector<TelemetrySample> samples() const;
-
-  const TelemetryOptions& options() const { return options_; }
-
- private:
-  TelemetrySample TickLocked() ANC_REQUIRES(mutex_);
-  void WriteFilesLocked(const TelemetrySample& sample) ANC_REQUIRES(mutex_);
-  void Loop();
-
-  std::function<StatsSnapshot()> source_;
-  TelemetryOptions options_;
-  std::chrono::steady_clock::time_point epoch_;
-
-  mutable util::Mutex mutex_;
-  util::CondVar stop_cv_;
-  bool running_ ANC_GUARDED_BY(mutex_) = false;
-  bool stop_requested_ ANC_GUARDED_BY(mutex_) = false;
-  bool json_truncated_ ANC_GUARDED_BY(mutex_) = false;
-  StatsSnapshot previous_ ANC_GUARDED_BY(mutex_);
-  std::chrono::steady_clock::time_point previous_at_ ANC_GUARDED_BY(mutex_);
-  std::vector<TelemetrySample> samples_ ANC_GUARDED_BY(mutex_);
-  std::thread thread_;
-};
 
 }  // namespace anc::obs
 

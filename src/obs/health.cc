@@ -205,88 +205,4 @@ std::string HealthReport::ToString() const {
   return out;
 }
 
-StallWatchdog::StallWatchdog(
-    std::function<std::vector<WatchedProgress>()> probe,
-    std::function<void(const WatchedProgress&, double)> on_stall,
-    WatchdogOptions options)
-    : probe_(std::move(probe)),
-      on_stall_(std::move(on_stall)),
-      options_(options) {
-  if (options_.poll <= std::chrono::milliseconds(0)) {
-    options_.poll = std::chrono::milliseconds(1);
-  }
-}
-
-StallWatchdog::~StallWatchdog() { Stop(); }
-
-bool StallWatchdog::Start() {
-  if (running_.exchange(true, std::memory_order_acq_rel)) return false;
-  {
-    util::MutexLock lock(mutex_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread(&StallWatchdog::Loop, this);
-  return true;
-}
-
-void StallWatchdog::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  {
-    util::MutexLock lock(mutex_);
-    stop_requested_ = true;
-  }
-  stop_cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-}
-
-void StallWatchdog::Loop() {
-  while (true) {
-    {
-      util::MutexLock lock(mutex_);
-      if (stop_cv_.WaitFor(mutex_, options_.poll, [this] {
-            mutex_.AssertHeld();
-            return stop_requested_;
-          })) {
-        return;
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const std::vector<WatchedProgress> probed = probe_();
-    for (const WatchedProgress& entry : probed) {
-      WatchState* state = nullptr;
-      for (auto& known : states_) {
-        if (known.first == entry.name) {
-          state = &known.second;
-          break;
-        }
-      }
-      if (state == nullptr) {
-        states_.emplace_back(entry.name, WatchState{});
-        state = &states_.back().second;
-      }
-      if (!state->seen || entry.progress != state->progress) {
-        state->seen = true;
-        state->progress = entry.progress;
-        state->last_change = now;
-        state->fired = false;
-        continue;
-      }
-      if (!entry.pending) {
-        // Idle with nothing queued is not a stall; keep the clock fresh so
-        // a later backlog gets the full grace period.
-        state->last_change = now;
-        state->fired = false;
-        continue;
-      }
-      const double frozen_s =
-          std::chrono::duration<double>(now - state->last_change).count();
-      if (!state->fired && frozen_s >= options_.stall_after_s) {
-        state->fired = true;
-        stalls_.fetch_add(1, std::memory_order_relaxed);
-        if (on_stall_) on_stall_(entry, frozen_s);
-      }
-    }
-  }
-}
-
 }  // namespace anc::obs

@@ -1,15 +1,9 @@
 #ifndef ANC_OBS_HEALTH_H_
 #define ANC_OBS_HEALTH_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "util/sync.h"
 
 namespace anc::obs {
 
@@ -127,69 +121,6 @@ class ShardHealthMonitor {
 
  private:
   HealthThresholds thresholds_;
-};
-
-/// What a StallWatchdog probe reports per watched entity: an opaque
-/// progress value (e.g. applied ticket + durable ticket) and whether the
-/// entity has pending work. A stall is "pending work, progress frozen".
-struct WatchedProgress {
-  std::string name;
-  uint64_t progress = 0;
-  bool pending = false;
-};
-
-struct WatchdogOptions {
-  std::chrono::milliseconds poll{50};
-  /// Seconds a pending entity's progress may stay frozen before on_stall
-  /// fires (once per stall episode; progress re-arms it).
-  double stall_after_s = 1.0;
-};
-
-/// Background stall detector (docs/observability.md): polls `probe` and
-/// fires `on_stall(entry, stalled_s)` when an entry has had pending work
-/// but unchanged progress for stall_after_s. The shard layer wires this to
-/// per-shard applied/durable watermarks and dumps the flight recorder from
-/// on_stall. Both callbacks run on the watchdog thread; they must not
-/// block for long and must outlive the watchdog.
-class StallWatchdog {
- public:
-  StallWatchdog(std::function<std::vector<WatchedProgress>()> probe,
-                std::function<void(const WatchedProgress&, double)> on_stall,
-                WatchdogOptions options = {});
-  ~StallWatchdog();
-
-  StallWatchdog(const StallWatchdog&) = delete;
-  StallWatchdog& operator=(const StallWatchdog&) = delete;
-
-  bool Start();
-  void Stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
-  /// Stall episodes fired so far.
-  uint64_t stalls() const { return stalls_.load(std::memory_order_relaxed); }
-
- private:
-  struct WatchState {
-    uint64_t progress = 0;
-    std::chrono::steady_clock::time_point last_change;
-    bool fired = false;
-    bool seen = false;
-  };
-
-  void Loop();
-
-  std::function<std::vector<WatchedProgress>()> probe_;
-  std::function<void(const WatchedProgress&, double)> on_stall_;
-  WatchdogOptions options_;
-
-  util::Mutex mutex_;
-  util::CondVar stop_cv_;
-  bool stop_requested_ ANC_GUARDED_BY(mutex_) = false;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> stalls_{0};
-  /// Watchdog-thread-only (written by Loop between polls); no guard.
-  std::vector<std::pair<std::string, WatchState>> states_;
-  std::thread thread_;
 };
 
 }  // namespace anc::obs

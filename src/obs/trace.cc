@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <atomic>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -29,23 +30,23 @@ int* DepthSlot(uint64_t uid) {
   return &t_span_depths.back().depth;
 }
 
-Json SpanToJson(const char* name, double ts_us, double dur_us, int depth,
-                int tid, uint64_t trace_id, uint64_t parent_span, int shard,
-                uint64_t seq) {
+Json SpanToJson(const SpanEvent& span, int tid) {
   Json event = Json::Object();
-  event.Set("name", Json::Str(name));
-  event.Set("ts_us", Json::Number(ts_us));
-  event.Set("dur_us", Json::Number(dur_us));
-  event.Set("depth", Json::Number(depth));
+  event.Set("name", Json::Str(span.name));
+  event.Set("ts_us", Json::Number(span.ts_us));
+  event.Set("dur_us", Json::Number(span.dur_us));
+  event.Set("depth", Json::Number(span.depth));
   event.Set("tid", Json::Number(tid));
-  if (trace_id != 0) {
-    event.Set("trace", Json::Number(static_cast<double>(trace_id)));
+  if (span.trace_id != 0) {
+    event.Set("trace", Json::Number(static_cast<double>(span.trace_id)));
   }
-  if (parent_span != 0) {
-    event.Set("parent", Json::Number(static_cast<double>(parent_span)));
+  if (span.parent_span != 0) {
+    event.Set("parent", Json::Number(static_cast<double>(span.parent_span)));
   }
-  if (shard >= 0) event.Set("shard", Json::Number(shard));
-  if (seq != 0) event.Set("seq", Json::Number(static_cast<double>(seq)));
+  if (span.shard >= 0) event.Set("shard", Json::Number(span.shard));
+  if (span.seq != 0) {
+    event.Set("seq", Json::Number(static_cast<double>(span.seq)));
+  }
   return event;
 }
 
@@ -74,21 +75,8 @@ TraceSink::TraceSink(std::ostream* out)
       epoch_(std::chrono::steady_clock::now()) {}
 
 void TraceSink::EmitSpan(const SpanEvent& span) {
-  const int tid = ThreadOrdinal();
-  if (FlightRecorder* recorder = flight_recorder()) {
-    recorder->Record(span, tid);
-  }
   if (out_ == nullptr) return;
-  const std::string line =
-      SpanToJson(span.name, span.ts_us, span.dur_us, span.depth, tid,
-                 span.trace_id, span.parent_span, span.shard, span.seq)
-          .Dump(0);
-  util::MutexLock lock(mutex_);
-  (*out_) << line << '\n';
-}
-
-void TraceSink::EmitLine(const std::string& line) {
-  if (out_ == nullptr) return;
+  const std::string line = SpanToJson(span, ThreadOrdinal()).Dump(0);
   util::MutexLock lock(mutex_);
   (*out_) << line << '\n';
 }
@@ -96,65 +84,5 @@ void TraceSink::EmitLine(const std::string& line) {
 void TraceSink::EnterSpan(uint64_t sink_uid) { ++*DepthSlot(sink_uid); }
 
 int TraceSink::ExitSpan(uint64_t sink_uid) { return --*DepthSlot(sink_uid); }
-
-FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
-
-void FlightRecorder::Record(const SpanEvent& span, int tid) {
-  Recorded entry;
-  entry.name = span.name;
-  entry.ts_us = span.ts_us;
-  entry.dur_us = span.dur_us;
-  entry.depth = span.depth;
-  entry.tid = tid;
-  entry.trace_id = span.trace_id;
-  entry.parent_span = span.parent_span;
-  entry.shard = span.shard;
-  entry.seq = span.seq;
-  util::MutexLock lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(entry));
-  } else {
-    ring_[next_] = std::move(entry);
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++recorded_;
-}
-
-std::vector<FlightRecorder::Recorded> FlightRecorder::Snapshot() const {
-  util::MutexLock lock(mutex_);
-  std::vector<Recorded> out;
-  out.reserve(ring_.size());
-  // Oldest first: once wrapped, next_ points at the oldest entry.
-  const size_t start = ring_.size() < capacity_ ? 0 : next_;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void FlightRecorder::DumpTo(TraceSink& sink, const std::string& reason) const {
-  const std::vector<Recorded> spans = Snapshot();
-  Json marker = Json::Object();
-  marker.Set("event", Json::Str("flight_dump"));
-  marker.Set("reason", Json::Str(reason));
-  marker.Set("spans", Json::Number(static_cast<double>(spans.size())));
-  marker.Set("recorded", Json::Number(static_cast<double>(recorded())));
-  sink.EmitLine(marker.Dump(0));
-  for (const Recorded& span : spans) {
-    Json event = SpanToJson(span.name.c_str(), span.ts_us, span.dur_us,
-                            span.depth, span.tid, span.trace_id,
-                            span.parent_span, span.shard, span.seq);
-    event.Set("flight", Json::Bool(true));
-    sink.EmitLine(event.Dump(0));
-  }
-}
-
-uint64_t FlightRecorder::recorded() const {
-  util::MutexLock lock(mutex_);
-  return recorded_;
-}
 
 }  // namespace anc::obs

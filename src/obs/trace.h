@@ -1,19 +1,15 @@
 #ifndef ANC_OBS_TRACE_H_
 #define ANC_OBS_TRACE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "util/sync.h"
 
 namespace anc::obs {
-
-class FlightRecorder;
 
 /// Request-scoped trace identity (docs/observability.md). A TraceContext is
 /// minted where a request enters the system (Submit on a server, a merged
@@ -71,8 +67,8 @@ class TraceSink {
   explicit TraceSink(const std::string& path);
 
   /// Stream-backed sink (caller keeps the stream alive; tests use
-  /// std::ostringstream). nullptr builds a capture-only sink: nothing is
-  /// written, but an attached FlightRecorder still records every span.
+  /// std::ostringstream). A null stream makes a sink that is not ok() and
+  /// drops every span.
   explicit TraceSink(std::ostream* out);
 
   TraceSink(const TraceSink&) = delete;
@@ -84,16 +80,11 @@ class TraceSink {
   /// bookkeeping below.
   uint64_t uid() const { return uid_; }
 
-  /// Writes one completed span event (and mirrors it into the attached
-  /// FlightRecorder, if any). Thread-safe.
+  /// Writes one completed span event. Thread-safe.
   void EmitSpan(const SpanEvent& span);
   void EmitSpan(const char* name, double ts_us, double dur_us, int depth) {
     EmitSpan(SpanEvent{name, ts_us, dur_us, depth});
   }
-
-  /// Writes one pre-rendered line verbatim under the sink mutex (the
-  /// flight-recorder dump path). Does not touch the recorder.
-  void EmitLine(const std::string& line);
 
   /// Per-(thread, sink) span nesting bookkeeping used by ScopedTimer and
   /// TraceSpan: EnterSpan pushes a level on the calling thread for the
@@ -104,16 +95,6 @@ class TraceSink {
   /// trace) each see their own nesting.
   static void EnterSpan(uint64_t sink_uid);
   static int ExitSpan(uint64_t sink_uid);
-
-  /// Attaches (nullptr detaches) a flight recorder that mirrors every
-  /// emitted span into its ring buffer. The recorder must outlive the
-  /// attachment.
-  void SetFlightRecorder(FlightRecorder* recorder) {
-    recorder_.store(recorder, std::memory_order_release);
-  }
-  FlightRecorder* flight_recorder() const {
-    return recorder_.load(std::memory_order_acquire);
-  }
 
   /// Microseconds between the sink's epoch and `tp`.
   double TsMicros(std::chrono::steady_clock::time_point tp) const {
@@ -127,12 +108,11 @@ class TraceSink {
   const uint64_t uid_;
   util::Mutex mutex_;
   /// file_ and out_ are set once in the constructor and never reseated;
-  /// mutex_ serializes *writes through* the stream (EmitSpan/EmitLine),
+  /// mutex_ serializes *writes through* the stream (EmitSpan),
   /// while ok()'s pointer read needs no lock.
   std::ofstream file_;
   std::ostream* out_;
   std::chrono::steady_clock::time_point epoch_;
-  std::atomic<FlightRecorder*> recorder_{nullptr};
 };
 
 /// RAII manual span: enters a nesting level on construction and emits one
@@ -177,53 +157,6 @@ class TraceSpan {
   int shard_;
   uint64_t seq_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Fixed-size ring buffer of recent spans — the flight recorder
-/// (docs/observability.md). Attach one to a TraceSink (even a capture-only
-/// sink built over a nullptr stream) and every span the sink sees is
-/// mirrored into the ring, overwriting the oldest once full. When a stall
-/// watchdog fires, DumpTo replays the ring into a sink as JSONL so the
-/// last moments before the stall are on disk. Thread-safe.
-class FlightRecorder {
- public:
-  /// A captured span; `name` is copied (span names are string literals on
-  /// the emit path, but the ring outlives any emitting scope).
-  struct Recorded {
-    std::string name;
-    double ts_us = 0.0;
-    double dur_us = 0.0;
-    int depth = 0;
-    int tid = 0;
-    uint64_t trace_id = 0;
-    uint64_t parent_span = 0;
-    int shard = -1;
-    uint64_t seq = 0;
-  };
-
-  explicit FlightRecorder(size_t capacity = 1024);
-
-  void Record(const SpanEvent& span, int tid);
-
-  /// The ring's contents, oldest first.
-  std::vector<Recorded> Snapshot() const;
-
-  /// Replays the ring into `sink`, oldest first, as one marker line
-  ///   {"event":"flight_dump","reason":...,"spans":N,"recorded":M}
-  /// followed by the spans (each tagged "flight":true). Uses EmitLine, so
-  /// the dump is not re-captured by a recorder attached to `sink`.
-  void DumpTo(TraceSink& sink, const std::string& reason) const;
-
-  size_t capacity() const { return capacity_; }
-  /// Total spans ever recorded (>= capacity() means the ring has wrapped).
-  uint64_t recorded() const;
-
- private:
-  const size_t capacity_;
-  mutable util::Mutex mutex_;
-  std::vector<Recorded> ring_ ANC_GUARDED_BY(mutex_);
-  size_t next_ ANC_GUARDED_BY(mutex_) = 0;
-  uint64_t recorded_ ANC_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace anc::obs

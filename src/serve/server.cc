@@ -102,6 +102,7 @@ void AncServer::WriterLoop() {
   std::vector<Activation> batch;
   batch.reserve(options_.max_batch);
   std::vector<IngestQueue::Popped> info;
+  if (obs::kMetricsEnabled) info.reserve(options_.max_batch);
   // Distinct trace ids drained but not yet covered by a published view; a
   // "serve.publish" span is emitted for each at the next publish. Sized to
   // hold a full drain batch of distinct traces (publish follows at most a
@@ -154,13 +155,16 @@ void AncServer::WriterLoop() {
   };
 
   while (true) {
-    obs::TraceSink* sink =
-        obs::kMetricsEnabled ? index_->metrics().trace_sink() : nullptr;
     batch.clear();
     info.clear();
+    // Per-entry trace info rides along with every pop, and the sink is read
+    // only after it: a sink attached while PopBatch waits still gets the
+    // spans of the batch the writer wakes up with.
     const size_t popped =
         queue_.PopBatch(&batch, options_.max_batch, options_.idle_wait,
-                        &resolved_seq, sink != nullptr ? &info : nullptr);
+                        &resolved_seq, obs::kMetricsEnabled ? &info : nullptr);
+    obs::TraceSink* sink =
+        obs::kMetricsEnabled ? index_->metrics().trace_sink() : nullptr;
     if (popped == 0) {
       if (stop_requested_.load(std::memory_order_acquire) &&
           queue_.Depth() == 0) {

@@ -1,7 +1,6 @@
 #include "shard/health.h"
 
-#include <string>
-#include <vector>
+#include <memory>
 
 namespace anc::shard {
 
@@ -45,36 +44,6 @@ obs::ClusterHealthSample CollectHealthSample(const ShardedServer& server) {
 obs::HealthReport AssessHealth(const ShardedServer& server,
                                const obs::ShardHealthMonitor& monitor) {
   return monitor.Assess(CollectHealthSample(server));
-}
-
-std::unique_ptr<obs::StallWatchdog> MakeStallWatchdog(
-    const ShardedServer* server, obs::TraceSink* dump_sink,
-    const obs::FlightRecorder* recorder, obs::WatchdogOptions options) {
-  auto probe = [server] {
-    std::vector<obs::WatchedProgress> probed;
-    probed.reserve(server->num_shards());
-    for (uint32_t s = 0; s < server->num_shards(); ++s) {
-      const serve::AncServer& shard = server->shard(s);
-      obs::WatchedProgress entry;
-      entry.name = "shard-" + std::to_string(s);
-      // Any advance of either watermark counts as progress; a frozen sum
-      // with queued work is the stall signature.
-      entry.progress = shard.watermark().seq + shard.durable_watermark().seq;
-      entry.pending = shard.IngestDepth() > 0;
-      probed.push_back(std::move(entry));
-    }
-    return probed;
-  };
-  auto on_stall = [dump_sink, recorder](const obs::WatchedProgress& entry,
-                                        double stalled_s) {
-    if (dump_sink == nullptr || recorder == nullptr) return;
-    recorder->DumpTo(*dump_sink,
-                     "stall: " + entry.name + " frozen " +
-                         std::to_string(stalled_s) + "s with " +
-                         "pending ingest");
-  };
-  return std::make_unique<obs::StallWatchdog>(std::move(probe),
-                                              std::move(on_stall), options);
 }
 
 }  // namespace anc::shard

@@ -1,10 +1,7 @@
 #ifndef ANC_SHARD_HEALTH_H_
 #define ANC_SHARD_HEALTH_H_
 
-#include <memory>
-
 #include "obs/health.h"
-#include "obs/trace.h"
 #include "shard/sharded_server.h"
 
 namespace anc::shard {
@@ -20,17 +17,6 @@ obs::ClusterHealthSample CollectHealthSample(const ShardedServer& server);
 /// Convenience: CollectHealthSample + Assess under `monitor`'s thresholds.
 obs::HealthReport AssessHealth(const ShardedServer& server,
                                const obs::ShardHealthMonitor& monitor = {});
-
-/// Builds a stall watchdog over `server`'s per-shard watermarks: each
-/// shard's progress is its applied+durable ticket sum, pending means a
-/// non-empty ingest queue. When a shard's watermarks freeze with work
-/// queued for options.stall_after_s, the watchdog dumps `recorder` (when
-/// both it and `dump_sink` are non-null) into `dump_sink` as a flight dump
-/// tagged with the stalled shard. The server, sink and recorder must
-/// outlive the returned watchdog; call Start() to arm it.
-std::unique_ptr<obs::StallWatchdog> MakeStallWatchdog(
-    const ShardedServer* server, obs::TraceSink* dump_sink,
-    const obs::FlightRecorder* recorder, obs::WatchdogOptions options = {});
 
 }  // namespace anc::shard
 

@@ -720,9 +720,22 @@ Status ShardedServer::writer_status() const {
 }
 
 void ShardedServer::SetTraceSink(obs::TraceSink* sink) {
+  obs::TraceSink* const previous = registry_.trace_sink();
   registry_.SetTraceSink(sink);
   for (Shard& shard : shards_) {
     if (shard.index != nullptr) shard.index->SetTraceSink(sink);
+  }
+  if (previous == nullptr || !running_.load(std::memory_order_acquire)) {
+    return;
+  }
+  // A writer may still be emitting a batch's spans into the previous sink
+  // (publish spans follow the watermark a Flush waits on). Once every
+  // writer has reached a quiescent point it only reads the new one, so the
+  // caller may destroy the old sink when this returns.
+  for (Shard& shard : shards_) {
+    // A writer that stopped meanwhile holds no sink either: status moot.
+    (void)shard.server->RunQuiesced(
+        [](const serve::AncServer::QuiescedContext&) {});
   }
 }
 
@@ -1010,56 +1023,6 @@ Status ShardedServer::FinalizeHandoff(
 void ShardedServer::AbortHandoff() {
   util::MutexLock lock(route_mutex_);
   handoff_.reset();
-}
-
-serve::HarnessTarget ShardedServer::HarnessTarget() {
-  serve::HarnessTarget target;
-  target.submit = [this](const Activation& activation) {
-    return Submit(activation);
-  };
-  target.flush = [this](std::chrono::milliseconds timeout) {
-    return Flush(timeout);
-  };
-  target.accepted = [this] { return accepted(); };
-  target.dropped = [this] {
-    uint64_t dropped = 0;
-    for (const Shard& shard : shards_) dropped += shard.server->dropped();
-    return dropped;
-  };
-  // Bad edges plus deliveries a shard queue refused (kReject overflow):
-  // both are submissions some replica never applied.
-  target.rejected = [this] { return rejected() + halo_partial(); };
-  // Staleness in delivery units (halo duplicates counted once per
-  // receiving shard) so frontier and view_seq share a scale.
-  target.frontier = [this] {
-    uint64_t frontier = 0;
-    for (const Shard& shard : shards_) frontier += shard.server->accepted();
-    return frontier;
-  };
-  target.view_seq = [this] {
-    uint64_t seq = 0;
-    for (const Shard& shard : shards_) {
-      seq += shard.server->View()->watermark().seq;
-    }
-    return seq;
-  };
-  target.epochs = [this] {
-    uint64_t epochs = 0;
-    for (const Shard& shard : shards_) {
-      epochs += shard.server->Stats().counter("anc.serve.epochs");
-    }
-    return epochs;
-  };
-  target.num_nodes = [this] { return graph_->NumNodes(); };
-  // Routing through Clusters()/LocalCluster() (not a raw View()) means
-  // harness-driven queries carry traces and land in the router registry's
-  // query histograms.
-  target.query_clusters = [this] { return Clusters().ok(); };
-  target.query_local = [this](NodeId node) { return LocalCluster(node).ok(); };
-  target.record_load_report = [this](const StreamLoadReport& report) {
-    shards_[0].server->RecordLoadReport(report);
-  };
-  return target;
 }
 
 }  // namespace anc::shard

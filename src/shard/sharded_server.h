@@ -13,7 +13,6 @@
 #include "core/anc.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
-#include "serve/harness.h"
 #include "serve/server.h"
 #include "shard/partitioner.h"
 #include "shard/router.h"
@@ -242,8 +241,11 @@ class ShardedServer {
   /// Attaches (nullptr detaches) one trace sink to the router registry and
   /// every shard's index registry: router-level query spans and per-shard
   /// ingest/apply/publish spans interleave in one JSONL stream, correlated
-  /// by trace id and told apart by their `shard` field. The sink must
-  /// outlive the attachment.
+  /// by trace id and told apart by their `shard` field. Replacing or
+  /// detaching a sink on a running server returns once every shard writer
+  /// has let go of the previous one; router-level query spans are emitted
+  /// on the querying thread, so a sink must outlive both the attachment
+  /// and any query in flight when it is detached.
   void SetTraceSink(obs::TraceSink* sink);
 
   /// The router-level registry (anc.shard.query_us / gather_us / merge_us,
@@ -303,10 +305,6 @@ class ShardedServer {
   obs::StatsSnapshot ShardStats(uint32_t s) const {
     return shards_[s].server->Stats();
   }
-
-  /// Adapter driving this server from a ServeHarness. The target borrows
-  /// this server; keep it alive and running for the harness run.
-  serve::HarnessTarget HarnessTarget();
 
   // --- Live migration hooks (rebalance::Migrator; docs/sharding.md) -------
   //

@@ -2,17 +2,26 @@
 # End-to-end smoke test of examples/anc_cli: drives the binary through its
 # stdin command language and checks the printed answers.
 #
-#   tests/cli_smoke_test.sh <path-to-anc_cli>
+#   tests/cli_smoke_test.sh <path-to-anc_cli> [<path-to-trace_check>]
 #
-# Covers one durable 2-shard session (start -> submit-file -> flush-durable
-# -> checkpoint -> view-clusters -> stop -> recover -> view-local -> stop,
-# with the recovered local cluster required to equal the pre-stop one), one
-# tiered 1-shard session, a net-serve + connect + remote-local round trip,
-# and the removal of the old per-family verbs (shard-start must print
-# "unknown command"). Registered with ctest as AncCliSmokeTest.
+# With one argument it covers one durable 2-shard session (start ->
+# submit-file -> flush-durable -> checkpoint -> view-clusters -> stop ->
+# recover -> view-local -> stop, with the recovered local cluster required
+# to equal the pre-stop one), one tiered 1-shard session, a net-serve +
+# connect + remote-local round trip, and the removal of the old per-family
+# verbs (shard-start must print "unknown command"). Registered with ctest
+# as AncCliSmokeTest.
+#
+# With trace_check as the second argument it instead runs one traced
+# 2-shard session (trace-open -> start -> submit-file -> flush ->
+# view-clusters -> view-local -> trace-close) and validates the trace:
+# well-formed, properly nested spans, queue-wait/apply and query/gather
+# correlation, and the ingest, serve and shard span names all present.
+# Registered with ctest as AncCliTraceTest.
 set -euo pipefail
 
-cli="${1:?usage: cli_smoke_test.sh <anc_cli>}"
+cli="${1:?usage: cli_smoke_test.sh <anc_cli> [<trace_check>]}"
+trace_check="${2:-}"
 work="$(mktemp -d "${TMPDIR:-/tmp}/anc_cli_smoke.XXXXXX")"
 pid=""
 cleanup() {
@@ -41,6 +50,28 @@ for _ in 1 2 3 4 5 6; do
   done
 done > "$work/acts.txt"
 echo "not an activation" >> "$work/acts.txt"
+
+if [[ -n "$trace_check" ]]; then
+  printf '%s\n' "gen-ba 200 3" \
+                "trace-open $work/trace.jsonl" \
+                "start 2 ldg" \
+                "submit-file $work/acts.txt" \
+                "flush" \
+                "view-clusters" \
+                "view-local 3 2" \
+                "trace-close" \
+                "stop" \
+                "quit" | "$cli" > "$work/out" 2>&1 ||
+    fail "anc_cli exited with status $?"
+  grep -q "^> trace closed: $work/trace.jsonl" "$work/out" ||
+    fail "missing 'trace closed'"
+  "$trace_check" "$work/trace.jsonl" \
+    ingest.queue_wait serve.apply serve.publish \
+    shard.query_clusters shard.gather shard.merge ||
+    fail "trace_check rejected $work/trace.jsonl"
+  echo "PASS"
+  exit 0
+fi
 
 mkfifo "$work/in"
 "$cli" < "$work/in" > "$work/out" 2>&1 &

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -419,80 +417,20 @@ TEST(TraceSpanTest, EmitsAndOmitsCorrelationFields) {
   EXPECT_EQ(events[1].Find("seq"), nullptr);
 }
 
-// ---------------------------------------------------------------------------
-// FlightRecorder
-// ---------------------------------------------------------------------------
+TEST(TraceSinkTest, SinkWithoutStreamIsNotOkAndDropsSpans) {
+  TraceSink null_stream(static_cast<std::ostream*>(nullptr));
+  EXPECT_FALSE(null_stream.ok());
+  null_stream.EmitSpan("dropped", 0.0, 1.0, 0);
+  { TraceSpan span(&null_stream, "dropped.too"); }
 
-TEST(FlightRecorderTest, RingKeepsMostRecentSpansAndDumps) {
-  FlightRecorder recorder(4);
-  TraceSink capture(static_cast<std::ostream*>(nullptr));  // capture-only
-  capture.SetFlightRecorder(&recorder);
-  for (int i = 0; i < 6; ++i) {
-    SpanEvent span;
-    span.name = "ring";
-    span.ts_us = static_cast<double>(i);
-    capture.EmitSpan(span);
-  }
-  EXPECT_EQ(recorder.recorded(), 6u);
-  const std::vector<FlightRecorder::Recorded> snap = recorder.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);  // oldest two overwritten
-  EXPECT_DOUBLE_EQ(snap.front().ts_us, 2.0);
-  EXPECT_DOUBLE_EQ(snap.back().ts_us, 5.0);
-
-  std::ostringstream out;
-  TraceSink sink(&out);
-  recorder.DumpTo(sink, "test stall");
-  const std::vector<Json> events = ParseJsonl(out.str());
-  ASSERT_EQ(events.size(), 5u);  // marker + 4 replayed spans
-  ASSERT_NE(events[0].Find("event"), nullptr);
-  EXPECT_EQ(events[0].Find("event")->str(), "flight_dump");
-  EXPECT_EQ(events[0].Find("reason")->str(), "test stall");
-  for (size_t i = 1; i < events.size(); ++i) {
-    ASSERT_NE(events[i].Find("flight"), nullptr) << i;
-    EXPECT_TRUE(events[i].Find("flight")->boolean());
-  }
+  TraceSink unopened("/nonexistent/dir/trace.jsonl");
+  EXPECT_FALSE(unopened.ok());
+  unopened.EmitSpan("dropped", 0.0, 1.0, 0);
 }
 
 // ---------------------------------------------------------------------------
-// TelemetryExporter
+// Prometheus exposition
 // ---------------------------------------------------------------------------
-
-TEST(ExporterTest, DiffSnapshotsSubtractsCumulativeValues) {
-  StatsSnapshot prev;
-  prev.counters.push_back({"c", 10});
-  StatsSnapshot::HistogramEntry ph;
-  ph.name = "h";
-  ph.count = 2;
-  ph.sum = 3.0;
-  ph.buckets.assign(kHistogramBucketCount, 0);
-  ph.buckets[1] = 2;
-  prev.histograms.push_back(ph);
-
-  StatsSnapshot cur = prev;
-  cur.counters[0].value = 25;
-  cur.counters.push_back({"fresh", 5});
-  cur.gauges.push_back({"g", -7});
-  cur.histograms[0].count = 5;
-  cur.histograms[0].sum = 9.0;
-  cur.histograms[0].buckets[1] = 4;
-  cur.histograms[0].buckets[3] = 1;
-
-  const StatsSnapshot delta = DiffSnapshots(cur, prev);
-  EXPECT_EQ(delta.counter("c"), 15u);
-  EXPECT_EQ(delta.counter("fresh"), 5u);   // absent before: diffs vs zero
-  EXPECT_EQ(delta.gauge("g"), -7);         // gauges pass through
-  const auto* dh = delta.histogram("h");
-  ASSERT_NE(dh, nullptr);
-  EXPECT_EQ(dh->count, 3u);
-  EXPECT_DOUBLE_EQ(dh->sum, 6.0);
-  EXPECT_EQ(dh->buckets[1], 2u);
-  EXPECT_EQ(dh->buckets[3], 1u);
-
-  // A Reset() between snapshots makes current < previous: clamp, don't wrap.
-  const StatsSnapshot clamped = DiffSnapshots(prev, cur);
-  EXPECT_EQ(clamped.counter("c"), 0u);
-  EXPECT_EQ(clamped.histogram("h")->count, 2u);  // shape mismatch-free clamp
-}
 
 TEST(ExporterTest, RenderPrometheusEmitsExpositionFormat) {
   StatsSnapshot snap;
@@ -522,31 +460,6 @@ TEST(ExporterTest, RenderPrometheusEmitsExpositionFormat) {
             std::string::npos);
   EXPECT_NE(text.find("anc_apply_us_sum 4.5\n"), std::string::npos);
   EXPECT_NE(text.find("anc_apply_us_count 3\n"), std::string::npos);
-}
-
-TEST(ExporterTest, SampleNowDiffsAgainstPreviousTick) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics disabled at compile time";
-  MetricsRegistry registry;
-  const CounterId c = registry.Counter("tick.counter");
-  TelemetryExporter exporter([&registry] { return registry.Snapshot(); },
-                             TelemetryOptions{});
-  registry.Add(c, 5);
-  const TelemetrySample first = exporter.SampleNow();
-  EXPECT_EQ(first.stats.counter("tick.counter"), 5u);
-  EXPECT_EQ(first.delta.counter("tick.counter"), 5u);
-  registry.Add(c, 2);
-  const TelemetrySample second = exporter.SampleNow();
-  EXPECT_EQ(second.stats.counter("tick.counter"), 7u);
-  EXPECT_EQ(second.delta.counter("tick.counter"), 2u);
-  EXPECT_GE(second.t_s, first.t_s);
-  ASSERT_EQ(exporter.samples().size(), 2u);
-
-  // The JSONL rendering keeps only non-zero deltas and must parse.
-  Json line;
-  ASSERT_TRUE(Json::Parse(TelemetrySampleToJsonLine(second), &line));
-  const Json* delta = line.Find("delta");
-  ASSERT_NE(delta, nullptr);
-  EXPECT_NE(delta->Find("counters")->Find("tick.counter"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -630,58 +543,6 @@ TEST(ShardHealthMonitorTest, ReportSerializesToParsableJson) {
   ASSERT_NE(parsed.Find("shards"), nullptr);
   EXPECT_EQ(parsed.Find("shards")->size(), 4u);
   EXPECT_NE(report.ToString().find("degraded"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// StallWatchdog
-// ---------------------------------------------------------------------------
-
-TEST(StallWatchdogTest, FiresOncePerStallEpisodeAndRearms) {
-  std::atomic<uint64_t> progress{1};
-  std::atomic<bool> pending{true};
-  std::atomic<int> fired{0};
-  std::string stalled_name;
-  std::mutex name_mutex;
-
-  WatchdogOptions options;
-  options.poll = std::chrono::milliseconds(5);
-  options.stall_after_s = 0.05;
-  StallWatchdog watchdog(
-      [&] {
-        return std::vector<WatchedProgress>{
-            {"shard-0", progress.load(), pending.load()}};
-      },
-      [&](const WatchedProgress& entry, double stalled_s) {
-        std::lock_guard<std::mutex> lock(name_mutex);
-        stalled_name = entry.name;
-        EXPECT_GE(stalled_s, 0.05);
-        fired.fetch_add(1);
-      },
-      options);
-  ASSERT_TRUE(watchdog.Start());
-  EXPECT_FALSE(watchdog.Start());  // already running
-
-  // Frozen progress with pending work: exactly one firing per episode.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  EXPECT_EQ(fired.load(), 1);
-  {
-    std::lock_guard<std::mutex> lock(name_mutex);
-    EXPECT_EQ(stalled_name, "shard-0");
-  }
-
-  // Progress re-arms the watchdog; freezing again fires a second episode.
-  progress.fetch_add(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  EXPECT_EQ(fired.load(), 2);
-  EXPECT_EQ(watchdog.stalls(), 2u);
-
-  // No pending work: a frozen watermark is idle, not stalled.
-  progress.fetch_add(1);
-  pending.store(false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(fired.load(), 2);
-  watchdog.Stop();
-  EXPECT_FALSE(watchdog.running());
 }
 
 }  // namespace

@@ -28,7 +28,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/cluster_view.h"
-#include "serve/harness.h"
 #include "serve/ingest_queue.h"
 #include "serve/server.h"
 #include "shard/sharded_server.h"
@@ -423,8 +422,9 @@ TEST(ServeLifecycleTest, RunFileSurfacesSkippedLinesInStats) {
   ActivationStream stream = UniformStream(data.graph, 4, 0.05, rng);
   ASSERT_GE(stream.size(), 3u);
 
-  // A stream file with malformed lines sprinkled in: the harness loads it
-  // in skip-and-count mode, and the skips must land in the serve stats.
+  // A stream file with malformed lines sprinkled in, loaded in
+  // skip-and-count mode and submitted the way the CLI's submit-file does:
+  // the skips must land in the serve stats.
   const std::string path =
       (std::filesystem::temp_directory_path() / "anc_serve_runfile.stream")
           .string();
@@ -437,19 +437,26 @@ TEST(ServeLifecycleTest, RunFileSurfacesSkippedLinesInStats) {
 
   std::unique_ptr<shard::ShardedServer> server = StartOneShard(data.graph);
   ASSERT_NE(server, nullptr);
-  serve::HarnessOptions harness_options;
-  harness_options.num_producers = 1;  // keep timestamps ordered at the queue
-  serve::ServeHarness harness(server->HarnessTarget(), harness_options);
-  Result<serve::HarnessReport> report = harness.RunFile(data.graph, path);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  StreamLoadOptions load;
+  load.skip_bad_lines = true;
+  StreamLoadReport load_report;
+  Result<ActivationStream> loaded =
+      LoadActivationStream(data.graph, path, load, &load_report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  server->shard(0).RecordLoadReport(load_report);
+  Result<size_t> accepted =
+      server->SubmitBatch(loaded.value().data(), loaded.value().size());
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  ASSERT_TRUE(server->Flush(kAwait).ok());
   server->Stop();
 
-  EXPECT_EQ(report.value().accepted, stream.size());
-  EXPECT_EQ(report.value().load_skipped, 2u);
-  EXPECT_FALSE(report.value().load_first_error.empty());
-  // The skips survive into the report string and the metrics snapshot.
-  EXPECT_NE(report.value().ToString().find("2 lines skipped"),
-            std::string::npos);
+  EXPECT_EQ(accepted.value(), stream.size());
+  EXPECT_EQ(server->accepted(), stream.size());
+  EXPECT_EQ(load_report.skipped, 2u);
+  EXPECT_FALSE(load_report.first_error.empty());
+  // The first skip names its file and line; the skips also survive into
+  // the metrics snapshot.
+  EXPECT_NE(load_report.first_error.find(path), std::string::npos);
   if (obs::kMetricsEnabled) {
     obs::StatsSnapshot snap = server->ShardStats(0);
     EXPECT_EQ(snap.counter("anc.serve.load_skipped"), 2u);
@@ -726,6 +733,92 @@ TEST(ServeTraceTest, SubmitSpansCorrelateAcrossQueueApplyPublish) {
     EXPECT_TRUE(traces_by_name["serve.apply"].count(trace) > 0) << trace;
     EXPECT_TRUE(traces_by_name["serve.publish"].count(trace) > 0) << trace;
   }
+}
+
+/// Trace ids seen per span name in a JSONL trace.
+std::map<std::string, std::set<uint64_t>> TracesByName(
+    const std::string& jsonl) {
+  std::map<std::string, std::set<uint64_t>> traces;
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    obs::Json event;
+    EXPECT_TRUE(obs::Json::Parse(line, &event)) << line;
+    const obs::Json* name = event.Find("name");
+    const obs::Json* trace = event.Find("trace");
+    if (name != nullptr && trace != nullptr) {
+      traces[name->str()].insert(static_cast<uint64_t>(trace->number()));
+    }
+  }
+  return traces;
+}
+
+TEST(ServeTraceTest, SinkAttachedToRunningServerTracesTheNextBatch) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics disabled";
+  GroundTruthGraph data = SmallCommunityGraph(59);
+  Rng rng(23);
+  ActivationStream stream = UniformStream(data.graph, 4, 0.1, rng);
+  ASSERT_GE(stream.size(), 2u);
+
+  // A long idle wait parks the writer inside PopBatch between batches, and
+  // publishing after every batch keeps Flush off the idle timer.
+  ServeOptions serve;
+  serve.idle_wait = std::chrono::seconds(1);
+  serve.snapshot_every_activations = 1;
+  std::unique_ptr<shard::ShardedServer> server =
+      StartOneShard(data.graph, serve);
+  ASSERT_NE(server, nullptr);
+  // Untraced warm-up: once it is visible, the writer has gone back to wait
+  // for the next batch.
+  ASSERT_TRUE(server->SubmitBatch(stream.data(), 1).ok());
+  ASSERT_TRUE(server->Flush(kAwait).ok());
+
+  std::ostringstream out;
+  obs::TraceSink sink(&out);
+  server->SetTraceSink(&sink);
+  Result<size_t> accepted =
+      server->SubmitBatch(stream.data() + 1, stream.size() - 1);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  ASSERT_TRUE(server->Flush(kAwait).ok());
+  server->Stop();
+  server->SetTraceSink(nullptr);
+
+  // The batch carries one root trace; the writer that popped it must have
+  // emitted its queue-wait and apply spans under that trace.
+  std::map<std::string, std::set<uint64_t>> traces_by_name =
+      TracesByName(out.str());
+  const std::set<uint64_t>& waits = traces_by_name["ingest.queue_wait"];
+  ASSERT_EQ(waits.size(), 1u) << out.str();
+  EXPECT_EQ(traces_by_name["serve.apply"], waits);
+  EXPECT_EQ(traces_by_name["serve.publish"], waits);
+}
+
+TEST(ServeTraceTest, DetachOnRunningServerWaitsForTheWriters) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics disabled";
+  GroundTruthGraph data = SmallCommunityGraph(61);
+  Rng rng(29);
+  ActivationStream stream = UniformStream(data.graph, 8, 0.1, rng);
+  std::unique_ptr<shard::ShardedServer> server = StartOneShard(data.graph);
+  ASSERT_NE(server, nullptr);
+
+  std::ostringstream out;
+  obs::TraceSink sink(&out);
+  server->SetTraceSink(&sink);
+  // One trace per activation: each publish emits one span per trace it
+  // covers, after the watermark that Flush waits on.
+  ASSERT_TRUE(server->SubmitStream(stream).ok());
+  ASSERT_TRUE(server->Flush(kAwait).ok());
+  server->SetTraceSink(nullptr);
+  const std::string at_detach = out.str();
+  server->Stop();
+
+  // Nothing reached the sink after the detach returned, and by then every
+  // traced activation's publish span was written.
+  EXPECT_EQ(out.str(), at_detach);
+  std::map<std::string, std::set<uint64_t>> traces_by_name =
+      TracesByName(at_detach);
+  EXPECT_EQ(traces_by_name["ingest.queue_wait"].size(), stream.size());
+  EXPECT_EQ(traces_by_name["serve.publish"],
+            traces_by_name["ingest.queue_wait"]);
 }
 
 }  // namespace

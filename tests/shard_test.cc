@@ -6,6 +6,7 @@
 // merged answers match a fresh prefix replay.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +29,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/harness.h"
 #include "serve/server.h"
 #include "shard/health.h"
 #include "shard/partitioner.h"
@@ -468,20 +469,60 @@ TEST(ShardedServerTest, HarnessDrivesShardedTargetThroughRouterCallbacks) {
   ShardedServer& server = *created.value();
   ASSERT_TRUE(server.Start().ok());
 
-  serve::HarnessOptions harness_options;
-  harness_options.num_producers = 3;
-  harness_options.num_query_threads = 2;
-  harness_options.full_clusters_every = 16;
-  serve::ServeHarness harness(server.HarnessTarget(), harness_options);
+  // Three producers race through one stream (each claims the next entry)
+  // while two readers issue merged queries until ingest ends.
   const ActivationStream stream = UniformStream(g, 15, 0.05, rng);
-  const serve::HarnessReport report = harness.Run(stream);
-  EXPECT_EQ(report.submitted, stream.size());
-  EXPECT_EQ(report.accepted, stream.size());
-  EXPECT_EQ(report.rejected, 0u);
-  // epochs is sourced from the "anc.serve.epochs" counter, which reads 0
-  // when metrics are compiled out.
-  if (obs::kMetricsEnabled) EXPECT_GT(report.epochs, 0u);
-  EXPECT_FALSE(report.ToString().empty());
+  std::atomic<size_t> next{0};
+  std::atomic<uint64_t> submitted{0};
+  std::atomic<uint64_t> submit_errors{0};
+  std::atomic<bool> ingest_done{false};
+  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> query_errors{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 3; ++p) {
+    producers.emplace_back([&] {
+      for (size_t i = next.fetch_add(1); i < stream.size();
+           i = next.fetch_add(1)) {
+        submitted.fetch_add(1);
+        if (!server.Submit(stream[i]).ok()) submit_errors.fetch_add(1);
+      }
+    });
+  }
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng local(static_cast<uint64_t>(100 + r));
+      uint64_t q = 0;
+      do {
+        const NodeId node = static_cast<NodeId>(local.Uniform(g.NumNodes()));
+        const bool ok = q++ % 16 == 0 ? server.Clusters().ok()
+                                      : server.LocalCluster(node).ok();
+        if (!ok) query_errors.fetch_add(1);
+        queries.fetch_add(1);
+      } while (!ingest_done.load());
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  EXPECT_TRUE(server.Flush(kAwait).ok());
+  ingest_done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(submitted.load(), stream.size());
+  EXPECT_EQ(submit_errors.load(), 0u);
+  EXPECT_EQ(server.accepted(), stream.size());
+  // Bad edges plus deliveries a shard queue refused: both are submissions
+  // some replica never applied.
+  EXPECT_EQ(server.rejected() + server.halo_partial(), 0u);
+  EXPECT_GT(queries.load(), 0u);
+  EXPECT_EQ(query_errors.load(), 0u);
+  // "anc.serve.epochs" reads 0 when metrics are compiled out.
+  if (obs::kMetricsEnabled) {
+    uint64_t epochs = 0;
+    for (uint32_t s = 0; s < server.num_shards(); ++s) {
+      epochs += server.ShardStats(s).counter("anc.serve.epochs");
+    }
+    EXPECT_GT(epochs, 0u);
+  }
   server.Stop();
 }
 
