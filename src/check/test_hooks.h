@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "pyramid/clustering.h"
 #include "pyramid/pyramid_index.h"
 #include "similarity/similarity_engine.h"
 
@@ -43,7 +44,7 @@ class TestHooks {
 
   /// Overwrites a maintained per-level vote count.
   static void SetVoteCount(PyramidIndex& index, uint32_t level, EdgeId e,
-                           uint16_t votes) {
+                           VoteCount votes) {
     index.vote_counts_[level - 1].Set(e, votes);
   }
 
@@ -57,6 +58,23 @@ class TestHooks {
   static void SetDist(PyramidIndex& index, uint32_t pyramid, uint32_t level,
                       NodeId v, double dist) {
     index.partitions_[index.PartitionSlot(pyramid, level)].dist_[v] = dist;
+  }
+
+  /// Moves the repair epoch of every level's Voronoi scratch to `epoch`, so
+  /// a test can drive the counter across its wrap in a few updates.
+  static void SetRepairEpoch(PyramidIndex& index, uint32_t epoch) {
+    for (auto& scratch : index.level_scratch_) scratch.epoch_ = epoch;
+  }
+
+  /// The same for a standalone scratch.
+  static void SetRepairEpoch(VoronoiPartition::Scratch& scratch,
+                             uint32_t epoch) {
+    scratch.epoch_ = epoch;
+  }
+
+  /// Moves the calling thread's LocalCluster visited-stamp epoch.
+  static void SetVisitedEpoch(uint32_t epoch) {
+    VisitedStamp::ForThisThread().epoch_ = epoch;
   }
 
   /// Overwrites one stored edge weight of the index (desynchronizes it from

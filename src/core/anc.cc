@@ -51,6 +51,9 @@ Status AncConfig::Validate() const {
   if (pyramid.num_pyramids < 1) {
     return Status::InvalidArgument("need at least one pyramid");
   }
+  if (pyramid.num_pyramids > kMaxPyramids) {
+    return Status::InvalidArgument("at most 255 pyramids");
+  }
   if (pyramid.theta <= 0.0 || pyramid.theta > 1.0) {
     return Status::InvalidArgument("theta must be in (0, 1]");
   }

@@ -165,7 +165,7 @@ class AncIndex {
   /// byte-identically to this index at export time. Consumed by
   /// serve::ClusterView (docs/serving.md).
   struct ClusterState {
-    std::vector<std::vector<uint16_t>> vote_counts;  ///< [level-1][edge]
+    std::vector<std::vector<VoteCount>> vote_counts;  ///< [level-1][edge]
     uint32_t num_levels = 0;
     uint32_t default_level = 0;
     uint32_t vote_threshold = 0;

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace anc {
 
@@ -69,6 +70,24 @@ Graph GraphBuilder::Build() {
     std::sort(begin, end, [](const Neighbor& a, const Neighbor& b) {
       return a.node < b.node;
     });
+  }
+
+  g.degree_order_.resize(n);
+  std::iota(g.degree_order_.begin(), g.degree_order_.end(), 0);
+  std::sort(g.degree_order_.begin(), g.degree_order_.end(),
+            [&degree](NodeId a, NodeId b) {
+              if (degree[a] != degree[b]) return degree[a] > degree[b];
+              return a < b;
+            });
+  std::vector<uint32_t> rank(n);
+  for (uint32_t i = 0; i < n; ++i) rank[g.degree_order_[i]] = i;
+  g.downhill_offsets_.assign(n + 1, 0);
+  g.downhill_.reserve(m);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const Neighbor& nb : g.Neighbors(v)) {
+      if (rank[nb.node] > rank[v]) g.downhill_.push_back(nb);
+    }
+    g.downhill_offsets_[v + 1] = static_cast<uint32_t>(g.downhill_.size());
   }
   return g;
 }

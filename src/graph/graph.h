@@ -66,12 +66,28 @@ class Graph {
   /// Maximum degree over all nodes (0 for the empty graph).
   uint32_t MaxDegree() const;
 
+  /// All nodes ranked by (degree desc, id asc): the scan order of power
+  /// clustering (Section V-B.2). Fixed by the topology, so it is computed
+  /// once per graph instead of once per query.
+  std::span<const NodeId> DegreeOrder() const { return degree_order_; }
+
+  /// The neighbors of v that rank after v in DegreeOrder() — the downhill
+  /// direction of power clustering — sorted by neighbor id. Each edge
+  /// appears at exactly one of its endpoints.
+  std::span<const Neighbor> Downhill(NodeId v) const {
+    return {downhill_.data() + downhill_offsets_[v],
+            downhill_offsets_[v + 1] - downhill_offsets_[v]};
+  }
+
  private:
   friend class GraphBuilder;
 
   std::vector<uint32_t> offsets_ = {0};  // size n+1
   std::vector<Neighbor> adjacency_;      // size 2m, sorted per node
   std::vector<std::pair<NodeId, NodeId>> endpoints_;  // size m
+  std::vector<NodeId> degree_order_;              // size n
+  std::vector<uint32_t> downhill_offsets_ = {0};  // size n+1
+  std::vector<Neighbor> downhill_;                // size m, sorted per node
 };
 
 /// Accumulates edges and produces an immutable Graph.
@@ -92,7 +108,8 @@ class GraphBuilder {
 
   uint32_t num_pending_edges() const { return static_cast<uint32_t>(pending_.size()); }
 
-  /// Sorts, deduplicates and freezes into a Graph. The builder is left empty.
+  /// Sorts, deduplicates and freezes into a Graph, including its power-
+  /// clustering order (O(n log n + m)). The builder is left empty.
   Graph Build();
 
  private:

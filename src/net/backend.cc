@@ -207,6 +207,11 @@ void ShardedBackend::UpdateLogGaugeLocked() {
   server_->metrics().Set(repl_log_bytes_id_, static_cast<int64_t>(log_bytes_));
 }
 
+size_t ShardedBackend::replication_log_bytes() const {
+  util::MutexLock lock(log_mutex_);
+  return log_bytes_;
+}
+
 void ShardedBackend::TrimAckedLocked() {
   const auto now = std::chrono::steady_clock::now();
   for (auto it = followers_.begin(); it != followers_.end();) {

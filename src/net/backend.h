@@ -133,6 +133,10 @@ class ShardedBackend : public Backend {
   WatermarkBody Watermark() override;
   Result<LogChunkBody> PullLog(const PullLogBody& req) override;
 
+  /// Bytes of WAL frames the replication log holds right now (the value
+  /// the anc.net.repl_log_bytes gauge mirrors, readable without metrics).
+  size_t replication_log_bytes() const ANC_EXCLUDES(log_mutex_);
+
  private:
   struct LogEntry {
     uint64_t first_seq = 0;
@@ -155,7 +159,7 @@ class ShardedBackend : public Backend {
 
   obs::GaugeId repl_log_bytes_id_;
 
-  util::Mutex log_mutex_;
+  mutable util::Mutex log_mutex_;
   std::deque<LogEntry> log_ ANC_GUARDED_BY(log_mutex_);
   size_t log_bytes_ ANC_GUARDED_BY(log_mutex_) = 0;
   /// Tickets <= this were trimmed out of the log.

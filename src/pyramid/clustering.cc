@@ -1,6 +1,21 @@
 #include "pyramid/clustering.h"
 
+#include <algorithm>
+
 namespace anc {
+
+VisitedStamp& VisitedStamp::ForThisThread() {
+  thread_local VisitedStamp stamp;
+  return stamp;
+}
+
+void VisitedStamp::Begin(uint32_t num_nodes) {
+  if (stamps_.size() < num_nodes) stamps_.resize(num_nodes, 0);
+  if (++epoch_ == 0) {
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    epoch_ = 1;
+  }
+}
 
 // The live-index entry points instantiate the generic algorithms with
 // PyramidIndex; serve::ClusterView instantiates the same templates, which

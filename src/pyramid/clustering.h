@@ -3,14 +3,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <numeric>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/clustering_types.h"
 #include "pyramid/pyramid_index.h"
+
+namespace anc::check {
+class TestHooks;
+}  // namespace anc::check
 
 namespace anc {
 
@@ -26,8 +27,9 @@ namespace anc {
 
 /// Even clustering (Section V-B.1): drop every edge whose voting result is
 /// 0 at `level` and report the connected components of what remains.
-/// O(m log n) (Lemma 8). Sensitive to single mis-votes (a spurious passing
-/// edge merges two clusters), which Power clustering avoids.
+/// O(n + m) per query, within Lemma 8's bound. Sensitive to single
+/// mis-votes (a spurious passing edge merges two clusters), which Power
+/// clustering avoids.
 template <typename IndexT>
 Clustering EvenClusteringOf(const IndexT& index, uint32_t level) {
   const Graph& g = index.graph();
@@ -45,39 +47,29 @@ Clustering EvenClusteringOf(const IndexT& index, uint32_t level) {
 /// edge from the higher-degree endpoint to the lower-degree one (node id
 /// breaks ties), then scan nodes from high rank to low; each still-
 /// unclustered node collects all unclustered nodes reachable downhill into
-/// one cluster. O(m log n) (Lemma 8).
+/// one cluster. The rank order and the downhill half of every adjacency
+/// list are fixed per graph (Graph::DegreeOrder / Graph::Downhill, built
+/// once in O(n log n + m)), so a query is a single O(n + m) sweep — the
+/// Lemma 8 bound without its per-query sort.
 template <typename IndexT>
 Clustering PowerClusteringOf(const IndexT& index, uint32_t level) {
   const Graph& g = index.graph();
-  const uint32_t n = g.NumNodes();
-
-  // Rank nodes by (degree desc, id asc); edges point from low rank index
-  // (strong) to high rank index (weak).
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&g](NodeId a, NodeId b) {
-    const uint32_t da = g.Degree(a);
-    const uint32_t db = g.Degree(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  std::vector<uint32_t> rank(n);
-  for (uint32_t i = 0; i < n; ++i) rank[order[i]] = i;
-
   Clustering out;
-  out.labels.assign(n, kNoise);
-  std::deque<NodeId> queue;
-  for (NodeId v : order) {
+  out.labels.assign(g.NumNodes(), kNoise);
+  // One FIFO for the whole sweep: every node is enqueued exactly once, so
+  // the BFS of each cluster continues from where the previous one ended.
+  std::vector<NodeId> queue;
+  queue.reserve(g.NumNodes());
+  size_t head = 0;
+  for (NodeId v : g.DegreeOrder()) {
     if (out.labels[v] != kNoise) continue;
     const uint32_t cluster = out.num_clusters++;
     out.labels[v] = cluster;
     queue.push_back(v);
-    while (!queue.empty()) {
-      NodeId x = queue.front();
-      queue.pop_front();
-      for (const Neighbor& nb : g.Neighbors(x)) {
+    while (head < queue.size()) {
+      const NodeId x = queue[head++];
+      for (const Neighbor& nb : g.Downhill(x)) {
         if (out.labels[nb.node] != kNoise) continue;
-        if (rank[nb.node] < rank[x]) continue;  // only travel downhill
         if (!index.EdgePassesVote(nb.edge, level)) continue;
         out.labels[nb.node] = cluster;
         queue.push_back(nb.node);
@@ -87,26 +79,52 @@ Clustering PowerClusteringOf(const IndexT& index, uint32_t level) {
   return out;
 }
 
+/// The visited set of LocalClusterOf: one epoch stamp per node id, owned by
+/// the calling thread and reused across its queries. A query marks what it
+/// visits and never clears the set — opening the next query bumps the
+/// epoch — so the set costs O(answer), not O(n). The stamps are cleared
+/// only when the epoch wraps, which keeps a stale stamp from ever matching.
+class VisitedStamp {
+ public:
+  /// The calling thread's instance.
+  static VisitedStamp& ForThisThread();
+
+  /// Opens an empty set over node ids [0, num_nodes); grows the stamp array
+  /// to the largest graph this thread has queried.
+  void Begin(uint32_t num_nodes);
+
+  bool Contains(NodeId v) const { return stamps_[v] == epoch_; }
+  void Insert(NodeId v) { stamps_[v] = epoch_; }
+
+ private:
+  /// Test-only seam: moves the epoch next to its wrap.
+  friend class ::anc::check::TestHooks;
+
+  std::vector<uint32_t> stamps_;
+  uint32_t epoch_ = 0;
+};
+
 /// Local cluster query (Lemma 9): the cluster containing `query` at
 /// `level`, discovered by searching only passing edges from `query`. Cost
 /// is proportional to the neighborhoods of the reported nodes, independent
-/// of graph size. Returns the member list (always contains `query`).
+/// of graph size: the visited set is a reused per-thread stamp array, and
+/// the member list doubles as the search frontier. Returns the member list
+/// sorted by id (always contains `query`); sorting the a members costs
+/// O(a log a).
 template <typename IndexT>
 std::vector<NodeId> LocalClusterOf(const IndexT& index, NodeId query,
                                    uint32_t level) {
   const Graph& g = index.graph();
-  std::vector<NodeId> members;
-  // Visited set sized to the discovered frontier, not the graph: a local
-  // query must not pay O(n). A hash set keyed by node id delivers that.
-  std::vector<NodeId> stack = {query};
-  std::unordered_set<NodeId> visited = {query};
-  while (!stack.empty()) {
-    NodeId x = stack.back();
-    stack.pop_back();
-    members.push_back(x);
-    for (const Neighbor& nb : g.Neighbors(x)) {
+  VisitedStamp& visited = VisitedStamp::ForThisThread();
+  visited.Begin(g.NumNodes());
+  visited.Insert(query);
+  std::vector<NodeId> members = {query};
+  for (size_t i = 0; i < members.size(); ++i) {
+    for (const Neighbor& nb : g.Neighbors(members[i])) {
+      if (visited.Contains(nb.node)) continue;
       if (!index.EdgePassesVote(nb.edge, level)) continue;
-      if (visited.insert(nb.node).second) stack.push_back(nb.node);
+      visited.Insert(nb.node);
+      members.push_back(nb.node);
     }
   }
   std::sort(members.begin(), members.end());

@@ -6,16 +6,29 @@
 
 namespace anc {
 
-namespace {
-
-uint32_t LevelsFor(uint32_t n) {
+uint32_t PyramidIndex::NumLevelsFor(uint32_t num_nodes) {
   // ceil(log2 n), at least 1 so even tiny graphs have one granularity.
   uint32_t levels = 1;
-  while ((1ull << levels) < n) ++levels;
-  return std::max<uint32_t>(levels, 1);
+  while ((1ull << levels) < num_nodes) ++levels;
+  return levels;
 }
 
-}  // namespace
+uint32_t PyramidIndex::DefaultLevelFor(uint32_t num_nodes) {
+  const double target = std::sqrt(static_cast<double>(num_nodes));
+  uint32_t best_level = 1;
+  double best_gap = kInfDist;
+  const uint32_t levels = NumLevelsFor(num_nodes);
+  for (uint32_t l = 1; l <= levels; ++l) {
+    const double seeds =
+        static_cast<double>(std::min<uint64_t>(1ull << (l - 1), num_nodes));
+    const double gap = std::abs(std::log2(seeds + 1) - std::log2(target + 1));
+    if (gap < best_gap) {
+      best_gap = gap;
+      best_level = l;
+    }
+  }
+  return best_level;
+}
 
 PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
                            PyramidParams params,
@@ -28,10 +41,12 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
                            obs::MetricsRegistry* metrics)
     : graph_(&g),
       params_(params),
-      num_levels_(LevelsFor(g.NumNodes())),
+      num_levels_(NumLevelsFor(g.NumNodes())),
       weights_(std::move(weights)),
       metrics_(metrics) {
   ANC_CHECK(params_.num_pyramids >= 1, "need at least one pyramid");
+  ANC_CHECK(params_.num_pyramids <= kMaxPyramids,
+            "vote tallies hold at most kMaxPyramids pyramids");
   ANC_CHECK(weights_.size() == g.NumEdges(),
             "weight array size must equal edge count");
   vote_threshold_ = static_cast<uint32_t>(
@@ -40,11 +55,12 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
 
   const uint32_t k = params_.num_pyramids;
   partitions_.resize(static_cast<size_t>(k) * num_levels_);
-  same_seed_bits_.resize(partitions_.size());
+  level_scratch_.assign(num_levels_, VoronoiPartition::Scratch(g.NumNodes()));
+  same_seed_bits_.resize(static_cast<size_t>(num_levels_) * BitGroups());
   for (auto& bits : same_seed_bits_) bits.assign(g.NumEdges(), 0);
   vote_counts_.resize(num_levels_);
   for (auto& votes : vote_counts_) votes.assign(g.NumEdges(), 0);
-  seed_changed_scratch_.resize(partitions_.size());
+  seed_changed_scratch_.resize(num_levels_);
   watched_.assign(g.NumNodes(), 0);
   pending_changes_.resize(num_levels_);
   level_overlays_.resize(num_levels_);
@@ -90,43 +106,33 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
   }
 }
 
-uint32_t PyramidIndex::DefaultLevel() const {
-  const double target = std::sqrt(static_cast<double>(graph_->NumNodes()));
-  uint32_t best_level = 1;
-  double best_gap = kInfDist;
-  for (uint32_t l = 1; l <= num_levels_; ++l) {
-    const double seeds = static_cast<double>(
-        std::min<uint64_t>(1ull << (l - 1), graph_->NumNodes()));
-    const double gap = std::abs(std::log2(seeds + 1) - std::log2(target + 1));
-    if (gap < best_gap) {
-      best_gap = gap;
-      best_level = l;
-    }
-  }
-  return best_level;
-}
-
 void PyramidIndex::InitVotes(uint32_t pyramid, uint32_t level) {
-  const size_t slot = PartitionSlot(pyramid, level);
-  const VoronoiPartition& part = partitions_[slot];
-  auto& bits = same_seed_bits_[slot];
+  const VoronoiPartition& part = partitions_[PartitionSlot(pyramid, level)];
+  auto& bits = same_seed_bits_[BitColumn(pyramid, level)];
+  const uint8_t mask = BitMask(pyramid);
   auto& votes = vote_counts_[level - 1];
   for (EdgeId e = 0; e < graph_->NumEdges(); ++e) {
     const auto& [u, v] = graph_->Endpoints(e);
-    const uint8_t same = part.SameSeed(u, v) ? 1 : 0;
-    if (same && !bits[e]) ++votes.Mut(e);
-    if (!same && bits[e]) --votes.Mut(e);
-    bits.Set(e, same);
+    const bool same = part.SameSeed(u, v);
+    const bool was = (bits[e] & mask) != 0;
+    if (same == was) continue;
+    if (same) {
+      ++votes.Mut(e);
+    } else {
+      --votes.Mut(e);
+    }
+    bits.Set(e, bits[e] ^ mask);
   }
 }
 
 void PyramidIndex::RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e) {
-  const size_t slot = PartitionSlot(pyramid, level);
   const auto& [u, v] = graph_->Endpoints(e);
-  const uint8_t same = partitions_[slot].SameSeed(u, v) ? 1 : 0;
-  if (same == same_seed_bits_[slot][e]) return;
-  same_seed_bits_[slot].Set(e, same);
-  uint16_t& votes = vote_counts_[level - 1].Mut(e);
+  const bool same = partitions_[PartitionSlot(pyramid, level)].SameSeed(u, v);
+  auto& bits = same_seed_bits_[BitColumn(pyramid, level)];
+  const uint8_t mask = BitMask(pyramid);
+  if (same == ((bits[e] & mask) != 0)) return;
+  bits.Set(e, bits[e] ^ mask);
+  VoteCount& votes = vote_counts_[level - 1].Mut(e);
   const bool was_passing = votes >= vote_threshold_;
   if (same) {
     ++votes;
@@ -146,13 +152,14 @@ void PyramidIndex::RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e) {
 
 size_t PyramidIndex::RepairLevel(uint32_t level, EdgeId e, double old_w,
                                  double new_w, EdgeWeights weights) {
+  VoronoiPartition::Scratch& scratch = level_scratch_[level - 1];
+  std::vector<NodeId>& changed = seed_changed_scratch_[level - 1];
   size_t touched = 0;
   for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
     const size_t slot = PartitionSlot(p, level);
-    auto& changed = seed_changed_scratch_[slot];
     changed.clear();
-    touched += partitions_[slot].UpdateEdgeWeight(*graph_, weights, e, old_w,
-                                                  new_w, &changed);
+    touched += partitions_[slot].UpdateEdgeWeight(
+        *graph_, weights, e, old_w, new_w, scratch, &changed);
     // Seed changes invalidate the same-seed bit of every incident edge.
     for (NodeId x : changed) {
       for (const Neighbor& nb : graph_->Neighbors(x)) {
@@ -320,8 +327,11 @@ std::unique_ptr<PyramidIndex> PyramidIndex::FromTreeStates(
   // Build with trivially cheap placeholder seeds, then overwrite every
   // partition with the exact exported tree and recount the votes.
   if (weights.size() != g.NumEdges()) return nullptr;
+  if (params.num_pyramids < 1 || params.num_pyramids > kMaxPyramids) {
+    return nullptr;
+  }
   std::vector<std::vector<NodeId>> placeholder_seeds;
-  const uint32_t levels = LevelsFor(g.NumNodes());
+  const uint32_t levels = NumLevelsFor(g.NumNodes());
   if (trees.size() != static_cast<size_t>(params.num_pyramids) * levels) {
     return nullptr;
   }
@@ -364,6 +374,7 @@ std::vector<std::vector<NodeId>> PyramidIndex::SeedSets() const {
 size_t PyramidIndex::MemoryBytes() const {
   size_t bytes = weights_.capacity() * sizeof(double);
   for (const auto& part : partitions_) bytes += part.MemoryBytes();
+  for (const auto& scratch : level_scratch_) bytes += scratch.MemoryBytes();
   // Tiered columns count their resident pages only: cold pages live in
   // mmap'd segments, which is the point of the accounting (Fig. 6 measures
   // RAM).

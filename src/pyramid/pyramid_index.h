@@ -19,9 +19,16 @@ class TestHooks;
 
 namespace anc {
 
+/// A per-level per-edge vote tally: how many of the k pyramids put the
+/// edge's endpoints under one seed, in [0, k].
+using VoteCount = uint8_t;
+
+/// The largest ensemble a VoteCount can tally.
+inline constexpr uint32_t kMaxPyramids = 255;
+
 /// Configuration of the pyramid index P (Section V, Table II).
 struct PyramidParams {
-  uint32_t num_pyramids = 4;  ///< k, the voting-ensemble size
+  uint32_t num_pyramids = 4;  ///< k, the voting-ensemble size (<= kMaxPyramids)
   double theta = 0.7;         ///< support threshold of the voting function
   uint64_t seed = 42;         ///< RNG seed for the Voronoi seed sets
   /// Workers for the level-parallel batch repair and the build (Lemma 13).
@@ -84,7 +91,12 @@ class PyramidIndex {
 
   /// The granularity level whose seed count is closest to sqrt(n) — the
   /// Theta(sqrt(n))-clusters entry point of Problem 1.
-  uint32_t DefaultLevel() const;
+  uint32_t DefaultLevel() const { return DefaultLevelFor(graph_->NumNodes()); }
+
+  /// The level geometry of an n-node graph: ceil(log2 n) levels (at least
+  /// one), and DefaultLevel() of any index over it.
+  static uint32_t NumLevelsFor(uint32_t num_nodes);
+  static uint32_t DefaultLevelFor(uint32_t num_nodes);
 
   /// Levels are 1-based: level 1 is the coarsest (1 seed per pyramid),
   /// num_levels() the finest. Partition access is exposed for tests,
@@ -169,8 +181,9 @@ class PyramidIndex {
   /// since the previous drain, ordered by level then occurrence.
   std::vector<VoteChange> DrainVoteChanges();
 
-  /// Heap bytes of the index: partitions + vote tables + weight array
-  /// (Fig. 6 accounting; the graph itself is excluded as in the paper).
+  /// Heap bytes of the index: partitions + vote tables + weight array +
+  /// the per-level repair scratch (Fig. 6 accounting; the graph itself is
+  /// excluded as in the paper).
   size_t MemoryBytes() const;
 
   /// Snapshot export hook for the serving layer: a copy of the maintained
@@ -179,8 +192,8 @@ class PyramidIndex {
   /// query algorithm, so an immutable view built from it answers
   /// Clusters / LocalCluster / Zoom byte-identically to this index at the
   /// moment of the copy. O(levels * m) flat copies.
-  std::vector<std::vector<uint16_t>> ExportVoteCounts() const {
-    std::vector<std::vector<uint16_t>> out;
+  std::vector<std::vector<VoteCount>> ExportVoteCounts() const {
+    std::vector<std::vector<VoteCount>> out;
     out.reserve(vote_counts_.size());
     for (const auto& votes : vote_counts_) out.push_back(votes.ToVector());
     return out;
@@ -194,9 +207,9 @@ class PyramidIndex {
     for (uint32_t l = 0; l < num_levels_; ++l) {
       vote_counts_[l].Attach(host, static_cast<uint16_t>(tier::kColVotesBase + l));
     }
-    for (size_t slot = 0; slot < same_seed_bits_.size(); ++slot) {
-      same_seed_bits_[slot].Attach(
-          host, static_cast<uint16_t>(tier::kColBitsBase + slot));
+    for (size_t col = 0; col < same_seed_bits_.size(); ++col) {
+      same_seed_bits_[col].Attach(
+          host, static_cast<uint16_t>(tier::kColBitsBase + col));
     }
   }
 
@@ -213,6 +226,17 @@ class PyramidIndex {
 
   size_t PartitionSlot(uint32_t pyramid, uint32_t level) const {
     return static_cast<size_t>(pyramid) * num_levels_ + (level - 1);
+  }
+
+  /// Same-seed bit layout: the bits of up to eight pyramids share one byte
+  /// per edge, and a level's bytes live in its own columns, so the level-
+  /// parallel repair writes disjoint columns.
+  uint32_t BitGroups() const { return (params_.num_pyramids + 7) / 8; }
+  size_t BitColumn(uint32_t pyramid, uint32_t level) const {
+    return static_cast<size_t>(level - 1) * BitGroups() + pyramid / 8;
+  }
+  static uint8_t BitMask(uint32_t pyramid) {
+    return static_cast<uint8_t>(1u << (pyramid % 8));
   }
 
   /// Recomputes the same-seed bit of edge e in partition (pyramid, level)
@@ -238,11 +262,17 @@ class PyramidIndex {
   uint32_t vote_threshold_;
   std::vector<double> weights_;
   std::vector<VoronoiPartition> partitions_;  // pyramid-major, level-minor
-  // same_seed_bits_[slot][e]: 1 iff partition `slot` currently has both
-  // endpoints of e under one seed. Differencing these bits keeps
-  // vote_counts_ exact under incremental updates.
+  // Repair scratch shared by the k partitions of a level ([level-1]). A
+  // level's repairs run one after another — serially in UpdateEdgeWeight,
+  // inside the level's own task in UpdateEdgeWeights — so sharing is
+  // race-free.
+  std::vector<VoronoiPartition::Scratch> level_scratch_;
+  // Bit BitMask(p) of same_seed_bits_[BitColumn(p, l)][e] is set iff the
+  // level-l partition of pyramid p currently has both endpoints of e under
+  // one seed. Differencing these bits keeps vote_counts_ exact under
+  // incremental updates.
   std::vector<tier::Column<uint8_t>> same_seed_bits_;
-  std::vector<tier::Column<uint16_t>> vote_counts_;  // [level-1][edge]
+  std::vector<tier::Column<VoteCount>> vote_counts_;  // [level-1][edge]
   std::unique_ptr<ThreadPool> pool_;
   // UpdateEdgeWeights scratch: the pre-batch weight of each distinct batch
   // edge (overlay slot order), each update's overlay slot, and every
@@ -250,7 +280,7 @@ class PyramidIndex {
   std::vector<double> batch_pre_weights_;
   std::vector<size_t> batch_slots_;
   std::vector<std::vector<double>> level_overlays_;
-  // Per-slot scratch for seed-change reporting (avoids reallocating in the
+  // Per-level scratch for seed-change reporting (avoids reallocating in the
   // update hot path).
   std::vector<std::vector<NodeId>> seed_changed_scratch_;
   // Watched-node change reporting: per-level event buffers (levels are the

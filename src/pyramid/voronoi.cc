@@ -5,34 +5,47 @@
 
 namespace anc {
 
+VoronoiPartition::Scratch::Scratch(uint32_t num_nodes)
+    : queue_(num_nodes),
+      touch_epoch_(num_nodes, 0),
+      old_seed_(num_nodes, kInvalidNode) {}
+
+void VoronoiPartition::Scratch::NextEpoch() {
+  if (++epoch_ != 0) return;
+  std::fill(touch_epoch_.begin(), touch_epoch_.end(), 0);
+  epoch_ = 1;
+}
+
+size_t VoronoiPartition::Scratch::MemoryBytes() const {
+  return queue_.MemoryBytes() + touch_epoch_.capacity() * sizeof(uint32_t) +
+         (old_seed_.capacity() + touched_.capacity() + subtree_.capacity()) *
+             sizeof(NodeId);
+}
+
 void VoronoiPartition::Build(const Graph& g,
                              const std::vector<double>& weights,
                              std::vector<NodeId> seeds) {
   const uint32_t n = g.NumNodes();
+  graph_ = &g;
   seeds_ = std::move(seeds);
   seed_of_.assign(n, kInvalidNode);
   dist_.assign(n, kInfDist);
-  parent_.assign(n, kInvalidNode);
   parent_edge_.assign(n, kInvalidEdge);
   first_child_.assign(n, kInvalidNode);
   next_sibling_.assign(n, kInvalidNode);
   prev_sibling_.assign(n, kInvalidNode);
-  touch_epoch_.assign(n, 0);
-  subtree_epoch_.assign(n, 0);
-  old_seed_.assign(n, kInvalidNode);
-  is_seed_.assign(n, 0);
-  for (NodeId s : seeds_) is_seed_[s] = 1;
-  epoch_ = 0;
-  queue_ = IndexedMinHeap(n);
 
-  // Multi-source Dijkstra with the seed set as super source.
+  // Multi-source Dijkstra with the seed set as super source. The heap is
+  // transient: an index builds its partitions in parallel, so they cannot
+  // borrow the per-level repair scratch.
+  IndexedMinHeap queue(n);
   for (NodeId s : seeds_) {
     dist_[s] = 0.0;
     seed_of_[s] = s;
-    queue_.PushOrUpdate(s, 0.0);
+    queue.PushOrUpdate(s, 0.0);
   }
-  while (!queue_.empty()) {
-    auto [x, dx] = queue_.PopMin();
+  while (!queue.empty()) {
+    auto [x, dx] = queue.PopMin();
     if (dx > dist_[x]) continue;  // stale entry (cannot happen with indexed heap)
     for (const Neighbor& nb : g.Neighbors(x)) {
       const double cand = dist_[x] + weights[nb.edge];
@@ -40,7 +53,7 @@ void VoronoiPartition::Build(const Graph& g,
         dist_[nb.node] = cand;
         seed_of_[nb.node] = seed_of_[x];
         SetParent(nb.node, x, nb.edge);
-        queue_.PushOrUpdate(nb.node, cand);
+        queue.PushOrUpdate(nb.node, cand);
       }
     }
   }
@@ -48,48 +61,62 @@ void VoronoiPartition::Build(const Graph& g,
 
 size_t VoronoiPartition::UpdateEdgeWeight(const Graph& g, EdgeWeights weights,
                                           EdgeId e, double old_w, double new_w,
+                                          Scratch& scratch,
                                           std::vector<NodeId>* seed_changed) {
   if (old_w == new_w) return 0;
   const auto& [u, v] = g.Endpoints(e);
-  ++epoch_;
-  touched_.clear();
-  queue_.Clear();
+  scratch.NextEpoch();
+  scratch.touched_.clear();
+  scratch.queue_.Clear();
 
   if (new_w < old_w) {
-    RunDecrease(g, weights, u, v, e);
+    RunDecrease(g, weights, u, v, e, scratch);
   } else {
-    RunIncrease(g, weights, u, v, e);
+    RunIncrease(g, weights, u, v, e, scratch);
   }
 
   if (seed_changed != nullptr) {
-    for (NodeId x : touched_) {
-      if (old_seed_[x] != seed_of_[x]) seed_changed->push_back(x);
+    for (NodeId x : scratch.touched_) {
+      if (scratch.old_seed_[x] != seed_of_[x]) seed_changed->push_back(x);
     }
   }
-  return touched_.size();
+  return scratch.touched_.size();
+}
+
+size_t VoronoiPartition::UpdateEdgeWeight(const Graph& g, EdgeWeights weights,
+                                          EdgeId e, double old_w, double new_w,
+                                          std::vector<NodeId>* seed_changed) {
+  if (own_scratch_.num_nodes() != g.NumNodes()) {
+    own_scratch_ = Scratch(g.NumNodes());
+  }
+  return UpdateEdgeWeight(g, weights, e, old_w, new_w, own_scratch_,
+                          seed_changed);
 }
 
 void VoronoiPartition::RunDecrease(const Graph& g, EdgeWeights weights,
-                                   NodeId u, NodeId v, EdgeId e) {
+                                   NodeId u, NodeId v, EdgeId e,
+                                   Scratch& scratch) {
   // Algorithm 1: seed the queue with whichever endpoint the cheaper edge
   // now improves, then run Dijkstra-like relaxation outward. Distances can
   // only decrease, so every relaxation is final-or-improvable and the
   // search touches exactly the affected region (Lemma 11/12).
-  if (TryImprove(u, v, e, weights)) queue_.PushOrUpdate(u, dist_[u]);
-  if (TryImprove(v, u, e, weights)) queue_.PushOrUpdate(v, dist_[v]);
-  while (!queue_.empty()) {
-    auto [x, dx] = queue_.PopMin();
+  IndexedMinHeap& queue = scratch.queue_;
+  if (TryImprove(u, v, e, weights, scratch)) queue.PushOrUpdate(u, dist_[u]);
+  if (TryImprove(v, u, e, weights, scratch)) queue.PushOrUpdate(v, dist_[v]);
+  while (!queue.empty()) {
+    auto [x, dx] = queue.PopMin();
     (void)dx;
     for (const Neighbor& nb : g.Neighbors(x)) {
-      if (TryImprove(nb.node, x, nb.edge, weights)) {
-        queue_.PushOrUpdate(nb.node, dist_[nb.node]);
+      if (TryImprove(nb.node, x, nb.edge, weights, scratch)) {
+        queue.PushOrUpdate(nb.node, dist_[nb.node]);
       }
     }
   }
 }
 
 void VoronoiPartition::RunIncrease(const Graph& g, EdgeWeights weights,
-                                   NodeId u, NodeId v, EdgeId e) {
+                                   NodeId u, NodeId v, EdgeId e,
+                                   Scratch& scratch) {
   // Algorithm 3. A heavier edge matters only when it is a tree edge: the
   // orphaned endpoint's whole subtree loses its witness path and must be
   // reattached; everything else keeps a valid, unchanged shortest path.
@@ -102,21 +129,20 @@ void VoronoiPartition::RunIncrease(const Graph& g, EdgeWeights weights,
     return;
   }
 
-  std::vector<NodeId> subtree;
+  std::vector<NodeId>& subtree = scratch.subtree_;
   CollectSubtree(orphan, &subtree);
-  ++epoch_;  // CollectSubtree stamps subtree_epoch_ with the new epoch below
 
   // Reset the orphaned region: distances to infinity, seeds invalid, tree
   // links cleared. Children of subtree nodes are themselves in the subtree,
   // so clearing first_child_ wholesale is safe; only the orphan must be
-  // unlinked from its (outside) parent.
+  // unlinked from its (outside) parent. Touch records each node's seed
+  // before the reset, and until the Dijkstra below starts, the touched
+  // nodes of this epoch are exactly the subtree.
   SetParent(orphan, kInvalidNode, kInvalidEdge);
   for (NodeId x : subtree) {
-    Touch(x);
-    subtree_epoch_[x] = epoch_;
+    Touch(x, scratch);
     dist_[x] = kInfDist;
     seed_of_[x] = kInvalidNode;
-    parent_[x] = kInvalidNode;
     parent_edge_[x] = kInvalidEdge;
     first_child_[x] = kInvalidNode;
     next_sibling_[x] = kInvalidNode;
@@ -127,16 +153,18 @@ void VoronoiPartition::RunIncrease(const Graph& g, EdgeWeights weights,
   // outside the subtree, whose distance is provably unchanged by the
   // increase (its tree path avoids e). Seed the queue with the best outside
   // witness of each subtree node.
+  IndexedMinHeap& queue = scratch.queue_;
   for (NodeId x : subtree) {
-    // A subtree node that is itself a seed re-roots at distance 0.
-    if (is_seed_[x] != 0) {
+    // A subtree node that is itself a seed (its own pre-reset seed)
+    // re-roots at distance 0.
+    if (scratch.old_seed_[x] == x) {
       dist_[x] = 0.0;
       seed_of_[x] = x;
-      queue_.PushOrUpdate(x, 0.0);
+      queue.PushOrUpdate(x, 0.0);
       continue;
     }
     for (const Neighbor& nb : g.Neighbors(x)) {
-      if (subtree_epoch_[nb.node] == epoch_) continue;  // inside subtree
+      if (scratch.touch_epoch_[nb.node] == scratch.epoch_) continue;
       if (dist_[nb.node] == kInfDist) continue;
       const double cand = dist_[nb.node] + weights[nb.edge];
       if (cand < dist_[x]) {
@@ -145,27 +173,27 @@ void VoronoiPartition::RunIncrease(const Graph& g, EdgeWeights weights,
         SetParent(x, nb.node, nb.edge);
       }
     }
-    if (dist_[x] < kInfDist) queue_.PushOrUpdate(x, dist_[x]);
+    if (dist_[x] < kInfDist) queue.PushOrUpdate(x, dist_[x]);
   }
 
   // Dijkstra over the orphaned region to settle the reattachment.
-  while (!queue_.empty()) {
-    auto [x, dx] = queue_.PopMin();
+  while (!queue.empty()) {
+    auto [x, dx] = queue.PopMin();
     (void)dx;
     for (const Neighbor& nb : g.Neighbors(x)) {
-      if (TryImprove(nb.node, x, nb.edge, weights)) {
-        queue_.PushOrUpdate(nb.node, dist_[nb.node]);
+      if (TryImprove(nb.node, x, nb.edge, weights, scratch)) {
+        queue.PushOrUpdate(nb.node, dist_[nb.node]);
       }
     }
   }
 }
 
 bool VoronoiPartition::TryImprove(NodeId a, NodeId b, EdgeId e_ab,
-                                  EdgeWeights weights) {
+                                  EdgeWeights weights, Scratch& scratch) {
   if (dist_[b] == kInfDist) return false;
   const double cand = dist_[b] + weights[e_ab];
   if (cand >= dist_[a]) return false;
-  Touch(a);
+  Touch(a, scratch);
   dist_[a] = cand;
   seed_of_[a] = seed_of_[b];
   SetParent(a, b, e_ab);
@@ -174,7 +202,7 @@ bool VoronoiPartition::TryImprove(NodeId a, NodeId b, EdgeId e_ab,
 
 void VoronoiPartition::SetParent(NodeId v, NodeId parent, EdgeId parent_edge) {
   // Unlink from the previous parent's child list.
-  const NodeId old_parent = parent_[v];
+  const NodeId old_parent = Parent(v);
   if (old_parent != kInvalidNode) {
     const NodeId prev = prev_sibling_[v];
     const NodeId next = next_sibling_[v];
@@ -185,7 +213,6 @@ void VoronoiPartition::SetParent(NodeId v, NodeId parent, EdgeId parent_edge) {
     }
     if (next != kInvalidNode) prev_sibling_[next] = prev;
   }
-  parent_[v] = parent;
   parent_edge_[v] = parent_edge;
   prev_sibling_[v] = kInvalidNode;
   next_sibling_[v] = kInvalidNode;
@@ -209,11 +236,11 @@ void VoronoiPartition::CollectSubtree(NodeId root,
   }
 }
 
-void VoronoiPartition::Touch(NodeId v) {
-  if (touch_epoch_[v] == epoch_) return;
-  touch_epoch_[v] = epoch_;
-  old_seed_[v] = seed_of_[v];
-  touched_.push_back(v);
+void VoronoiPartition::Touch(NodeId v, Scratch& scratch) const {
+  if (scratch.touch_epoch_[v] == scratch.epoch_) return;
+  scratch.touch_epoch_[v] = scratch.epoch_;
+  scratch.old_seed_[v] = seed_of_[v];
+  scratch.touched_.push_back(v);
 }
 
 bool VoronoiPartition::ConsistentWith(const Graph& g,
@@ -242,7 +269,9 @@ void VoronoiPartition::ScaleDistances(double factor) {
 }
 
 VoronoiPartition::TreeState VoronoiPartition::ExportTree() const {
-  return {seeds_,       seed_of_,      dist_,         parent_,
+  std::vector<NodeId> parent(parent_edge_.size());
+  for (NodeId v = 0; v < parent.size(); ++v) parent[v] = Parent(v);
+  return {seeds_,       seed_of_,      dist_,         std::move(parent),
           parent_edge_, first_child_,  next_sibling_, prev_sibling_};
 }
 
@@ -267,31 +296,39 @@ Status VoronoiPartition::RestoreTree(const Graph& g, TreeState state) {
       !in_range(state.next_sibling) || !in_range(state.prev_sibling)) {
     return Status::InvalidArgument("tree link out of range");
   }
+  // The parent is stored as its tree edge alone, so the two must agree.
+  for (NodeId v = 0; v < n; ++v) {
+    const EdgeId e = state.parent_edge[v];
+    if (e == kInvalidEdge) {
+      if (state.parent[v] != kInvalidNode) {
+        return Status::InvalidArgument("parent without a parent edge");
+      }
+      continue;
+    }
+    if (e >= g.NumEdges()) {
+      return Status::InvalidArgument("parent edge out of range");
+    }
+    const auto& [a, b] = g.Endpoints(e);
+    if ((a != v || b != state.parent[v]) && (b != v || a != state.parent[v])) {
+      return Status::InvalidArgument("parent edge does not join v to parent");
+    }
+  }
+  graph_ = &g;
   seeds_ = std::move(state.seeds);
   seed_of_ = std::move(state.seed_of);
   dist_ = std::move(state.dist);
-  parent_ = std::move(state.parent);
   parent_edge_ = std::move(state.parent_edge);
   first_child_ = std::move(state.first_child);
   next_sibling_ = std::move(state.next_sibling);
   prev_sibling_ = std::move(state.prev_sibling);
-  is_seed_.assign(n, 0);
-  for (NodeId s : seeds_) is_seed_[s] = 1;
-  touch_epoch_.assign(n, 0);
-  subtree_epoch_.assign(n, 0);
-  old_seed_.assign(n, kInvalidNode);
-  epoch_ = 0;
-  queue_ = IndexedMinHeap(n);
   return Status::OK();
 }
 
 size_t VoronoiPartition::MemoryBytes() const {
   size_t bytes = 0;
   bytes += seeds_.capacity() * sizeof(NodeId);
-  bytes += is_seed_.capacity() * sizeof(uint8_t);
   bytes += seed_of_.capacity() * sizeof(NodeId);
   bytes += dist_.capacity() * sizeof(double);
-  bytes += parent_.capacity() * sizeof(NodeId);
   bytes += parent_edge_.capacity() * sizeof(EdgeId);
   bytes += first_child_.capacity() * sizeof(NodeId);
   bytes += next_sibling_.capacity() * sizeof(NodeId);

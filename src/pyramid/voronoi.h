@@ -67,6 +67,39 @@ class EdgeWeights {
 /// array. Unreachable nodes have seed kInvalidNode and distance kInfDist.
 class VoronoiPartition {
  public:
+  /// Update-scoped working memory of a repair: the Dijkstra queue, the
+  /// touch stamps, and each touched node's pre-update seed (12 bytes per
+  /// node). Nothing in it outlives one UpdateEdgeWeight call, so any number
+  /// of partitions over one graph may share a Scratch as long as their
+  /// repairs never overlap in time; PyramidIndex keeps one per level.
+  class Scratch {
+   public:
+    explicit Scratch(uint32_t num_nodes = 0);
+
+    uint32_t num_nodes() const {
+      return static_cast<uint32_t>(touch_epoch_.size());
+    }
+
+    /// Heap-resident bytes (index-size accounting, Fig. 6).
+    size_t MemoryBytes() const;
+
+   private:
+    friend class VoronoiPartition;
+    /// Test-only seam: moves the epoch next to its wrap.
+    friend class ::anc::check::TestHooks;
+
+    /// Opens the next update epoch. When the counter wraps, every stamp is
+    /// cleared first, so a stamp left by an earlier epoch never matches.
+    void NextEpoch();
+
+    IndexedMinHeap queue_;
+    std::vector<uint32_t> touch_epoch_;
+    std::vector<NodeId> old_seed_;
+    std::vector<NodeId> touched_;
+    std::vector<NodeId> subtree_;
+    uint32_t epoch_ = 0;
+  };
+
   /// Builds the partition from scratch: one multi-source Dijkstra with the
   /// seed set as super source (by-product: the shortest path trees).
   void Build(const Graph& g, const std::vector<double>& weights,
@@ -75,7 +108,10 @@ class VoronoiPartition {
   const std::vector<NodeId>& seeds() const { return seeds_; }
   NodeId SeedOf(NodeId v) const { return seed_of_[v]; }
   double Dist(NodeId v) const { return dist_[v]; }
-  NodeId Parent(NodeId v) const { return parent_[v]; }
+  NodeId Parent(NodeId v) const {
+    const EdgeId e = parent_edge_[v];
+    return e == kInvalidEdge ? kInvalidNode : graph_->Opposite(e, v);
+  }
   EdgeId ParentEdge(NodeId v) const { return parent_edge_[v]; }
 
   /// True when u and v are dominated by the same seed (both reachable).
@@ -84,10 +120,18 @@ class VoronoiPartition {
   }
 
   /// Repairs the partition after the weight of edge e changed from `old_w`
-  /// to `new_w`. `weights` must already contain `new_w` at index e. Nodes
-  /// whose *seed* changed are appended to `seed_changed` (callers maintain
-  /// vote counts from it). Returns the number of nodes whose distance or
-  /// seed was touched (the |U'| of Lemma 12, for stats and tests).
+  /// to `new_w`. `weights` must already contain `new_w` at index e.
+  /// `scratch` must span g's nodes and be used by no concurrent repair.
+  /// Nodes whose *seed* changed are appended to `seed_changed` (callers
+  /// maintain vote counts from it). Returns the number of nodes whose
+  /// distance or seed was touched (the |U'| of Lemma 12, for stats and
+  /// tests).
+  size_t UpdateEdgeWeight(const Graph& g, EdgeWeights weights, EdgeId e,
+                          double old_w, double new_w, Scratch& scratch,
+                          std::vector<NodeId>* seed_changed);
+
+  /// The same repair with a scratch private to this partition, allocated on
+  /// first use (a partition used outside an index).
   size_t UpdateEdgeWeight(const Graph& g, EdgeWeights weights, EdgeId e,
                           double old_w, double new_w,
                           std::vector<NodeId>* seed_changed);
@@ -103,7 +147,8 @@ class VoronoiPartition {
   /// absorbs a batched rescale of the global decay factor (Lemma 10).
   void ScaleDistances(double factor);
 
-  /// Heap-resident bytes of this partition (index-size accounting, Fig. 6).
+  /// Heap-resident bytes of this partition (index-size accounting, Fig. 6),
+  /// excluding repair scratch.
   size_t MemoryBytes() const;
 
   /// Complete tree state (serialization support). The sibling links are
@@ -136,12 +181,13 @@ class VoronoiPartition {
   /// Probe (Algorithm 2): tries to improve a's distance via its neighbor b
   /// along edge e_ab. On success rewires a's parent to b and records a in
   /// the touched set. Returns true when a improved.
-  bool TryImprove(NodeId a, NodeId b, EdgeId e_ab, EdgeWeights weights);
+  bool TryImprove(NodeId a, NodeId b, EdgeId e_ab, EdgeWeights weights,
+                  Scratch& scratch);
 
   void RunDecrease(const Graph& g, EdgeWeights weights, NodeId u, NodeId v,
-                   EdgeId e);
+                   EdgeId e, Scratch& scratch);
   void RunIncrease(const Graph& g, EdgeWeights weights, NodeId u, NodeId v,
-                   EdgeId e);
+                   EdgeId e, Scratch& scratch);
 
   /// Rewires the tree so that `parent` becomes the parent of v (unlinking v
   /// from its previous parent's child list first). parent == kInvalidNode
@@ -154,13 +200,14 @@ class VoronoiPartition {
 
   /// Marks v as touched in the current update epoch, remembering its
   /// pre-update seed the first time.
-  void Touch(NodeId v);
+  void Touch(NodeId v, Scratch& scratch) const;
 
   std::vector<NodeId> seeds_;
-  std::vector<uint8_t> is_seed_;
+  const Graph* graph_ = nullptr;  // set by Build / RestoreTree
   std::vector<NodeId> seed_of_;
   std::vector<double> dist_;
-  std::vector<NodeId> parent_;
+  // A node's parent is the far end of its tree edge (Parent()), so only the
+  // edge is stored.
   std::vector<EdgeId> parent_edge_;
   // Intrusive doubly-linked sibling lists (O(1) unlink, no per-node heap
   // allocations; the index keeps k * ceil(log2 n) partitions alive).
@@ -168,13 +215,8 @@ class VoronoiPartition {
   std::vector<NodeId> next_sibling_;
   std::vector<NodeId> prev_sibling_;
 
-  // Update-scoped scratch state.
-  IndexedMinHeap queue_{0};
-  std::vector<uint32_t> touch_epoch_;
-  std::vector<NodeId> old_seed_;
-  std::vector<NodeId> touched_;
-  std::vector<uint32_t> subtree_epoch_;
-  uint32_t epoch_ = 0;
+  // Backs the scratch-less UpdateEdgeWeight; stays empty inside an index.
+  Scratch own_scratch_;
 };
 
 }  // namespace anc

@@ -111,7 +111,7 @@ class ClusterView {
   size_t MemoryBytes() const {
     size_t bytes = sizeof(*this);
     for (const auto& row : state_.vote_counts) {
-      bytes += row.capacity() * sizeof(uint16_t);
+      bytes += row.capacity() * sizeof(VoteCount);
     }
     return bytes;
   }

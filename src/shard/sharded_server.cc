@@ -789,11 +789,10 @@ Result<Clustering> ShardedServer::Clusters(uint32_t level) const {
   return view.Clusters(level);
 }
 
+// The default level is fixed by the graph's size, so the no-level overloads
+// gather the shard views once, inside the leveled query.
 Result<Clustering> ShardedServer::Clusters() const {
-  if (!started_once_) {
-    return Status::FailedPrecondition("ShardedServer never started");
-  }
-  return Clusters(View().DefaultLevel());
+  return Clusters(PyramidIndex::DefaultLevelFor(graph_->NumNodes()));
 }
 
 Result<std::vector<NodeId>> ShardedServer::LocalCluster(
@@ -819,10 +818,7 @@ Result<std::vector<NodeId>> ShardedServer::LocalCluster(
 }
 
 Result<std::vector<NodeId>> ShardedServer::LocalCluster(NodeId node) const {
-  if (!started_once_) {
-    return Status::FailedPrecondition("ShardedServer never started");
-  }
-  return LocalCluster(node, View().DefaultLevel());
+  return LocalCluster(node, PyramidIndex::DefaultLevelFor(graph_->NumNodes()));
 }
 
 Result<std::vector<NodeId>> ShardedServer::SmallestCluster(

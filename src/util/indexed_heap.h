@@ -68,6 +68,12 @@ class IndexedMinHeap {
     RemoveAt(pos);
   }
 
+  /// Heap-resident bytes (entries plus the position map).
+  size_t MemoryBytes() const {
+    return heap_.capacity() * sizeof(Entry) +
+           position_.capacity() * sizeof(uint32_t);
+  }
+
   /// Empties the heap in O(size) (positions are reset lazily per entry).
   void Clear() {
     for (const Entry& e : heap_) position_[e.item] = kAbsent;

@@ -167,9 +167,9 @@ TEST(InvariantCheckerTest, SimilarityOutsideClampIsReported) {
 TEST(InvariantCheckerTest, VoteCountCorruptionIsReported) {
   Fixture f;
   const uint32_t level = f.index->DefaultLevel();
-  const uint16_t votes = static_cast<uint16_t>(f.index->VotesOf(0, level));
+  const VoteCount votes = static_cast<VoteCount>(f.index->VotesOf(0, level));
   TestHooks::SetVoteCount(*f.index, level, 0,
-                          static_cast<uint16_t>(votes + 1));
+                          static_cast<VoteCount>(votes + 1));
   CheckReport report;
   check::CheckPyramidStructure(*f.index, &report);
   EXPECT_TRUE(Has(report, "pyramid.vote_count")) << report.ToString();
@@ -244,6 +244,41 @@ TEST(AncIndexInvariantsTest, ValidateInvariantsOnLiveIndex) {
   ASSERT_TRUE(anc.ApplyStream(stream).ok());
   const Status status = anc.ValidateInvariants(/*deep=*/true);
   EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(InvariantCheckerTest, RepairEpochWrapKeepsVotesExact) {
+  // The Voronoi repair stamps touched nodes with a 32-bit epoch shared by
+  // a level's partitions. Push every level's epoch to the brink of its wrap
+  // repeatedly and stream activations across it: vote tallies must stay
+  // exact (a stale stamp matching the wrapped epoch would hide seed
+  // changes from the vote maintenance).
+  Fixture f;
+  Rng rng(23);
+  for (int round = 0; round < 20; ++round) {
+    TestHooks::SetRepairEpoch(*f.index, UINT32_MAX - 1);
+    const ActivationStream stream =
+        UniformStream(f.data.graph, 1, 0.15, rng);
+    for (Activation a : stream) {
+      a.time = 10.0 + round;  // after the fixture's history
+      double w = 0.0;
+      ASSERT_TRUE(f.engine.ApplyActivation(a.edge, a.time, &w).ok());
+      f.index->UpdateEdgeWeight(a.edge, w);
+    }
+  }
+  CheckReport report;
+  check::CheckAll(f.engine, *f.index, /*deep=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  std::vector<double> weights(f.data.graph.NumEdges());
+  for (EdgeId e = 0; e < weights.size(); ++e) weights[e] = f.index->WeightOf(e);
+  const PyramidIndex rebuilt(f.data.graph, weights, f.index->params(),
+                             f.index->SeedSets());
+  for (uint32_t level = 1; level <= f.index->num_levels(); ++level) {
+    for (EdgeId e = 0; e < f.data.graph.NumEdges(); ++e) {
+      ASSERT_EQ(f.index->VotesOf(e, level), rebuilt.VotesOf(e, level))
+          << "level " << level << " edge " << e;
+    }
+  }
 }
 
 // --- Differential oracle: incremental vs from-scratch rebuild ------------

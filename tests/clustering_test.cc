@@ -1,15 +1,190 @@
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <numeric>
 #include <set>
+#include <thread>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "activation/stream_generators.h"
+#include "check/test_hooks.h"
 #include "datasets/synthetic.h"
 #include "pyramid/clustering.h"
 #include "pyramid/pyramid_index.h"
+#include "serve/cluster_view.h"
+#include "shard/router.h"
+#include "shard/sharded_server.h"
+#include "shard/sharded_view.h"
 #include "util/rng.h"
 
 namespace anc {
 namespace {
+
+// --- Reference kernels ---------------------------------------------------
+//
+// The Section V-B query kernels as they stood before the per-graph power
+// order and the stamped visited set: a per-query degree sort with a rank
+// array and a deque BFS, and a hash-set DFS. The production kernels must
+// match them byte for byte on every vote source.
+
+template <typename IndexT>
+Clustering ReferencePowerClusteringOf(const IndexT& index, uint32_t level) {
+  const Graph& g = index.graph();
+  const uint32_t n = g.NumNodes();
+
+  // Rank nodes by (degree desc, id asc); edges point from low rank index
+  // (strong) to high rank index (weak).
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&g](NodeId a, NodeId b) {
+    const uint32_t da = g.Degree(a);
+    const uint32_t db = g.Degree(b);
+    if (da != db) return da > db;
+    return a < b;
+  });
+  std::vector<uint32_t> rank(n);
+  for (uint32_t i = 0; i < n; ++i) rank[order[i]] = i;
+
+  Clustering out;
+  out.labels.assign(n, kNoise);
+  std::deque<NodeId> queue;
+  for (NodeId v : order) {
+    if (out.labels[v] != kNoise) continue;
+    const uint32_t cluster = out.num_clusters++;
+    out.labels[v] = cluster;
+    queue.push_back(v);
+    while (!queue.empty()) {
+      NodeId x = queue.front();
+      queue.pop_front();
+      for (const Neighbor& nb : g.Neighbors(x)) {
+        if (out.labels[nb.node] != kNoise) continue;
+        if (rank[nb.node] < rank[x]) continue;  // only travel downhill
+        if (!index.EdgePassesVote(nb.edge, level)) continue;
+        out.labels[nb.node] = cluster;
+        queue.push_back(nb.node);
+      }
+    }
+  }
+  return out;
+}
+
+template <typename IndexT>
+std::vector<NodeId> ReferenceLocalClusterOf(const IndexT& index, NodeId query,
+                                            uint32_t level) {
+  const Graph& g = index.graph();
+  std::vector<NodeId> members;
+  // Visited set sized to the discovered frontier, not the graph: a local
+  // query must not pay O(n). A hash set keyed by node id delivers that.
+  std::vector<NodeId> stack = {query};
+  std::unordered_set<NodeId> visited = {query};
+  while (!stack.empty()) {
+    NodeId x = stack.back();
+    stack.pop_back();
+    members.push_back(x);
+    for (const Neighbor& nb : g.Neighbors(x)) {
+      if (!index.EdgePassesVote(nb.edge, level)) continue;
+      if (visited.insert(nb.node).second) stack.push_back(nb.node);
+    }
+  }
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
+/// Asserts every kernel answer over `source` equals the reference: the
+/// power clustering and every node's local cluster, at every level.
+template <typename IndexT>
+void ExpectKernelsMatchReference(const IndexT& source, const char* what,
+                                 uint64_t seed) {
+  const Graph& g = source.graph();
+  for (uint32_t level = 1; level <= source.num_levels(); ++level) {
+    const Clustering got = PowerClusteringOf(source, level);
+    const Clustering want = ReferencePowerClusteringOf(source, level);
+    ASSERT_EQ(got.num_clusters, want.num_clusters)
+        << what << " seed " << seed << " level " << level;
+    ASSERT_EQ(got.labels, want.labels)
+        << what << " seed " << seed << " level " << level;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      ASSERT_EQ(LocalClusterOf(source, v, level),
+                ReferenceLocalClusterOf(source, v, level))
+          << what << " seed " << seed << " level " << level << " node " << v;
+    }
+  }
+}
+
+/// Random graph families that stress the rank order: dense degree ties
+/// (rings with fixed chords, stars, complete bipartite), isolated nodes,
+/// skewed degrees (Barabasi-Albert) and the 1-node graph.
+Graph RandomTieHeavyGraph(uint64_t seed, Rng& rng) {
+  if (seed == 0) {
+    GraphBuilder single;
+    single.SetNumNodes(1);
+    return single.Build();
+  }
+  GraphBuilder b;
+  const uint32_t n = 2 + static_cast<uint32_t>(rng.Uniform(60));
+  switch (seed % 5) {
+    case 0: {  // ring with fixed chords: every degree equal
+      const uint32_t hops = 1 + static_cast<uint32_t>(rng.Uniform(3));
+      for (NodeId v = 0; v < n; ++v) {
+        for (uint32_t h = 1; h <= hops && h < n; ++h) {
+          EXPECT_TRUE(b.AddEdge(v, (v + h) % n).ok());
+        }
+      }
+      break;
+    }
+    case 1: {  // complete bipartite: two degree classes
+      const uint32_t left = 1 + static_cast<uint32_t>(rng.Uniform(n - 1));
+      for (NodeId u = 0; u < left; ++u) {
+        for (NodeId v = left; v < n; ++v) EXPECT_TRUE(b.AddEdge(u, v).ok());
+      }
+      break;
+    }
+    case 2:  // skewed degrees
+      return BarabasiAlbert(std::max<uint32_t>(n, 4), 2, rng);
+    default: {  // sparse random edges with isolated nodes left over
+      const uint32_t edges = static_cast<uint32_t>(rng.Uniform(2 * n + 1));
+      for (uint32_t i = 0; i < edges; ++i) {
+        const NodeId u = static_cast<NodeId>(rng.Uniform(n));
+        const NodeId v = static_cast<NodeId>(rng.Uniform(n));
+        if (u != v) {
+          EXPECT_TRUE(b.AddEdge(u, v).ok());
+        }
+      }
+      break;
+    }
+  }
+  b.SetNumNodes(n + static_cast<uint32_t>(rng.Uniform(4)));  // isolated tail
+  return b.Build();
+}
+
+/// A random vote table over `g` in the serving layer's snapshot layout.
+AncIndex::ClusterState RandomClusterState(const Graph& g, uint32_t k,
+                                          Rng& rng) {
+  AncIndex::ClusterState state;
+  state.num_levels = PyramidIndex::NumLevelsFor(g.NumNodes());
+  state.default_level = PyramidIndex::DefaultLevelFor(g.NumNodes());
+  state.vote_threshold = 1 + static_cast<uint32_t>(rng.Uniform(k));
+  state.vote_counts.resize(state.num_levels);
+  for (auto& row : state.vote_counts) {
+    row.resize(g.NumEdges());
+    for (VoteCount& votes : row) {
+      votes = static_cast<VoteCount>(rng.Uniform(k + 1));
+    }
+  }
+  return state;
+}
+
+std::shared_ptr<const serve::ClusterView> RandomView(const Graph& g,
+                                                     uint32_t k, Rng& rng) {
+  return std::make_shared<const serve::ClusterView>(
+      g, RandomClusterState(g, k, rng), /*epoch=*/1, serve::Watermark{});
+}
 
 /// Two 5-cliques joined by a single bridge, with strongly separated weights:
 /// intra edges cheap (high similarity), bridge expensive.
@@ -194,6 +369,184 @@ TEST(ClusteringTest, PowerClusteringAvoidsChainMerge) {
   // downhill sweep covers everything; with two degree peaks (the cliques)
   // it must produce at least two clusters.
   EXPECT_GE(power.num_clusters, 2u);
+}
+
+TEST(ClusteringKernelTest, GraphPowerOrderMatchesPerQueryRanking) {
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed);
+    const Graph g = RandomTieHeavyGraph(seed, rng);
+    std::vector<NodeId> order(g.NumNodes());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&g](NodeId a, NodeId b) {
+      if (g.Degree(a) != g.Degree(b)) return g.Degree(a) > g.Degree(b);
+      return a < b;
+    });
+    ASSERT_TRUE(std::equal(order.begin(), order.end(),
+                           g.DegreeOrder().begin(), g.DegreeOrder().end()))
+        << "seed " << seed;
+    std::vector<uint32_t> rank(g.NumNodes());
+    for (uint32_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
+    size_t downhill_entries = 0;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      std::vector<NodeId> want;
+      for (const Neighbor& nb : g.Neighbors(v)) {
+        if (rank[nb.node] > rank[v]) want.push_back(nb.node);
+      }
+      std::vector<NodeId> got;
+      for (const Neighbor& nb : g.Downhill(v)) {
+        got.push_back(nb.node);
+        ASSERT_EQ(g.Opposite(nb.edge, v), nb.node);
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " node " << v;
+      downhill_entries += got.size();
+    }
+    EXPECT_EQ(downhill_entries, g.NumEdges());  // one direction per edge
+  }
+}
+
+TEST(ClusteringKernelTest, KernelsMatchReferenceOnRandomGraphsAndVotes) {
+  // 240 seeded graphs; each is queried through a live PyramidIndex, a
+  // ClusterView over a random vote table, and a 2-shard ShardedView
+  // merging two random tables under a random vertex partition.
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(1000 + seed);
+    const Graph g = RandomTieHeavyGraph(seed, rng);
+
+    std::vector<double> weights(g.NumEdges());
+    for (double& w : weights) w = 0.1 + 2.0 * rng.NextDouble();
+    PyramidParams params;
+    params.num_pyramids = 1 + static_cast<uint32_t>(rng.Uniform(4));
+    params.seed = seed;
+    params.num_threads = 1;
+    PyramidIndex index(g, weights, params);
+    ExpectKernelsMatchReference(index, "PyramidIndex", seed);
+    if (HasFatalFailure()) return;
+
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.Uniform(5));
+    const auto view = RandomView(g, k, rng);
+    ExpectKernelsMatchReference(*view, "ClusterView", seed);
+    if (HasFatalFailure()) return;
+
+    shard::Partition partition;
+    partition.num_shards = 2;
+    partition.node_shard.resize(g.NumNodes());
+    for (uint32_t& s : partition.node_shard) {
+      s = static_cast<uint32_t>(rng.Uniform(2));
+    }
+    auto router = std::make_shared<const shard::Router>(g, partition);
+    // Both shards share the level geometry and threshold; only the tallies
+    // differ, as with real shard replicas.
+    AncIndex::ClusterState second = RandomClusterState(g, k, rng);
+    second.vote_threshold = view->vote_threshold();
+    const shard::ShardedView merged(
+        g, router,
+        {view, std::make_shared<const serve::ClusterView>(
+                   g, std::move(second), 1, serve::Watermark{})});
+    ExpectKernelsMatchReference(merged, "ShardedView", seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ClusteringKernelTest, VisitedStampWrapClearsStaleMarks) {
+  // Drive a fresh thread's visited epoch to the wrap, so the next query
+  // opens at the wrapped epoch: it must see neither the zeros of
+  // never-visited nodes nor the marks of earlier rounds as visited.
+  Rng rng(11);
+  Graph g = BarabasiAlbert(150, 3, rng);
+  std::vector<double> w(g.NumEdges());
+  for (double& x : w) x = 0.2 + rng.NextDouble();
+  PyramidIndex idx(g, w, Params());
+  std::thread fresh([&] {
+    for (int round = 0; round < 3; ++round) {
+      check::TestHooks::SetVisitedEpoch(UINT32_MAX);
+      for (uint32_t level = 1; level <= idx.num_levels(); ++level) {
+        for (NodeId q = 0; q < g.NumNodes(); q += 7) {
+          ASSERT_EQ(LocalCluster(idx, q, level),
+                    ReferenceLocalClusterOf(idx, q, level))
+              << "round " << round << " query " << q << " level " << level;
+        }
+      }
+    }
+  });
+  fresh.join();
+}
+
+TEST(ServeClusteringKernelTest, FourThreadsQueryTwoServersWhileWritersPublish) {
+  // Query threads keep one visited-stamp array each and move between two
+  // graphs of different size (the array grows and is reused), while both
+  // servers' writers publish fresh views underneath.
+  Rng rng(29);
+  const Graph small = BarabasiAlbert(120, 3, rng);
+  const Graph large = BarabasiAlbert(700, 3, rng);
+  const ActivationStream small_stream = UniformStream(small, 12, 0.05, rng);
+  const ActivationStream large_stream = UniformStream(large, 12, 0.05, rng);
+
+  AncConfig config;
+  config.pyramid.num_pyramids = 2;
+  config.mode = AncMode::kOnline;
+  auto make_server = [&config](const Graph& g, uint32_t shards) {
+    shard::ShardedOptions options;
+    options.partition.num_shards = shards;
+    options.serve.snapshot_every_activations = 1;
+    options.serve.snapshot_max_age_s = 0.0;
+    auto created = shard::ShardedServer::Create(g, config, options);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    return created.ok() ? std::move(created.value()) : nullptr;
+  };
+  std::unique_ptr<shard::ShardedServer> servers[2] = {make_server(small, 1),
+                                                      make_server(large, 2)};
+  for (auto& server : servers) {
+    ASSERT_NE(server, nullptr);
+    ASSERT_TRUE(server->Start().ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&servers, &stop, r] {
+      Rng local(500 + r);
+      uint64_t reads = 0;
+      while (!stop.load(std::memory_order_acquire) || reads < 8) {
+        shard::ShardedServer& server = *servers[(reads + r) % 2];
+        const shard::ShardedView view = server.View();
+        const NodeId node =
+            static_cast<NodeId>(local.Uniform(view.graph().NumNodes()));
+        const uint32_t level =
+            1 + static_cast<uint32_t>(local.Uniform(view.num_levels()));
+        ASSERT_EQ(view.LocalCluster(node, level),
+                  ReferenceLocalClusterOf(view, node, level));
+        ASSERT_TRUE(server.LocalCluster(node).ok());
+        if (reads % 8 == 0) {
+          const Clustering got = view.Clusters(level);
+          const Clustering want = ReferencePowerClusteringOf(view, level);
+          ASSERT_EQ(got.labels, want.labels);
+          ASSERT_TRUE(server.Clusters().ok());
+        }
+        ++reads;
+      }
+    });
+  }
+  std::thread producer([&] {
+    const size_t steps = std::max(small_stream.size(), large_stream.size());
+    for (size_t i = 0; i < steps; ++i) {
+      if (i < small_stream.size()) {
+        ASSERT_TRUE(servers[0]->Submit(small_stream[i]).ok());
+      }
+      if (i < large_stream.size()) {
+        ASSERT_TRUE(servers[1]->Submit(large_stream[i]).ok());
+      }
+    }
+  });
+  producer.join();
+  for (auto& server : servers) {
+    ASSERT_TRUE(server->Flush(std::chrono::milliseconds(30000)).ok());
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  for (auto& server : servers) {
+    server->Stop();
+    EXPECT_TRUE(server->writer_status().ok());
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/test_hooks.h"
 #include "datasets/synthetic.h"
 #include "pyramid/voronoi.h"
 #include "util/rng.h"
@@ -219,6 +220,73 @@ TEST(VoronoiTest, SeedChangeReportingMatchesDiff) {
       EXPECT_EQ(changed, in_report) << "node " << v << " step " << step;
     }
   }
+}
+
+void ExpectSameTree(const VoronoiPartition& a, const VoronoiPartition& b,
+                    int step) {
+  const VoronoiPartition::TreeState ta = a.ExportTree();
+  const VoronoiPartition::TreeState tb = b.ExportTree();
+  EXPECT_EQ(ta.seeds, tb.seeds) << "step " << step;
+  EXPECT_EQ(ta.seed_of, tb.seed_of) << "step " << step;
+  EXPECT_EQ(ta.dist, tb.dist) << "step " << step;
+  EXPECT_EQ(ta.parent, tb.parent) << "step " << step;
+  EXPECT_EQ(ta.parent_edge, tb.parent_edge) << "step " << step;
+  EXPECT_EQ(ta.first_child, tb.first_child) << "step " << step;
+  EXPECT_EQ(ta.next_sibling, tb.next_sibling) << "step " << step;
+  EXPECT_EQ(ta.prev_sibling, tb.prev_sibling) << "step " << step;
+}
+
+TEST(VoronoiTest, SharedScratchMatchesPrivateScratch) {
+  // Two partitions repairing through one Scratch (the per-level sharing of
+  // PyramidIndex) must evolve exactly like twins with private scratch,
+  // including the reported seed changes — also across an epoch wrap.
+  Rng rng(31);
+  Graph g = BarabasiAlbert(150, 3, rng);
+  std::vector<double> w(g.NumEdges());
+  for (double& x : w) x = 0.5 + rng.NextDouble();
+  const std::vector<NodeId> seeds_a = rng.SampleWithoutReplacement(150, 6);
+  const std::vector<NodeId> seeds_b = rng.SampleWithoutReplacement(150, 11);
+
+  VoronoiPartition shared_a, shared_b, private_a, private_b;
+  shared_a.Build(g, w, seeds_a);
+  shared_b.Build(g, w, seeds_b);
+  private_a.Build(g, w, seeds_a);
+  private_b.Build(g, w, seeds_b);
+  VoronoiPartition::Scratch scratch(g.NumNodes());
+
+  for (int step = 0; step < 300; ++step) {
+    if (step % 50 == 25) {
+      check::TestHooks::SetRepairEpoch(scratch, UINT32_MAX - 1);
+    }
+    const EdgeId e = static_cast<EdgeId>(rng.Uniform(g.NumEdges()));
+    const double old_w = w[e];
+    const double new_w = rng.Bernoulli(0.5) ? old_w * 0.3 : old_w * 3.0;
+    w[e] = new_w;
+    // Interleave: the shared pair runs in a random order each step.
+    const bool a_first = rng.Bernoulli(0.5);
+    std::vector<NodeId> got_a, got_b, want_a, want_b;
+    size_t touched_a = 0, touched_b = 0;
+    for (int i = 0; i < 2; ++i) {
+      if ((i == 0) == a_first) {
+        touched_a = shared_a.UpdateEdgeWeight(g, w, e, old_w, new_w, scratch,
+                                              &got_a);
+      } else {
+        touched_b = shared_b.UpdateEdgeWeight(g, w, e, old_w, new_w, scratch,
+                                              &got_b);
+      }
+    }
+    EXPECT_EQ(touched_a,
+              private_a.UpdateEdgeWeight(g, w, e, old_w, new_w, &want_a));
+    EXPECT_EQ(touched_b,
+              private_b.UpdateEdgeWeight(g, w, e, old_w, new_w, &want_b));
+    ASSERT_EQ(got_a, want_a) << "step " << step;
+    ASSERT_EQ(got_b, want_b) << "step " << step;
+    ExpectSameTree(shared_a, private_a, step);
+    ExpectSameTree(shared_b, private_b, step);
+    if (HasFailure()) return;
+  }
+  EXPECT_TRUE(shared_a.ConsistentWith(g, w));
+  EXPECT_TRUE(shared_b.ConsistentWith(g, w));
 }
 
 TEST(VoronoiTest, MemoryBytesPositiveAndScales) {
