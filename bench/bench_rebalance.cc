@@ -73,7 +73,6 @@ serve::ServeOptions ShardServeOptions() {
   options.ingest.capacity = 131072;
   options.ingest.clamp_out_of_order = true;
   options.snapshot_every_activations = 32;
-  options.snapshot_max_age_s = 0.005;
   return options;
 }
 

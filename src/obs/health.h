@@ -26,7 +26,7 @@ struct ShardHealthSample {
   uint64_t applied_seq = 0;     ///< published watermark ticket
   uint64_t durable_seq = 0;     ///< fsynced watermark ticket
   bool durable_enabled = false; ///< durability configured on this shard
-  double view_age_s = 0.0;      ///< staleness of the published view
+  double view_age_s = 0.0;      ///< published view's age while work is owed
   uint64_t epoch = 0;
 };
 

@@ -160,15 +160,14 @@ size_t PyramidIndex::RepairLevel(uint32_t level, EdgeId e, double old_w,
     changed.clear();
     touched += partitions_[slot].UpdateEdgeWeight(
         *graph_, weights, e, old_w, new_w, scratch, &changed);
-    // Seed changes invalidate the same-seed bit of every incident edge.
+    // The same-seed bit of an edge depends only on its endpoints' seeds,
+    // so only edges incident to a node whose seed changed can flip — e
+    // included, which needs no refresh of its own.
     for (NodeId x : changed) {
       for (const Neighbor& nb : graph_->Neighbors(x)) {
         RefreshEdgeBit(p, level, nb.edge);
       }
     }
-    // The updated edge itself may change vote without any seed change
-    // elsewhere (e.g. endpoints joining across the repaired boundary).
-    RefreshEdgeBit(p, level, e);
   }
   return touched;
 }

@@ -12,10 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double SecondsSince(Clock::time_point t) {
-  return std::chrono::duration<double>(Clock::now() - t).count();
-}
-
 double MicrosSince(Clock::time_point t) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t).count();
 }
@@ -116,7 +112,6 @@ void AncServer::WriterLoop() {
   uint64_t resolved_seq = 0;
   uint64_t published_seq = 0;
   double last_applied_time = 0.0;
-  Clock::time_point last_publish = Clock::now();
 
   const auto emit_span = [&](obs::TraceSink* sink, const char* name,
                              Clock::time_point start, double dur_us,
@@ -151,7 +146,6 @@ void AncServer::WriterLoop() {
     pending_publish_traces.clear();
     published_seq = resolved_seq;
     applied_since_publish = 0;
-    last_publish = Clock::now();
   };
 
   while (true) {
@@ -171,9 +165,8 @@ void AncServer::WriterLoop() {
         break;
       }
       // Idle wakeup: publish pending state (applies, or tickets resolved
-      // by drop-oldest eviction) once the staleness budget is spent.
-      if ((applied_since_publish > 0 || resolved_seq > published_seq) &&
-          SecondsSince(last_publish) >= options_.snapshot_max_age_s) {
+      // by drop-oldest eviction) at once.
+      if (applied_since_publish > 0 || resolved_seq > published_seq) {
         publish();
       }
       if (store_ != nullptr &&
@@ -260,8 +253,10 @@ void AncServer::WriterLoop() {
     index_->metrics().Add(m_.batches);
     index_->metrics().Record(m_.batch_size, static_cast<double>(popped));
 
-    if (applied_since_publish >= options_.snapshot_every_activations ||
-        SecondsSince(last_publish) >= options_.snapshot_max_age_s) {
+    // A writer that caught up publishes what it applied at once; one that
+    // stays behind amortizes the copy over snapshot_every_activations.
+    if (queue_.Depth() == 0 ||
+        applied_since_publish >= options_.snapshot_every_activations) {
       publish();
     }
     if (store_ != nullptr &&

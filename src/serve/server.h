@@ -60,14 +60,13 @@ struct ServeOptions {
   /// letting the similarity layer's batched rescale amortize per Lemma 1).
   size_t max_batch = 256;
 
-  /// Staleness bounds: a fresh view is published after at most this many
-  /// applied activations ...
+  /// Publish cadence: the writer publishes a fresh view after every batch
+  /// that leaves the ingest queue empty, and while the queue stays
+  /// non-empty after at most this many applied activations.
   uint64_t snapshot_every_activations = 64;
-  /// ... and at most this much wall time after an unpublished apply.
-  double snapshot_max_age_s = 0.010;
 
-  /// Idle wakeup granularity of the writer (bounds publication delay when
-  /// the stream pauses mid-interval).
+  /// Idle wakeup granularity of the writer (how often an idle writer
+  /// services checkpoint, quiesce and tier requests).
   std::chrono::microseconds idle_wait{1000};
 
   /// Shard ordinal stamped onto this server's trace spans (the `shard`

@@ -33,7 +33,11 @@ obs::ClusterHealthSample CollectHealthSample(const ShardedServer& server) {
     entry.durable_enabled = server.durable();
     const std::shared_ptr<const serve::ClusterView> view = shard.View();
     if (view != nullptr) {
-      entry.view_age_s = view->AgeSeconds();
+      // A caught-up view is current however old it is: only a shard that
+      // owes work (published watermark behind its accepted tickets) ages.
+      if (entry.applied_seq < entry.accepted) {
+        entry.view_age_s = view->AgeSeconds();
+      }
       entry.epoch = view->epoch();
     }
     sample.shards.push_back(entry);

@@ -129,12 +129,13 @@ class ShardedServer {
   /// accumulates a small per-shard batch and hands it to the shard queue
   /// in one push (per-push lock/wakeup costs would otherwise serialize the
   /// whole fan-out, see docs/sharding.md "Routing throughput"), so an
-  /// accepted submission becomes visible after at most kRouteBatch further
-  /// submissions, kMaxStageAge of continued traffic, or the next
-  /// Flush/AwaitSeq/FlushDurable/Stop — whichever comes first. A delivery
-  /// the receiving queue then refuses (kReject backpressure, a regressed
-  /// timestamp with clamping off) is dropped and counted as
-  /// anc.shard.halo_partial; run concurrent producers with
+  /// accepted submission reaches its shard queue after at most kRouteBatch
+  /// further submissions, kMaxStageAge of continued traffic, or the next
+  /// Flush/AwaitSeq/FlushDurable/Stop — whichever comes first — and is
+  /// visible once that shard's writer next publishes (docs/serving.md
+  /// "Knobs"). A delivery the receiving queue then refuses (kReject
+  /// backpressure, a regressed timestamp with clamping off) is dropped and
+  /// counted as anc.shard.halo_partial; run concurrent producers with
   /// ingest.clamp_out_of_order = true to keep that path halo-only.
   ///
   /// `trace` correlates the submission's spans across every replica it

@@ -488,7 +488,6 @@ TEST(ServeClusteringKernelTest, FourThreadsQueryTwoServersWhileWritersPublish) {
     shard::ShardedOptions options;
     options.partition.num_shards = shards;
     options.serve.snapshot_every_activations = 1;
-    options.serve.snapshot_max_age_s = 0.0;
     auto created = shard::ShardedServer::Create(g, config, options);
     EXPECT_TRUE(created.ok()) << created.status().ToString();
     return created.ok() ? std::move(created.value()) : nullptr;

@@ -474,7 +474,6 @@ TEST(ServeStressTest, PublishRaceAudit) {
   options.ingest.capacity = 8;  // force backpressure blocking
   options.ingest.clamp_out_of_order = true;
   options.snapshot_every_activations = 1;  // publish on every apply
-  options.snapshot_max_age_s = 0.0;
   serve::AncServer server(&index, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -636,7 +635,6 @@ TEST(ShardStressTest, RoutedProducersVsScatterGatherReaders) {
   options.serve.ingest.capacity = 8;  // force backpressure blocking
   options.serve.ingest.clamp_out_of_order = true;
   options.serve.snapshot_every_activations = 1;  // publish on every apply
-  options.serve.snapshot_max_age_s = 0.0;
   auto created = shard::ShardedServer::Create(data.graph, config, options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   shard::ShardedServer& server = *created.value();

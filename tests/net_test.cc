@@ -14,7 +14,6 @@
 #include <cstring>
 #include <cstdint>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,6 +31,7 @@
 #include "net/replica.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "parked_writer.h"
 #include "serve/server.h"
 #include "shard/sharded_server.h"
 #include "store/test_hooks.h"
@@ -143,46 +143,6 @@ struct LeaderStack {
     if (net) net->Stop();
     if (sharded) sharded->Stop();
   }
-};
-
-// Parks one shard's writer at a quiescent point (RunQuiesced) until
-// Release(); construction returns once the writer is parked.
-class ParkedWriter {
- public:
-  explicit ParkedWriter(serve::AncServer* shard)
-      : parked_future_(parked_.get_future()),
-        release_future_(release_.get_future()),
-        thread_([this, shard] {
-          Status ran = shard->RunQuiesced(
-              [this](const serve::AncServer::QuiescedContext&) {
-                parked_.set_value();
-                release_future_.wait();
-              });
-          EXPECT_TRUE(ran.ok()) << ran.ToString();
-        }) {
-    parked_future_.wait();
-  }
-
-  ParkedWriter(const ParkedWriter&) = delete;
-  ParkedWriter& operator=(const ParkedWriter&) = delete;
-
-  ~ParkedWriter() {
-    Release();
-    thread_.join();
-  }
-
-  void Release() {
-    if (!released_.exchange(true)) release_.set_value();
-  }
-  bool released() const { return released_.load(); }
-
- private:
-  std::promise<void> parked_;
-  std::promise<void> release_;
-  std::future<void> parked_future_;
-  std::future<void> release_future_;
-  std::atomic<bool> released_{false};
-  std::thread thread_;  // last: it uses the members above
 };
 
 // The cut edges of a two-shard server, and an edge delivered to shard 1

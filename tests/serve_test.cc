@@ -27,6 +27,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parked_writer.h"
 #include "serve/cluster_view.h"
 #include "serve/ingest_queue.h"
 #include "serve/server.h"
@@ -365,6 +366,60 @@ TEST(ServeWatermarkTest, DropOldestStillResolvesEveryTicket) {
   EXPECT_TRUE(index.ValidateInvariants(/*deep=*/true).ok());
 }
 
+// --- Publish cadence -------------------------------------------------------
+
+TEST(ServeCadenceTest, DrainedBatchPublishesWithoutATimer) {
+  GroundTruthGraph data = SmallCommunityGraph(59);
+  AncIndex index(data.graph, SmallConfig());
+  ServeOptions options;
+  // The next idle wakeup is a second away: only the batch that drains the
+  // queue can publish within the deadline below.
+  options.idle_wait = std::chrono::seconds(1);
+  AncServer server(&index, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  uint64_t first = 0;
+  const Activation a{0, 1.0};
+  ASSERT_EQ(server.SubmitBatch(&a, 1, &first).value(), 1u);
+  ASSERT_TRUE(server.AwaitSeq(first, kAwait).ok());
+  uint64_t second = 0;
+  const Activation b{1, 2.0};
+  ASSERT_EQ(server.SubmitBatch(&b, 1, &second).value(), 1u);
+  const Status published =
+      server.AwaitSeq(second, std::chrono::milliseconds(200));
+  EXPECT_TRUE(published.ok()) << published.ToString();
+  server.Stop();
+}
+
+TEST(ServeCadenceTest, SaturatedWriterStillPublishesEverySnapshotInterval) {
+  GroundTruthGraph data = SmallCommunityGraph(61);
+  AncIndex index(data.graph, SmallConfig());
+  ServeOptions options;
+  options.max_batch = 16;
+  AncServer server(&index, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kQueued = 1024;
+  ActivationStream stream;
+  for (size_t i = 0; i < kQueued; ++i) {
+    stream.push_back({static_cast<EdgeId>(i % data.graph.NumEdges()),
+                      static_cast<double>(i + 1)});
+  }
+  uint64_t epoch_before = 0;
+  {
+    // Every batch after the release finds the queue non-empty until the
+    // last: only the snapshot_every_activations bound publishes mid-drain.
+    ParkedWriter parked(&server);
+    epoch_before = server.View()->epoch();
+    SubmitAll(server, stream);
+    ASSERT_EQ(server.IngestDepth(), kQueued);
+  }
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  EXPECT_GE(server.View()->epoch() - epoch_before,
+            kQueued / options.snapshot_every_activations);
+  server.Stop();
+}
+
 TEST(ServeWatermarkTest, RejectPolicySurfacesUnavailable) {
   GroundTruthGraph data = SmallCommunityGraph(53);
   AncIndex index(data.graph, SmallConfig());
@@ -560,7 +615,6 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
   ServeOptions options;
   options.ingest.clamp_out_of_order = true;  // racing producers
   options.snapshot_every_activations = 8;
-  options.snapshot_max_age_s = 0.001;
   std::unique_ptr<shard::ShardedServer> started =
       StartOneShard(data.graph, options);
   ASSERT_NE(started, nullptr);

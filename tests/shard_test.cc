@@ -29,6 +29,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parked_writer.h"
 #include "serve/server.h"
 #include "shard/health.h"
 #include "shard/partitioner.h"
@@ -789,6 +790,43 @@ TEST(ShardHealthTest, HashReadsUnhealthyWhereLdgReadsHealthy) {
           << report.ToString();
     }
   }
+}
+
+TEST(ShardHealthTest, ViewAgesOnlyWhileTheShardOwesWork) {
+  Rng rng(41);
+  GroundTruthGraph data = DisjointCommunities(rng);
+  Rng stream_rng(43);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, stream_rng);
+  ShardedOptions options;
+  options.partition.num_shards = 1;
+  auto created = ShardedServer::Create(data.graph, TestConfig(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ShardedServer& server = *created.value();
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+
+  // Any positive view age trips this monitor.
+  obs::HealthThresholds thresholds;
+  thresholds.degraded_staleness_s = 1e-9;
+  const obs::ShardHealthMonitor monitor(thresholds);
+  const auto view_age_tripped = [&] {
+    const obs::HealthReport report = shard::AssessHealth(server, monitor);
+    for (const std::string& reason : report.shards[0].reasons) {
+      if (reason.find("view_age_s") != std::string::npos) return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(view_age_tripped()) << "a caught-up view is not stale";
+  {
+    ParkedWriter parked(&server.shard(0));
+    const Activation pending{0, stream.back().time + 1.0};
+    ASSERT_TRUE(server.SubmitBatch(&pending, 1).ok());
+    EXPECT_TRUE(view_age_tripped()) << "a pending ticket ages the view";
+  }
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  server.Stop();
 }
 
 TEST(ShardTraceTest, QuerySpansCorrelatePerShard) {
