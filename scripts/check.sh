@@ -17,6 +17,13 @@
 #               crash-seam matrix (mid-segment-write, pre-manifest-swap,
 #               mid-compaction), and the server-driven quiescent-point
 #               maintenance test (docs/storage_tiers.md)
+#   serve       TSan build, the serving suite the CI job serve-tsan runs:
+#               every test matching Serve|IngestQueue|ThreadPoolStress|
+#               MetricsStress|ParallelPyramid|StoreStress (ingest queue,
+#               per-shard engine, durable serving, the writer-vs-
+#               FlushDurable store stress) plus an ingest smoke run of
+#               perfbench_driver under TSan (scripts/perfbench_smoke.sh,
+#               docs/serving.md)
 #   shard       TSan build, sharding suite only: partitioner/router/
 #               ShardedServer differential + recovery tests and the
 #               racing-producers scatter-gather stress in
@@ -112,6 +119,20 @@ run_one() {
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
         -R '^(SegmentTest|TieredStoreTest|TieredHeadTest|TierRecoveryTest|TierCrashMatrixTest|TierServeTest|StoreRecoveryTest)\.'
       ;;
+    serve)
+      # The serving suite under TSan, as the CI job serve-tsan runs it:
+      # its -R filter spans several test binaries (serve, concurrency,
+      # store, shard, net, tier, pyramid), so the whole tree is built.
+      local dir=build-tsan
+      echo "=== [$dir] serve (serving suite under TSan) ==="
+      cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DANC_SANITIZE=thread
+      cmake --build "$dir" -j "$JOBS"
+      TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "$dir" \
+        --output-on-failure -j "$JOBS" \
+        -R 'Serve|IngestQueue|ThreadPoolStress|MetricsStress|ParallelPyramid|StoreStress'
+      scripts/perfbench_smoke.sh thread ingest
+      ;;
     shard)
       # The sharding suite under TSan: partition/router unit tests, the
       # byte-identity and quality differentials, per-shard crash recovery,
@@ -192,7 +213,7 @@ run_one() {
       ;;
     *)
       echo "unknown configuration '$1'" >&2
-      echo "known: default nometrics asan tsan invariants store-crash tier shard rebalance net tsa fuzz-smoke" >&2
+      echo "known: default nometrics asan tsan invariants store-crash tier serve shard rebalance net tsa fuzz-smoke" >&2
       exit 2
       ;;
   esac

@@ -15,9 +15,10 @@ namespace anc::serve {
 /// The durability horizon of a published view: everything the single
 /// writer had applied when the view was built.
 struct Watermark {
-  /// Ingest tickets resolved (applied or — under kDropOldest — shed) up to
-  /// and including this sequence number. Tickets are issued by
-  /// IngestQueue::Push starting at 1; 0 means "nothing ingested yet".
+  /// Ingest tickets the writer has taken in (applied, or skipped on an
+  /// apply error) up to and including this sequence number.
+  /// Tickets are issued by IngestQueue::PushBatch starting at 1; 0 means
+  /// "nothing ingested yet".
   uint64_t seq = 0;
   /// Highest activation timestamp applied to the index.
   double time = 0.0;

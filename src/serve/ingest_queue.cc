@@ -1,5 +1,7 @@
 #include "serve/ingest_queue.h"
 
+#include <algorithm>
+
 namespace anc::serve {
 
 IngestQueue::IngestQueue(IngestOptions options, obs::MetricsRegistry* registry)
@@ -7,7 +9,6 @@ IngestQueue::IngestQueue(IngestOptions options, obs::MetricsRegistry* registry)
   if (options_.capacity == 0) options_.capacity = 1;
   if (metrics_ != nullptr) {
     accepted_id_ = metrics_->Counter("anc.serve.ingest_accepted");
-    dropped_id_ = metrics_->Counter("anc.serve.ingest_dropped");
     rejected_id_ = metrics_->Counter("anc.serve.ingest_rejected");
     depth_id_ = metrics_->Gauge("anc.serve.ingest_depth");
     high_watermark_id_ = metrics_->Gauge("anc.serve.ingest_high_watermark");
@@ -28,117 +29,39 @@ void IngestQueue::SetOldestGaugeLocked(
   metrics_->Set(oldest_age_us_id_, static_cast<int64_t>(age_us));
 }
 
-Result<uint64_t> IngestQueue::Push(Activation activation,
-                                   obs::TraceContext trace) {
-  uint64_t seq = 0;
-  {
-    util::MutexLock lock(mutex_);
-    if (closed_) return Status::FailedPrecondition("ingest queue is closed");
-    if (activation.time < last_accepted_time_) {
-      if (options_.clamp_out_of_order) {
-        activation.time = last_accepted_time_;
-      } else {
-        ++rejected_;
-        if (metrics_ != nullptr) metrics_->Add(rejected_id_);
-        return Status::InvalidArgument(
-            "activation timestamp regressed below the accepted watermark");
-      }
-    }
-    if (entries_.size() >= options_.capacity) {
-      switch (options_.policy) {
-        case BackpressurePolicy::kBlock:
-          not_full_.Wait(mutex_, [this] {
-            mutex_.AssertHeld();
-            return closed_ || entries_.size() < options_.capacity;
-          });
-          if (closed_) {
-            return Status::FailedPrecondition("ingest queue is closed");
-          }
-          break;
-        case BackpressurePolicy::kDropOldest:
-          // FIFO head eviction: the evicted ticket resolves (as shed), so
-          // watermark waiters on it are not stranded.
-          resolved_seq_ = entries_.front().seq;
-          entries_.pop_front();
-          ++dropped_;
-          if (metrics_ != nullptr) metrics_->Add(dropped_id_);
-          break;
-        case BackpressurePolicy::kReject:
-          ++rejected_;
-          if (metrics_ != nullptr) metrics_->Add(rejected_id_);
-          return Status::Unavailable("ingest queue is full");
-      }
-    }
-    seq = next_seq_++;
-    // Re-check the watermark: a kBlock wait may have admitted later pushes.
-    if (activation.time < last_accepted_time_) {
-      activation.time = last_accepted_time_;
-    }
-    last_accepted_time_ = activation.time;
-    const auto now = std::chrono::steady_clock::now();
-    entries_.push_back({activation, seq, now, trace});
-    ++accepted_;
-    if (entries_.size() > high_watermark_) high_watermark_ = entries_.size();
-    if (metrics_ != nullptr) {
-      metrics_->Add(accepted_id_);
-      metrics_->Set(depth_id_, static_cast<int64_t>(entries_.size()));
-      metrics_->Set(high_watermark_id_,
-                    static_cast<int64_t>(high_watermark_));
-      SetOldestGaugeLocked(now);
-    }
-  }
-  not_empty_.NotifyOne();
-  return seq;
-}
-
 Result<size_t> IngestQueue::PushBatch(const Activation* data, size_t count,
                                       uint64_t* last_seq,
                                       const obs::TraceContext* traces) {
   size_t accepted = 0;
   uint64_t rejected = 0;
-  uint64_t dropped = 0;
   {
     util::MutexLock lock(mutex_);
-    const auto now = std::chrono::steady_clock::now();
+    auto now = std::chrono::steady_clock::now();
     for (size_t i = 0; i < count; ++i) {
-      // Close() can land while a kBlock wait releases the lock: stop and
-      // report the accepted prefix (the caller's remaining entries are
-      // lost exactly as a failed Push would lose them).
+      // Close() can land while a wait releases the lock: stop and report
+      // the accepted prefix (the caller's remaining entries are lost).
       if (closed_) break;
       Activation activation = data[i];
       if (activation.time < last_accepted_time_) {
-        if (options_.clamp_out_of_order) {
-          activation.time = last_accepted_time_;
-        } else {
+        if (!options_.clamp_out_of_order) {
           ++rejected;
           continue;
         }
+        activation.time = last_accepted_time_;
       }
       if (entries_.size() >= options_.capacity) {
-        switch (options_.policy) {
-          case BackpressurePolicy::kBlock:
-            not_empty_.NotifyOne();  // wake the drainer before waiting on it
-            not_full_.Wait(mutex_, [this] {
-              mutex_.AssertHeld();
-              return closed_ || entries_.size() < options_.capacity;
-            });
-            if (closed_) break;
-            // A concurrent push may have advanced the watermark: re-clamp.
-            if (activation.time < last_accepted_time_) {
-              activation.time = last_accepted_time_;
-            }
-            break;
-          case BackpressurePolicy::kDropOldest:
-            resolved_seq_ = entries_.front().seq;
-            entries_.pop_front();
-            ++dropped;
-            break;
-          case BackpressurePolicy::kReject:
-            ++rejected;
-            continue;
-        }
+        not_empty_.NotifyOne();  // wake the drainer before waiting on it
+        not_full_.Wait(mutex_, [this] {
+          mutex_.AssertHeld();
+          return closed_ || entries_.size() < options_.capacity;
+        });
+        if (closed_) break;
+        // The entry is enqueued now, not when the batch arrived: its queue
+        // wait must not include the producer's own blocking time.
+        now = std::chrono::steady_clock::now();
       }
-      if (closed_) break;
+      // A concurrent push may have advanced the watermark during a wait.
+      activation.time = std::max(activation.time, last_accepted_time_);
       const uint64_t seq = next_seq_++;
       last_accepted_time_ = activation.time;
       entries_.push_back({activation, seq, now,
@@ -152,11 +75,9 @@ Result<size_t> IngestQueue::PushBatch(const Activation* data, size_t count,
     }
     accepted_ += accepted;
     rejected_ += rejected;
-    dropped_ += dropped;
     if (metrics_ != nullptr) {
       if (accepted > 0) metrics_->Add(accepted_id_, accepted);
       if (rejected > 0) metrics_->Add(rejected_id_, rejected);
-      if (dropped > 0) metrics_->Add(dropped_id_, dropped);
       metrics_->Set(depth_id_, static_cast<int64_t>(entries_.size()));
       metrics_->Set(high_watermark_id_,
                     static_cast<int64_t>(high_watermark_));
@@ -230,11 +151,6 @@ size_t IngestQueue::Depth() const {
 uint64_t IngestQueue::accepted() const {
   util::MutexLock lock(mutex_);
   return accepted_;
-}
-
-uint64_t IngestQueue::dropped() const {
-  util::MutexLock lock(mutex_);
-  return dropped_;
 }
 
 uint64_t IngestQueue::rejected() const {

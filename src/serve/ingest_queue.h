@@ -13,34 +13,27 @@
 
 namespace anc::serve {
 
-/// What Push does when the queue is at capacity.
-enum class BackpressurePolicy {
-  kBlock,      ///< block the producer until the writer drains a slot
-  kDropOldest, ///< evict the oldest unapplied activation to make room
-  kReject,     ///< bounce the push with Status::Unavailable
-};
-
 struct IngestOptions {
+  /// A full queue blocks the producer until the writer drains a slot, so
+  /// every accepted activation is applied.
   size_t capacity = 4096;
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// Activation timestamps must be non-decreasing across *all* producers
   /// (the index's stream contract). With multiple wall-clock producers,
   /// small inversions at the ingest boundary are expected; true clamps an
   /// out-of-order timestamp up to the last accepted one instead of
-  /// rejecting the push with InvalidArgument.
+  /// skipping the entry as rejected.
   bool clamp_out_of_order = false;
 };
 
-/// Bounded multi-producer single-consumer activation queue with explicit
+/// Bounded multi-producer single-consumer activation queue with blocking
 /// backpressure and durability tickets (docs/serving.md).
 ///
-/// Producers call Push from any thread; each accepted activation is
+/// Producers call PushBatch from any thread; each accepted activation is
 /// assigned a monotonically increasing *ticket* (1-based). The single
 /// writer drains with PopBatch, which also reports the highest ticket
-/// resolved — i.e. removed from the queue, by being handed to the writer
-/// or (under kDropOldest) evicted. Because the queue is FIFO and eviction
-/// happens at the head, tickets resolve in order, so "resolved up to s"
-/// means every ticket <= s has left the queue.
+/// resolved — i.e. handed to the writer. Because the queue is FIFO,
+/// tickets resolve in order, so "resolved up to s" means every ticket
+/// <= s has left the queue.
 class IngestQueue {
  public:
   /// `registry` (optional) receives anc.serve.ingest_* metrics; it must
@@ -51,30 +44,20 @@ class IngestQueue {
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
 
-  /// Producer side (any thread): enqueues one activation and returns its
-  /// ticket. `trace` (optional) rides along to PopBatch, correlating the
-  /// queue-wait/apply/publish spans of a traced request
-  /// (docs/observability.md). Errors:
-  ///  - FailedPrecondition: the queue is closed.
-  ///  - InvalidArgument: timestamp below the last accepted one (and
-  ///    clamp_out_of_order is off).
-  ///  - Unavailable: the queue is full under kReject.
-  /// Under kBlock a full queue blocks until space frees or Close().
-  Result<uint64_t> Push(Activation activation, obs::TraceContext trace = {});
-
-  /// Batched producer fast path: enqueues `count` activations under one
+  /// Producer side (any thread): enqueues `count` activations under one
   /// lock acquisition with one consumer wakeup — per-push mutex and futex
   /// costs dominate fan-out producers (shard routers) that otherwise beat
-  /// the queue with many tiny pushes. Per-entry semantics match Push:
-  /// regressed timestamps are clamped or (clamp off) rejected and skipped,
-  /// kReject bounces entries that find the queue full, kBlock waits for
-  /// space inside the batch. Returns the number accepted; *last_seq (when
-  /// non-null) receives the last ticket issued (untouched if none).
-  /// Fails FailedPrecondition only when the queue was closed before any
-  /// entry was accepted; a mid-batch Close returns the accepted prefix.
-  /// `traces` (optional) is an array of `count` per-entry trace contexts
-  /// aligned with `data` (fan-out batches mix requests, so one context per
-  /// batch would mis-attribute spans).
+  /// the queue with many tiny pushes. A regressed timestamp is clamped or
+  /// (clamp off) skipped and counted in rejected(); a full queue blocks
+  /// inside the batch until the writer drains a slot. Returns the number
+  /// accepted; *last_seq (when non-null) receives the last ticket issued
+  /// (untouched if none). Fails FailedPrecondition only when the queue was
+  /// closed before any entry was accepted; a mid-batch Close returns the
+  /// accepted prefix. `traces` (optional) is an array of `count` per-entry
+  /// trace contexts aligned with `data` (fan-out batches mix requests, so
+  /// one context per batch would mis-attribute spans); each rides along to
+  /// PopBatch, correlating the queue-wait/apply/publish spans of a traced
+  /// request (docs/observability.md).
   Result<size_t> PushBatch(const Activation* data, size_t count,
                            uint64_t* last_seq = nullptr,
                            const obs::TraceContext* traces = nullptr);
@@ -91,8 +74,8 @@ class IngestQueue {
   /// Consumer side (single thread): moves up to `max_batch` activations
   /// into *out (appended), waiting up to `wait` for the first one. Returns
   /// the number popped; *resolved_seq (when non-null) receives the highest
-  /// ticket resolved so far (popped or dropped), which only grows. *info
-  /// (when non-null) receives one Popped per appended activation.
+  /// ticket resolved so far, which only grows. *info (when non-null)
+  /// receives one Popped per appended activation.
   size_t PopBatch(std::vector<Activation>* out, size_t max_batch,
                   std::chrono::microseconds wait,
                   uint64_t* resolved_seq = nullptr,
@@ -106,13 +89,12 @@ class IngestQueue {
   bool closed() const;
   size_t Depth() const;
   uint64_t accepted() const;  ///< tickets issued
-  uint64_t dropped() const;   ///< kDropOldest evictions
-  uint64_t rejected() const;  ///< kReject bounces + out-of-order rejections
+  uint64_t rejected() const;  ///< regressed timestamps skipped (clamp off)
   double last_accepted_time() const;
 
   /// Deepest the queue has ever been (also the
-  /// anc.serve.ingest_high_watermark gauge) — sizes the capacity headroom
-  /// a shed decision had to work with.
+  /// anc.serve.ingest_high_watermark gauge) — how close producers came to
+  /// blocking on a full queue.
   size_t high_watermark() const;
 
   /// Age of the oldest queued entry (0 when empty) — the ingest-side
@@ -143,14 +125,12 @@ class IngestQueue {
   uint64_t next_seq_ ANC_GUARDED_BY(mutex_) = 1;
   uint64_t resolved_seq_ ANC_GUARDED_BY(mutex_) = 0;
   uint64_t accepted_ ANC_GUARDED_BY(mutex_) = 0;
-  uint64_t dropped_ ANC_GUARDED_BY(mutex_) = 0;
   uint64_t rejected_ ANC_GUARDED_BY(mutex_) = 0;
   double last_accepted_time_ ANC_GUARDED_BY(mutex_) = 0.0;
   size_t high_watermark_ ANC_GUARDED_BY(mutex_) = 0;
 
   obs::MetricsRegistry* metrics_;
   obs::CounterId accepted_id_;
-  obs::CounterId dropped_id_;
   obs::CounterId rejected_id_;
   obs::GaugeId depth_id_;
   obs::GaugeId high_watermark_id_;

@@ -90,7 +90,6 @@ void AncServer::Stop() {
   // Wake waiters stranded on tickets that will never resolve.
   watermark_cv_.NotifyAll();
   durable_cv_.NotifyAll();
-  checkpoint_cv_.NotifyAll();
   quiesce_cv_.NotifyAll();
 }
 
@@ -108,9 +107,7 @@ void AncServer::WriterLoop() {
       std::max<size_t>(4 * options_.max_batch, 128);
   std::vector<uint64_t> pending_publish_traces;
   uint64_t applied_since_publish = 0;
-  uint64_t applied_since_checkpoint = 0;
   uint64_t resolved_seq = 0;
-  uint64_t published_seq = 0;
   double last_applied_time = 0.0;
 
   const auto emit_span = [&](obs::TraceSink* sink, const char* name,
@@ -144,7 +141,6 @@ void AncServer::WriterLoop() {
       }
     }
     pending_publish_traces.clear();
-    published_seq = resolved_seq;
     applied_since_publish = 0;
   };
 
@@ -164,16 +160,8 @@ void AncServer::WriterLoop() {
           queue_.Depth() == 0) {
         break;
       }
-      // Idle wakeup: publish pending state (applies, or tickets resolved
-      // by drop-oldest eviction) at once.
-      if (applied_since_publish > 0 || resolved_seq > published_seq) {
-        publish();
-      }
-      if (store_ != nullptr &&
-          checkpoint_requested_.load(std::memory_order_acquire)) {
-        ServiceCheckpoint(resolved_seq, last_applied_time);
-        applied_since_checkpoint = 0;
-      }
+      // Idle wakeup: publish pending applies at once.
+      if (applied_since_publish > 0) publish();
       if (quiesce_requested_.load(std::memory_order_acquire)) {
         ServiceQuiesced(resolved_seq, last_applied_time);
       }
@@ -188,16 +176,12 @@ void AncServer::WriterLoop() {
     }
 
     if (store_ != nullptr) {
-      // Write-ahead: the popped batch is a contiguous ticket run (drops
-      // only evict at the queue head), logged before any apply mutates
-      // the index. A store failure freezes the durable watermark but
-      // never stops live serving.
+      // Write-ahead: the popped batch is a contiguous ticket run, logged
+      // and committed before any apply mutates the index. A store failure
+      // freezes the durable watermark but never stops live serving.
       const uint64_t first_seq = resolved_seq - popped + 1;
       Status logged = store_->Append(batch, first_seq);
-      if (logged.ok() &&
-          options_.durability == DurabilityPolicy::kGroupCommit) {
-        logged = store_->Sync();
-      }
+      if (logged.ok()) logged = store_->Sync();
       if (!logged.ok()) RecordStoreError(logged);
     }
 
@@ -249,7 +233,7 @@ void AncServer::WriterLoop() {
       }
     }
     applied_since_publish += popped;
-    applied_since_checkpoint += popped;
+    applied_since_checkpoint_ += popped;
     index_->metrics().Add(m_.batches);
     index_->metrics().Record(m_.batch_size, static_cast<double>(popped));
 
@@ -259,14 +243,11 @@ void AncServer::WriterLoop() {
         applied_since_publish >= options_.snapshot_every_activations) {
       publish();
     }
-    if (store_ != nullptr &&
-        ((options_.checkpoint_every_applied > 0 &&
-          applied_since_checkpoint >= options_.checkpoint_every_applied) ||
-         checkpoint_requested_.load(std::memory_order_acquire))) {
+    if (store_ != nullptr && options_.checkpoint_every_applied > 0 &&
+        applied_since_checkpoint_ >= options_.checkpoint_every_applied) {
       // Between batches the index is quiescent and resolved_seq describes
       // exactly what has been applied — the only safe checkpoint mark.
-      ServiceCheckpoint(resolved_seq, last_applied_time);
-      applied_since_checkpoint = 0;
+      (void)Checkpoint(resolved_seq, last_applied_time);  // error recorded
     }
     if (quiesce_requested_.load(std::memory_order_acquire)) {
       ServiceQuiesced(resolved_seq, last_applied_time);
@@ -282,9 +263,6 @@ void AncServer::WriterLoop() {
   // Final quiescent publish: the watermark lands on everything resolved.
   publish();
   if (store_ != nullptr) {
-    if (checkpoint_requested_.load(std::memory_order_acquire)) {
-      ServiceCheckpoint(resolved_seq, last_applied_time);
-    }
     // Everything the writer logged becomes durable before waiters are
     // released: a clean Stop() never loses accepted work.
     const Status synced = store_->Sync();
@@ -293,14 +271,13 @@ void AncServer::WriterLoop() {
   writer_done_.store(true, std::memory_order_release);
   watermark_cv_.NotifyAll();
   durable_cv_.NotifyAll();
-  checkpoint_cv_.NotifyAll();
   // Callbacks still queued never run (the server is stopping); their
   // waiters observe writer_done_ and fail Unavailable.
   quiesce_cv_.NotifyAll();
 }
 
-void AncServer::ServiceCheckpoint(uint64_t seq, double time) {
-  checkpoint_requested_.store(false, std::memory_order_release);
+Status AncServer::Checkpoint(uint64_t seq, double time) {
+  applied_since_checkpoint_ = 0;
   const Status status =
       store_->WriteCheckpoint(*index_, store::Mark{seq, time});
   if (!status.ok()) RecordStoreError(status);
@@ -309,12 +286,7 @@ void AncServer::ServiceCheckpoint(uint64_t seq, double time) {
     // durable roots, and segments referenced only by the old head can go.
     tier_->OnCheckpointInstalled();
   }
-  {
-    util::MutexLock lock(checkpoint_mutex_);
-    ++checkpoints_done_;
-    last_checkpoint_status_ = status;
-  }
-  checkpoint_cv_.NotifyAll();
+  return status;
 }
 
 void AncServer::ServiceQuiesced(uint64_t seq, double time) {
@@ -530,19 +502,15 @@ Status AncServer::RequestCheckpoint(std::chrono::milliseconds timeout) {
     return Status::FailedPrecondition(
         "server not running; checkpoint through the store directly");
   }
-  util::MutexLock lock(checkpoint_mutex_);
-  const uint64_t target = checkpoints_done_ + 1;
-  checkpoint_requested_.store(true, std::memory_order_release);
-  checkpoint_cv_.WaitFor(checkpoint_mutex_, timeout, [&] {
-    checkpoint_mutex_.AssertHeld();
-    return checkpoints_done_ >= target ||
-           writer_done_.load(std::memory_order_acquire);
-  });
-  if (checkpoints_done_ >= target) return last_checkpoint_status_;
-  return Status::Unavailable(
-      writer_done_.load(std::memory_order_acquire)
-          ? "server stopped before the checkpoint was taken"
-          : "timed out awaiting checkpoint");
+  // Shared with the callback: a caller whose wait times out while the
+  // writer runs the checkpoint returns before the callback writes it.
+  auto status = std::make_shared<Status>();
+  ANC_RETURN_NOT_OK(RunQuiesced(
+      [this, status](const QuiescedContext& context) {
+        *status = Checkpoint(context.watermark.seq, context.watermark.time);
+      },
+      timeout));
+  return *status;
 }
 
 void AncServer::RecordLoadReport(const StreamLoadReport& report) {

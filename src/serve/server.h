@@ -31,13 +31,9 @@ namespace anc::serve {
 enum class DurabilityPolicy {
   /// No WAL: state lives only in memory (the pre-durability behavior).
   kNone,
-  /// The writer appends every drained batch to the WAL before applying it;
-  /// fsync cadence is ruled by the store's group-commit threshold and
-  /// flush interval. Bounded loss (at most one flush interval) for
-  /// near-zero ingest overhead.
-  kAsync,
-  /// kAsync plus one Sync per drained batch: the batch is the commit
-  /// group, so FlushDurable resolves as soon as the queue drains.
+  /// The writer appends every drained batch to the WAL and Syncs it before
+  /// applying it: the batch is the commit group, so FlushDurable resolves
+  /// as soon as the queue drains.
   kGroupCommit,
 };
 
@@ -52,7 +48,8 @@ struct ServeOptions {
   DurabilityPolicy durability = DurabilityPolicy::kNone;
 
   /// > 0: the writer rotates a checkpoint automatically after this many
-  /// applied activations (on top of explicit RequestCheckpoint calls).
+  /// applied activations, counted from the latest checkpoint (automatic or
+  /// RequestCheckpoint).
   uint64_t checkpoint_every_applied = 0;
 
   /// Writer batch coalescing: up to this many queued activations are
@@ -66,7 +63,7 @@ struct ServeOptions {
   uint64_t snapshot_every_activations = 64;
 
   /// Idle wakeup granularity of the writer (how often an idle writer
-  /// services checkpoint, quiesce and tier requests).
+  /// runs queued RunQuiesced callbacks and tier upkeep).
   std::chrono::microseconds idle_wait{1000};
 
   /// Shard ordinal stamped onto this server's trace spans (the `shard`
@@ -96,10 +93,7 @@ struct ServeOptions {
 ///    while the server is running (quiesce with Stop() first).
 ///
 /// Watermark semantics are linearizable: when AwaitSeq(s) returns OK,
-/// every later View() includes all activations with ticket <= s. Under
-/// kDropOldest, evicted activations resolve the watermark without being
-/// applied — bounded loss in exchange for liveness, visible in Stats() as
-/// anc.serve.ingest_dropped.
+/// every later View() includes all activations with ticket <= s.
 class AncServer {
  public:
   /// `index` must outlive the server and be quiescent (no concurrent use)
@@ -138,10 +132,11 @@ class AncServer {
   /// shard::ShardedServer's router. Validates every edge up front
   /// (InvalidArgument, nothing enqueued, on any out-of-range edge), then
   /// returns the number the queue accepted and the last ticket issued via
-  /// *last_seq (optional); per-entry queue rejections (kReject, regressed
-  /// timestamps with clamping off) are skipped, not errors. `traces`
-  /// (optional) carries one trace context per entry, aligned with `data`
-  /// — batch submitters own their trace identity, so no auto-minting here.
+  /// *last_seq (optional); regressed timestamps with clamping off are
+  /// skipped and counted in rejected(), not errors, and a full queue
+  /// blocks. `traces` (optional) carries one trace context per entry,
+  /// aligned with `data` — batch submitters own their trace identity, so
+  /// no auto-minting here.
   Result<size_t> SubmitBatch(const Activation* data, size_t count,
                              uint64_t* last_seq = nullptr,
                              const obs::TraceContext* traces = nullptr);
@@ -166,8 +161,7 @@ class AncServer {
 
   /// Blocks until the durable watermark covers ticket `seq`. Fails
   /// FailedPrecondition without a configured store, Unavailable on
-  /// timeout. Note: under kDropOldest, tickets evicted at the queue tail
-  /// are never appended, so awaiting them stalls until the timeout.
+  /// timeout.
   Status AwaitDurableSeq(uint64_t seq, std::chrono::milliseconds timeout);
 
   /// Flush + fsync: blocks until every activation accepted before the
@@ -178,11 +172,13 @@ class AncServer {
   Status FlushDurable(
       std::chrono::milliseconds timeout = std::chrono::minutes(1));
 
-  /// Asks the writer to rotate a checkpoint at its next quiescent point
-  /// (between batches, where the resolved watermark exactly describes the
-  /// applied state) and blocks until it completes; returns the checkpoint
-  /// status. FailedPrecondition without a store or when not running —
-  /// checkpoint through the store directly when quiesced.
+  /// Rotates a checkpoint at the writer's next quiescent point (a
+  /// RunQuiesced callback: between batches, where the resolved watermark
+  /// exactly describes the applied state) and returns its status.
+  /// FailedPrecondition without a store or when not running — checkpoint
+  /// through the store directly when quiesced. Unavailable when `timeout`
+  /// elapses or the server stops before the writer reached the request,
+  /// which is then cancelled.
   Status RequestCheckpoint(
       std::chrono::milliseconds timeout = std::chrono::minutes(1));
 
@@ -230,7 +226,6 @@ class AncServer {
 
   size_t IngestDepth() const { return queue_.Depth(); }
   uint64_t accepted() const { return queue_.accepted(); }
-  uint64_t dropped() const { return queue_.dropped(); }
   uint64_t rejected() const { return queue_.rejected(); }
   /// Deepest the ingest queue has ever been (capacity headroom).
   size_t IngestHighWatermark() const { return queue_.high_watermark(); }
@@ -259,14 +254,14 @@ class AncServer {
   /// fails the Lemma 4-13 validators.
   void Publish(Watermark watermark);
 
-  /// Called by the store (append/flusher thread) when an fsync advances
+  /// Called by the store (on the thread that Syncs) when an fsync advances
   /// the durable mark; advances durable_ monotonically and wakes waiters.
   void OnDurable(uint64_t seq, double time);
   /// Records a store failure: first error sticks, anc.serve.wal_errors++.
   void RecordStoreError(const Status& status);
   /// Writer thread only: rotates a checkpoint at the current quiescent
-  /// point and resolves any pending RequestCheckpoint waiters.
-  void ServiceCheckpoint(uint64_t seq, double time);
+  /// point and restarts the checkpoint_every_applied count.
+  Status Checkpoint(uint64_t seq, double time);
   /// Writer thread only: drains queued RunQuiesced callbacks (FIFO) at the
   /// current quiescent point and resolves their waiters.
   void ServiceQuiesced(uint64_t seq, double time);
@@ -293,6 +288,8 @@ class AncServer {
   mutable util::Mutex view_mutex_;
   std::shared_ptr<const ClusterView> view_ ANC_GUARDED_BY(view_mutex_);
   uint64_t epoch_ = 0;  // writer thread (and Start) only
+  // Applied since the latest checkpoint; writer thread only.
+  uint64_t applied_since_checkpoint_ = 0;
 
   // Published-watermark waiters.
   mutable util::Mutex watermark_mutex_;
@@ -310,18 +307,11 @@ class AncServer {
   mutable util::Mutex store_status_mutex_;
   Status store_status_ ANC_GUARDED_BY(store_status_mutex_);
 
-  // RequestCheckpoint handshake with the writer thread.
-  std::atomic<bool> checkpoint_requested_{false};
-  util::Mutex checkpoint_mutex_;
-  util::CondVar checkpoint_cv_;
-  uint64_t checkpoints_done_ ANC_GUARDED_BY(checkpoint_mutex_) = 0;
-  Status last_checkpoint_status_ ANC_GUARDED_BY(checkpoint_mutex_);
-
-  // RunQuiesced handshake (mirrors the checkpoint one, but carries a FIFO
-  // of callbacks; each caller waits for its own ticket). A caller that
-  // gives up (timeout / server stop) flips its ticket's `cancelled` flag,
-  // so a later quiescent point can never run a callback whose owner
-  // already returned Unavailable.
+  // RunQuiesced handshake with the writer thread: a FIFO of callbacks
+  // (RequestCheckpoint's among them); each caller waits for its own
+  // ticket. A caller that gives up (timeout / server stop) flips its
+  // ticket's `cancelled` flag, so a later quiescent point can never run a
+  // callback whose owner already returned Unavailable.
   struct QuiesceTicket {
     uint64_t id = 0;
     std::function<void(const QuiescedContext&)> fn;

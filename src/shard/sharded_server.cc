@@ -30,15 +30,12 @@ struct ScopedFile {
   }
 };
 
-Status RemainingBudget(std::chrono::steady_clock::time_point deadline,
-                       std::chrono::milliseconds* remaining) {
-  const auto now = std::chrono::steady_clock::now();
-  *remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - now);
-  if (*remaining < std::chrono::milliseconds(0)) {
-    *remaining = std::chrono::milliseconds(0);
-  }
-  return Status::OK();
+/// What is left of `deadline`, never negative.
+std::chrono::milliseconds RemainingBudget(
+    std::chrono::steady_clock::time_point deadline) {
+  return std::max(std::chrono::milliseconds(0),
+                  std::chrono::duration_cast<std::chrono::milliseconds>(
+                      deadline - std::chrono::steady_clock::now()));
 }
 
 }  // namespace
@@ -509,9 +506,9 @@ void ShardedServer::FlushShardLocked(uint32_t s) {
   const size_t accepted = pushed.ok() ? pushed.value() : 0;
   if (accepted > 0) shard_last_ticket_[s] = last;
   if (accepted < buffer.size()) {
-    // The queue refused part of the batch (closed, kReject backpressure,
-    // or a timestamp race with clamping off): those replicas go stale on
-    // the affected edges; the other replicas keep their copies.
+    // The queue refused part of the batch (closed, or a timestamp race
+    // with clamping off): those replicas go stale on the affected edges;
+    // the other replicas keep their copies.
     halo_partial_.fetch_add(buffer.size() - accepted,
                             std::memory_order_relaxed);
   }
@@ -625,10 +622,8 @@ Status ShardedServer::AwaitSeq(uint64_t seq,
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (uint32_t s = 0; s < num_shards(); ++s) {
     if (frontiers.value()[s] == 0) continue;
-    std::chrono::milliseconds remaining;
-    ANC_RETURN_NOT_OK(RemainingBudget(deadline, &remaining));
-    ANC_RETURN_NOT_OK(
-        shards_[s].server->AwaitSeq(frontiers.value()[s], remaining));
+    ANC_RETURN_NOT_OK(shards_[s].server->AwaitSeq(frontiers.value()[s],
+                                                  RemainingBudget(deadline)));
   }
   return Status::OK();
 }
@@ -659,46 +654,30 @@ serve::Watermark ShardedServer::durable_watermark() const {
   return durable() ? GlobalMark(true) : serve::Watermark{};
 }
 
-Status ShardedServer::Flush(std::chrono::milliseconds timeout) {
+Status ShardedServer::CallEveryShard(
+    std::chrono::milliseconds timeout,
+    Status (serve::AncServer::*call)(std::chrono::milliseconds)) {
   if (!started_once_) {
     return Status::FailedPrecondition("ShardedServer never started");
   }
   FlushStaging();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (Shard& shard : shards_) {
-    std::chrono::milliseconds remaining;
-    ANC_RETURN_NOT_OK(RemainingBudget(deadline, &remaining));
-    ANC_RETURN_NOT_OK(shard.server->Flush(remaining));
+    ANC_RETURN_NOT_OK((shard.server.get()->*call)(RemainingBudget(deadline)));
   }
   return Status::OK();
+}
+
+Status ShardedServer::Flush(std::chrono::milliseconds timeout) {
+  return CallEveryShard(timeout, &serve::AncServer::Flush);
 }
 
 Status ShardedServer::FlushDurable(std::chrono::milliseconds timeout) {
-  if (!started_once_) {
-    return Status::FailedPrecondition("ShardedServer never started");
-  }
-  FlushStaging();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (Shard& shard : shards_) {
-    std::chrono::milliseconds remaining;
-    ANC_RETURN_NOT_OK(RemainingBudget(deadline, &remaining));
-    ANC_RETURN_NOT_OK(shard.server->FlushDurable(remaining));
-  }
-  return Status::OK();
+  return CallEveryShard(timeout, &serve::AncServer::FlushDurable);
 }
 
 Status ShardedServer::RequestCheckpointAll(std::chrono::milliseconds timeout) {
-  if (!started_once_) {
-    return Status::FailedPrecondition("ShardedServer never started");
-  }
-  FlushStaging();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (Shard& shard : shards_) {
-    std::chrono::milliseconds remaining;
-    ANC_RETURN_NOT_OK(RemainingBudget(deadline, &remaining));
-    ANC_RETURN_NOT_OK(shard.server->RequestCheckpoint(remaining));
-  }
-  return Status::OK();
+  return CallEveryShard(timeout, &serve::AncServer::RequestCheckpoint);
 }
 
 Status ShardedServer::store_status() const {

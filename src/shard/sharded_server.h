@@ -133,9 +133,9 @@ class ShardedServer {
   /// further submissions, kMaxStageAge of continued traffic, or the next
   /// Flush/AwaitSeq/FlushDurable/Stop — whichever comes first — and is
   /// visible once that shard's writer next publishes (docs/serving.md
-  /// "Knobs"). A delivery the receiving queue then refuses (kReject
-  /// backpressure, a regressed timestamp with clamping off) is dropped and
-  /// counted as anc.shard.halo_partial; run concurrent producers with
+  /// "Knobs"). A delivery the receiving queue then refuses (a regressed
+  /// timestamp with clamping off) is dropped and counted as
+  /// anc.shard.halo_partial; run concurrent producers with
   /// ingest.clamp_out_of_order = true to keep that path halo-only.
   ///
   /// `trace` correlates the submission's spans across every replica it
@@ -437,6 +437,12 @@ class ShardedServer {
   void FlushAllLocked() ANC_REQUIRES(route_mutex_);
   /// Takes route_mutex_ and drains every staging buffer.
   void FlushStaging() ANC_EXCLUDES(route_mutex_);
+  /// Flushes staging, then makes `call` on every shard in order, each with
+  /// what is left of one `timeout`; stops at the first error.
+  Status CallEveryShard(
+      std::chrono::milliseconds timeout,
+      Status (serve::AncServer::*call)(std::chrono::milliseconds))
+      ANC_EXCLUDES(route_mutex_);
 
   const Graph* graph_;  ///< canonical graph (external or shard 0's)
   ShardedOptions options_;

@@ -204,42 +204,10 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   ANC_RETURN_NOT_OK(store->WriteCheckpoint(index, start));
   store->options_.retain_wal_history = retain;
 
-  if (options.flush_interval_s > 0.0) {
-    store->flusher_ = std::thread([s = store.get()] {
-      const auto interval =
-          std::chrono::duration<double>(s->options_.flush_interval_s);
-      // One lock acquisition per flush tick, released before the durable
-      // callback fires (NotifyDurable excludes mutex_).
-      while (true) {
-        Mark durable;
-        bool advanced = false;
-        {
-          util::MutexLock lock(s->mutex_);
-          if (s->stop_flusher_) break;
-          s->flusher_cv_.WaitFor(s->mutex_, interval, [s] {
-            s->mutex_.AssertHeld();
-            return s->stop_flusher_;
-          });
-          if (s->stop_flusher_) break;
-          if (s->wal_ == nullptr || s->pending_records_ == 0) continue;
-          if (!s->SyncLocked().ok()) continue;  // sticky error surfaces later
-          durable = s->wal_->durable();
-          advanced = true;
-        }
-        if (advanced) s->NotifyDurable(durable);
-      }
-    });
-  }
   return store;
 }
 
 DurableStore::~DurableStore() {
-  {
-    util::MutexLock lock(mutex_);
-    stop_flusher_ = true;
-  }
-  flusher_cv_.NotifyAll();
-  if (flusher_.joinable()) flusher_.join();
   util::MutexLock lock(mutex_);
   if (wal_ != nullptr) {
     if (crashed_) wal_->Abandon();  // frozen disk state: no parting sync
@@ -282,17 +250,7 @@ Status DurableStore::Append(const std::vector<Activation>& batch,
         status = RotateSegmentLocked(first_seq);
       }
     }
-    if (status.ok()) {
-      status = AppendLocked(batch, first_seq);
-    }
-    if (status.ok() && options_.group_commit_records > 0 &&
-        pending_records_ >= options_.group_commit_records) {
-      status = SyncLocked();
-      if (status.ok()) {
-        notify = true;
-        durable = wal_->durable();
-      }
-    }
+    if (status.ok()) status = AppendLocked(batch, first_seq);
   }
   if (notify) NotifyDurable(durable);
   return status;
@@ -303,7 +261,6 @@ Status DurableStore::AppendLocked(const std::vector<Activation>& batch,
   const Status status = wal_->Append(batch.data(), batch.size(), first_seq);
   if (!status.ok()) return status;
   ++records_;
-  pending_records_ += batch.size();
   if (metrics_ != nullptr) {
     metrics_->Add(m_.append_records, batch.size());
     metrics_->Add(m_.append_bytes,
@@ -327,9 +284,10 @@ Status DurableStore::Sync() {
 
 Status DurableStore::SyncLocked() {
   const Clock::time_point start = Clock::now();
-  ANC_RETURN_NOT_OK(wal_->Sync());
+  bool fsynced = false;
+  ANC_RETURN_NOT_OK(wal_->Sync(&fsynced));
+  if (!fsynced) return Status::OK();  // nothing new since the last fsync
   ++syncs_;
-  pending_records_ = 0;
   if (metrics_ != nullptr) {
     metrics_->Add(m_.syncs);
     metrics_->Record(m_.fsync_us, MicrosSince(start));
@@ -486,9 +444,8 @@ Status DurableStore::WriteCheckpoint(const AncIndex& index, Mark at) {
       }
       sealed_segments_.clear();
       sealed_bytes_ = 0;
-      // The checkpoint itself covers every ticket <= at.seq — including
-      // drop-oldest gaps the WAL never saw — so the durable mark jumps
-      // to the checkpoint mark.
+      // The checkpoint itself covers every ticket <= at.seq, so the
+      // durable mark jumps to the checkpoint mark.
       notify = true;
       durable = at;
       if (metrics_ != nullptr) {

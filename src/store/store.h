@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/anc.h"
@@ -22,14 +21,6 @@ struct StoreOptions {
   /// WAL segment rotation threshold: once the current segment's flushed
   /// bytes exceed this, the next append opens a fresh segment.
   uint64_t segment_bytes = 64ull << 20;
-  /// Group-commit coalescing: once this many records sit in the append
-  /// buffer, Append triggers a Sync itself (0 disables the auto-sync; the
-  /// caller's Sync cadence and the flush interval then rule).
-  size_t group_commit_records = 64;
-  /// > 0 starts a background flusher thread that Syncs pending appends
-  /// every interval — the upper bound on how long an accepted record can
-  /// stay non-durable under DurabilityPolicy::kAsync.
-  double flush_interval_s = 0.0;
   /// When set, WriteCheckpoint delegates snapshot serialization to this
   /// hook instead of SaveIndex — the tiering subsystem plugs in
   /// tier::TieredStore::CheckpointWriter() here so checkpoint page tables
@@ -74,7 +65,7 @@ struct StoreStats {
 /// AncIndex::Apply) reconstructs the index exactly; see Recover().
 ///
 /// Threading: all operations are serialized on an internal mutex, so the
-/// serve writer and the background flusher can share a store. The durable
+/// serve writer and a FlushDurable caller can share a store. The durable
 /// callback fires outside the lock after every fsync that advanced the
 /// durable mark.
 class DurableStore {
@@ -90,20 +81,22 @@ class DurableStore {
       const std::string& dir, const AncIndex& index, Mark start,
       StoreOptions options = {}, obs::MetricsRegistry* metrics = nullptr);
 
-  ~DurableStore();  // stops the flusher, syncs and closes the WAL
+  ~DurableStore();  // syncs and closes the WAL
 
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
   /// Appends one batch covering tickets [first_seq, first_seq + size) to
-  /// the WAL (write-ahead: call before applying the batch). Rotates the
-  /// segment when the size threshold is crossed; auto-syncs at the group
-  /// commit threshold. Errors are sticky for simulated crashes: after a
-  /// TestHooks crash fires every call returns Unavailable.
+  /// the WAL (write-ahead: call before applying the batch). Nothing is
+  /// durable until the next Sync; Append fsyncs only to seal a full
+  /// segment before rotating to a fresh one. Errors are sticky for
+  /// simulated crashes: after a TestHooks crash fires every call returns
+  /// Unavailable.
   Status Append(const std::vector<Activation>& batch, uint64_t first_seq);
 
-  /// Forces everything appended so far onto disk (group commit boundary).
-  /// Advances the durable mark and fires the durable callback.
+  /// Forces everything appended so far onto disk — the store's commit
+  /// boundary. Advances the durable mark and fires the durable callback;
+  /// a Sync with nothing new to commit issues no fsync.
   Status Sync();
 
   /// Checkpoint rotation: syncs the WAL, writes `index` via SaveIndex to a
@@ -153,17 +146,11 @@ class DurableStore {
   uint64_t records_ ANC_GUARDED_BY(mutex_) = 0;
   uint64_t syncs_ ANC_GUARDED_BY(mutex_) = 0;
   uint64_t checkpoints_ ANC_GUARDED_BY(mutex_) = 0;
-  /// Appended since the last sync.
-  size_t pending_records_ ANC_GUARDED_BY(mutex_) = 0;
   /// A checkpoint-path crash seam fired.
   bool crashed_ ANC_GUARDED_BY(mutex_) = false;
 
   util::Mutex callback_mutex_;
   std::function<void(Mark)> durable_callback_ ANC_GUARDED_BY(callback_mutex_);
-
-  std::thread flusher_;
-  util::CondVar flusher_cv_;
-  bool stop_flusher_ ANC_GUARDED_BY(mutex_) = false;
 
   obs::MetricsRegistry* metrics_;
   struct Metrics {

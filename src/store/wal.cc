@@ -308,7 +308,8 @@ Status WalAppender::Flush() {
   return Status::OK();
 }
 
-Status WalAppender::Sync() {
+Status WalAppender::Sync(bool* fsynced) {
+  if (fsynced != nullptr) *fsynced = false;
   ANC_RETURN_NOT_OK(Flush());
   if (flushed_.seq == durable_.seq && flushed_.time == durable_.time) {
     return Status::OK();  // nothing new reached the file since last fsync
@@ -318,6 +319,7 @@ Status WalAppender::Sync() {
                            std::strerror(errno));
   }
   durable_ = flushed_;
+  if (fsynced != nullptr) *fsynced = true;
   return Status::OK();
 }
 

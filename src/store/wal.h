@@ -106,14 +106,16 @@ class WalAppender {
 
   /// Buffers one record: `count` activations covering tickets
   /// [first_seq, first_seq + count). Ticket runs must be non-decreasing
-  /// across appends (gaps are fine — dropped tickets carry no data).
+  /// across appends (gaps are fine).
   Status Append(const Activation* data, size_t count, uint64_t first_seq);
 
   /// Writes all buffered frames to the file (no fsync).
   Status Flush();
 
-  /// Flush + fsync: everything appended so far becomes durable.
-  Status Sync();
+  /// Flush + fsync: everything appended so far becomes durable. With
+  /// nothing new since the last fsync it returns without one; *fsynced
+  /// (when non-null) reports whether an fsync was issued.
+  Status Sync(bool* fsynced = nullptr);
 
   /// Flushes, syncs and closes the fd. Idempotent; called by the dtor.
   Status Close();

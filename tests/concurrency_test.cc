@@ -526,13 +526,13 @@ TEST(ServeStressTest, PublishRaceAudit) {
 }
 
 /// The durability stack's shared-state surfaces under TSan: the serve
-/// writer appending WAL batches races the store's background group-commit
-/// flusher (flush_interval_s > 0) over the append buffer and durable mark,
-/// while other threads poll StoreStats and await the durable watermark.
-/// Functional crash/recovery assertions live in store_test.cc; this
-/// variant maximizes interleavings (sub-millisecond flush ticks, auto-sync
-/// disabled so the flusher owns every fsync).
-TEST(StoreStressTest, WriterVsGroupCommitFlusherRaceAudit) {
+/// writer appending and syncing WAL batches races a thread looping
+/// FlushDurable over the append buffer and durable mark — two threads
+/// fsyncing and firing the durable callback — while other threads poll
+/// StoreStats and await the durable watermark. Functional crash/recovery
+/// assertions live in store_test.cc; this variant maximizes interleavings
+/// (tiny queue and batches, back-to-back durable flushes).
+TEST(StoreStressTest, WriterVsFlushDurableRaceAudit) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "anc_store_stress").string();
   std::filesystem::remove_all(dir);
@@ -550,18 +550,15 @@ TEST(StoreStressTest, WriterVsGroupCommitFlusherRaceAudit) {
   config.mode = AncMode::kOnline;
   AncIndex index(data.graph, config);
 
-  store::StoreOptions store_options;
-  store_options.flush_interval_s = 0.0005;  // flusher ticks constantly
-  store_options.group_commit_records = 0;   // only the flusher fsyncs
   auto opened = store::DurableStore::Open(dir, index, store::Mark{0, 0.0},
-                                          store_options, &index.metrics());
+                                          {}, &index.metrics());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
 
   serve::ServeOptions options;
   options.ingest.capacity = 8;  // force backpressure blocking
   options.ingest.clamp_out_of_order = true;
-  options.max_batch = 4;  // many small WAL appends racing the flusher
-  options.durability = serve::DurabilityPolicy::kAsync;
+  options.max_batch = 4;  // many small WAL commits racing the flusher
+  options.durability = serve::DurabilityPolicy::kGroupCommit;
   serve::AncServer server(&index, options, opened.value().get());
   ASSERT_TRUE(server.Start().ok());
 
@@ -579,9 +576,16 @@ TEST(StoreStressTest, WriterVsGroupCommitFlusherRaceAudit) {
   }
 
   std::atomic<bool> stop{false};
+  std::thread flusher([&] {
+    // Syncs alongside the writer's per-batch commits: both sides may
+    // advance the durable mark and fire the callback.
+    while (!stop.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(30000)).ok());
+    }
+  });
   std::thread stats_poller([&] {
     // Stats() and durable() take the store mutex against the writer's
-    // appends and the flusher's syncs; the watermark read crosses the
+    // commits and the flusher's syncs; the watermark read crosses the
     // durable-callback path.
     uint64_t last_durable = 0;
     while (!stop.load(std::memory_order_acquire)) {
@@ -593,10 +597,9 @@ TEST(StoreStressTest, WriterVsGroupCommitFlusherRaceAudit) {
   });
 
   for (std::thread& p : producers) p.join();
-  // FlushDurable races the flusher's own fsyncs: both sides may advance
-  // the durable mark and fire the callback.
   ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(30000)).ok());
   stop.store(true, std::memory_order_release);
+  flusher.join();
   stats_poller.join();
   EXPECT_GE(server.durable_watermark().seq, stream.size());
   server.Stop();

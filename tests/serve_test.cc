@@ -38,7 +38,6 @@ namespace anc {
 namespace {
 
 using serve::AncServer;
-using serve::BackpressurePolicy;
 using serve::ClusterView;
 using serve::IngestOptions;
 using serve::IngestQueue;
@@ -73,6 +72,17 @@ uint64_t SubmitAll(AncServer& server, const ActivationStream& stream) {
   EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(accepted.ok() ? accepted.value() : 0, stream.size());
   return last_seq;
+}
+
+/// One-entry hand-off through the queue's producer path: the entry's
+/// ticket, or 0 when the queue skipped it (a regressed timestamp with
+/// clamping off).
+Result<uint64_t> PushOne(IngestQueue& q, Activation activation,
+                         obs::TraceContext trace = {}) {
+  uint64_t seq = 0;
+  Result<size_t> pushed = q.PushBatch(&activation, 1, &seq, &trace);
+  if (!pushed.ok()) return pushed.status();
+  return seq;
 }
 
 /// A started one-shard ShardedServer: the public server at k = 1.
@@ -122,8 +132,8 @@ void ExpectViewMatchesIndex(const ClusterView& view, const AncIndex& index) {
 
 TEST(IngestQueueTest, TicketsAreMonotonicFromOne) {
   IngestQueue q(IngestOptions{});
-  Result<uint64_t> t1 = q.Push({0, 1.0});
-  Result<uint64_t> t2 = q.Push({0, 2.0});
+  Result<uint64_t> t1 = PushOne(q, {0, 1.0});
+  Result<uint64_t> t2 = PushOne(q, {0, 2.0});
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t2.ok());
   EXPECT_EQ(*t1, 1u);
@@ -143,75 +153,39 @@ TEST(IngestQueueTest, TicketsAreMonotonicFromOne) {
 TEST(IngestQueueTest, ClosedQueueFailsPrecondition) {
   IngestQueue q(IngestOptions{});
   q.Close();
-  Result<uint64_t> r = q.Push({0, 1.0});
+  Result<uint64_t> r = PushOne(q, {0, 1.0});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(IngestQueueTest, OutOfOrderTimestampRejectedOrClamped) {
   IngestQueue strict(IngestOptions{});
-  ASSERT_TRUE(strict.Push({0, 5.0}).ok());
-  Result<uint64_t> bad = strict.Push({0, 4.0});
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(PushOne(strict, {0, 5.0}).value(), 1u);
+  // Skipped and counted, never enqueued: no ticket is issued.
+  EXPECT_EQ(PushOne(strict, {0, 4.0}).value(), 0u);
   EXPECT_EQ(strict.rejected(), 1u);
+  EXPECT_EQ(strict.accepted(), 1u);
 
   IngestOptions clamping;
   clamping.clamp_out_of_order = true;
   IngestQueue lenient(clamping);
-  ASSERT_TRUE(lenient.Push({0, 5.0}).ok());
-  ASSERT_TRUE(lenient.Push({0, 4.0}).ok());
+  ASSERT_EQ(PushOne(lenient, {0, 5.0}).value(), 1u);
+  ASSERT_EQ(PushOne(lenient, {0, 4.0}).value(), 2u);
   std::vector<Activation> batch;
   lenient.PopBatch(&batch, 10, std::chrono::microseconds(0));
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_DOUBLE_EQ(batch[1].time, 5.0);  // clamped up, stream stays monotone
 }
 
-TEST(IngestQueueTest, RejectPolicyBouncesWhenFull) {
-  IngestOptions options;
-  options.capacity = 2;
-  options.policy = BackpressurePolicy::kReject;
-  IngestQueue q(options);
-  ASSERT_TRUE(q.Push({0, 1.0}).ok());
-  ASSERT_TRUE(q.Push({0, 2.0}).ok());
-  Result<uint64_t> r = q.Push({0, 3.0});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(q.rejected(), 1u);
-  EXPECT_EQ(q.Depth(), 2u);
-}
-
-TEST(IngestQueueTest, DropOldestEvictsHeadAndResolvesItsTicket) {
-  IngestOptions options;
-  options.capacity = 2;
-  options.policy = BackpressurePolicy::kDropOldest;
-  IngestQueue q(options);
-  ASSERT_TRUE(q.Push({0, 1.0}).ok());
-  ASSERT_TRUE(q.Push({0, 2.0}).ok());
-  ASSERT_TRUE(q.Push({0, 3.0}).ok());  // evicts ticket 1
-  EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(q.Depth(), 2u);
-
-  std::vector<Activation> batch;
-  uint64_t resolved = 0;
-  EXPECT_EQ(q.PopBatch(&batch, 10, std::chrono::microseconds(0), &resolved),
-            2u);
-  // All three tickets are resolved: 1 by eviction, 2 and 3 by the pop.
-  EXPECT_EQ(resolved, 3u);
-  EXPECT_DOUBLE_EQ(batch[0].time, 2.0);
-  EXPECT_DOUBLE_EQ(batch[1].time, 3.0);
-}
-
 TEST(IngestQueueTest, BlockedProducerWakesOnDrain) {
   IngestOptions options;
   options.capacity = 1;
-  options.policy = BackpressurePolicy::kBlock;
   IngestQueue q(options);
-  ASSERT_TRUE(q.Push({0, 1.0}).ok());
+  ASSERT_TRUE(PushOne(q, {0, 1.0}).ok());
 
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    Result<uint64_t> r = q.Push({0, 2.0});
+    Result<uint64_t> r = PushOne(q, {0, 2.0});
     ASSERT_TRUE(r.ok());
     pushed.store(true, std::memory_order_release);
   });
@@ -222,6 +196,36 @@ TEST(IngestQueueTest, BlockedProducerWakesOnDrain) {
   producer.join();
   EXPECT_TRUE(pushed.load());
   EXPECT_EQ(q.accepted(), 2u);
+}
+
+TEST(IngestQueueTest, EntryAcceptedAfterABlockedWaitIsStampedWhenEnqueued) {
+  IngestOptions options;
+  options.capacity = 1;
+  IngestQueue q(options);
+  const Activation pair[2] = {{0, 1.0}, {0, 2.0}};
+  std::thread producer([&] {
+    Result<size_t> pushed = q.PushBatch(pair, 2);
+    ASSERT_TRUE(pushed.ok());
+    EXPECT_EQ(pushed.value(), 2u);
+  });
+  // The first entry fills the queue; the producer now waits with the
+  // second. Anything enqueued after this point is stamped no earlier.
+  while (q.Depth() != 1) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+
+  std::vector<Activation> batch;
+  std::vector<IngestQueue::Popped> info;
+  ASSERT_EQ(q.PopBatch(&batch, 1, std::chrono::microseconds(0), nullptr,
+                       &info),
+            1u);
+  while (q.PopBatch(&batch, 1, std::chrono::microseconds(1000), nullptr,
+                    &info) == 0) {
+  }
+  producer.join();
+  ASSERT_EQ(info.size(), 2u);
+  // The queue wait of the second entry excludes the producer's own
+  // blocking time.
+  EXPECT_GE(info[1].enqueued_at, t0);
 }
 
 // --- Snapshot equivalence -------------------------------------------------
@@ -345,27 +349,6 @@ TEST(ServeWatermarkTest, AwaitUnreachableTicketTimesOut) {
   server.Stop();
 }
 
-TEST(ServeWatermarkTest, DropOldestStillResolvesEveryTicket) {
-  GroundTruthGraph data = SmallCommunityGraph(47);
-  Rng rng(17);
-  ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 25, 0.05, 4.0, rng);
-
-  AncIndex index(data.graph, SmallConfig());
-  ServeOptions options;
-  options.ingest.capacity = 4;
-  options.ingest.policy = BackpressurePolicy::kDropOldest;
-  AncServer server(&index, options);
-  ASSERT_TRUE(server.Start().ok());
-  // Drop-oldest never refuses an entry: the whole stream is accepted.
-  SubmitAll(server, stream);
-  // Every ticket resolves (applied or evicted): Flush cannot strand.
-  ASSERT_TRUE(server.Flush(kAwait).ok());
-  EXPECT_GE(server.watermark().seq, stream.size());
-  EXPECT_EQ(server.accepted(), stream.size());
-  server.Stop();
-  EXPECT_TRUE(index.ValidateInvariants(/*deep=*/true).ok());
-}
-
 // --- Publish cadence -------------------------------------------------------
 
 TEST(ServeCadenceTest, DrainedBatchPublishesWithoutATimer) {
@@ -423,25 +406,21 @@ TEST(ServeCadenceTest, SaturatedWriterStillPublishesEverySnapshotInterval) {
 TEST(ServeWatermarkTest, RejectPolicySurfacesUnavailable) {
   GroundTruthGraph data = SmallCommunityGraph(53);
   AncIndex index(data.graph, SmallConfig());
-  ServeOptions options;
-  options.ingest.capacity = 2;
-  options.ingest.policy = BackpressurePolicy::kReject;
-  // The server is deliberately not started: with no writer draining, the
-  // queue fills deterministically and the batch hand-off must report the
-  // bounces as refused entries, counted as rejections (with a running
-  // writer the outcome depends on a drain race; the queue-level test
-  // covers the Unavailable status of a single refused Push).
-  AncServer server(&index, options);
+  // Clamping off: a timestamp below the accepted watermark is refused.
+  // The server is deliberately not started, so nothing drains and the
+  // counts are deterministic: the batch hand-off must report the refused
+  // entries, counted as rejections, without failing.
+  AncServer server(&index, ServeOptions{});
   size_t bounced = 0;
   for (int i = 0; i < 5; ++i) {
-    const Activation activation{0, static_cast<double>(i)};
+    const Activation activation{0, static_cast<double>(10 - i)};
     Result<size_t> r = server.SubmitBatch(&activation, 1);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     if (r.value() == 0) ++bounced;
   }
-  EXPECT_EQ(bounced, 3u);  // capacity 2, 5 submits, nothing drained
+  EXPECT_EQ(bounced, 4u);  // only the first, highest timestamp is accepted
   EXPECT_EQ(server.rejected(), bounced);
-  EXPECT_EQ(server.accepted(), 2u);
+  EXPECT_EQ(server.accepted(), 1u);
 }
 
 TEST(ServeLifecycleTest, SubmitValidatesEdgeRange) {
@@ -693,9 +672,9 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
 TEST(IngestQueueTest, TracksHighWatermarkAndOldestAge) {
   obs::MetricsRegistry registry;
   IngestQueue q(IngestOptions{}, &registry);
-  ASSERT_TRUE(q.Push({0, 1.0}).ok());
-  ASSERT_TRUE(q.Push({0, 2.0}).ok());
-  ASSERT_TRUE(q.Push({0, 3.0}).ok());
+  ASSERT_TRUE(PushOne(q, {0, 1.0}).ok());
+  ASSERT_TRUE(PushOne(q, {0, 2.0}).ok());
+  ASSERT_TRUE(PushOne(q, {0, 3.0}).ok());
   EXPECT_EQ(q.high_watermark(), 3u);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_GT(q.OldestAgeSeconds(), 0.005);
@@ -715,8 +694,8 @@ TEST(IngestQueueTest, PopBatchReportsPerEntryTraceAndEnqueueTime) {
   IngestQueue q(IngestOptions{});
   const obs::TraceContext traced = obs::TraceContext::NewTrace();
   const auto before = std::chrono::steady_clock::now();
-  ASSERT_TRUE(q.Push({0, 1.0}, traced).ok());
-  ASSERT_TRUE(q.Push({0, 2.0}).ok());  // untraced
+  ASSERT_TRUE(PushOne(q, {0, 1.0}, traced).ok());
+  ASSERT_TRUE(PushOne(q, {0, 2.0}).ok());  // untraced
 
   std::vector<Activation> batch;
   std::vector<IngestQueue::Popped> info;

@@ -19,6 +19,7 @@
 #include "check/oracle.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
+#include "parked_writer.h"
 #include "serve/server.h"
 #include "store/store.h"
 #include "store/test_hooks.h"
@@ -359,6 +360,25 @@ TEST(StoreRecoveryTest, CleanShutdownRecoversEverything) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(StoreRecoveryTest, SyncWithNothingNewIssuesNoFsync) {
+  Rng rng(23);
+  const Graph g = BarabasiAlbert(40, 3, rng);
+  const std::string dir = TempDir("anc_store_idle_sync");
+
+  AncIndex index(g, TestConfig());
+  auto opened = DurableStore::Open(dir, index, Mark{0, 0.0});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DurableStore& store = *opened.value();
+  const uint64_t before = store.Stats().syncs;
+  ASSERT_TRUE(store.Append({Activation{0, 1.0}}, 1).ok());
+  ASSERT_TRUE(store.Sync().ok());
+  ASSERT_TRUE(store.Sync().ok());  // nothing appended since: no fsync
+  EXPECT_EQ(store.Stats().syncs, before + 1);
+  EXPECT_EQ(store.durable().seq, 1u);
+  opened.value().reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(StoreRecoveryTest, SurvivesCorruptManifestViaCheckpointScan) {
   Rng rng(23);
   const Graph g = BarabasiAlbert(60, 3, rng);
@@ -496,9 +516,7 @@ TEST(DurableServeTest, FlushDurableCoversRecovery) {
   const std::string dir = TempDir("anc_serve_durable");
 
   AncIndex index(g, config);
-  StoreOptions store_options;
-  store_options.group_commit_records = 16;
-  auto opened = DurableStore::Open(dir, index, Mark{0, 0.0}, store_options,
+  auto opened = DurableStore::Open(dir, index, Mark{0, 0.0}, StoreOptions{},
                                    &index.metrics());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
 
@@ -574,6 +592,43 @@ TEST(DurableServeTest, WalCrashFreezesDurableWatermarkAndFlushFails) {
   std::unique_ptr<AncIndex> expected = FreshPrefixIndex(
       g, config, stream, recovered.value().watermark.seq);
   ExpectIndexStatesEqual(*recovered.value().index, *expected);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableServeTest, TimedOutCheckpointRequestNeverRuns) {
+  Rng rng(34);
+  const Graph g = BarabasiAlbert(60, 3, rng);
+  const std::string dir = TempDir("anc_serve_ckpt_timeout");
+
+  AncIndex index(g, TestConfig());
+  auto opened = DurableStore::Open(dir, index, Mark{0, 0.0});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  serve::ServeOptions options;
+  options.durability = serve::DurabilityPolicy::kGroupCommit;
+  serve::AncServer server(&index, options, opened.value().get());
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t generation = opened.value()->generation();
+  {
+    // The writer sits inside a quiescent callback: the request cannot be
+    // reached before its deadline and must be cancelled, not deferred.
+    ParkedWriter parked(&server);
+    const Status timed_out =
+        server.RequestCheckpoint(std::chrono::milliseconds(20));
+    EXPECT_EQ(timed_out.code(), StatusCode::kUnavailable)
+        << timed_out.ToString();
+  }
+  // A batch publish and a later quiescent point both pass without the
+  // cancelled checkpoint running.
+  const Activation activation{0, 1.0};
+  ASSERT_EQ(server.SubmitBatch(&activation, 1).value(), 1u);
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  ASSERT_TRUE(
+      server.RunQuiesced([](const serve::AncServer::QuiescedContext&) {},
+                         kAwait)
+          .ok());
+  EXPECT_EQ(opened.value()->generation(), generation);
+  server.Stop();
+  opened.value().reset();
   std::filesystem::remove_all(dir);
 }
 
