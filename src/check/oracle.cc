@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -162,6 +163,42 @@ void CompareAgainstRebuild(const AncIndex& anc, CheckReport* report) {
   }
 }
 
+/// The batched index must agree with the per-activation one to the byte:
+/// ApplyBatch promises the result of one Apply per activation.
+void CompareAgainstBatched(const AncIndex& anc, const AncIndex& batched,
+                           CheckReport* report) {
+  const PyramidIndex& single = anc.index();
+  const PyramidIndex& batch = batched.index();
+  for (uint32_t level = 1; level <= single.num_levels(); ++level) {
+    for (EdgeId e = 0; e < anc.graph().NumEdges(); ++e) {
+      if (single.VotesOf(e, level) != batch.VotesOf(e, level)) {
+        std::ostringstream out;
+        out << "level " << level << " edge " << e << ": Apply votes "
+            << single.VotesOf(e, level) << ", ApplyBatch votes "
+            << batch.VotesOf(e, level);
+        report->Add("oracle.batch_votes", out.str());
+      }
+    }
+    const Clustering even = EvenClustering(single, level);
+    const Clustering even_batched = EvenClustering(batch, level);
+    if (even.labels != even_batched.labels ||
+        even.num_clusters != even_batched.num_clusters) {
+      std::ostringstream out;
+      out << "level " << level << ": even clustering differs under ApplyBatch";
+      report->Add("oracle.batch_even_clustering", out.str());
+    }
+    const Clustering power = PowerClustering(single, level);
+    const Clustering power_batched = PowerClustering(batch, level);
+    if (power.labels != power_batched.labels ||
+        power.num_clusters != power_batched.num_clusters) {
+      std::ostringstream out;
+      out << "level " << level
+          << ": power clustering differs under ApplyBatch";
+      report->Add("oracle.batch_power_clustering", out.str());
+    }
+  }
+}
+
 }  // namespace
 
 OracleResult RunDifferentialOracle(const Graph& graph, const AncConfig& config,
@@ -176,10 +213,24 @@ OracleResult RunDifferentialOracle(const Graph& graph, const AncConfig& config,
     return result;
   }
   AncIndex& anc = **created;
+  // Fed the same prefix through ApplyBatch, one checkpoint interval per
+  // call. The config already passed Create, so this one succeeds too.
+  auto created_batched = AncIndex::Create(graph, config);
+  AncIndex& batched = **created_batched;
+  size_t batched_through = 0;  // stream prefix applied to `batched`
   ReferenceActiveness ref(graph.NumEdges(), config.similarity.lambda,
                           config.similarity.initial_activeness);
 
   auto checkpoint = [&](double now) {
+    const std::span<const Activation> chunk(
+        stream.data() + batched_through, result.activations - batched_through);
+    const AncIndex::BatchOutcome outcome = batched.ApplyBatch(chunk);
+    batched_through = result.activations;
+    if (outcome.refused != 0) {
+      result.report.Add("oracle.batch_apply",
+                        outcome.first_error.ToString());
+    }
+    CompareAgainstBatched(anc, batched, &result.report);
     CompareActiveness(anc, ref, now, &result.report);
     CompareAgainstRebuild(anc, &result.report);
     if (options.validate_invariants) {

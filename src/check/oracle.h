@@ -50,7 +50,11 @@ struct OracleResult {
 ///     repair and the fresh Dijkstra may legitimately keep different seed
 ///     assignments — are detected exactly (seed differs, distance agrees)
 ///     and excluded; a distance mismatch is always a violation.
-///  3. **Invariants** — the full anc::check validator suite, unless
+///  3. **Batching** — a second index fed the same prefix through
+///     AncIndex::ApplyBatch, one checkpoint interval per call (the
+///     level-parallel repair), must hold byte-identical per-level vote
+///     counts and even/power clusterings.
+///  4. **Invariants** — the full anc::check validator suite, unless
 ///     disabled.
 ///
 /// The stream must be time-ordered (AncIndex::Apply requirement). Works in

@@ -82,6 +82,14 @@ class TestHooks {
   static void SetIndexWeight(PyramidIndex& index, EdgeId e, double weight) {
     index.weights_[e] = weight;
   }
+
+  /// Reads the stored same-seed bit of edge e in partition (pyramid, level);
+  /// the bits have no public accessor.
+  static bool SameSeedBit(const PyramidIndex& index, uint32_t pyramid,
+                          uint32_t level, EdgeId e) {
+    return (index.same_seed_bits_[index.BitColumn(pyramid, level)][e] &
+            PyramidIndex::BitMask(pyramid)) != 0;
+  }
 };
 
 }  // namespace anc::check

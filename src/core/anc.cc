@@ -78,7 +78,9 @@ AncIndex::AncIndex(const Graph& graph, AncConfig config)
       engine_(graph, config.similarity, &metrics_) {
   ANC_CHECK(config_.Validate().ok(), "invalid AncConfig (use Create)");
   InitMetrics();
-  engine_.InitializeStatic(config_.rep);
+  // The engine was just built at the uniform initial activeness with its
+  // sigma caches, which is all InitializeStatic would reset: only S is left.
+  engine_.RecomputeFromActiveness(config_.rep);
   index_ = std::make_unique<PyramidIndex>(graph, AllWeights(engine_),
                                           config_.pyramid, &metrics_);
   HookRescale();

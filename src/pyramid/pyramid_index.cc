@@ -39,6 +39,31 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
                            PyramidParams params,
                            std::vector<std::vector<NodeId>> seed_sets,
                            obs::MetricsRegistry* metrics)
+    : PyramidIndex(g, std::move(weights), params, metrics, Unbuilt{}) {
+  if (seed_sets.empty()) {
+    // Draw all seed sets up front (deterministic given params.seed).
+    Rng rng(params_.seed);
+    seed_sets.resize(partitions_.size());
+    for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
+      for (uint32_t l = 1; l <= num_levels_; ++l) {
+        const uint32_t want = static_cast<uint32_t>(
+            std::min<uint64_t>(1ull << (l - 1), g.NumNodes()));
+        seed_sets[PartitionSlot(p, l)] =
+            rng.SampleWithoutReplacement(g.NumNodes(), want);
+      }
+    }
+  }
+  ANC_CHECK(seed_sets.size() == partitions_.size(),
+            "seed-set layout must be pyramid-major, level-minor");
+  pool_->ParallelFor(partitions_.size(), [&](size_t slot) {
+    partitions_[slot].Build(*graph_, weights_, std::move(seed_sets[slot]));
+  });
+  CountVotes();
+}
+
+PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
+                           PyramidParams params, obs::MetricsRegistry* metrics,
+                           Unbuilt)
     : graph_(&g),
       params_(params),
       num_levels_(NumLevelsFor(g.NumNodes())),
@@ -82,28 +107,15 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
     }
     pool_->SetMetrics(metrics_);
   }
+}
 
-  if (seed_sets.empty()) {
-    // Draw all seed sets up front (deterministic given params.seed).
-    Rng rng(params_.seed);
-    seed_sets.resize(partitions_.size());
-    for (uint32_t p = 0; p < k; ++p) {
-      for (uint32_t l = 1; l <= num_levels_; ++l) {
-        const uint32_t want = static_cast<uint32_t>(
-            std::min<uint64_t>(1ull << (l - 1), g.NumNodes()));
-        seed_sets[PartitionSlot(p, l)] =
-            rng.SampleWithoutReplacement(g.NumNodes(), want);
-      }
-    }
-  }
-  ANC_CHECK(seed_sets.size() == partitions_.size(),
-            "seed-set layout must be pyramid-major, level-minor");
-  pool_->ParallelFor(partitions_.size(), [&](size_t slot) {
-    partitions_[slot].Build(*graph_, weights_, std::move(seed_sets[slot]));
+void PyramidIndex::CountVotes() {
+  // A level's k partitions write only that level's bit columns and vote
+  // row, so levels count in parallel (Lemma 13).
+  pool_->ParallelFor(num_levels_, [&](size_t level_idx) {
+    const uint32_t level = static_cast<uint32_t>(level_idx) + 1;
+    for (uint32_t p = 0; p < params_.num_pyramids; ++p) InitVotes(p, level);
   });
-  for (uint32_t p = 0; p < k; ++p) {
-    for (uint32_t l = 1; l <= num_levels_; ++l) InitVotes(p, l);
-  }
 }
 
 void PyramidIndex::InitVotes(uint32_t pyramid, uint32_t level) {
@@ -271,9 +283,7 @@ void PyramidIndex::Reconstruct(std::vector<double> new_weights) {
     std::vector<NodeId> seeds = partitions_[slot].seeds();
     partitions_[slot].Build(*graph_, weights_, std::move(seeds));
   });
-  for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
-    for (uint32_t l = 1; l <= num_levels_; ++l) InitVotes(p, l);
-  }
+  CountVotes();
 }
 
 void PyramidIndex::ScaleAll(double factor) {
@@ -323,31 +333,25 @@ std::unique_ptr<PyramidIndex> PyramidIndex::FromTreeStates(
     const Graph& g, std::vector<double> weights, PyramidParams params,
     std::vector<VoronoiPartition::TreeState> trees,
     obs::MetricsRegistry* metrics) {
-  // Build with trivially cheap placeholder seeds, then overwrite every
-  // partition with the exact exported tree and recount the votes.
+  // Fill unbuilt partitions with the exact exported trees, then count the
+  // votes once.
   if (weights.size() != g.NumEdges()) return nullptr;
   if (params.num_pyramids < 1 || params.num_pyramids > kMaxPyramids) {
     return nullptr;
   }
-  std::vector<std::vector<NodeId>> placeholder_seeds;
   const uint32_t levels = NumLevelsFor(g.NumNodes());
   if (trees.size() != static_cast<size_t>(params.num_pyramids) * levels) {
     return nullptr;
   }
-  placeholder_seeds.assign(trees.size(), {});  // empty: O(n) builds
-  auto index = std::unique_ptr<PyramidIndex>(new PyramidIndex(
-      g, std::move(weights), params, std::move(placeholder_seeds), metrics));
+  auto index = std::unique_ptr<PyramidIndex>(
+      new PyramidIndex(g, std::move(weights), params, metrics, Unbuilt{}));
   for (size_t slot = 0; slot < trees.size(); ++slot) {
     if (!index->partitions_[slot].RestoreTree(g, std::move(trees[slot]))
              .ok()) {
       return nullptr;
     }
   }
-  for (uint32_t p = 0; p < params.num_pyramids; ++p) {
-    for (uint32_t l = 1; l <= index->num_levels_; ++l) {
-      index->InitVotes(p, l);
-    }
-  }
+  index->CountVotes();
   return index;
 }
 

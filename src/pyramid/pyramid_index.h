@@ -253,8 +253,18 @@ class PyramidIndex {
   void RecordLevelRepair(uint32_t level, size_t touched);
   void RecordRepair(size_t touched);
 
-  /// Initializes same-seed bits and vote counts for one partition.
+  /// Allocates every table with unbuilt partitions and zero votes; the
+  /// public constructors build the partitions, FromTreeStates restores them.
+  struct Unbuilt {};
+  PyramidIndex(const Graph& g, std::vector<double> weights,
+               PyramidParams params, obs::MetricsRegistry* metrics, Unbuilt);
+
+  /// Brings the same-seed bits and vote counts of one partition in line
+  /// with its seeds.
   void InitVotes(uint32_t pyramid, uint32_t level);
+
+  /// InitVotes for every partition, one pool task per level.
+  void CountVotes();
 
   const Graph* graph_;
   PyramidParams params_;

@@ -613,6 +613,8 @@ Status ShardedServer::AwaitSeq(uint64_t seq,
   if (!started_once_) {
     return Status::FailedPrecondition("ShardedServer never started");
   }
+  // Already visible: later deliveries cannot un-publish it.
+  if (watermark().seq >= seq) return Status::OK();
   // Conservative per-shard frontier: every delivery routed at or before
   // global ticket `seq` has a per-shard ticket <= the snapshot (the route
   // lock orders ticket issue with shard pushes), so awaiting the snapshot

@@ -165,7 +165,9 @@ class ShardedServer {
   Status Flush(std::chrono::milliseconds timeout = std::chrono::minutes(1));
 
   /// Blocks until every delivery routed at or before global ticket `seq`
-  /// is reflected in every shard's published view.
+  /// is reflected in every shard's published view. Returns at once when
+  /// watermark() already covers `seq`; otherwise it may also wait for
+  /// deliveries routed after `seq`.
   Status AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout);
 
   /// The published watermark in global tickets: every delivery routed at

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace anc {
 
@@ -106,7 +108,109 @@ Status SimilarityEngine::ApplyActivationNoReinforce(EdgeId e, double t,
 }
 
 void SimilarityEngine::ReinforceAllEdges() {
-  for (EdgeId e = 0; e < graph_->NumEdges(); ++e) Reinforce(e);
+  const Graph& g = *graph_;
+  const EdgeId m = g.NumEdges();
+  if (m == 0) return;
+  // A sweep never touches the activeness, so every sigma and every role
+  // stays fixed for its duration: evaluate each once, not per trigger.
+  std::vector<double> sigma(m);
+  for (EdgeId e = 0; e < m; ++e) sigma[e] = Sigma(e);
+  std::vector<NodeRole> role(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) role[v] = Role(v);
+  // Gauss-Seidel over a flat copy of S, written back once: edge e reads the
+  // already-updated S of every lower edge id, exactly as one Reinforce(e)
+  // per edge in ascending order would.
+  std::vector<double> s = similarity_.ToVector();
+  // mark[w] = 1 + id of edge (x, w) while N(x) is marked, else 0.
+  std::vector<EdgeId> mark(g.NumNodes(), 0);
+  // The common neighbours w of an edge's endpoints, ascending, with the
+  // id of edge (y, w).
+  std::vector<Neighbor> common;
+  ReinforceTermCounts counts;
+  uint64_t clamp_hits = 0;
+
+  // One trigger node's AF/TF/WSF sums, accumulated in the order of its own
+  // neighbour list with TriggerDelta's expressions, so its delta is
+  // bit-identical to TriggerDelta's.
+  struct Trigger {
+    NodeRole role;
+    double inv_deg;
+    double af = 0.0;
+    double tf = 0.0;
+    double wsf = 0.0;
+    bool consolidates() const { return role != NodeRole::kPeriphery; }
+    bool stretches() const { return role != NodeRole::kCore; }
+    double Delta() const {
+      switch (role) {
+        case NodeRole::kCore:
+          return af + tf;  // Eq. (2)
+        case NodeRole::kPeriphery:
+          return -wsf;  // Eq. (3)
+        case NodeRole::kPCore:
+          return af + tf - wsf;  // Eq. (4)
+      }
+      return 0.0;
+    }
+  };
+  const auto start = [&](EdgeId e, NodeId node) {
+    Trigger t{role[node], 1.0 / static_cast<double>(g.Degree(node))};
+    if (t.consolidates()) {
+      t.af = s[e] * sigma[e] * t.inv_deg;
+      ++counts.af;
+    }
+    return t;
+  };
+  const auto add_common = [&](Trigger& t, EdgeId own, EdgeId other) {
+    if (!t.consolidates()) return;
+    t.tf += std::sqrt(s[own] * s[other]) * sigma[own] * t.inv_deg;
+    ++counts.tf;
+  };
+  const auto add_exclusive = [&](Trigger& t, EdgeId own) {
+    if (!t.stretches()) return;
+    t.wsf += s[own] * sigma[own] * t.inv_deg;
+    ++counts.wsf;
+  };
+
+  for (EdgeId e = 0; e < m; ++e) {
+    // Mark the smaller neighbourhood N(x); one scan of N(y) finds the
+    // common neighbours, and one scan of N(x) clears the marks.
+    auto [x, y] = g.Endpoints(e);
+    if (g.Degree(y) < g.Degree(x)) std::swap(x, y);
+    const auto nx = g.Neighbors(x);
+    for (const Neighbor& nb : nx) mark[nb.node] = nb.edge + 1;
+    Trigger ty = start(e, y);
+    common.clear();
+    for (const Neighbor& nb : g.Neighbors(y)) {
+      const EdgeId xw = mark[nb.node];
+      if (xw != 0) {
+        add_common(ty, nb.edge, xw - 1);
+        common.push_back(nb);
+      } else if (nb.node != x) {
+        add_exclusive(ty, nb.edge);
+      }
+    }
+    Trigger tx = start(e, x);
+    size_t next = 0;
+    for (const Neighbor& nb : nx) {
+      mark[nb.node] = 0;
+      if (next < common.size() && common[next].node == nb.node) {
+        add_common(tx, nb.edge, common[next++].edge);
+      } else if (nb.node != y) {
+        add_exclusive(tx, nb.edge);
+      }
+    }
+    const double raw = s[e] + (tx.Delta() + ty.Delta());
+    s[e] = std::clamp(raw, params_.min_similarity, params_.max_similarity);
+    if (s[e] != raw) ++clamp_hits;
+  }
+  similarity_.Assign(s);
+  if (obs::kMetricsEnabled && metrics_ != nullptr) {
+    metrics_->Add(m_.reinforcements, m);
+    metrics_->Add(m_.af_terms, counts.af);
+    metrics_->Add(m_.tf_terms, counts.tf);
+    metrics_->Add(m_.wsf_terms, counts.wsf);
+    metrics_->Add(m_.clamp_hits, clamp_hits);
+  }
 }
 
 uint32_t SimilarityEngine::ActiveNeighborCount(NodeId v) const {

@@ -122,9 +122,12 @@ class SimilarityEngine {
   /// activeness (ANCOR's periodic consolidation of recently active edges).
   void ReinforceEdge(EdgeId e) { Reinforce(e); }
 
-  /// One full reinforcement sweep over all edges at time t without adding
-  /// activeness (the periodic re-propagation pass of ANCOR and the
-  /// rep-rounds of ANCF). Does not touch the activeness.
+  /// One full reinforcement sweep over all edges without adding activeness
+  /// (the rep-rounds of S_0 and of ANCF's snapshot recompute). Leaves S
+  /// bit-identical to ReinforceEdge(e) for e ascending. Since the sweep
+  /// never touches the activeness, each sigma and each role is computed once
+  /// per sweep: O(n + sum over edges of deg(u) + deg(v)), with two doubles
+  /// per edge of scratch, freed on return.
   void ReinforceAllEdges();
 
   /// Anchored active similarity sigma(u, v) of edge e. O(1).

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "activation/stream_generators.h"
+#include "check/test_hooks.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "obs/metrics.h"
@@ -364,6 +365,69 @@ std::unique_ptr<AncIndex> ApplyOneByOne(const BatchDiffInput& in) {
   auto index = std::make_unique<AncIndex>(in.data.graph, config);
   for (const Activation& a : in.stream) (void)index->Apply(a);
   return index;
+}
+
+/// Votes are counted with one pool task per level. The counts and the
+/// same-seed bits must not depend on the thread count, and must match the
+/// partitions, after a build, a Reconstruct and a restore from trees.
+TEST(ParallelPyramidTest, LevelParallelVoteCountMatchesSerial) {
+  Rng rng(23);
+  Graph g = BarabasiAlbert(300, 3, rng);
+  std::vector<double> weights(g.NumEdges());
+  for (double& w : weights) w = 0.2 + rng.NextDouble();
+  PyramidParams serial_params;
+  serial_params.num_pyramids = 10;  // two bit bytes per edge and level
+  serial_params.seed = 13;
+  serial_params.num_threads = 1;
+  PyramidParams parallel_params = serial_params;
+  parallel_params.num_threads = 3;
+
+  const auto expect_counted = [&](const PyramidIndex& serial,
+                                  const PyramidIndex& parallel) {
+    ExpectSamePyramid(parallel, serial);
+    for (uint32_t level = 1; level <= serial.num_levels(); ++level) {
+      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+        const auto& [u, v] = g.Endpoints(e);
+        uint32_t same = 0;
+        for (uint32_t p = 0; p < serial_params.num_pyramids; ++p) {
+          const bool bit = serial.partition(p, level).SameSeed(u, v);
+          ASSERT_EQ(check::TestHooks::SameSeedBit(serial, p, level, e), bit);
+          ASSERT_EQ(check::TestHooks::SameSeedBit(parallel, p, level, e),
+                    bit);
+          same += bit ? 1 : 0;
+        }
+        ASSERT_EQ(serial.VotesOf(e, level), same) << "edge " << e;
+        ASSERT_EQ(parallel.VotesOf(e, level), same) << "edge " << e;
+      }
+    }
+  };
+
+  PyramidIndex serial(g, weights, serial_params);
+  PyramidIndex parallel(g, weights, parallel_params);
+  {
+    SCOPED_TRACE("build");
+    expect_counted(serial, parallel);
+  }
+
+  for (double& w : weights) w = 0.2 + rng.NextDouble();
+  serial.Reconstruct(weights);
+  parallel.Reconstruct(weights);
+  {
+    SCOPED_TRACE("Reconstruct");
+    expect_counted(serial, parallel);
+  }
+
+  auto serial_restored = PyramidIndex::FromTreeStates(
+      g, weights, serial_params, serial.ExportTreeStates());
+  auto parallel_restored = PyramidIndex::FromTreeStates(
+      g, weights, parallel_params, serial.ExportTreeStates());
+  ASSERT_NE(serial_restored, nullptr);
+  ASSERT_NE(parallel_restored, nullptr);
+  {
+    SCOPED_TRACE("FromTreeStates");
+    expect_counted(*serial_restored, *parallel_restored);
+    ExpectSamePyramid(*serial_restored, serial);
+  }
 }
 
 TEST(ParallelPyramidTest, ApplyBatchMatchesPerActivationAcrossRescales) {

@@ -792,6 +792,48 @@ TEST(ShardHealthTest, HashReadsUnhealthyWhereLdgReadsHealthy) {
   }
 }
 
+TEST(ShardedServerTest, AwaitSeqReturnsAtOnceForVisibleTicket) {
+  Rng rng(61);
+  GroundTruthGraph data = DisjointCommunities(rng);
+  const Graph& g = data.graph;
+  ShardedOptions options;
+  options.partition.num_shards = 2;
+  auto created = ShardedServer::Create(g, TestConfig(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ShardedServer& server = *created.value();
+  ASSERT_TRUE(server.Start().ok());
+  const ActivationStream stream = UniformStream(g, 10, 0.05, rng);
+  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+
+  // An edge only shard 1 applies, so the later delivery queues behind the
+  // parked writer and nowhere else.
+  const std::shared_ptr<const Router> router = server.router();
+  EdgeId later_edge = kInvalidEdge;
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if (router->DeliveryOf(e) == std::make_pair(1u, Router::kNoShard)) {
+      later_edge = e;
+      break;
+    }
+  }
+  ASSERT_NE(later_edge, kInvalidEdge);
+  {
+    ParkedWriter parked(&server.shard(1));
+    const Activation later{later_edge, stream.back().time + 1.0};
+    uint64_t later_seq = 0;
+    ASSERT_TRUE(server.SubmitBatch(&later, 1, &later_seq).ok());
+    const uint64_t visible = server.watermark().seq;
+    ASSERT_GT(visible, 0u);
+    ASSERT_LT(visible, later_seq);
+    // Awaiting a published ticket must not wait for the parked delivery.
+    EXPECT_TRUE(
+        server.AwaitSeq(visible, std::chrono::milliseconds(100)).ok());
+  }
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  EXPECT_GE(server.watermark().seq, stream.size() + 1);
+  server.Stop();
+}
+
 TEST(ShardHealthTest, ViewAgesOnlyWhileTheShardOwesWork) {
   Rng rng(41);
   GroundTruthGraph data = DisjointCommunities(rng);

@@ -1,8 +1,12 @@
+#include <bit>
 #include <cmath>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "datasets/synthetic.h"
+#include "obs/metrics.h"
 #include "similarity/similarity_engine.h"
 #include "util/rng.h"
 
@@ -212,6 +216,79 @@ TEST(SimilarityEngineTest, RecomputeFromActivenessResetsThenPropagates) {
   EXPECT_NEAR(engine.Similarity(intra), before, 1e-9 * before);
   engine.RecomputeFromActiveness(0);
   EXPECT_EQ(engine.Similarity(intra), 1.0);
+}
+
+/// A small-world graph (cores and p-cores) with pendant nodes (periphery)
+/// and isolated nodes.
+Graph MixedRoleGraph(uint64_t seed) {
+  Rng rng(seed);
+  const Graph base = WattsStrogatz(120, 6, 0.3, rng);
+  GraphBuilder b;
+  for (EdgeId e = 0; e < base.NumEdges(); ++e) {
+    const auto& [u, v] = base.Endpoints(e);
+    EXPECT_TRUE(b.AddEdge(u, v).ok());
+  }
+  const NodeId n = base.NumNodes();
+  for (NodeId i = 0; i < 20; ++i) {
+    EXPECT_TRUE(b.AddEdge(n + i, static_cast<NodeId>(rng.Uniform(n))).ok());
+  }
+  b.SetNumNodes(n + 25);
+  return b.Build();
+}
+
+TEST(SimilarityTest, SweepMatchesPerEdgeReinforcement) {
+  const std::string kCounters[] = {"anc.sim.reinforcements", "anc.sim.af_terms",
+                                   "anc.sim.tf_terms", "anc.sim.wsf_terms",
+                                   "anc.sim.clamp_hits"};
+  for (uint64_t seed : {3u, 5u, 8u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Graph g = MixedRoleGraph(seed);
+    SimilarityParams params = DefaultParams();
+    // Tight clamps, so the sweep pins edges at both ends.
+    params.min_similarity = 0.2;
+    params.max_similarity = 6.0;
+    obs::MetricsRegistry sweep_metrics;
+    obs::MetricsRegistry per_edge_metrics;
+    SimilarityEngine sweep(g, params, &sweep_metrics);
+    SimilarityEngine per_edge(g, params, &per_edge_metrics);
+    // An activation stream makes the activeness, sigma and S non-uniform.
+    Rng rng(seed + 100);
+    double t = 0.0;
+    for (int i = 0; i < 600; ++i) {
+      t += 0.02 * rng.NextDouble();
+      const EdgeId e = static_cast<EdgeId>(rng.Uniform(g.NumEdges()));
+      ASSERT_TRUE(sweep.ApplyActivation(e, t).ok());
+      ASSERT_TRUE(per_edge.ApplyActivation(e, t).ok());
+    }
+    std::set<NodeRole> roles;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) roles.insert(sweep.Role(v));
+    ASSERT_EQ(roles.size(), 3u) << "every role must take part";
+
+    const obs::StatsSnapshot sweep_before = sweep_metrics.Snapshot();
+    const obs::StatsSnapshot per_edge_before = per_edge_metrics.Snapshot();
+    for (int round = 0; round < 3; ++round) {
+      sweep.ReinforceAllEdges();
+      for (EdgeId e = 0; e < g.NumEdges(); ++e) per_edge.ReinforceEdge(e);
+    }
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(sweep.Similarity(e)),
+                std::bit_cast<uint64_t>(per_edge.Similarity(e)))
+          << "edge " << e << ": " << sweep.Similarity(e) << " vs "
+          << per_edge.Similarity(e);
+    }
+    const obs::StatsSnapshot sweep_after = sweep_metrics.Snapshot();
+    const obs::StatsSnapshot per_edge_after = per_edge_metrics.Snapshot();
+    for (const std::string& name : kCounters) {
+      EXPECT_EQ(sweep_after.counter(name) - sweep_before.counter(name),
+                per_edge_after.counter(name) - per_edge_before.counter(name))
+          << name;
+    }
+    if (obs::kMetricsEnabled) {
+      EXPECT_GT(sweep_after.counter("anc.sim.clamp_hits") -
+                    sweep_before.counter("anc.sim.clamp_hits"),
+                0u);
+    }
+  }
 }
 
 TEST(SimilarityEngineTest, ApplyActivationRejectsBadEdge) {
