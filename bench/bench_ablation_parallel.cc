@@ -22,7 +22,7 @@
 namespace anc::bench {
 namespace {
 
-constexpr size_t kBatch = 256;  // the serve writer's default max_batch
+constexpr size_t kBatch = 256;  // the serve writer's batch size
 
 uint64_t VoteChecksum(const AncIndex& index) {
   uint64_t checksum = 0;

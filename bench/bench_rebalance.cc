@@ -86,9 +86,8 @@ Workload MakeWorkload(size_t num_batches, Rng& rng) {
 
   // Fresh: LDG keeps the structural communities whole, so a stream that
   // respects them never crosses shards.
-  Result<shard::Partition> fresh = shard::LdgPartition(g, kShards,
-                                                       /*passes=*/3,
-                                                       /*arrival_seed=*/7);
+  Result<shard::Partition> fresh = shard::LdgPartition(
+      g, kShards, /*balance_slack=*/3.0, /*seed=*/7);
   ANC_CHECK(fresh.ok(), "LDG partition failed");
   w.fresh = fresh.value().node_shard;
 

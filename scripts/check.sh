@@ -44,8 +44,8 @@
 #               (docs/sharding.md "Rebalancing & live migration")
 #   net         TSan build, networking suite only: RPC frame/body codec
 #               units, query-cache semantics, loopback client/server
-#               end-to-end (byte-identity vs. the in-process view, tenant
-#               quotas, garbage connections) and the replication chain
+#               end-to-end (byte-identity vs. the in-process view,
+#               garbage connections) and the replication chain
 #               (WAL shipping, follower staleness barrier) — plus a
 #               net_durable smoke run of perfbench_driver under TSan
 #               (scripts/perfbench_smoke.sh, docs/networking.md)

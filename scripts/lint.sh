@@ -51,8 +51,104 @@ run_tidy() {
   fi
 }
 
-# Tool-free checks enforceable with grep alone; these run everywhere,
-# including containers without LLVM.
+# Every field of every `struct *Options` in the serving directories must be
+# set somewhere outside tests/: a knob that only tests (or nothing) set is
+# a constant in disguise. A field counts as set when a line writes it —
+# `=`, a brace initializer, `>>` or `.emplace(` — through a prefix of its
+# struct's type: a variable the same file declares with that type (or a
+# `using` alias of it), or a holder field of that type, so
+# `options.serve.durability = ...` sets both ShardedOptions::serve and
+# ServeOptions::durability. NetServerOptions::host is exempt: it is a
+# deployment address, and every caller in the tree serves on loopback.
+check_options_have_callers() {
+  local defs uses
+  defs=$(find src/net src/rebalance src/serve src/shard src/store src/tier \
+    -name '*.h' | sort)
+  uses=$(find src bench examples perfbench fuzz \
+    \( -name '*.cc' -o -name '*.h' -o -name '*.cpp' \) | sort)
+  # shellcheck disable=SC2086
+  awk '
+    function sets(l, p, f) {
+      if (match(l, ">>[ \t]*" p "(\\.|->)" f "([^A-Za-z0-9_]|$)")) return 1
+      return match(l, "(^|[^A-Za-z0-9_])" p "(\\.|->)" f \
+        "((\\.[A-Za-z_][A-Za-z_0-9]*)*[ \t]*(=[^=]|\\{)|\\.emplace\\()")
+    }
+    # Variables declared with an Options type become prefixes of that type
+    # for the rest of their file.
+    function scan_file(   i, l, t, pre, k, key, pp) {
+      for (i = 1; i <= nlines; i++) {
+        l = lines[i]
+        for (t in type_of) {
+          if (index(l, t) == 0) continue
+          if (match(l, "(^|[^A-Za-z0-9_])" t \
+                "[ \t]*[&*]?[ \t]+[A-Za-z_][A-Za-z_0-9]*")) {
+            pre = substr(l, RSTART, RLENGTH)
+            sub(/.*[ \t&*]/, "", pre)
+            if (!((type_of[t], pre) in prefix)) prefix[type_of[t], pre] = 2
+          }
+        }
+      }
+      for (i = 1; i <= nlines; i++) {
+        l = lines[i]
+        for (k = 1; k <= nfields; k++) {
+          if (set[k] || index(l, fname[k]) == 0) continue
+          for (key in prefix) {
+            split(key, pp, SUBSEP)
+            if (pp[1] == fstruct[k] && sets(l, pp[2], fname[k])) {
+              set[k] = 1
+              break
+            }
+          }
+        }
+      }
+      for (key in prefix) if (prefix[key] == 2) delete prefix[key]
+      nlines = 0
+    }
+    # Pass 1: the struct definitions, their fields and type aliases.
+    pass == 1 && /^class [A-Za-z_]+/ { cls = $2 }
+    pass == 1 && /^ *using [A-Za-z_]+ = [A-Za-z_]*Options;/ {
+      t = $4; sub(/;/, "", t); type_of[cls "::" $2] = t
+    }
+    pass == 1 && /^struct [A-Za-z_]*Options \{/ {
+      sname = $2; body = ""; inside = 1; type_of[sname] = sname; next
+    }
+    pass == 1 && inside && /^\};/ {
+      gsub(/\{[^{}]*\}/, "", body)
+      n = split(body, decls, ";")
+      for (i = 1; i <= n; i++) {
+        d = decls[i]
+        sub(/=.*/, "", d)
+        if (!match(d, /[A-Za-z_][A-Za-z_0-9]*[ \t]*$/)) continue
+        f = substr(d, RSTART, RLENGTH)
+        gsub(/[ \t]/, "", f)
+        t = substr(d, 1, RSTART - 1)
+        nfields++; fname[nfields] = f; fstruct[nfields] = sname
+        if (match(t, /[A-Za-z_]*Options/)) {
+          prefix[substr(t, RSTART, RLENGTH), f] = 1  # a holder field
+        }
+      }
+      inside = 0; next
+    }
+    pass == 1 && inside {
+      l = $0; sub(/\/\/.*/, "", l); body = body " " l; next
+    }
+    # Pass 2: every source file outside tests/.
+    pass == 2 && FNR == 1 && nlines > 0 { scan_file() }
+    pass == 2 { l = $0; sub(/\/\/.*/, "", l); lines[++nlines] = l }
+    END {
+      if (nlines > 0) scan_file()
+      for (k = 1; k <= nfields; k++) {
+        q = fstruct[k] "::" fname[k]
+        if (set[k] || q == exempt) continue
+        print "[lint]   " q; bad = 1
+      }
+      exit bad
+    }
+  ' exempt=NetServerOptions::host pass=1 $defs pass=2 $uses
+}
+
+# Tool-free checks enforceable with grep and awk alone; these run
+# everywhere, including containers without LLVM.
 run_portable() {
   echo "[lint] portable checks"
   # No accidental debugging output in library code (tests/bench excluded;
@@ -115,6 +211,11 @@ run_portable() {
   else
     echo "[lint] error: unexplained (void) drop of a function result" \
       "(add a comment saying why the Status/Result is discarded)" >&2
+    fail=1
+  fi
+  if ! check_options_have_callers; then
+    echo "[lint] error: the *Options fields above are set nowhere outside" \
+      "tests/ (make each a constant next to its user, or delete it)" >&2
     fail=1
   fi
 }

@@ -1,11 +1,16 @@
 #ifndef ANC_CHECK_TEST_HOOKS_H_
 #define ANC_CHECK_TEST_HOOKS_H_
 
+#include <chrono>
 #include <cstdint>
 
+#include "net/cache.h"
 #include "pyramid/clustering.h"
 #include "pyramid/pyramid_index.h"
+#include "serve/server.h"
 #include "similarity/similarity_engine.h"
+#include "store/store.h"
+#include "tier/tiered_store.h"
 
 namespace anc::check {
 
@@ -13,7 +18,10 @@ namespace anc::check {
 /// (tests/check_test.cc): each setter breaks exactly one maintained
 /// quantity, bypassing the class invariants, so the tests can assert the
 /// matching validator reports the damage — and stays silent on healthy
-/// state. Befriended by the target classes; never called by library code.
+/// state. The serving-stack setters at the end shrink or stretch a
+/// constant for one object, so a test reaches a regime (many WAL
+/// segments, tiny batches, an evicting cache) in a few operations.
+/// Befriended by the target classes; never called by library code.
 class TestHooks {
  public:
   TestHooks() = delete;
@@ -89,6 +97,42 @@ class TestHooks {
                           uint32_t level, EdgeId e) {
     return (index.same_seed_bits_[index.BitColumn(pyramid, level)][e] &
             PyramidIndex::BitMask(pyramid)) != 0;
+  }
+
+  // --- Serving-stack constants, per object --------------------------------
+
+  /// Caps the activations the writer drains per batch (AncServer::kMaxBatch
+  /// otherwise; must be >= 1). Call before Start().
+  static void SetWriterMaxBatch(serve::AncServer& server, size_t max_batch) {
+    server.max_batch_ = max_batch;
+  }
+
+  /// Sets how long an idle writer waits between wakeups
+  /// (AncServer::kIdleWait otherwise). Call before Start().
+  static void SetWriterIdleWait(serve::AncServer& server,
+                                std::chrono::microseconds idle_wait) {
+    server.idle_wait_ = idle_wait;
+  }
+
+  /// Sets the byte budget of each of the cache's lock shards (64 MiB / 8
+  /// otherwise). Call before the cache is shared.
+  static void SetCacheShardBudget(net::QueryCache& cache, size_t bytes) {
+    cache.shard_budget_ = bytes;
+  }
+
+  /// Sets the WAL segment rotation threshold (DurableStore::kSegmentBytes
+  /// otherwise).
+  static void SetWalSegmentBytes(store::DurableStore& store, uint64_t bytes) {
+    util::MutexLock lock(store.mutex_);
+    store.segment_bytes_ = bytes;
+  }
+
+  /// Sets the live-segment count that starts a background compaction
+  /// (TieredStore::kCompactMinSegments otherwise).
+  static void SetCompactMinSegments(tier::TieredStore& tier,
+                                    size_t segments) {
+    util::MutexLock lock(tier.mutex_);
+    tier.compact_min_segments_ = segments;
   }
 };
 

@@ -3,14 +3,18 @@
 #include <functional>
 
 namespace anc::net {
+namespace {
 
-QueryCache::QueryCache(QueryCacheOptions options,
-                       obs::MetricsRegistry* registry)
-    : options_(options),
-      shard_budget_(options.num_shards == 0
-                        ? options.byte_budget
-                        : options.byte_budget / options.num_shards),
-      shards_(options.num_shards == 0 ? 1 : options.num_shards),
+/// Total byte budget across all shards (keys + values).
+constexpr size_t kByteBudget = size_t{64} << 20;
+/// Lock shards; requests hash across them by cache key.
+constexpr size_t kNumShards = 8;
+
+}  // namespace
+
+QueryCache::QueryCache(obs::MetricsRegistry* registry)
+    : shard_budget_(kByteBudget / kNumShards),
+      shards_(kNumShards),
       metrics_(registry) {
   if (metrics_ != nullptr) {
     hits_id_ = metrics_->Counter("anc.net.cache_hits");
@@ -48,7 +52,6 @@ QueryCache::Shard& QueryCache::ShardFor(const std::string& shard_key) {
 
 bool QueryCache::Get(uint64_t epoch, Op op, const std::string& args,
                      std::string* payload) {
-  if (options_.byte_budget == 0) return false;
   const std::string shard_key = ShardKey(op, args);
   const std::string full_key = FullKey(epoch, shard_key);
   Shard& shard = ShardFor(shard_key);
@@ -74,7 +77,6 @@ bool QueryCache::Get(uint64_t epoch, Op op, const std::string& args,
 
 void QueryCache::Put(uint64_t epoch, Op op, const std::string& args,
                      const std::string& payload) {
-  if (options_.byte_budget == 0) return;
   const std::string shard_key = ShardKey(op, args);
   std::string full_key = FullKey(epoch, shard_key);
   const size_t cost = full_key.size() + payload.size();

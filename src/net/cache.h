@@ -12,15 +12,11 @@
 #include "util/status.h"
 #include "util/sync.h"
 
-namespace anc::net {
+namespace anc::check {
+class TestHooks;
+}  // namespace anc::check
 
-struct QueryCacheOptions {
-  /// Total byte budget across all shards (keys + values). 0 disables the
-  /// cache entirely: Get always misses, Put is a no-op.
-  size_t byte_budget = 64u << 20;
-  /// Lock sharding; requests hash across shards by cache key.
-  size_t num_shards = 8;
-};
+namespace anc::net {
 
 /// Epoch-keyed query cache of the networked front-end
 /// (docs/networking.md "Epoch-keyed caching").
@@ -33,14 +29,14 @@ struct QueryCacheOptions {
 /// that observes a newer epoch drops every entry from older epochs (no
 /// per-key tracking, no stale reads).
 ///
-/// Eviction is LRU per shard under a global byte budget split evenly
-/// across shards. Counters: anc.net.cache_hits / cache_misses /
+/// Eviction is LRU per shard under a global 64 MiB byte budget (keys +
+/// values) split evenly across 8 lock shards; requests hash across shards
+/// by cache key. Counters: anc.net.cache_hits / cache_misses /
 /// cache_evictions / cache_invalidated; gauges anc.net.cache_bytes /
 /// cache_entries. Thread-safe.
 class QueryCache {
  public:
-  explicit QueryCache(QueryCacheOptions options,
-                      obs::MetricsRegistry* registry = nullptr);
+  explicit QueryCache(obs::MetricsRegistry* registry = nullptr);
 
   /// Looks up (epoch, op, args). On hit, copies the cached response
   /// payload into *payload and returns true.
@@ -88,7 +84,8 @@ class QueryCache {
   Shard& ShardFor(const std::string& shard_key);
   void UpdateGauges();
 
-  QueryCacheOptions options_;
+  friend class ::anc::check::TestHooks;
+
   size_t shard_budget_;
   std::vector<Shard> shards_;
 

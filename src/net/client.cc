@@ -21,13 +21,6 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
                                                 Options options) {
   auto fd = ConnectTcp(host, port);
   ANC_RETURN_NOT_OK(fd.status());
-  if (options.recv_timeout_ms > 0) {
-    Status status = SetRecvTimeout(*fd, options.recv_timeout_ms);
-    if (!status.ok()) {
-      CloseFd(*fd);
-      return status;
-    }
-  }
   return std::unique_ptr<Client>(new Client(*fd, options));
 }
 

@@ -21,8 +21,8 @@ namespace anc::net {
 /// surfaced verbatim: the response carries the code and message, and the
 /// call returns exactly that Status.
 struct ClientOptions {
-  uint64_t tenant_id = 0;   ///< stamped into every request frame
-  int recv_timeout_ms = 0;  ///< SO_RCVTIMEO bound per response (0 = none)
+  /// Stamped into every request frame; the server does not enforce it.
+  uint64_t tenant_id = 0;
 };
 
 class Client {

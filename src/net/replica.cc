@@ -12,6 +12,10 @@ namespace {
 /// barrier before refusing Unavailable. Deliberately short: a follower's
 /// job is to be cheap, not to block.
 constexpr std::chrono::milliseconds kBarrierWait{20};
+/// The puller's back-off when the leader has nothing new or fails.
+constexpr std::chrono::milliseconds kPollInterval{2};
+/// Records asked for per kPullLog round trip.
+constexpr uint32_t kMaxRecordsPerPull = 256;
 
 }  // namespace
 
@@ -177,9 +181,8 @@ Result<LogChunkBody> FollowerBackend::PullLog(const PullLogBody& req) {
 // --- ReplicationPuller ------------------------------------------------------
 
 ReplicationPuller::ReplicationPuller(Follower* follower,
-                                     std::unique_ptr<Client> leader,
-                                     Options options)
-    : follower_(follower), leader_(std::move(leader)), options_(options) {}
+                                     std::unique_ptr<Client> leader)
+    : follower_(follower), leader_(std::move(leader)) {}
 
 ReplicationPuller::~ReplicationPuller() { Stop(); }
 
@@ -204,12 +207,11 @@ Status ReplicationPuller::last_status() const {
 void ReplicationPuller::Loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     if (paused_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(options_.poll_interval);
+      std::this_thread::sleep_for(kPollInterval);
       continue;
     }
     auto chunk = leader_->PullLog(follower_->applied_leader_seq(),
-                                  options_.max_records_per_pull,
-                                  options_.follower_id);
+                                  kMaxRecordsPerPull);
     pulls_.fetch_add(1, std::memory_order_relaxed);
     // Re-check the pause between pull and apply: a pull in flight when
     // Pause() landed may carry records written after it, and a "stalled"
@@ -226,7 +228,7 @@ void ReplicationPuller::Loop() {
     if (!status.ok() || !chunk.ok() || chunk->frames.empty()) {
       // Idle or unhealthy: back off one poll interval and retry —
       // replication never gives up, it just lags.
-      std::this_thread::sleep_for(options_.poll_interval);
+      std::this_thread::sleep_for(kPollInterval);
     }
   }
 }

@@ -117,26 +117,13 @@ class FollowerBackend : public Backend {
 
 /// The follower's pull loop: a background thread that drains the leader's
 /// replication log (kPullLog) into Follower::ApplyChunk. Pausable — the
-/// injected-stall lever the staleness tests use.
-struct ReplicationPullerOptions {
-  /// Idle poll cadence when the leader has nothing new.
-  std::chrono::milliseconds poll_interval{2};
-  uint32_t max_records_per_pull = 256;
-  /// Stable identity reported with every pull so the leader can truncate
-  /// its replication log up to the slowest live follower's ack. 0 =
-  /// anonymous (never holds the leader's log back, never enables
-  /// ack-based truncation for this puller).
-  uint64_t follower_id = 0;
-};
-
+/// injected-stall lever the staleness tests use. The puller pulls
+/// anonymously (follower id 0), so it never holds the leader's log back.
 class ReplicationPuller {
  public:
-  using Options = ReplicationPullerOptions;
-
   /// `follower` must outlive the puller; `leader` is the puller's own
   /// connection to the leader front-end.
-  ReplicationPuller(Follower* follower, std::unique_ptr<Client> leader,
-                    Options options = {});
+  ReplicationPuller(Follower* follower, std::unique_ptr<Client> leader);
   ~ReplicationPuller();
 
   void Start();
@@ -160,7 +147,6 @@ class ReplicationPuller {
 
   Follower* follower_;
   std::unique_ptr<Client> leader_;
-  Options options_;
 
   std::thread thread_;
   std::atomic<bool> running_{false};

@@ -24,16 +24,19 @@ bool CachedCoversBarrier(const std::string& payload, uint64_t min_seq) {
 }
 
 constexpr std::chrono::milliseconds kWriteTimeout{60000};
+/// Connection workers: one serves one connection at a time.
+constexpr size_t kNumWorkers = 4;
+/// Accepted connections waiting for a worker; accepts beyond this are
+/// closed at once (connection-level shedding).
+constexpr size_t kAcceptBacklog = 128;
 
 }  // namespace
 
 NetServer::NetServer(Backend* backend, NetServerOptions options)
     : backend_(backend),
       options_(options),
-      cache_(options.cache, &registry_),
-      admission_(options.admission, &registry_),
-      pool_(static_cast<unsigned>(
-          std::max<size_t>(1, options.num_workers))) {
+      cache_(&registry_),
+      pool_(static_cast<unsigned>(kNumWorkers)) {
   requests_id_ = registry_.Counter("anc.net.requests");
   bad_frames_id_ = registry_.Counter("anc.net.bad_frames");
   conns_id_ = registry_.Counter("anc.net.connections");
@@ -58,12 +61,11 @@ Status NetServer::Start() {
   port_ = *port;
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  const size_t num_workers = std::max<size_t>(1, options_.num_workers);
   // ThreadPool only has a blocking ParallelFor, so a dedicated runner
   // thread parks inside it for the server's lifetime; each iteration is
   // one worker loop.
-  runner_ = std::thread([this, num_workers] {
-    pool_.ParallelFor(num_workers, [this](size_t i) { WorkerLoop(i); });
+  runner_ = std::thread([this] {
+    pool_.ParallelFor(kNumWorkers, [this](size_t i) { WorkerLoop(i); });
   });
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -104,15 +106,10 @@ void NetServer::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       continue;
     }
-    if (options_.conn_recv_timeout_ms > 0) {
-      // Best-effort: a connection without the idle bound still serves
-      // correctly, it just cannot be reclaimed from a silent peer.
-      (void)SetRecvTimeout(*fd, options_.conn_recv_timeout_ms);
-    }
     bool shed = false;
     {
       util::MutexLock lock(queue_mutex_);
-      if (conn_queue_.size() >= options_.accept_backlog) {
+      if (conn_queue_.size() >= kAcceptBacklog) {
         shed = true;
       } else {
         conn_queue_.push_back(*fd);
@@ -157,7 +154,7 @@ void NetServer::ServeConn(int fd) {
   while (!stop_.load(std::memory_order_acquire)) {
     uint8_t head[kFrameHeaderBytes];
     Status status = RecvAll(fd, head, sizeof(head));
-    if (!status.ok()) break;  // EOF, timeout or shutdown
+    if (!status.ok()) break;  // EOF or shutdown
     if (std::memcmp(head, kFrameMagic, sizeof(kFrameMagic)) != 0) {
       registry_.Add(bad_frames_id_);
       break;  // the stream is desynchronized beyond recovery
@@ -212,44 +209,41 @@ bool NetServer::HandleRequest(std::string_view payload, std::string* out) {
   if (backend_->follower()) response.flags |= kFlagFollower;
 
   std::string body;
-  Status status = admission_.AdmitTenant(header.tenant_id);
-  if (status.ok()) {
-    bool cacheable = false;
-    std::string cache_args;
-    uint64_t answer_epoch = 0;
-    uint64_t min_seq = 0;
-    // Peek the barrier for the cache path (QueryBody ends with min_seq).
-    if (header.op == Op::kClusters || header.op == Op::kLocalCluster ||
-        header.op == Op::kSmallestCluster || header.op == Op::kZoom) {
-      ByteReader peek(payload);
-      RequestHeader ignored;
-      QueryBody query;
-      if (DecodeRequestHeader(&peek, &ignored).ok() &&
-          DecodeQueryBody(&peek, &query).ok() && peek.empty()) {
-        min_seq = query.min_seq;
-        cache_args = CanonicalQueryArgs(header.op, query);
-        // Publish = invalidation: drop entries from superseded epochs the
-        // moment a newer backend epoch is observed.
-        const uint64_t epoch = backend_->Epoch();
-        ObserveEpoch(epoch);
-        if (cache_.Get(epoch, header.op, cache_args, &body) &&
-            CachedCoversBarrier(body, min_seq)) {
-          response.flags |= kFlagCacheHit;
-          AppendResponseHeader(out, response);
-          out->append(body);
-          std::string frame;
-          AppendFrame(&frame, *out);
-          out->swap(frame);
-          return true;
-        }
-        body.clear();
+  bool cacheable = false;
+  std::string cache_args;
+  uint64_t answer_epoch = 0;
+  uint64_t min_seq = 0;
+  // Peek the barrier for the cache path (QueryBody ends with min_seq).
+  if (header.op == Op::kClusters || header.op == Op::kLocalCluster ||
+      header.op == Op::kSmallestCluster || header.op == Op::kZoom) {
+    ByteReader peek(payload);
+    RequestHeader ignored;
+    QueryBody query;
+    if (DecodeRequestHeader(&peek, &ignored).ok() &&
+        DecodeQueryBody(&peek, &query).ok() && peek.empty()) {
+      min_seq = query.min_seq;
+      cache_args = CanonicalQueryArgs(header.op, query);
+      // Publish = invalidation: drop entries from superseded epochs the
+      // moment a newer backend epoch is observed.
+      const uint64_t epoch = backend_->Epoch();
+      ObserveEpoch(epoch);
+      if (cache_.Get(epoch, header.op, cache_args, &body) &&
+          CachedCoversBarrier(body, min_seq)) {
+        response.flags |= kFlagCacheHit;
+        AppendResponseHeader(out, response);
+        out->append(body);
+        std::string frame;
+        AppendFrame(&frame, *out);
+        out->swap(frame);
+        return true;
       }
+      body.clear();
     }
-    status = Dispatch(header.op, &in, &body, &cacheable, &cache_args,
-                      &answer_epoch);
-    if (status.ok() && cacheable && !cache_args.empty()) {
-      cache_.Put(answer_epoch, header.op, cache_args, body);
-    }
+  }
+  Status status = Dispatch(header.op, &in, &body, &cacheable, &cache_args,
+                           &answer_epoch);
+  if (status.ok() && cacheable && !cache_args.empty()) {
+    cache_.Put(answer_epoch, header.op, cache_args, body);
   }
 
   if (!status.ok()) {

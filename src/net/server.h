@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/admission.h"
 #include "net/backend.h"
 #include "net/cache.h"
 #include "net/protocol.h"
@@ -22,17 +21,6 @@ namespace anc::net {
 struct NetServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; read the bound port from port()
-  size_t num_workers = 4;
-  /// Accepted connections waiting for a worker; accepts beyond this are
-  /// closed immediately (connection-level shedding).
-  size_t accept_backlog = 128;
-  /// Per-connection idle read bound; a silent peer is disconnected (0 =
-  /// never). Bounds worker occupancy by dead clients.
-  int conn_recv_timeout_ms = 0;
-
-  QueryCacheOptions cache;
-  /// Per-tenant request quotas (off by default).
-  AdmissionOptions admission;
 };
 
 /// The networked serving front-end (docs/networking.md): a blocking
@@ -42,16 +30,18 @@ struct NetServerOptions {
 /// follower replica).
 ///
 /// Request path per frame: decode + validate (parser discipline of PR 7)
-/// -> per-tenant token-bucket admission -> epoch-keyed cache lookup for
-/// read ops -> backend dispatch -> cache fill under the *answering* epoch.
+/// -> epoch-keyed cache lookup for read ops -> backend dispatch -> cache
+/// fill under the *answering* epoch. The frame's tenant id is carried but
+/// not enforced.
 /// The first request that observes a newer backend epoch invalidates the
 /// cache wholesale (publish = invalidation).
 ///
 /// Concurrency: one worker owns one connection at a time (requests on a
 /// connection are processed in order; different connections in parallel).
 /// ThreadPool only offers a blocking ParallelFor, so a dedicated runner
-/// thread parks inside pool.ParallelFor(num_workers, worker_loop) for the
-/// server's lifetime and the workers pop connections from a bounded queue.
+/// thread parks inside pool.ParallelFor(kNumWorkers, worker_loop) for the
+/// server's lifetime and the workers pop connections from a bounded queue
+/// (kAcceptBacklog; accepts beyond it are closed at once).
 class NetServer {
  public:
   /// `backend` must outlive the server. Metrics (anc.net.*) land in the
@@ -74,7 +64,6 @@ class NetServer {
   uint16_t port() const { return port_; }
 
   QueryCache& cache() { return cache_; }
-  const AdmissionController& admission() const { return admission_; }
   obs::MetricsRegistry& metrics() { return registry_; }
   uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
@@ -104,7 +93,6 @@ class NetServer {
 
   mutable obs::MetricsRegistry registry_;
   QueryCache cache_;
-  AdmissionController admission_;
 
   ThreadPool pool_;
   std::thread runner_;    ///< parks inside pool_.ParallelFor

@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -130,16 +129,6 @@ Status RecvAll(int fd, void* data, size_t size) {
                       : Status::IoError("connection closed mid-message");
     }
     return Status::IoError(Errno("recv"));
-  }
-  return Status::OK();
-}
-
-Status SetRecvTimeout(int fd, int timeout_ms) {
-  timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-    return Status::IoError(Errno("setsockopt(SO_RCVTIMEO)"));
   }
   return Status::OK();
 }

@@ -37,9 +37,6 @@ Status SendAll(int fd, const void* data, size_t size);
 /// byte, IoError on mid-message EOF or a socket error.
 Status RecvAll(int fd, void* data, size_t size);
 
-/// SO_RCVTIMEO: bounds every blocking read (0 disables the bound).
-Status SetRecvTimeout(int fd, int timeout_ms);
-
 /// shutdown(SHUT_RDWR): wakes any thread blocked on the fd (the server's
 /// stop path); ignores errors on already-dead sockets.
 void ShutdownFd(int fd);

@@ -77,7 +77,7 @@ struct HealthThresholds {
   /// Judged under the same min_accepted_for_skew floor. Sustained drift
   /// means the partition was computed for traffic that no longer exists;
   /// the fix is a rebalance (src/rebalance/, docs/sharding.md), so the
-  /// degraded trip point matches CutMonitorOptions::drift_threshold.
+  /// degraded trip point matches the cut monitor's drift threshold.
   double degraded_cut_drift = 0.15;
   double critical_cut_drift = 0.40;
 };

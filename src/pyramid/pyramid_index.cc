@@ -279,11 +279,37 @@ void PyramidIndex::Reconstruct(std::vector<double> new_weights) {
   ANC_CHECK(new_weights.size() == graph_->NumEdges(),
             "weight array size must equal edge count");
   weights_ = std::move(new_weights);
+  // CountVotes reports nothing, so note each edge of a watched node's vote
+  // result per level first and report the ones the recount flipped.
+  std::vector<EdgeId> watched_edges;
+  if (num_watched_ > 0) {
+    for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
+      if (!watched_[v]) continue;
+      for (const Neighbor& nb : graph_->Neighbors(v)) {
+        if (watched_[nb.node] && nb.node < v) continue;  // listed from nb
+        watched_edges.push_back(nb.edge);
+      }
+    }
+  }
+  std::vector<uint8_t> was_passing;
+  was_passing.reserve(static_cast<size_t>(num_levels_) * watched_edges.size());
+  for (uint32_t l = 1; l <= num_levels_; ++l) {
+    for (EdgeId e : watched_edges) was_passing.push_back(EdgePassesVote(e, l));
+  }
   pool_->ParallelFor(partitions_.size(), [&](size_t slot) {
     std::vector<NodeId> seeds = partitions_[slot].seeds();
     partitions_[slot].Build(*graph_, weights_, std::move(seeds));
   });
   CountVotes();
+  size_t i = 0;
+  for (uint32_t l = 1; l <= num_levels_; ++l) {
+    for (EdgeId e : watched_edges) {
+      const bool now_passing = EdgePassesVote(e, l);
+      if (now_passing != (was_passing[i++] != 0)) {
+        pending_changes_[l - 1].push_back({e, l, now_passing});
+      }
+    }
+  }
 }
 
 void PyramidIndex::ScaleAll(double factor) {
@@ -316,9 +342,15 @@ double PyramidIndex::AttractionStrength(NodeId u, NodeId v) const {
   return 1.0 / d;
 }
 
-void PyramidIndex::Watch(NodeId v) { watched_[v] = 1; }
+void PyramidIndex::Watch(NodeId v) {
+  num_watched_ += watched_[v] == 0;
+  watched_[v] = 1;
+}
 
-void PyramidIndex::Unwatch(NodeId v) { watched_[v] = 0; }
+void PyramidIndex::Unwatch(NodeId v) {
+  num_watched_ -= watched_[v] != 0;
+  watched_[v] = 0;
+}
 
 std::vector<PyramidIndex::VoteChange> PyramidIndex::DrainVoteChanges() {
   std::vector<VoteChange> out;

@@ -136,7 +136,10 @@ class PyramidIndex {
   size_t UpdateEdgeWeights(std::span<const std::pair<EdgeId, double>> updates);
 
   /// Rebuilds every partition from scratch against `new_weights` keeping
-  /// the seed sets (the RECONSTRUCT baseline of Fig. 8).
+  /// the seed sets (the RECONSTRUCT baseline of Fig. 8). Vote flips on
+  /// edges of watched nodes are reported as by an incremental update, at
+  /// O(n + levels × watched degree) extra cost, none when no node is
+  /// watched.
   void Reconstruct(std::vector<double> new_weights);
 
   /// Multiplies every weight and every partition distance by `factor`
@@ -296,6 +299,7 @@ class PyramidIndex {
   // Watched-node change reporting: per-level event buffers (levels are the
   // parallel unit, so level-local buffers are contention-free).
   std::vector<uint8_t> watched_;
+  size_t num_watched_ = 0;  // Reconstruct skips its watch scan at zero
   std::vector<std::vector<VoteChange>> pending_changes_;  // [level-1]
 
   // Observability (optional; see docs/observability.md). Per-level

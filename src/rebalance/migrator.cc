@@ -18,6 +18,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Timeout for each writer quiescent point of a migration.
+constexpr std::chrono::milliseconds kQuiesceTimeout{60000};
+/// Catch-up finalizes once the side buffer holds at most kCatchupMaxBacklog
+/// deliveries (the residual is applied under the route lock: the only
+/// ingest stall), or after kCatchupMaxRounds rounds, so that a producer
+/// hammering the moving set cannot starve the migration.
+constexpr size_t kCatchupMaxBacklog = 256;
+constexpr uint32_t kCatchupMaxRounds = 64;
+
 /// Simulated-crash statuses must freeze on-disk state exactly as a real
 /// process death would — the error path must *not* clean artifacts up.
 bool IsSimulatedCrash(const Status& status) {
@@ -64,8 +73,7 @@ std::vector<uint8_t> HandoffEdgeBitmap(const Graph& graph,
 
 }  // namespace
 
-Migrator::Migrator(shard::ShardedServer* server, MigratorOptions options)
-    : server_(server), options_(options) {}
+Migrator::Migrator(shard::ShardedServer* server) : server_(server) {}
 
 Status Migrator::WriteWalTailSidecar(
     const std::string& path, uint32_t from, uint64_t s_a,
@@ -165,7 +173,7 @@ Status Migrator::ApplyQuiesced(uint32_t s,
           if (!applied.ok()) return;
         }
       },
-      options_.quiesce_timeout);
+      kQuiesceTimeout);
   if (!quiesced.ok()) return quiesced;
   return applied;
 }
@@ -257,7 +265,7 @@ Status Migrator::Migrate(const std::vector<NodeId>& moving, uint32_t to) {
 
   // Phase 1: everything <= S_A becomes durable, then the filtered WAL
   // tail becomes sidecar-0.
-  status = server_->shard(from).FlushDurable(options_.quiesce_timeout);
+  status = server_->shard(from).FlushDurable(kQuiesceTimeout);
   if (!status.ok()) return rollback(status);
   status = WriteWalTailSidecar(SidecarPath(dir, id, 0), from, s_a.value(),
                                edge_in_handoff);
@@ -283,8 +291,8 @@ Status Migrator::Migrate(const std::vector<NodeId>& moving, uint32_t to) {
   // Phase 3: drain the side buffer while ingest keeps running, retaining
   // the chunks — they become part of sidecar-1 at commit.
   std::vector<Activation> catchup;
-  for (uint32_t round = 0; round < options_.catchup_max_rounds; ++round) {
-    if (server_->HandoffBacklog() <= options_.catchup_max_backlog) break;
+  for (uint32_t round = 0; round < kCatchupMaxRounds; ++round) {
+    if (server_->HandoffBacklog() <= kCatchupMaxBacklog) break;
     std::vector<Activation> chunk = server_->TakeHandoffChunk();
     if (chunk.empty()) break;
     status = ApplyQuiesced(to, chunk);
@@ -367,7 +375,7 @@ Status Migrator::Migrate(const std::vector<NodeId>& moving, uint32_t to) {
               // view of B.
               context.republish();
             },
-            options_.quiesce_timeout);
+            kQuiesceTimeout);
         if (!quiesced.ok()) return quiesced;
         return inner;
       });
@@ -390,7 +398,7 @@ Status Migrator::Migrate(const std::vector<NodeId>& moving, uint32_t to) {
   // history, which a later handoff *out of* B splices back in. A failure
   // here is benign: recovery rolls the committed move forward from the
   // artifacts, and Start() retires them after the next open.
-  status = server_->shard(to).RequestCheckpoint(options_.quiesce_timeout);
+  status = server_->shard(to).RequestCheckpoint(kQuiesceTimeout);
   if (!status.ok()) return Status::OK();
   std::error_code ec;
   fs::remove(JournalPath(dir), ec);

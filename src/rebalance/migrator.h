@@ -12,18 +12,6 @@
 
 namespace anc::rebalance {
 
-struct MigratorOptions {
-  /// Timeout for each writer quiescent point on the target shard.
-  std::chrono::milliseconds quiesce_timeout{60000};
-  /// Finalize once the handoff side buffer has drained below this many
-  /// deliveries (the residual is applied under the route lock, so it
-  /// bounds the migration's only ingest stall).
-  size_t catchup_max_backlog = 256;
-  /// Catch-up rounds before finalizing regardless of backlog (a producer
-  /// hammering the moving set could otherwise starve the migration).
-  uint32_t catchup_max_rounds = 64;
-};
-
 /// Executes one live vertex migration against a running ShardedServer
 /// (docs/sharding.md "Rebalancing & live migration"). Ingest continues
 /// throughout; the old owner stays authoritative until a single atomic
@@ -61,7 +49,7 @@ class Migrator {
  public:
   /// `server` must be durable (a WAL is what makes the handoff
   /// recoverable and replayable) and outlive the migrator.
-  explicit Migrator(shard::ShardedServer* server, MigratorOptions options = {});
+  explicit Migrator(shard::ShardedServer* server);
 
   /// Moves `moving` — vertices currently owned by one shard — to shard
   /// `to`, live. Exactness contract (docs/sharding.md): merged queries
@@ -93,7 +81,6 @@ class Migrator {
   Status ApplyQuiesced(uint32_t s, const std::vector<Activation>& batch);
 
   shard::ShardedServer* server_;
-  MigratorOptions options_;
   uint64_t migrations_ = 0;
 };
 

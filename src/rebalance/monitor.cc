@@ -4,6 +4,22 @@
 #include <cmath>
 
 namespace anc::rebalance {
+namespace {
+
+// CutMonitor: the EWMA weight of the newest window; a window is over
+// threshold when the observed cut exceeds the static cut by more than
+// kDriftThreshold (absolute) or the ingest skew exceeds kSkewThreshold.
+constexpr double kEwmaAlpha = 0.3;
+constexpr double kDriftThreshold = 0.15;
+constexpr double kSkewThreshold = 2.0;
+// PlanRebalance: a move must gain more than kMinGain; refinement stops
+// after kPlanPasses sweeps (or the first sweep that commits nothing); a
+// vertex is hot at kHotActivityFactor x the mean activity.
+constexpr double kMinGain = 1e-9;
+constexpr uint32_t kPlanPasses = 12;
+constexpr double kHotActivityFactor = 2.0;
+
+}  // namespace
 
 bool CutMonitor::Update(const CutSample& sample, double static_cut_ratio) {
   if (!has_last_) {
@@ -46,17 +62,16 @@ bool CutMonitor::Update(const CutSample& sample, double static_cut_ratio) {
     skew_ewma_ = skew;
     reseed_ = false;
   } else {
-    cut_ewma_ = (1.0 - options_.alpha) * cut_ewma_ + options_.alpha * cut;
-    skew_ewma_ = (1.0 - options_.alpha) * skew_ewma_ + options_.alpha * skew;
+    cut_ewma_ = (1.0 - kEwmaAlpha) * cut_ewma_ + kEwmaAlpha * cut;
+    skew_ewma_ = (1.0 - kEwmaAlpha) * skew_ewma_ + kEwmaAlpha * skew;
   }
   ++windows_;
   last_ = sample;
 
   // Debounce bookkeeping happens at window granularity so a single noisy
   // window cannot trip a migration.
-  const bool drifted =
-      cut_ewma_ > static_cut_ratio + options_.drift_threshold;
-  const bool skewed = skew_ewma_ > options_.skew_threshold;
+  const bool drifted = cut_ewma_ > static_cut_ratio + kDriftThreshold;
+  const bool skewed = skew_ewma_ > kSkewThreshold;
   over_threshold_streak_ = (drifted || skewed) ? over_threshold_streak_ + 1 : 0;
   return true;
 }
@@ -108,7 +123,7 @@ RebalancePlan PlanRebalance(const Graph& graph,
   // mass on every shard, and once two communities share a full shard the
   // halves of a third are a stable fixpoint (each half anchors the
   // other). So find the connected components of the hot vertices
-  // (activity >= hot_activity_factor x mean — community traffic towers
+  // (activity >= kHotActivityFactor x mean — community traffic towers
   // over background noise) and bin-pack them, heaviest first, onto the
   // shard where the *resulting* load is smallest. Resulting load is
   // load[s] + A_c - aff[s], so shards already holding much of the
@@ -116,7 +131,7 @@ RebalancePlan PlanRebalance(const Graph& graph,
   // component stays put), while equally-hot components spread one per
   // shard instead of piling onto the fullest.
   const double mean_activity = total_activity / static_cast<double>(n);
-  const double hot_threshold = options.hot_activity_factor * mean_activity;
+  const double hot_threshold = kHotActivityFactor * mean_activity;
   // With an edge signal, the walk crosses only hot *edges*: two busy
   // communities joined by idle structural edges (whose endpoints are all
   // hot vertices) must remain separate atoms, or the merged component is
@@ -125,7 +140,7 @@ RebalancePlan PlanRebalance(const Graph& graph,
   if (has_edge_signal && graph.NumEdges() > 0) {
     double total_edge_activity = 0.0;
     for (const double a : edge_activity) total_edge_activity += a;
-    hot_edge_threshold = options.hot_activity_factor * total_edge_activity /
+    hot_edge_threshold = kHotActivityFactor * total_edge_activity /
                          static_cast<double>(graph.NumEdges());
   }
   const auto traversable = [&](EdgeId e) {
@@ -223,7 +238,7 @@ RebalancePlan PlanRebalance(const Graph& graph,
   // load past the slack.
   std::vector<double> mass(k, 0.0);
   bool changed = true;
-  for (uint32_t pass = 0; pass < options.passes && changed; ++pass) {
+  for (uint32_t pass = 0; pass < kPlanPasses && changed; ++pass) {
     changed = false;
     for (const NodeId v : order) {
       std::fill(mass.begin(), mass.end(), 0.0);
@@ -240,7 +255,7 @@ RebalancePlan PlanRebalance(const Graph& graph,
         }
         if (mass[s] > mass[best]) best = s;
       }
-      if (best == home || mass[best] - mass[home] <= options.min_gain) continue;
+      if (best == home || mass[best] - mass[home] <= kMinGain) continue;
       if (shard_nodes[home] == 1) continue;  // never empty a shard
       --shard_nodes[home];
       ++shard_nodes[best];

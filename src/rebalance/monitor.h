@@ -11,18 +11,9 @@ namespace anc::rebalance {
 
 /// Drift-detector knobs (docs/sharding.md "Rebalancing & live migration").
 struct CutMonitorOptions {
-  /// EWMA weight of the newest window.
-  double alpha = 0.3;
   /// Windows with fewer accepted activations than this are skipped —
   /// early or idle traffic is noise, not drift.
   uint64_t min_window_accepted = 512;
-  /// Fire when the *observed* cut ratio (halo deliveries per accepted
-  /// activation, EWMA) exceeds the partitioner's static cut ratio by this
-  /// many absolute points: the stream has drifted away from the partition.
-  double drift_threshold = 0.15;
-  /// Also fire on ingest skew: EWMA of max per-shard window share over the
-  /// fair share (1.0 = perfectly even).
-  double skew_threshold = 2.0;
   /// Consecutive over-threshold windows required before firing (debounce).
   uint32_t consecutive_windows = 2;
 };
@@ -41,7 +32,10 @@ struct CutSample {
 /// ratio. A stream whose community structure drifts away from the
 /// partition raises the observed ratio long before the static scorecard
 /// (which only knows edge counts) moves, so this EWMA is the rebalance
-/// trigger. Single-threaded: call Update from one monitor loop.
+/// trigger. A window is over threshold when the observed cut EWMA exceeds
+/// the static ratio by more than 0.15 (absolute), or when the ingest skew
+/// EWMA exceeds 2.0; each EWMA weighs the newest window 0.3.
+/// Single-threaded: call Update from one monitor loop.
 class CutMonitor {
  public:
   explicit CutMonitor(CutMonitorOptions options = {}) : options_(options) {}
@@ -109,19 +103,6 @@ struct PlanOptions {
   /// Capacity bound for receiving shards, as a multiple of ceil(n / k)
   /// (same meaning as PartitionOptions::balance_slack).
   double balance_slack = 1.1;
-  /// Moves with gain below this are not worth a migration.
-  double min_gain = 1e-9;
-  /// Greedy refinement passes over the vertices (hottest first). Later
-  /// passes let a community's stragglers follow neighbors that moved in
-  /// an earlier pass; the loop stops early once a pass commits nothing,
-  /// so this is a ceiling, not a cost.
-  uint32_t passes = 12;
-  /// A vertex is "hot" — eligible for whole-component placement — when
-  /// its activity reaches this multiple of the mean. Community traffic
-  /// towers over background noise, so a small factor separates them
-  /// cleanly; raising it shrinks the component phase toward pure
-  /// per-vertex refinement.
-  double hot_activity_factor = 2.0;
 };
 
 struct RebalancePlan {
@@ -131,7 +112,7 @@ struct RebalancePlan {
 };
 
 /// Two-phase activity-weighted planner. Phase 1 treats each connected
-/// component of *hot* vertices (activity >= hot_activity_factor x mean)
+/// component of *hot* vertices (activity >= 2 x mean)
 /// as an indivisible atom and bin-packs the components, heaviest first,
 /// onto the shard minimizing the resulting traffic load — shards already
 /// holding much of a component win ties, so a consolidated community
@@ -140,8 +121,8 @@ struct RebalancePlan {
 /// mass of its neighbors per shard (edge (u,v) weighs
 /// activity[u] + activity[v]) and moves to the shard holding most of it,
 /// within both the node-count and traffic-load slack; hottest vertices
-/// decide first against the *projected* assignment, and up to `passes`
-/// sweeps let stragglers follow. The plan holds the *net* moves of the
+/// decide first against the *projected* assignment, and up to 12 sweeps
+/// let stragglers follow. The plan holds the *net* moves of the
 /// fixpoint, hottest first, capped at max_moves; ties and inactive
 /// vertices stay put, so a stream that still matches the partition
 /// yields an empty plan.

@@ -7,9 +7,9 @@ namespace anc::rebalance {
 Rebalancer::Rebalancer(shard::ShardedServer* server, RebalancerOptions options)
     : server_(server),
       options_(options),
-      tracker_(server->graph(), options.activity_alpha),
+      tracker_(server->graph()),
       monitor_(options.monitor),
-      migrator_(server, options.migrator) {
+      migrator_(server) {
   obs::MetricsRegistry& registry = server_->metrics();
   windows_ = registry.Counter("anc.rebalance.windows");
   triggers_ = registry.Counter("anc.rebalance.triggers");

@@ -18,9 +18,6 @@ namespace anc::rebalance {
 struct RebalancerOptions {
   CutMonitorOptions monitor;
   PlanOptions plan;
-  MigratorOptions migrator;
-  /// EWMA weight for the vertex activity tracker.
-  double activity_alpha = 0.3;
 };
 
 /// What one Step() decided and did.

@@ -26,7 +26,6 @@ AncServer::AncServer(AncIndex* index, ServeOptions options,
       store_(options.durability != DurabilityPolicy::kNone ? store : nullptr),
       tier_(tier) {
   ANC_CHECK(index_ != nullptr, "AncServer requires an index");
-  if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.snapshot_every_activations == 0) {
     options_.snapshot_every_activations = 1;
   }
@@ -95,16 +94,16 @@ void AncServer::Stop() {
 
 void AncServer::WriterLoop() {
   std::vector<Activation> batch;
-  batch.reserve(options_.max_batch);
+  batch.reserve(max_batch_);
   std::vector<IngestQueue::Popped> info;
-  if (obs::kMetricsEnabled) info.reserve(options_.max_batch);
+  if (obs::kMetricsEnabled) info.reserve(max_batch_);
   // Distinct trace ids drained but not yet covered by a published view; a
   // "serve.publish" span is emitted for each at the next publish. Sized to
   // hold a full drain batch of distinct traces (publish follows at most a
   // few batches behind); beyond the cap, excess traces simply miss their
   // publish span.
   const size_t max_pending_publish_traces =
-      std::max<size_t>(4 * options_.max_batch, 128);
+      std::max<size_t>(4 * max_batch_, 128);
   std::vector<uint64_t> pending_publish_traces;
   uint64_t applied_since_publish = 0;
   uint64_t resolved_seq = 0;
@@ -151,8 +150,8 @@ void AncServer::WriterLoop() {
     // only after it: a sink attached while PopBatch waits still gets the
     // spans of the batch the writer wakes up with.
     const size_t popped =
-        queue_.PopBatch(&batch, options_.max_batch, options_.idle_wait,
-                        &resolved_seq, obs::kMetricsEnabled ? &info : nullptr);
+        queue_.PopBatch(&batch, max_batch_, idle_wait_, &resolved_seq,
+                        obs::kMetricsEnabled ? &info : nullptr);
     obs::TraceSink* sink =
         obs::kMetricsEnabled ? index_->metrics().trace_sink() : nullptr;
     if (popped == 0) {
@@ -233,7 +232,6 @@ void AncServer::WriterLoop() {
       }
     }
     applied_since_publish += popped;
-    applied_since_checkpoint_ += popped;
     index_->metrics().Add(m_.batches);
     index_->metrics().Record(m_.batch_size, static_cast<double>(popped));
 
@@ -242,12 +240,6 @@ void AncServer::WriterLoop() {
     if (queue_.Depth() == 0 ||
         applied_since_publish >= options_.snapshot_every_activations) {
       publish();
-    }
-    if (store_ != nullptr && options_.checkpoint_every_applied > 0 &&
-        applied_since_checkpoint_ >= options_.checkpoint_every_applied) {
-      // Between batches the index is quiescent and resolved_seq describes
-      // exactly what has been applied — the only safe checkpoint mark.
-      (void)Checkpoint(resolved_seq, last_applied_time);  // error recorded
     }
     if (quiesce_requested_.load(std::memory_order_acquire)) {
       ServiceQuiesced(resolved_seq, last_applied_time);
@@ -277,7 +269,6 @@ void AncServer::WriterLoop() {
 }
 
 Status AncServer::Checkpoint(uint64_t seq, double time) {
-  applied_since_checkpoint_ = 0;
   const Status status =
       store_->WriteCheckpoint(*index_, store::Mark{seq, time});
   if (!status.ok()) RecordStoreError(status);

@@ -17,6 +17,10 @@
 #include "util/status.h"
 #include "util/sync.h"
 
+namespace anc::check {
+class TestHooks;
+}  // namespace anc::check
+
 namespace anc::store {
 class DurableStore;
 }  // namespace anc::store
@@ -44,27 +48,14 @@ struct ServeOptions {
   /// Durability (docs/durability.md): with a policy other than kNone, the
   /// engine must be given a DurableStore opened on its index (see the
   /// AncServer constructor). The writer write-ahead-logs every drained
-  /// batch before applying it.
+  /// batch before applying it. Checkpoints rotate only on request
+  /// (RequestCheckpoint).
   DurabilityPolicy durability = DurabilityPolicy::kNone;
-
-  /// > 0: the writer rotates a checkpoint automatically after this many
-  /// applied activations, counted from the latest checkpoint (automatic or
-  /// RequestCheckpoint).
-  uint64_t checkpoint_every_applied = 0;
-
-  /// Writer batch coalescing: up to this many queued activations are
-  /// drained and applied per wakeup, amortizing snapshot publication (and
-  /// letting the similarity layer's batched rescale amortize per Lemma 1).
-  size_t max_batch = 256;
 
   /// Publish cadence: the writer publishes a fresh view after every batch
   /// that leaves the ingest queue empty, and while the queue stays
   /// non-empty after at most this many applied activations.
   uint64_t snapshot_every_activations = 64;
-
-  /// Idle wakeup granularity of the writer (how often an idle writer
-  /// runs queued RunQuiesced callbacks and tier upkeep).
-  std::chrono::microseconds idle_wait{1000};
 
   /// Shard ordinal stamped onto this server's trace spans (the `shard`
   /// field), so a sharded deployment's interleaved spans attribute to the
@@ -260,14 +251,28 @@ class AncServer {
   /// Records a store failure: first error sticks, anc.serve.wal_errors++.
   void RecordStoreError(const Status& status);
   /// Writer thread only: rotates a checkpoint at the current quiescent
-  /// point and restarts the checkpoint_every_applied count.
+  /// point.
   Status Checkpoint(uint64_t seq, double time);
   /// Writer thread only: drains queued RunQuiesced callbacks (FIFO) at the
   /// current quiescent point and resolves their waiters.
   void ServiceQuiesced(uint64_t seq, double time);
 
+  friend class ::anc::check::TestHooks;
+
+  /// Writer batch coalescing: up to this many queued activations are
+  /// drained and applied per wakeup, amortizing snapshot publication (and
+  /// letting the similarity layer's batched rescale amortize per Lemma 1).
+  static constexpr size_t kMaxBatch = 256;
+  /// Idle wakeup granularity of the writer (how often an idle writer runs
+  /// queued RunQuiesced callbacks and tier upkeep).
+  static constexpr std::chrono::microseconds kIdleWait{1000};
+
   AncIndex* index_;
   ServeOptions options_;
+  // kMaxBatch and kIdleWait, except where a test hook changed them before
+  // Start(); read by the writer thread only.
+  size_t max_batch_ = kMaxBatch;
+  std::chrono::microseconds idle_wait_ = kIdleWait;
   IngestQueue queue_;
   store::DurableStore* const store_;  // null or the constructor's store
   tier::TieredStore* const tier_;
@@ -288,8 +293,6 @@ class AncServer {
   mutable util::Mutex view_mutex_;
   std::shared_ptr<const ClusterView> view_ ANC_GUARDED_BY(view_mutex_);
   uint64_t epoch_ = 0;  // writer thread (and Start) only
-  // Applied since the latest checkpoint; writer thread only.
-  uint64_t applied_since_checkpoint_ = 0;
 
   // Published-watermark waiters.
   mutable util::Mutex watermark_mutex_;

@@ -11,6 +11,12 @@ namespace anc::shard {
 
 namespace {
 
+/// MakePartition's seed for the hash mix and the streaming arrival order.
+constexpr uint64_t kPartitionSeed = 1;
+/// MakePartition's streaming capacity per shard, as a multiple of
+/// ceil(n / k).
+constexpr double kBalanceSlack = 1.1;
+
 /// splitmix64 finalizer — the stateless per-node hash of kHash.
 uint64_t Mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -43,13 +49,11 @@ Status ValidateStreamingArgs(const Graph& g, uint32_t num_shards,
 
 /// Seeded random arrival order shared by the streaming partitioners (all of
 /// them are order-sensitive; a fixed seed keeps the partition — and
-/// everything downstream — reproducible). arrival_seed == 0 derives the
-/// shuffle from `seed`, matching the pre-arrival_seed behavior.
-std::vector<NodeId> ArrivalOrder(uint32_t n, uint64_t seed,
-                                 uint64_t arrival_seed) {
+/// everything downstream — reproducible).
+std::vector<NodeId> ArrivalOrder(uint32_t n, uint64_t seed) {
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
-  Rng rng(arrival_seed != 0 ? arrival_seed : seed);
+  Rng rng(seed);
   for (uint32_t i = n; i > 1; --i) {
     std::swap(order[i - 1], order[rng.Uniform(i)]);
   }
@@ -96,14 +100,14 @@ Result<Partition> HashPartition(const Graph& g, uint32_t num_shards,
 
 Result<Partition> LdgPartition(const Graph& g, uint32_t num_shards,
                                double balance_slack, uint64_t seed,
-                               uint32_t passes, uint64_t arrival_seed) {
+                               uint32_t passes) {
   ANC_RETURN_NOT_OK(ValidateStreamingArgs(g, num_shards, balance_slack, passes));
   const uint32_t n = g.NumNodes();
   Partition partition;
   partition.num_shards = num_shards;
   partition.node_shard.assign(n, num_shards);  // num_shards == unassigned
 
-  const std::vector<NodeId> order = ArrivalOrder(n, seed, arrival_seed);
+  const std::vector<NodeId> order = ArrivalOrder(n, seed);
   const double capacity =
       balance_slack *
       std::ceil(static_cast<double>(n) / static_cast<double>(num_shards));
@@ -154,7 +158,7 @@ Result<Partition> LdgPartition(const Graph& g, uint32_t num_shards,
 
 Result<Partition> FennelPartition(const Graph& g, uint32_t num_shards,
                                   double balance_slack, uint64_t seed,
-                                  uint32_t passes, uint64_t arrival_seed) {
+                                  uint32_t passes) {
   ANC_RETURN_NOT_OK(ValidateStreamingArgs(g, num_shards, balance_slack, passes));
   const uint32_t n = g.NumNodes();
   Partition partition;
@@ -162,7 +166,7 @@ Result<Partition> FennelPartition(const Graph& g, uint32_t num_shards,
   partition.node_shard.assign(n, num_shards);  // num_shards == unassigned
   if (n == 0) return partition;
 
-  const std::vector<NodeId> order = ArrivalOrder(n, seed, arrival_seed);
+  const std::vector<NodeId> order = ArrivalOrder(n, seed);
   const double capacity =
       balance_slack *
       std::ceil(static_cast<double>(n) / static_cast<double>(num_shards));
@@ -219,7 +223,7 @@ Result<Partition> FennelPartition(const Graph& g, uint32_t num_shards,
 
 Result<Partition> HdrfPartition(const Graph& g, uint32_t num_shards,
                                 double balance_slack, uint64_t seed,
-                                uint32_t passes, uint64_t arrival_seed) {
+                                uint32_t passes) {
   ANC_RETURN_NOT_OK(ValidateStreamingArgs(g, num_shards, balance_slack, passes));
   const uint32_t n = g.NumNodes();
   Partition partition;
@@ -227,7 +231,7 @@ Result<Partition> HdrfPartition(const Graph& g, uint32_t num_shards,
   partition.node_shard.assign(n, num_shards);  // num_shards == unassigned
   if (n == 0) return partition;
 
-  const std::vector<NodeId> order = ArrivalOrder(n, seed, arrival_seed);
+  const std::vector<NodeId> order = ArrivalOrder(n, seed);
   const double capacity =
       balance_slack *
       std::ceil(static_cast<double>(n) / static_cast<double>(num_shards));
@@ -304,19 +308,16 @@ Result<Partition> MakePartition(const Graph& g,
   }
   switch (options.kind) {
     case PartitionerKind::kHash:
-      return HashPartition(g, options.num_shards, options.seed);
+      return HashPartition(g, options.num_shards, kPartitionSeed);
     case PartitionerKind::kLdg:
-      return LdgPartition(g, options.num_shards, options.balance_slack,
-                          options.seed, options.ldg_passes,
-                          options.arrival_seed);
+      return LdgPartition(g, options.num_shards, kBalanceSlack,
+                          kPartitionSeed, options.ldg_passes);
     case PartitionerKind::kFennel:
-      return FennelPartition(g, options.num_shards, options.balance_slack,
-                             options.seed, options.ldg_passes,
-                             options.arrival_seed);
+      return FennelPartition(g, options.num_shards, kBalanceSlack,
+                             kPartitionSeed, options.ldg_passes);
     case PartitionerKind::kHdrf:
-      return HdrfPartition(g, options.num_shards, options.balance_slack,
-                           options.seed, options.ldg_passes,
-                           options.arrival_seed);
+      return HdrfPartition(g, options.num_shards, kBalanceSlack,
+                           kPartitionSeed, options.ldg_passes);
   }
   return Status::InvalidArgument("unknown partitioner kind");
 }

@@ -41,20 +41,11 @@ enum class PartitionerKind : uint8_t {
 const char* PartitionerKindName(PartitionerKind kind);
 Result<PartitionerKind> ParsePartitionerKind(std::string_view name);
 
-/// Knobs for MakePartition.
+/// Knobs for MakePartition. It runs the strategies with seed 1 and, for
+/// the streaming ones, a capacity of 1.1 * ceil(n / k) per shard.
 struct PartitionOptions {
   uint32_t num_shards = 4;
   PartitionerKind kind = PartitionerKind::kLdg;
-  /// LDG capacity per shard = balance_slack * ceil(n / k); must be >= 1.
-  double balance_slack = 1.1;
-  /// Seeds the hash mix / the streaming arrival order.
-  uint64_t seed = 1;
-  /// When non-zero, seeds the arrival-order shuffle of the streaming
-  /// partitioners (LDG/Fennel/HDRF) independently of `seed`, so benches can
-  /// vary arrival order while holding everything else fixed — and pin it
-  /// for run-to-run reproducibility. 0 means "derive from seed" (the
-  /// pre-existing behavior: the shuffle uses `seed` directly).
-  uint64_t arrival_seed = 0;
   /// Total streaming passes for the greedy partitioners (must be >= 1).
   /// Passes after the first restream the same arrival order against the
   /// previous assignment (restreaming): each vertex leaves its shard and
@@ -98,20 +89,20 @@ struct PartitionStats {
 /// NumNodes() (for a non-empty graph), or a malformed explicit assignment.
 Result<Partition> MakePartition(const Graph& g, const PartitionOptions& options);
 
-/// The strategies, directly. `arrival_seed` follows PartitionOptions
-/// semantics: 0 means the arrival shuffle derives from `seed`.
+/// The strategies, directly. `seed` seeds the hash mix and the streaming
+/// arrival order; a streaming shard holds at most
+/// balance_slack * ceil(n / k) vertices (balance_slack >= 1).
 Result<Partition> HashPartition(const Graph& g, uint32_t num_shards,
                                 uint64_t seed);
 Result<Partition> LdgPartition(const Graph& g, uint32_t num_shards,
                                double balance_slack, uint64_t seed,
-                               uint32_t passes = 1, uint64_t arrival_seed = 0);
+                               uint32_t passes = 1);
 Result<Partition> FennelPartition(const Graph& g, uint32_t num_shards,
                                   double balance_slack, uint64_t seed,
-                                  uint32_t passes = 1,
-                                  uint64_t arrival_seed = 0);
+                                  uint32_t passes = 1);
 Result<Partition> HdrfPartition(const Graph& g, uint32_t num_shards,
                                 double balance_slack, uint64_t seed,
-                                uint32_t passes = 1, uint64_t arrival_seed = 0);
+                                uint32_t passes = 1);
 
 /// Scores `partition` against `g`. partition.node_shard must cover g.
 PartitionStats ComputeStats(const Graph& g, const Partition& partition);

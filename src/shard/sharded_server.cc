@@ -412,7 +412,7 @@ Status ShardedServer::Start() {
     // Live migration replays the session's full delivery history out of
     // the WAL (the sidecar splice reads back to ticket 1), so serving-time
     // checkpoints must retain sealed segments.
-    store::StoreOptions store_options = options_.store;
+    store::StoreOptions store_options;
     store_options.retain_wal_history = true;
     for (uint32_t s = 0; s < num_shards(); ++s) {
       const Status opened = OpenShardStore(s, store_options);

@@ -40,9 +40,6 @@ struct ShardedOptions {
   /// serve.durability != kNone.
   std::string store_dir;
 
-  /// Per-shard WAL/checkpoint knobs.
-  store::StoreOptions store;
-
   /// Hot/cold tiering (docs/storage_tiers.md): when set, Start() opens one
   /// TieredStore per shard under <store_dir>/shard-<i>/tier, attaches the
   /// shard index's columns to it and checkpoints through its segment
@@ -272,6 +269,7 @@ class ShardedServer {
   const tier::TieredStore* shard_tier(uint32_t s) const {
     return shards_[s].tier.get();
   }
+  tier::TieredStore* shard_tier(uint32_t s) { return shards_[s].tier.get(); }
 
   /// Base directory of per-shard durability (ShardedOptions::store_dir;
   /// empty when non-durable). Shard i's WAL lives under shard-<i>, and

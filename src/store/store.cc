@@ -241,8 +241,7 @@ Status DurableStore::Append(const std::vector<Activation>& batch,
       return Status::FailedPrecondition("store has no open WAL segment");
     }
     // Segment rotation: seal the durable prefix, then start a fresh file.
-    if (wal_->flushed_bytes() + wal_->buffered_bytes() >=
-        options_.segment_bytes) {
+    if (wal_->flushed_bytes() + wal_->buffered_bytes() >= segment_bytes_) {
       status = SyncLocked();
       if (status.ok()) {
         notify = true;

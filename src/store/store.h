@@ -14,13 +14,14 @@
 #include "util/status.h"
 #include "util/sync.h"
 
+namespace anc::check {
+class TestHooks;
+}  // namespace anc::check
+
 namespace anc::store {
 
 /// Durability knobs (docs/durability.md "Policy knobs").
 struct StoreOptions {
-  /// WAL segment rotation threshold: once the current segment's flushed
-  /// bytes exceed this, the next append opens a fresh segment.
-  uint64_t segment_bytes = 64ull << 20;
   /// When set, WriteCheckpoint delegates snapshot serialization to this
   /// hook instead of SaveIndex — the tiering subsystem plugs in
   /// tier::TieredStore::CheckpointWriter() here so checkpoint page tables
@@ -133,10 +134,18 @@ class DurableStore {
   /// that still hold the store lock).
   void NotifyDurable(Mark mark) ANC_EXCLUDES(mutex_);
 
+  friend class ::anc::check::TestHooks;
+
+  /// WAL segment rotation threshold: once the current segment holds this
+  /// many bytes, the next append opens a fresh segment.
+  static constexpr uint64_t kSegmentBytes = uint64_t{64} << 20;
+
   const std::string dir_;
   StoreOptions options_;
 
   mutable util::Mutex mutex_;
+  /// kSegmentBytes, unless a test hook lowered it.
+  uint64_t segment_bytes_ ANC_GUARDED_BY(mutex_) = kSegmentBytes;
   std::unique_ptr<WalAppender> wal_ ANC_GUARDED_BY(mutex_);
   /// Rotated, not yet truncated.
   std::vector<std::string> sealed_segments_ ANC_GUARDED_BY(mutex_);

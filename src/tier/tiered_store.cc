@@ -401,7 +401,7 @@ Status TieredStore::WriteManifestLocked() {
 
 void TieredStore::MaybeStartCompactionLocked() {
   if (!options_.background_compaction || compaction_inflight_) return;
-  if (segments_.size() < options_.compact_min_segments) return;
+  if (segments_.size() < compact_min_segments_) return;
   if (compactor_ == nullptr) compactor_ = std::make_unique<Compactor>();
   Compactor::Job job;
   for (const auto& [id, reader] : segments_) {

@@ -18,6 +18,10 @@
 #include "util/status.h"
 #include "util/sync.h"
 
+namespace anc::check {
+class TestHooks;
+}  // namespace anc::check
+
 namespace anc::tier {
 
 struct TierOptions {
@@ -28,9 +32,8 @@ struct TierOptions {
   /// Elements per column page (power of two). Smaller pages track the
   /// hot set more precisely; larger pages amortize directory overhead.
   size_t page_elems = 4096;
-  /// Background compaction fires once this many live segments accumulate.
-  size_t compact_min_segments = 8;
-  /// Run the background compactor thread (tests and the CLI use
+  /// Run the background compactor thread, which merges every live segment
+  /// into one once 8 of them accumulate (tests and the CLI use
   /// CompactNow() instead when false).
   bool background_compaction = true;
 };
@@ -179,10 +182,17 @@ class TieredStore : public ColumnHost {
   void GcLocked() ANC_REQUIRES(mutex_);
   void UpdateGaugesLocked() ANC_REQUIRES(mutex_);
 
+  friend class ::anc::check::TestHooks;
+
+  /// Background compaction fires once this many live segments accumulate.
+  static constexpr size_t kCompactMinSegments = 8;
+
   const std::string tier_dir_;
   const TierOptions options_;
 
   mutable util::Mutex mutex_;
+  /// kCompactMinSegments, unless a test hook lowered it.
+  size_t compact_min_segments_ ANC_GUARDED_BY(mutex_) = kCompactMinSegments;
   std::vector<ColumnBase*> columns_ ANC_GUARDED_BY(mutex_);
   /// Live segments by id (ascending = oldest first).
   std::map<uint64_t, std::unique_ptr<SegmentReader>> segments_

@@ -621,9 +621,10 @@ TEST(StoreStressTest, WriterVsFlushDurableRaceAudit) {
   serve::ServeOptions options;
   options.ingest.capacity = 8;  // force backpressure blocking
   options.ingest.clamp_out_of_order = true;
-  options.max_batch = 4;  // many small WAL commits racing the flusher
   options.durability = serve::DurabilityPolicy::kGroupCommit;
   serve::AncServer server(&index, options, opened.value().get());
+  // Many small WAL commits racing the FlushDurable thread below.
+  check::TestHooks::SetWriterMaxBatch(server, 4);
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kProducers = 3;

@@ -1,8 +1,8 @@
 // Networked front-end tests (src/net/): RPC frame/body codecs under the
 // PR 7 parser discipline (garbage, truncation and oversized lengths must
 // yield Status, never a crash), the epoch-keyed query cache (byte-identity
-// within an epoch, wholesale invalidation on publish), per-tenant quota
-// rejection, loopback end-to-end byte-identity against in-process
+// within an epoch, wholesale invalidation on publish), loopback
+// end-to-end byte-identity against in-process
 // ShardedServer views (one and two shards), the read barrier on a sharded
 // leader, and the WAL-shipping replication chain: follower reads never
 // claim tickets past the leader's ship mark, the min_seq barrier refuses
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/test_hooks.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "net/backend.h"
@@ -55,7 +56,6 @@ using net::Op;
 using net::PullLogBody;
 using net::QueryBody;
 using net::QueryCache;
-using net::QueryCacheOptions;
 using net::ReplicaSetClient;
 using net::ReplicationPuller;
 using net::ShardedBackend;
@@ -124,13 +124,12 @@ struct LeaderStack {
   std::unique_ptr<ShardedBackend> backend;
   std::unique_ptr<NetServer> net;
 
-  static LeaderStack Start(const Graph& graph,
-                           NetServerOptions net_options = {}) {
+  static LeaderStack Start(const Graph& graph) {
     LeaderStack s;
     s.sharded = StartSharded(graph, ShardOptions(1));
     s.server = &s.sharded->shard(0);
     s.backend = std::make_unique<ShardedBackend>(s.sharded.get());
-    s.net = std::make_unique<NetServer>(s.backend.get(), net_options);
+    s.net = std::make_unique<NetServer>(s.backend.get(), NetServerOptions{});
     Status started = s.net->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
     return s;
@@ -381,10 +380,7 @@ TEST(NetProtocolTest, CanonicalQueryArgsExcludesMinSeq) {
 // --- Query cache ----------------------------------------------------------
 
 TEST(QueryCacheTest, HitMissAndInvalidate) {
-  QueryCacheOptions options;
-  options.byte_budget = 1 << 20;
-  options.num_shards = 2;
-  QueryCache cache(options);
+  QueryCache cache;
 
   std::string payload;
   EXPECT_FALSE(cache.Get(1, Op::kClusters, "args", &payload));
@@ -404,26 +400,16 @@ TEST(QueryCacheTest, HitMissAndInvalidate) {
 }
 
 TEST(QueryCacheTest, EvictsUnderByteBudget) {
-  QueryCacheOptions options;
-  options.byte_budget = 512;
-  options.num_shards = 1;
-  QueryCache cache(options);
+  QueryCache cache;
+  check::TestHooks::SetCacheShardBudget(cache, 512);
   const std::string value(100, 'v');
-  for (int i = 0; i < 32; ++i) {
+  for (int i = 0; i < 256; ++i) {
     cache.Put(1, Op::kClusters, "key-" + std::to_string(i), value);
   }
-  EXPECT_LE(cache.bytes(), 512u);
+  // Eight lock shards, each held to its 512-byte budget.
+  EXPECT_LE(cache.bytes(), 8 * 512u);
+  EXPECT_GT(cache.evictions(), 0u);
   EXPECT_GE(cache.entries(), 1u);
-}
-
-TEST(QueryCacheTest, ZeroBudgetDisables) {
-  QueryCacheOptions options;
-  options.byte_budget = 0;
-  QueryCache cache(options);
-  cache.Put(1, Op::kClusters, "args", "bytes");
-  std::string payload;
-  EXPECT_FALSE(cache.Get(1, Op::kClusters, "args", &payload));
-  EXPECT_EQ(cache.entries(), 0u);
 }
 
 // --- Loopback end-to-end: leader over one shard ---------------------------
@@ -528,53 +514,6 @@ TEST(NetServerTest, CacheHitIsByteIdenticalAndInvalidatedOnPublish) {
   ASSERT_TRUE(fourth.ok());
   EXPECT_NE(client.last_flags() & net::kFlagCacheHit, 0);
   EXPECT_EQ(fourth->labels, third->labels);
-}
-
-TEST(NetServerTest, TenantQuotaRejectsWhenExhausted) {
-  GroundTruthGraph gt = SmallCommunityGraph();
-  NetServerOptions options;
-  options.admission.tenant_quota_per_s = 0.001;  // effectively no refill
-  options.admission.tenant_quota_burst = 2.0;
-  LeaderStack stack = LeaderStack::Start(gt.graph, options);
-
-  Client::Options tenant;
-  tenant.tenant_id = 7;
-  auto connected = Client::Connect("127.0.0.1", stack.net->port(), tenant);
-  ASSERT_TRUE(connected.ok());
-  Client& client = **connected;
-
-  ASSERT_TRUE(client.Ping().ok());
-  ASSERT_TRUE(client.Ping().ok());
-  Result<WatermarkBody> third = client.Ping();
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kUnavailable);
-
-  // Another tenant has its own bucket.
-  Client::Options other;
-  other.tenant_id = 8;
-  auto connected2 = Client::Connect("127.0.0.1", stack.net->port(), other);
-  ASSERT_TRUE(connected2.ok());
-  EXPECT_TRUE((*connected2)->Ping().ok());
-}
-
-TEST(NetServerTest, TenantQuotaMapIsBounded) {
-  net::AdmissionOptions options;
-  options.tenant_quota_per_s = 0.001;  // effectively no refill
-  options.tenant_quota_burst = 1.0;
-  options.tenant_quota_max_tenants = 4;
-  net::AdmissionController admission(options);
-
-  ASSERT_TRUE(admission.AdmitTenant(1).ok());
-  EXPECT_EQ(admission.AdmitTenant(1).code(), StatusCode::kUnavailable);
-
-  // Tenant ids are unauthenticated wire input: cycling ids must evict old
-  // buckets instead of growing the map without bound.
-  for (uint64_t id = 2; id <= 64; ++id) {
-    ASSERT_TRUE(admission.AdmitTenant(id).ok()) << "tenant " << id;
-  }
-  // Tenant 1's exhausted bucket was evicted along the way, so it is
-  // re-seen with a fresh burst — the documented cost of bounding the map.
-  EXPECT_TRUE(admission.AdmitTenant(1).ok());
 }
 
 TEST(NetServerTest, ServerSurvivesGarbageConnection) {

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -227,6 +229,44 @@ TEST(PyramidIndexTest, ReconstructResetsToNewWeights) {
     }
   }
   EXPECT_DOUBLE_EQ(idx.WeightOf(0), w2[0]);
+}
+
+// Reconstruct recounts every vote from scratch; a watched node must still
+// hear about each flip, exactly as an incremental update would report it.
+TEST(PyramidTest, ReconstructReportsWatchedVoteFlips) {
+  Rng rng(43);
+  Graph g = BarabasiAlbert(120, 3, rng);
+  PyramidIndex idx(g, UnitWeights(g), SmallParams(4));
+  for (NodeId v = 0; v < g.NumNodes(); ++v) idx.Watch(v);
+  const uint32_t levels = idx.num_levels();
+  std::vector<std::vector<bool>> before(levels + 1);
+  for (uint32_t l = 1; l <= levels; ++l) {
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      before[l].push_back(idx.EdgePassesVote(e, l));
+    }
+  }
+  std::vector<double> w2(g.NumEdges());
+  for (double& x : w2) x = 0.05 + 4.0 * rng.NextDouble();
+  idx.Reconstruct(w2);
+
+  std::vector<std::tuple<uint32_t, EdgeId, bool>> expected;
+  for (uint32_t l = 1; l <= levels; ++l) {
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      const bool now = idx.EdgePassesVote(e, l);
+      if (now != before[l][e]) expected.emplace_back(l, e, now);
+    }
+  }
+  ASSERT_FALSE(expected.empty()) << "new weights flipped no vote";
+  std::vector<std::tuple<uint32_t, EdgeId, bool>> reported;
+  uint32_t last_level = 0;
+  for (const PyramidIndex::VoteChange& c : idx.DrainVoteChanges()) {
+    EXPECT_GE(c.level, last_level) << "changes drain level by level";
+    last_level = c.level;
+    reported.emplace_back(c.level, c.edge, c.now_passing);
+  }
+  std::sort(reported.begin(), reported.end());
+  EXPECT_EQ(reported, expected);
+  EXPECT_TRUE(idx.DrainVoteChanges().empty());
 }
 
 TEST(PyramidIndexTest, DefaultLevelTargetsSqrtN) {

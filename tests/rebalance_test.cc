@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "activation/stream_generators.h"
+#include "check/test_hooks.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "obs/health.h"
@@ -188,25 +189,25 @@ TEST(RebalancePartitionerTest, FennelAndHdrfAreDeterministicPerSeed) {
   Rng rng(13);
   const Graph g = BarabasiAlbert(200, 3, rng);
   for (const auto& run : {FennelPartition, HdrfPartition}) {
-    auto a = run(g, 4, 1.1, 42, 1, 0);
-    auto b = run(g, 4, 1.1, 42, 1, 0);
+    auto a = run(g, 4, 1.1, 42, 1);
+    auto b = run(g, 4, 1.1, 42, 1);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a.value().node_shard, b.value().node_shard);
   }
 }
 
-TEST(RebalancePartitionerTest, ArrivalSeedVariesOrderIndependentlyOfSeed) {
+TEST(RebalancePartitionerTest, SeedVariesArrivalOrder) {
   Rng rng(17);
   const Graph g = BarabasiAlbert(300, 3, rng);
-  // Same seed, different arrival orders: the greedy outcome should change
-  // for at least one of the streaming partitioners, while each
-  // (seed, arrival_seed) pair stays reproducible.
+  // The seed drives the arrival order: another seed should change the
+  // greedy outcome for at least one of the streaming partitioners, while
+  // each seed stays reproducible.
   bool any_differs = false;
   for (const auto& run : {LdgPartition, FennelPartition, HdrfPartition}) {
-    auto base = run(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/0);
-    auto shuffled = run(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/99);
-    auto shuffled_again = run(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/99);
+    auto base = run(g, 4, 1.1, /*seed=*/1, 1);
+    auto shuffled = run(g, 4, 1.1, /*seed=*/99, 1);
+    auto shuffled_again = run(g, 4, 1.1, /*seed=*/99, 1);
     ASSERT_TRUE(base.ok());
     ASSERT_TRUE(shuffled.ok());
     ASSERT_TRUE(shuffled_again.ok());
@@ -227,8 +228,8 @@ TEST(RebalancePartitionerTest, RestreamingTightensFennelAndHdrfCuts) {
   params.mixing = 0.10;
   GroundTruthGraph data = PlantedPartition(params, rng);
   for (const auto& run : {FennelPartition, HdrfPartition}) {
-    auto one_pass = run(data.graph, 4, 1.1, 1, /*passes=*/1, 0);
-    auto restreamed = run(data.graph, 4, 1.1, 1, /*passes=*/3, 0);
+    auto one_pass = run(data.graph, 4, 1.1, 1, /*passes=*/1);
+    auto restreamed = run(data.graph, 4, 1.1, 1, /*passes=*/3);
     ASSERT_TRUE(one_pass.ok());
     ASSERT_TRUE(restreamed.ok());
     const PartitionStats before = ComputeStats(data.graph, one_pass.value());
@@ -342,7 +343,6 @@ TEST(CutMonitorTest, AccumulatesSmallWindowsAndDebouncesDrift) {
   CutMonitorOptions options;
   options.min_window_accepted = 100;
   options.consecutive_windows = 2;
-  options.drift_threshold = 0.15;
   CutMonitor monitor(options);
 
   // First sample only primes the baseline.
@@ -394,18 +394,18 @@ TEST(CutMonitorTest, IngestSkewAloneTrips) {
   CutMonitorOptions options;
   options.min_window_accepted = 100;
   options.consecutive_windows = 1;
-  options.skew_threshold = 1.8;
   CutMonitor monitor(options);
 
   CutSample sample;
-  sample.shard_accepted = {0, 0};
+  sample.shard_accepted = {0, 0, 0};
   EXPECT_FALSE(monitor.Update(sample, 0.5));
-  // No halo drift (cut 0), but shard 0 takes the whole window: skew 2.0.
+  // No halo drift (cut 0), but shard 0 takes the whole window: skew 3.0,
+  // over the monitor's 2.0 threshold.
   sample.accepted = 200;
   sample.halo_deliveries = 0;
-  sample.shard_accepted = {200, 0};
+  sample.shard_accepted = {200, 0, 0};
   EXPECT_TRUE(monitor.Update(sample, 0.5));
-  EXPECT_GT(monitor.ingest_skew(), 1.8);
+  EXPECT_NEAR(monitor.ingest_skew(), 3.0, 1e-9);
   EXPECT_TRUE(monitor.ShouldRebalance());
 }
 
@@ -684,7 +684,6 @@ TEST(LiveMigrationTest, TieredShardsMigrateAndRecoverByteIdentical) {
   tier::TierOptions tier_options;
   tier_options.tier_budget_bytes = 4096;
   tier_options.page_elems = 64;
-  tier_options.compact_min_segments = 4;
   options.tier = tier_options;
   const std::vector<NodeId> moving = CommunityMembers(data, 2);
   AncIndex oracle(g, config);
@@ -693,6 +692,10 @@ TEST(LiveMigrationTest, TieredShardsMigrateAndRecoverByteIdentical) {
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     ShardedServer& server = *created.value();
     ASSERT_TRUE(server.Start().ok());
+    // Both tiers also compact while the migration imports.
+    for (uint32_t s = 0; s < server.num_shards(); ++s) {
+      check::TestHooks::SetCompactMinSegments(*server.shard_tier(s), 4);
+    }
     ASSERT_TRUE(server.SubmitStream(first).ok());
     ASSERT_TRUE(server.FlushDurable(kAwait).ok());
     ASSERT_TRUE(oracle.ApplyStream(first).ok());

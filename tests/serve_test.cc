@@ -22,6 +22,7 @@
 
 #include "activation/stream_generators.h"
 #include "activation/stream_io.h"
+#include "check/test_hooks.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "obs/json.h"
@@ -354,11 +355,10 @@ TEST(ServeWatermarkTest, AwaitUnreachableTicketTimesOut) {
 TEST(ServeCadenceTest, DrainedBatchPublishesWithoutATimer) {
   GroundTruthGraph data = SmallCommunityGraph(59);
   AncIndex index(data.graph, SmallConfig());
-  ServeOptions options;
+  AncServer server(&index, ServeOptions{});
   // The next idle wakeup is a second away: only the batch that drains the
   // queue can publish within the deadline below.
-  options.idle_wait = std::chrono::seconds(1);
-  AncServer server(&index, options);
+  check::TestHooks::SetWriterIdleWait(server, std::chrono::seconds(1));
   ASSERT_TRUE(server.Start().ok());
 
   uint64_t first = 0;
@@ -378,8 +378,8 @@ TEST(ServeCadenceTest, SaturatedWriterStillPublishesEverySnapshotInterval) {
   GroundTruthGraph data = SmallCommunityGraph(61);
   AncIndex index(data.graph, SmallConfig());
   ServeOptions options;
-  options.max_batch = 16;
   AncServer server(&index, options);
+  check::TestHooks::SetWriterMaxBatch(server, 16);
   ASSERT_TRUE(server.Start().ok());
 
   constexpr size_t kQueued = 1024;
@@ -792,10 +792,8 @@ TEST(ServeTraceTest, SinkAttachedToRunningServerTracesTheNextBatch) {
   ActivationStream stream = UniformStream(data.graph, 4, 0.1, rng);
   ASSERT_GE(stream.size(), 2u);
 
-  // A long idle wait parks the writer inside PopBatch between batches, and
-  // publishing after every batch keeps Flush off the idle timer.
+  // Publishing after every batch keeps Flush off the idle timer.
   ServeOptions serve;
-  serve.idle_wait = std::chrono::seconds(1);
   serve.snapshot_every_activations = 1;
   std::unique_ptr<shard::ShardedServer> server =
       StartOneShard(data.graph, serve);

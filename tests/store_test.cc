@@ -17,6 +17,7 @@
 
 #include "activation/stream_generators.h"
 #include "check/oracle.h"
+#include "check/test_hooks.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "parked_writer.h"
@@ -416,11 +417,11 @@ TEST(StoreRecoveryTest, CheckpointCoveredWalFramesAreSkippedNotReplayed) {
   const std::string dir = TempDir("anc_store_skipcovered");
 
   AncIndex live(g, config);
-  StoreOptions options;
-  options.segment_bytes = 1;  // rotate after every batch: many segments
-  auto opened = DurableStore::Open(dir, live, Mark{0, 0.0}, options);
+  auto opened = DurableStore::Open(dir, live, Mark{0, 0.0});
   ASSERT_TRUE(opened.ok());
   DurableStore& store = *opened.value();
+  // Rotate after every batch: many segments.
+  check::TestHooks::SetWalSegmentBytes(store, 1);
 
   constexpr size_t kBatch = 7;
   double last_time = 0.0;
@@ -560,10 +561,10 @@ TEST(DurableServeTest, WalCrashFreezesDurableWatermarkAndFlushFails) {
 
   serve::ServeOptions options;
   options.durability = serve::DurabilityPolicy::kGroupCommit;
+  serve::AncServer server(&index, options, opened.value().get());
   // Small batches: the writer drains the stream over many WAL appends, so
   // the armed crash reliably fires mid-stream rather than never.
-  options.max_batch = 4;
-  serve::AncServer server(&index, options, opened.value().get());
+  check::TestHooks::SetWriterMaxBatch(server, 4);
   ASSERT_TRUE(server.Start().ok());
 
   DisarmGuard guard;

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "activation/stream_generators.h"
+#include "check/test_hooks.h"
 #include "core/anc.h"
 #include "core/serialization.h"
 #include "datasets/synthetic.h"
@@ -265,8 +266,7 @@ TEST(TieredStoreTest, BudgetedSpillKeepsQueriesByteIdentical) {
   TierOptions options;
   options.tier_budget_bytes = full_bytes / 10;
   options.page_elems = 64;
-  options.compact_min_segments = 1u << 30;  // no compaction in this test
-  options.background_compaction = false;
+  options.background_compaction = false;  // no compaction in this test
   auto opened = TieredStore::Open(f.dir, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   TieredStore& tier_store = *opened.value();
@@ -325,8 +325,7 @@ TEST(TieredStoreTest, CompactionRewritesColdSideWithoutChangingAnswers) {
   TierOptions options;
   options.tier_budget_bytes = 1;  // spill aggressively: a segment per round
   options.page_elems = 64;
-  options.compact_min_segments = 1u << 30;  // compaction only via CompactNow
-  options.background_compaction = false;
+  options.background_compaction = false;  // compaction only via CompactNow
   auto opened = TieredStore::Open(f.dir, options);
   ASSERT_TRUE(opened.ok());
   TieredStore& tier_store = *opened.value();
@@ -377,11 +376,11 @@ TEST(TieredStoreTest, CheckpointGcKeepsAFinishedBackgroundMerge) {
   TierOptions options;
   options.tier_budget_bytes = 1;  // a segment per Maintain
   options.page_elems = 64;
-  options.compact_min_segments = 2;
   options.background_compaction = true;
   auto opened = TieredStore::Open(f.dir, options);
   ASSERT_TRUE(opened.ok());
   TieredStore& tier_store = *opened.value();
+  check::TestHooks::SetCompactMinSegments(tier_store, 2);
   tiered.AttachTier(&tier_store);
 
   // Two spills: the second Maintain starts a background merge of both.
@@ -597,7 +596,6 @@ TEST(TierRecoveryTest, TieredStackRecoversByteIdenticalToUntieredReplay) {
     TierOptions tier_options;
     tier_options.tier_budget_bytes = 4096;
     tier_options.page_elems = 64;
-    tier_options.compact_min_segments = 4;
     tier_options.background_compaction = false;
     auto tier_opened = TieredStore::Open(f.dir, tier_options);
     ASSERT_TRUE(tier_opened.ok());
@@ -690,7 +688,6 @@ TEST(TierCrashMatrixTest, EverySeamRecoversByteIdenticalUnderReplay) {
         TierOptions tier_options;
         tier_options.tier_budget_bytes = 4096;
         tier_options.page_elems = 64;
-        tier_options.compact_min_segments = 1u << 30;
         tier_options.background_compaction = false;
         auto tier_opened = TieredStore::Open(dir, tier_options);
         ASSERT_TRUE(tier_opened.ok());
@@ -756,7 +753,6 @@ TEST(TierCrashMatrixTest, MidCompactionCrashLeavesAnswersIntact) {
   TierOptions options;
   options.tier_budget_bytes = 1;
   options.page_elems = 64;
-  options.compact_min_segments = 1u << 30;
   options.background_compaction = false;
   auto opened = TieredStore::Open(f.dir, options);
   ASSERT_TRUE(opened.ok());
@@ -915,7 +911,7 @@ TEST(TierRecoveryTest, SweepDeletesStrayFilesButKeepsReferencedSegments) {
 
 /// Durable, tiered shard options: one TieredStore per shard under
 /// <dir>/shard-<i>/tier, with small pages and an 8 KiB resident budget so a
-/// short stream already spills and compacts.
+/// short stream already spills (StartCompactingAt4 makes it compact too).
 ShardedOptions TieredShardOptions(const std::string& dir, uint32_t shards) {
   ShardedOptions options;
   options.partition.num_shards = shards;
@@ -924,16 +920,22 @@ ShardedOptions TieredShardOptions(const std::string& dir, uint32_t shards) {
   TierOptions tier_options;
   tier_options.tier_budget_bytes = 8192;
   tier_options.page_elems = 64;
-  tier_options.compact_min_segments = 4;
   tier_options.background_compaction = true;  // exercise the worker thread
   options.tier = tier_options;
   return options;
 }
 
+/// Starts a background compaction once four segments accumulate on each
+/// shard's tier, so a short stream also merges. Call right after Start().
+void StartCompactingAt4(ShardedServer& server) {
+  for (uint32_t s = 0; s < server.num_shards(); ++s) {
+    check::TestHooks::SetCompactMinSegments(*server.shard_tier(s), 4);
+  }
+}
+
 TEST(TierServeTest, ServerDrivesTierAtQuiescentPoints) {
   TieredFixture f = TieredFixture::Make("anc_tier_serve", 160, 61, 8);
-  ShardedOptions options = TieredShardOptions(f.dir, 1);
-  options.serve.checkpoint_every_applied = 64;
+  const ShardedOptions options = TieredShardOptions(f.dir, 1);
 
   // A tier without durability has no checkpoints to root its segments.
   ShardedOptions volatile_options = options;
@@ -949,8 +951,18 @@ TEST(TierServeTest, ServerDrivesTierAtQuiescentPoints) {
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     ShardedServer& server = *created.value();
     ASSERT_TRUE(server.Start().ok());
+    StartCompactingAt4(server);
+    // A checkpoint every 64 activations, each one a tier spill point.
+    constexpr size_t kCheckpointEvery = 64;
     uint64_t last_seq = 0;
-    ASSERT_TRUE(server.SubmitStream(f.stream, &last_seq).ok());
+    for (size_t start = 0; start < f.stream.size();
+         start += kCheckpointEvery) {
+      const size_t end = std::min(start + kCheckpointEvery, f.stream.size());
+      const ActivationStream chunk(f.stream.begin() + start,
+                                   f.stream.begin() + end);
+      ASSERT_TRUE(server.SubmitStream(chunk, &last_seq).ok());
+      ASSERT_TRUE(server.RequestCheckpointAll().ok());
+    }
     ASSERT_EQ(last_seq, f.stream.size());
     ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(10000)).ok());
     server.Stop();
@@ -1007,6 +1019,7 @@ TEST(TierServeTest, TieredShardsRecoverMergedAnswersByteIdentical) {
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     ShardedServer& server = *created.value();
     ASSERT_TRUE(server.Start().ok());
+    StartCompactingAt4(server);
     ASSERT_TRUE(server.SubmitStream(f.stream).ok());
     ASSERT_TRUE(server.FlushDurable(std::chrono::milliseconds(10000)).ok());
     ASSERT_TRUE(
