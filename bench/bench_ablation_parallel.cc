@@ -25,9 +25,12 @@ namespace {
 constexpr size_t kBatch = 256;  // the serve writer's batch size
 
 uint64_t VoteChecksum(const AncIndex& index) {
+  const PyramidIndex& pyramid = index.index();
   uint64_t checksum = 0;
-  for (const auto& level : index.index().ExportVoteCounts()) {
-    for (uint16_t votes : level) checksum = checksum * 1099511628211ull + votes;
+  for (uint32_t level = 1; level <= pyramid.num_levels(); ++level) {
+    for (EdgeId e = 0; e < index.graph().NumEdges(); ++e) {
+      checksum = checksum * 1099511628211ull + pyramid.VotesOf(e, level);
+    }
   }
   return checksum;
 }

@@ -50,22 +50,25 @@ class TestHooks {
     engine.similarity_.Set(e, value);
   }
 
-  /// Overwrites a maintained per-level vote count.
-  static void SetVoteCount(PyramidIndex& index, uint32_t level, EdgeId e,
-                           VoteCount votes) {
-    index.vote_counts_[level - 1].Set(e, votes);
+  /// Flips a maintained same-seed bit, which moves the edge's vote by one.
+  static void FlipSameSeedBit(PyramidIndex& index, uint32_t pyramid,
+                              uint32_t level, EdgeId e) {
+    auto& bits = index.same_seed_bits_[index.BitColumn(pyramid, level)];
+    bits.Set(e, bits[e] ^ PyramidIndex::BitMask(pyramid));
   }
 
   /// Reassigns a node's Voronoi cell without repairing the SPT.
   static void SetSeedOf(PyramidIndex& index, uint32_t pyramid, uint32_t level,
                         NodeId v, NodeId seed) {
-    index.partitions_[index.PartitionSlot(pyramid, level)].seed_of_[v] = seed;
+    index.partitions_[index.PartitionSlot(pyramid, level)].nodes_[v].seed =
+        seed;
   }
 
   /// Overwrites a node's stored shortest distance.
   static void SetDist(PyramidIndex& index, uint32_t pyramid, uint32_t level,
                       NodeId v, double dist) {
-    index.partitions_[index.PartitionSlot(pyramid, level)].dist_[v] = dist;
+    index.partitions_[index.PartitionSlot(pyramid, level)].nodes_[v].dist =
+        dist;
   }
 
   /// Moves the repair epoch of every level's Voronoi scratch to `epoch`, so

@@ -51,9 +51,6 @@ Status AncConfig::Validate() const {
   if (pyramid.num_pyramids < 1) {
     return Status::InvalidArgument("need at least one pyramid");
   }
-  if (pyramid.num_pyramids > kMaxPyramids) {
-    return Status::InvalidArgument("at most 255 pyramids");
-  }
   if (pyramid.theta <= 0.0 || pyramid.theta > 1.0) {
     return Status::InvalidArgument("theta must be in (0, 1]");
   }
@@ -309,12 +306,7 @@ std::vector<NodeId> AncIndex::SmallestCluster(NodeId query, uint32_t min_size,
 }
 
 AncIndex::ClusterState AncIndex::ExportClusterState() const {
-  ClusterState state;
-  state.vote_counts = index_->ExportVoteCounts();
-  state.num_levels = index_->num_levels();
-  state.default_level = index_->DefaultLevel();
-  state.vote_threshold = index_->vote_threshold();
-  return state;
+  return {index_->ExportVoteCounts(), index_->DefaultLevel()};
 }
 
 Status AncIndex::ValidateInvariants(bool deep) const {

@@ -158,21 +158,19 @@ class AncIndex {
   ZoomCursor Zoom() const { return ZoomCursor(*index_); }
 
   /// Everything a point-in-time cluster query needs, decoupled from the
-  /// live (mutable) pyramid: the per-level vote tallies plus the voting
-  /// threshold and level geometry. Section V-B's query algorithms are pure
-  /// functions of this state and the immutable graph, so a view built from
-  /// it answers Clusters / LocalCluster / SmallestCluster / Zoom
-  /// byte-identically to this index at export time. Consumed by
-  /// serve::ClusterView (docs/serving.md).
+  /// live (mutable) pyramid: the per-level votes (same-seed bits with the
+  /// voting threshold) and the default level. Section V-B's query
+  /// algorithms are pure functions of this state and the immutable graph,
+  /// so a view built from it answers Clusters / LocalCluster /
+  /// SmallestCluster / Zoom byte-identically to this index at export time.
+  /// Consumed by serve::ClusterView (docs/serving.md).
   struct ClusterState {
-    std::vector<std::vector<VoteCount>> vote_counts;  ///< [level-1][edge]
-    uint32_t num_levels = 0;
+    VoteTable vote_counts;  ///< [level-1][edge]
     uint32_t default_level = 0;
-    uint32_t vote_threshold = 0;
   };
 
-  /// Snapshot export hook for the serving layer: copies the vote state out
-  /// of the pyramid index. O(levels * m) flat copies — far cheaper than
+  /// Snapshot export hook for the serving layer: copies the same-seed bits
+  /// out of the pyramid index. O(levels * m) flat copies — far cheaper than
   /// cloning the partitions — and const: safe at any quiescent point of the
   /// single writer.
   ClusterState ExportClusterState() const;

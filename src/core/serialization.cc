@@ -21,10 +21,13 @@ namespace {
 // truncation with InvalidArgument instead of loading silently-corrupt
 // state; the magic and the explicit version field reject files from a
 // different format generation (the ANCIDX01/ANCIDX02 full snapshots
-// included) rather than misparsing them.
+// included) rather than misparsing them. Version 2 stores each partition
+// tree as seeds, seed_of, dist and parent_edge; version 1 also stored the
+// parent and three child/sibling link vectors, which the loader skips.
 constexpr char kMagic[8] = {'A', 'N', 'C', 'T', 'H', 'D', '0', '1'};
 constexpr char kOldMagicPrefix[6] = {'A', 'N', 'C', 'I', 'D', 'X'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kLinkedTreeVersion = 1;
 // Corruption guard: refuse to allocate payloads beyond this (a corrupt
 // size field must not drive a multi-GB resize).
 constexpr uint64_t kMaxPayloadBytes = 16ull << 30;
@@ -245,11 +248,7 @@ Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
     WriteVec(out, tree.seeds);
     WriteVec(out, tree.seed_of);
     WriteVec(out, tree.dist);
-    WriteVec(out, tree.parent);
     WriteVec(out, tree.parent_edge);
-    WriteVec(out, tree.first_child);
-    WriteVec(out, tree.next_sibling);
-    WriteVec(out, tree.prev_sibling);
   }
 
   if (!out) return Status::IoError("serialization error for " + path);
@@ -288,11 +287,12 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
       !ReadPod(file, &crc)) {
     return Status::InvalidArgument(path + ": truncated index header");
   }
-  if (version != kFormatVersion) {
+  if (version != kFormatVersion && version != kLinkedTreeVersion) {
     return Status::InvalidArgument(path + ": index format version " +
                                    std::to_string(version) +
-                                   " does not match this build's " +
-                                   std::to_string(kFormatVersion));
+                                   " is not one this build reads (" +
+                                   std::to_string(kLinkedTreeVersion) + " or " +
+                                   std::to_string(kFormatVersion) + ")");
   }
   if (payload_bytes > kMaxPayloadBytes) {
     return Status::InvalidArgument(path + ": implausible payload size");
@@ -376,18 +376,19 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
   if (!ReadPod(in, &num_slots) || num_slots > kMaxElements) {
     return Status::IoError(path + ": truncated partition section");
   }
+  const bool linked = version == kLinkedTreeVersion;
   std::vector<VoronoiPartition::TreeState> trees(num_slots);
+  std::vector<NodeId> skipped;  // a version-1 parent or link vector
   for (auto& tree : trees) {
-    if (!ReadVec(in, &tree.seeds, kMaxElements) ||
-        !ReadVec(in, &tree.seed_of, kMaxElements) ||
-        !ReadVec(in, &tree.dist, kMaxElements) ||
-        !ReadVec(in, &tree.parent, kMaxElements) ||
-        !ReadVec(in, &tree.parent_edge, kMaxElements) ||
-        !ReadVec(in, &tree.first_child, kMaxElements) ||
-        !ReadVec(in, &tree.next_sibling, kMaxElements) ||
-        !ReadVec(in, &tree.prev_sibling, kMaxElements)) {
-      return Status::IoError(path + ": truncated partition tree");
+    bool read = ReadVec(in, &tree.seeds, kMaxElements) &&
+                ReadVec(in, &tree.seed_of, kMaxElements) &&
+                ReadVec(in, &tree.dist, kMaxElements) &&
+                (!linked || ReadVec(in, &skipped, kMaxElements)) &&
+                ReadVec(in, &tree.parent_edge, kMaxElements);
+    for (int link = 0; linked && link < 3; ++link) {
+      read = read && ReadVec(in, &skipped, kMaxElements);
     }
+    if (!read) return Status::IoError(path + ": truncated partition tree");
   }
 
   // FromSnapshot rebuilds sigma caches and votes from the materialized

@@ -70,21 +70,17 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
       weights_(std::move(weights)),
       metrics_(metrics) {
   ANC_CHECK(params_.num_pyramids >= 1, "need at least one pyramid");
-  ANC_CHECK(params_.num_pyramids <= kMaxPyramids,
-            "vote tallies hold at most kMaxPyramids pyramids");
   ANC_CHECK(weights_.size() == g.NumEdges(),
             "weight array size must equal edge count");
-  vote_threshold_ = static_cast<uint32_t>(
-      std::ceil(params_.theta * params_.num_pyramids - 1e-12));
-  vote_threshold_ = std::max<uint32_t>(vote_threshold_, 1);
-
   const uint32_t k = params_.num_pyramids;
+  rule_ = VoteRule(k, std::max<uint32_t>(
+                          1, static_cast<uint32_t>(
+                                 std::ceil(params_.theta * k - 1e-12))));
+
   partitions_.resize(static_cast<size_t>(k) * num_levels_);
   level_scratch_.assign(num_levels_, VoronoiPartition::Scratch(g.NumNodes()));
-  same_seed_bits_.resize(static_cast<size_t>(num_levels_) * BitGroups());
+  same_seed_bits_.resize(static_cast<size_t>(num_levels_) * rule_.groups());
   for (auto& bits : same_seed_bits_) bits.assign(g.NumEdges(), 0);
-  vote_counts_.resize(num_levels_);
-  for (auto& votes : vote_counts_) votes.assign(g.NumEdges(), 0);
   seed_changed_scratch_.resize(num_levels_);
   watched_.assign(g.NumNodes(), 0);
   pending_changes_.resize(num_levels_);
@@ -110,31 +106,22 @@ PyramidIndex::PyramidIndex(const Graph& g, std::vector<double> weights,
 }
 
 void PyramidIndex::CountVotes() {
-  // A level's k partitions write only that level's bit columns and vote
-  // row, so levels count in parallel (Lemma 13).
+  // A level's k partitions write only that level's bit columns, so levels
+  // count in parallel (Lemma 13).
   pool_->ParallelFor(num_levels_, [&](size_t level_idx) {
     const uint32_t level = static_cast<uint32_t>(level_idx) + 1;
-    for (uint32_t p = 0; p < params_.num_pyramids; ++p) InitVotes(p, level);
-  });
-}
-
-void PyramidIndex::InitVotes(uint32_t pyramid, uint32_t level) {
-  const VoronoiPartition& part = partitions_[PartitionSlot(pyramid, level)];
-  auto& bits = same_seed_bits_[BitColumn(pyramid, level)];
-  const uint8_t mask = BitMask(pyramid);
-  auto& votes = vote_counts_[level - 1];
-  for (EdgeId e = 0; e < graph_->NumEdges(); ++e) {
-    const auto& [u, v] = graph_->Endpoints(e);
-    const bool same = part.SameSeed(u, v);
-    const bool was = (bits[e] & mask) != 0;
-    if (same == was) continue;
-    if (same) {
-      ++votes.Mut(e);
-    } else {
-      --votes.Mut(e);
+    for (uint32_t p = 0; p < params_.num_pyramids; ++p) {
+      const VoronoiPartition& part = partitions_[PartitionSlot(p, level)];
+      auto& bits = same_seed_bits_[BitColumn(p, level)];
+      const uint8_t mask = BitMask(p);
+      for (EdgeId e = 0; e < graph_->NumEdges(); ++e) {
+        const auto& [u, v] = graph_->Endpoints(e);
+        if (part.SameSeed(u, v) != ((bits[e] & mask) != 0)) {
+          bits.Set(e, bits[e] ^ mask);
+        }
+      }
     }
-    bits.Set(e, bits[e] ^ mask);
-  }
+  });
 }
 
 void PyramidIndex::RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e) {
@@ -143,15 +130,9 @@ void PyramidIndex::RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e) {
   auto& bits = same_seed_bits_[BitColumn(pyramid, level)];
   const uint8_t mask = BitMask(pyramid);
   if (same == ((bits[e] & mask) != 0)) return;
+  const bool was_passing = EdgePassesVote(e, level);
   bits.Set(e, bits[e] ^ mask);
-  VoteCount& votes = vote_counts_[level - 1].Mut(e);
-  const bool was_passing = votes >= vote_threshold_;
-  if (same) {
-    ++votes;
-  } else {
-    --votes;
-  }
-  const bool now_passing = votes >= vote_threshold_;
+  const bool now_passing = EdgePassesVote(e, level);
   if (was_passing != now_passing) {
     if (obs::kMetricsEnabled && metrics_ != nullptr) {
       metrics_->Add(m_.vote_flips);
@@ -248,7 +229,7 @@ size_t PyramidIndex::UpdateEdgeWeights(
   // Each level replays the whole batch against its own overlay, so every
   // partition observes exactly the weight evolution of one UpdateEdgeWeight
   // per update (results are bit-identical); levels are mutually
-  // independent and own their vote rows (Lemma 13).
+  // independent and own their bit columns (Lemma 13).
   std::vector<size_t> touched_per_level(num_levels_, 0);
   pool_->ParallelFor(num_levels_, [&](size_t level_idx) {
     const uint32_t level = static_cast<uint32_t>(level_idx) + 1;
@@ -367,8 +348,7 @@ std::unique_ptr<PyramidIndex> PyramidIndex::FromTreeStates(
     obs::MetricsRegistry* metrics) {
   // Fill unbuilt partitions with the exact exported trees, then count the
   // votes once.
-  if (weights.size() != g.NumEdges()) return nullptr;
-  if (params.num_pyramids < 1 || params.num_pyramids > kMaxPyramids) {
+  if (weights.size() != g.NumEdges() || params.num_pyramids < 1) {
     return nullptr;
   }
   const uint32_t levels = NumLevelsFor(g.NumNodes());
@@ -397,6 +377,13 @@ std::vector<VoronoiPartition::TreeState> PyramidIndex::ExportTreeStates()
   return out;
 }
 
+VoteTable PyramidIndex::ExportVoteCounts() const {
+  std::vector<std::vector<uint8_t>> columns;
+  columns.reserve(same_seed_bits_.size());
+  for (const auto& bits : same_seed_bits_) columns.push_back(bits.ToVector());
+  return VoteTable(rule_, std::move(columns));
+}
+
 std::vector<std::vector<NodeId>> PyramidIndex::SeedSets() const {
   std::vector<std::vector<NodeId>> out;
   out.reserve(partitions_.size());
@@ -414,7 +401,6 @@ size_t PyramidIndex::MemoryBytes() const {
   // mmap'd segments, which is the point of the accounting (Fig. 6 measures
   // RAM).
   for (const auto& bits : same_seed_bits_) bytes += bits.ResidentBytes();
-  for (const auto& votes : vote_counts_) bytes += votes.ResidentBytes();
   return bytes;
 }
 

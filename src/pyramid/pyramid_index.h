@@ -9,6 +9,7 @@
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "pyramid/voronoi.h"
+#include "pyramid/votes.h"
 #include "tier/column.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -19,16 +20,9 @@ class TestHooks;
 
 namespace anc {
 
-/// A per-level per-edge vote tally: how many of the k pyramids put the
-/// edge's endpoints under one seed, in [0, k].
-using VoteCount = uint8_t;
-
-/// The largest ensemble a VoteCount can tally.
-inline constexpr uint32_t kMaxPyramids = 255;
-
 /// Configuration of the pyramid index P (Section V, Table II).
 struct PyramidParams {
-  uint32_t num_pyramids = 4;  ///< k, the voting-ensemble size (<= kMaxPyramids)
+  uint32_t num_pyramids = 4;  ///< k, the voting-ensemble size
   double theta = 0.7;         ///< support threshold of the voting function
   uint64_t seed = 42;         ///< RNG seed for the Voronoi seed sets
   /// Workers for the level-parallel batch repair and the build (Lemma 13).
@@ -46,9 +40,10 @@ struct PyramidParams {
 /// pure time passage never changes shortest-path structure and the index is
 /// only updated on activations (Lemma 10): UpdateEdgeWeight repairs all
 /// k * levels partitions with the bounded searches of Algorithms 1-3 and
-/// incrementally maintains the per-level per-edge *vote counts* (how many
+/// incrementally maintains the per-level per-edge *same-seed bits* (which
 /// pyramids place the edge's endpoints under the same seed — the Remarks of
-/// Section V-C), so the voting function H_l is an O(1) lookup at any time.
+/// Section V-C), whose count is the edge's vote, so the voting function H_l
+/// is an O(1) lookup at any time.
 class PyramidIndex {
  public:
   /// Builds the index over `g` with initial distance weights `weights`
@@ -87,7 +82,7 @@ class PyramidIndex {
 
   /// Minimum number of same-seed pyramids for a positive vote:
   /// ceil(theta * k).
-  uint32_t vote_threshold() const { return vote_threshold_; }
+  uint32_t vote_threshold() const { return rule_.threshold(); }
 
   /// The granularity level whose seed count is closest to sqrt(n) — the
   /// Theta(sqrt(n))-clusters entry point of Problem 1.
@@ -110,26 +105,27 @@ class PyramidIndex {
 
   /// Voting function H_l(u, v) for edge e (Section V-B): 1 iff at least
   /// ceil(theta k) pyramids put the endpoints of e under the same seed at
-  /// level `level`. O(1) from the maintained vote counts.
+  /// level `level`. O(1) from the maintained same-seed bits.
   bool EdgePassesVote(EdgeId e, uint32_t level) const {
-    return vote_counts_[level - 1][e] >= vote_threshold_;
+    return rule_.Passes(same_seed_bits_, e, level);
   }
 
   /// Raw vote count of edge e at `level` (in [0, k]).
   uint32_t VotesOf(EdgeId e, uint32_t level) const {
-    return vote_counts_[level - 1][e];
+    return rule_.Votes(same_seed_bits_, e, level);
   }
 
   /// Applies one weight update to every partition of every pyramid and
-  /// repairs vote counts, serially at any thread count (one update is too
-  /// little work to pay for a pool dispatch). Returns the total number of
-  /// touched nodes across partitions (stats).
+  /// repairs the same-seed bits, serially at any thread count (one update
+  /// is too little work to pay for a pool dispatch). Returns the total
+  /// number of touched nodes across partitions (stats).
   size_t UpdateEdgeWeight(EdgeId e, double new_weight);
 
   /// Applies a batch of updates (same edge may repeat) in order, with the
   /// same result as one UpdateEdgeWeight call per update. With
   /// num_threads > 1 the levels replay the batch in parallel: partitions
-  /// are mutually independent (Lemma 13) and each level owns its vote row.
+  /// are mutually independent (Lemma 13) and each level owns its bit
+  /// columns.
   /// Every level reads the batch's edges through its own batch-local
   /// overlay of the weights (EdgeWeights), so the extra memory is
   /// O(levels * distinct batch edges), not a weight-array copy per level.
@@ -184,32 +180,24 @@ class PyramidIndex {
   /// since the previous drain, ordered by level then occurrence.
   std::vector<VoteChange> DrainVoteChanges();
 
-  /// Heap bytes of the index: partitions + vote tables + weight array +
+  /// Heap bytes of the index: partitions + same-seed bits + weight array +
   /// the per-level repair scratch (Fig. 6 accounting; the graph itself is
   /// excluded as in the paper).
   size_t MemoryBytes() const;
 
   /// Snapshot export hook for the serving layer: a copy of the maintained
-  /// per-level vote tallies ([level-1][edge], values in [0, k]). Together
-  /// with vote_threshold() this is the complete input of every Section V-B
-  /// query algorithm, so an immutable view built from it answers
-  /// Clusters / LocalCluster / Zoom byte-identically to this index at the
-  /// moment of the copy. O(levels * m) flat copies.
-  std::vector<std::vector<VoteCount>> ExportVoteCounts() const {
-    std::vector<std::vector<VoteCount>> out;
-    out.reserve(vote_counts_.size());
-    for (const auto& votes : vote_counts_) out.push_back(votes.ToVector());
-    return out;
-  }
+  /// same-seed bits, read as votes ([level-1][edge], values in [0, k]). It
+  /// is the complete vote input of every Section V-B query algorithm, so an
+  /// immutable view built from it answers Clusters / LocalCluster / Zoom
+  /// byte-identically to this index at the moment of the copy.
+  /// O(levels * ceil(k / 8) * m) flat copies.
+  VoteTable ExportVoteCounts() const;
 
-  /// Hands the vote tallies and same-seed bits to a storage tier
-  /// (docs/storage_tiers.md): pages of inactive edges spill to mmap'd cold
-  /// segments. The partition trees and the weight array stay resident (the
-  /// SPT repairs walk them on every update).
+  /// Hands the same-seed bits to a storage tier (docs/storage_tiers.md):
+  /// pages of inactive edges spill to mmap'd cold segments. The partition
+  /// trees and the weight array stay resident (the SPT repairs walk them on
+  /// every update).
   void AttachTier(tier::ColumnHost* host) {
-    for (uint32_t l = 0; l < num_levels_; ++l) {
-      vote_counts_[l].Attach(host, static_cast<uint16_t>(tier::kColVotesBase + l));
-    }
     for (size_t col = 0; col < same_seed_bits_.size(); ++col) {
       same_seed_bits_[col].Attach(
           host, static_cast<uint16_t>(tier::kColBitsBase + col));
@@ -223,32 +211,31 @@ class PyramidIndex {
   std::vector<VoronoiPartition::TreeState> ExportTreeStates() const;
 
  private:
-  /// Test-only corruption seam for tests/check_test.cc (vote counts, cell
-  /// assignments): proves the anc::check validators catch real damage.
+  /// Test-only corruption seam for tests/check_test.cc (same-seed bits,
+  /// cell assignments): proves the anc::check validators catch real damage.
   friend class ::anc::check::TestHooks;
 
   size_t PartitionSlot(uint32_t pyramid, uint32_t level) const {
     return static_cast<size_t>(pyramid) * num_levels_ + (level - 1);
   }
 
-  /// Same-seed bit layout: the bits of up to eight pyramids share one byte
-  /// per edge, and a level's bytes live in its own columns, so the level-
-  /// parallel repair writes disjoint columns.
-  uint32_t BitGroups() const { return (params_.num_pyramids + 7) / 8; }
+  /// Same-seed bit layout (VoteRule): the bits of up to eight pyramids
+  /// share one byte per edge, and a level's bytes live in its own columns,
+  /// so the level-parallel repair writes disjoint columns.
   size_t BitColumn(uint32_t pyramid, uint32_t level) const {
-    return static_cast<size_t>(level - 1) * BitGroups() + pyramid / 8;
+    return static_cast<size_t>(level - 1) * rule_.groups() + pyramid / 8;
   }
   static uint8_t BitMask(uint32_t pyramid) {
     return static_cast<uint8_t>(1u << (pyramid % 8));
   }
 
   /// Recomputes the same-seed bit of edge e in partition (pyramid, level)
-  /// and adjusts the level's vote count on change.
+  /// and reports a vote flip on change.
   void RefreshEdgeBit(uint32_t pyramid, uint32_t level, EdgeId e);
 
   /// Repairs the k partitions of one level after edge e moved from old_w
   /// to new_w (`weights` already reads new_w at e) and refreshes the
-  /// level's vote row. Returns the touched nodes.
+  /// level's same-seed bits. Returns the touched nodes.
   size_t RepairLevel(uint32_t level, EdgeId e, double old_w, double new_w,
                      EdgeWeights weights);
 
@@ -256,23 +243,20 @@ class PyramidIndex {
   void RecordLevelRepair(uint32_t level, size_t touched);
   void RecordRepair(size_t touched);
 
-  /// Allocates every table with unbuilt partitions and zero votes; the
+  /// Allocates every table with unbuilt partitions and zero bits; the
   /// public constructors build the partitions, FromTreeStates restores them.
   struct Unbuilt {};
   PyramidIndex(const Graph& g, std::vector<double> weights,
                PyramidParams params, obs::MetricsRegistry* metrics, Unbuilt);
 
-  /// Brings the same-seed bits and vote counts of one partition in line
-  /// with its seeds.
-  void InitVotes(uint32_t pyramid, uint32_t level);
-
-  /// InitVotes for every partition, one pool task per level.
+  /// Brings every same-seed bit in line with the partitions' seeds, one
+  /// pool task per level.
   void CountVotes();
 
   const Graph* graph_;
   PyramidParams params_;
   uint32_t num_levels_;
-  uint32_t vote_threshold_;
+  VoteRule rule_;
   std::vector<double> weights_;
   std::vector<VoronoiPartition> partitions_;  // pyramid-major, level-minor
   // Repair scratch shared by the k partitions of a level ([level-1]). A
@@ -282,10 +266,8 @@ class PyramidIndex {
   std::vector<VoronoiPartition::Scratch> level_scratch_;
   // Bit BitMask(p) of same_seed_bits_[BitColumn(p, l)][e] is set iff the
   // level-l partition of pyramid p currently has both endpoints of e under
-  // one seed. Differencing these bits keeps vote_counts_ exact under
-  // incremental updates.
+  // one seed; rule_ reads them as votes.
   std::vector<tier::Column<uint8_t>> same_seed_bits_;
-  std::vector<tier::Column<VoteCount>> vote_counts_;  // [level-1][edge]
   std::unique_ptr<ThreadPool> pool_;
   // UpdateEdgeWeights scratch: the pre-batch weight of each distinct batch
   // edge (overlay slot order), each update's overlay slot, and every

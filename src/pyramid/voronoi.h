@@ -52,8 +52,8 @@ class EdgeWeights {
 
 /// One Voronoi partition of the graph under the distance weights S_t^{-1}
 /// (Section V-A): a seed set S, and for every node v its closest seed
-/// S[v], the distance dist(S[v], v), and the shortest-path tree (parent +
-/// intrusive child list) rooted at the seeds.
+/// S[v], the distance dist(S[v], v), and the shortest-path tree rooted at
+/// the seeds, kept as each node's parent edge alone.
 ///
 /// The partition supports the paper's bounded incremental maintenance:
 ///  - UpdateEdgeWeight dispatches to Update-Decrease (Algorithm 1) or
@@ -96,7 +96,6 @@ class VoronoiPartition {
     std::vector<uint32_t> touch_epoch_;
     std::vector<NodeId> old_seed_;
     std::vector<NodeId> touched_;
-    std::vector<NodeId> subtree_;
     uint32_t epoch_ = 0;
   };
 
@@ -106,17 +105,18 @@ class VoronoiPartition {
              std::vector<NodeId> seeds);
 
   const std::vector<NodeId>& seeds() const { return seeds_; }
-  NodeId SeedOf(NodeId v) const { return seed_of_[v]; }
-  double Dist(NodeId v) const { return dist_[v]; }
+  NodeId SeedOf(NodeId v) const { return nodes_[v].seed; }
+  double Dist(NodeId v) const { return nodes_[v].dist; }
   NodeId Parent(NodeId v) const {
-    const EdgeId e = parent_edge_[v];
+    const EdgeId e = nodes_[v].parent_edge;
     return e == kInvalidEdge ? kInvalidNode : graph_->Opposite(e, v);
   }
-  EdgeId ParentEdge(NodeId v) const { return parent_edge_[v]; }
+  EdgeId ParentEdge(NodeId v) const { return nodes_[v].parent_edge; }
 
   /// True when u and v are dominated by the same seed (both reachable).
   bool SameSeed(NodeId u, NodeId v) const {
-    return seed_of_[u] != kInvalidNode && seed_of_[u] == seed_of_[v];
+    const NodeId su = nodes_[u].seed;
+    return su != kInvalidNode && su == nodes_[v].seed;
   }
 
   /// Repairs the partition after the weight of edge e changed from `old_w`
@@ -148,29 +148,26 @@ class VoronoiPartition {
   void ScaleDistances(double factor);
 
   /// Heap-resident bytes of this partition (index-size accounting, Fig. 6),
-  /// excluding repair scratch.
+  /// excluding repair scratch: 16 bytes per node plus the seed set.
   size_t MemoryBytes() const;
 
-  /// Complete tree state (serialization support). The sibling links are
-  /// included so a restored partition replays future updates *identically*
-  /// — child-visit order breaks equal-distance ties. Scratch state is
-  /// derived and excluded.
+  /// Complete tree state (serialization support). A repair's equal-distance
+  /// tie-breaks depend only on these fields (children are found through
+  /// parent_edge, in neighbor order), so a restored partition replays
+  /// future updates *identically*. Scratch state is derived and excluded.
   struct TreeState {
     std::vector<NodeId> seeds;
     std::vector<NodeId> seed_of;
     std::vector<double> dist;
-    std::vector<NodeId> parent;
     std::vector<EdgeId> parent_edge;
-    std::vector<NodeId> first_child;
-    std::vector<NodeId> next_sibling;
-    std::vector<NodeId> prev_sibling;
   };
 
   TreeState ExportTree() const;
 
-  /// Restores an exported tree over the same graph. Validates array sizes
-  /// and id ranges; does NOT re-verify shortest-path optimality (the state
-  /// is trusted, as with any loaded index).
+  /// Restores an exported tree over the same graph. Validates array sizes,
+  /// id ranges and that each parent edge is incident to its node; does NOT
+  /// re-verify shortest-path optimality (the state is trusted, as with any
+  /// loaded index).
   Status RestoreTree(const Graph& g, TreeState state);
 
  private:
@@ -189,31 +186,24 @@ class VoronoiPartition {
   void RunIncrease(const Graph& g, EdgeWeights weights, NodeId u, NodeId v,
                    EdgeId e, Scratch& scratch);
 
-  /// Rewires the tree so that `parent` becomes the parent of v (unlinking v
-  /// from its previous parent's child list first). parent == kInvalidNode
-  /// detaches v.
-  void SetParent(NodeId v, NodeId parent, EdgeId parent_edge);
-
-  /// Collects the subtree rooted at `root` (inclusive) via the intrusive
-  /// child lists.
-  void CollectSubtree(NodeId root, std::vector<NodeId>* out) const;
 
   /// Marks v as touched in the current update epoch, remembering its
   /// pre-update seed the first time.
   void Touch(NodeId v, Scratch& scratch) const;
 
-  std::vector<NodeId> seeds_;
-  const Graph* graph_ = nullptr;  // set by Build / RestoreTree
-  std::vector<NodeId> seed_of_;
-  std::vector<double> dist_;
+  // One record per node, so a node a repair touches costs one cache line.
   // A node's parent is the far end of its tree edge (Parent()), so only the
   // edge is stored.
-  std::vector<EdgeId> parent_edge_;
-  // Intrusive doubly-linked sibling lists (O(1) unlink, no per-node heap
-  // allocations; the index keeps k * ceil(log2 n) partitions alive).
-  std::vector<NodeId> first_child_;
-  std::vector<NodeId> next_sibling_;
-  std::vector<NodeId> prev_sibling_;
+  struct Node {
+    double dist = kInfDist;
+    NodeId seed = kInvalidNode;
+    EdgeId parent_edge = kInvalidEdge;
+  };
+  static_assert(sizeof(Node) == 16);
+
+  std::vector<NodeId> seeds_;
+  const Graph* graph_ = nullptr;  // set by Build / RestoreTree
+  std::vector<Node> nodes_;
 
   // Backs the scratch-less UpdateEdgeWeight; stays empty inside an index.
   Scratch own_scratch_;

@@ -27,7 +27,7 @@ struct Watermark {
 /// An immutable, point-in-time cluster snapshot published by the serve
 /// writer (docs/serving.md).
 ///
-/// A view captures the pyramid's per-level vote tallies — the complete
+/// A view captures the pyramid's per-level votes — the complete
 /// input of every Section V-B query algorithm — plus the level geometry,
 /// and answers Clusters / LocalCluster / SmallestCluster / Zoom with the
 /// exact same template code the live AncIndex runs, so results are
@@ -51,14 +51,14 @@ class ClusterView {
 
   // --- Vote-source interface (pyramid/clustering.h templates) ------------
   const Graph& graph() const { return *graph_; }
-  uint32_t num_levels() const { return state_.num_levels; }
+  uint32_t num_levels() const { return state_.vote_counts.num_levels(); }
   uint32_t DefaultLevel() const { return state_.default_level; }
-  uint32_t vote_threshold() const { return state_.vote_threshold; }
+  uint32_t vote_threshold() const { return state_.vote_counts.threshold(); }
   bool EdgePassesVote(EdgeId e, uint32_t level) const {
-    return state_.vote_counts[level - 1][e] >= state_.vote_threshold;
+    return state_.vote_counts.Passes(e, level);
   }
   uint32_t VotesOf(EdgeId e, uint32_t level) const {
-    return state_.vote_counts[level - 1][e];
+    return state_.vote_counts.Votes(e, level);
   }
 
   // --- Provenance --------------------------------------------------------
@@ -110,11 +110,7 @@ class ClusterView {
 
   /// Heap bytes of the captured vote tables.
   size_t MemoryBytes() const {
-    size_t bytes = sizeof(*this);
-    for (const auto& row : state_.vote_counts) {
-      bytes += row.capacity() * sizeof(VoteCount);
-    }
-    return bytes;
+    return sizeof(*this) + state_.vote_counts.MemoryBytes();
   }
 
  private:

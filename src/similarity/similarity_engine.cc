@@ -61,12 +61,12 @@ void SimilarityEngine::InitializeStatic(uint32_t rep) {
     sigma_numerator_.Set(e, RecomputeSigmaNumerator(e));
   }
   similarity_.Fill(1.0);
-  for (uint32_t round = 0; round < rep; ++round) ReinforceAllEdges();
+  ReinforceAllEdges(rep);
 }
 
 void SimilarityEngine::RecomputeFromActiveness(uint32_t rep) {
   similarity_.Fill(1.0);
-  for (uint32_t round = 0; round < rep; ++round) ReinforceAllEdges();
+  ReinforceAllEdges(rep);
 }
 
 Status SimilarityEngine::ApplyActivation(EdgeId e, double t,
@@ -107,19 +107,20 @@ Status SimilarityEngine::ApplyActivationNoReinforce(EdgeId e, double t,
   return Status::OK();
 }
 
-void SimilarityEngine::ReinforceAllEdges() {
+void SimilarityEngine::ReinforceAllEdges(uint32_t rounds) {
   const Graph& g = *graph_;
   const EdgeId m = g.NumEdges();
-  if (m == 0) return;
+  if (m == 0 || rounds == 0) return;
   // A sweep never touches the activeness, so every sigma and every role
-  // stays fixed for its duration: evaluate each once, not per trigger.
+  // stays fixed for all the rounds: evaluate each once, not per trigger.
   std::vector<double> sigma(m);
   for (EdgeId e = 0; e < m; ++e) sigma[e] = Sigma(e);
   std::vector<NodeRole> role(g.NumNodes());
   for (NodeId v = 0; v < g.NumNodes(); ++v) role[v] = Role(v);
   // Gauss-Seidel over a flat copy of S, written back once: edge e reads the
-  // already-updated S of every lower edge id, exactly as one Reinforce(e)
-  // per edge in ascending order would.
+  // already-updated S of every lower edge id (of this round, and every edge
+  // of the rounds before), exactly as one Reinforce(e) per edge in
+  // ascending order, round after round, would.
   std::vector<double> s = similarity_.ToVector();
   // mark[w] = 1 + id of edge (x, w) while N(x) is marked, else 0.
   std::vector<EdgeId> mark(g.NumNodes(), 0);
@@ -171,41 +172,43 @@ void SimilarityEngine::ReinforceAllEdges() {
     ++counts.wsf;
   };
 
-  for (EdgeId e = 0; e < m; ++e) {
-    // Mark the smaller neighbourhood N(x); one scan of N(y) finds the
-    // common neighbours, and one scan of N(x) clears the marks.
-    auto [x, y] = g.Endpoints(e);
-    if (g.Degree(y) < g.Degree(x)) std::swap(x, y);
-    const auto nx = g.Neighbors(x);
-    for (const Neighbor& nb : nx) mark[nb.node] = nb.edge + 1;
-    Trigger ty = start(e, y);
-    common.clear();
-    for (const Neighbor& nb : g.Neighbors(y)) {
-      const EdgeId xw = mark[nb.node];
-      if (xw != 0) {
-        add_common(ty, nb.edge, xw - 1);
-        common.push_back(nb);
-      } else if (nb.node != x) {
-        add_exclusive(ty, nb.edge);
+  for (uint32_t round = 0; round < rounds; ++round) {
+    for (EdgeId e = 0; e < m; ++e) {
+      // Mark the smaller neighbourhood N(x); one scan of N(y) finds the
+      // common neighbours, and one scan of N(x) clears the marks.
+      auto [x, y] = g.Endpoints(e);
+      if (g.Degree(y) < g.Degree(x)) std::swap(x, y);
+      const auto nx = g.Neighbors(x);
+      for (const Neighbor& nb : nx) mark[nb.node] = nb.edge + 1;
+      Trigger ty = start(e, y);
+      common.clear();
+      for (const Neighbor& nb : g.Neighbors(y)) {
+        const EdgeId xw = mark[nb.node];
+        if (xw != 0) {
+          add_common(ty, nb.edge, xw - 1);
+          common.push_back(nb);
+        } else if (nb.node != x) {
+          add_exclusive(ty, nb.edge);
+        }
       }
-    }
-    Trigger tx = start(e, x);
-    size_t next = 0;
-    for (const Neighbor& nb : nx) {
-      mark[nb.node] = 0;
-      if (next < common.size() && common[next].node == nb.node) {
-        add_common(tx, nb.edge, common[next++].edge);
-      } else if (nb.node != y) {
-        add_exclusive(tx, nb.edge);
+      Trigger tx = start(e, x);
+      size_t next = 0;
+      for (const Neighbor& nb : nx) {
+        mark[nb.node] = 0;
+        if (next < common.size() && common[next].node == nb.node) {
+          add_common(tx, nb.edge, common[next++].edge);
+        } else if (nb.node != y) {
+          add_exclusive(tx, nb.edge);
+        }
       }
+      const double raw = s[e] + (tx.Delta() + ty.Delta());
+      s[e] = std::clamp(raw, params_.min_similarity, params_.max_similarity);
+      if (s[e] != raw) ++clamp_hits;
     }
-    const double raw = s[e] + (tx.Delta() + ty.Delta());
-    s[e] = std::clamp(raw, params_.min_similarity, params_.max_similarity);
-    if (s[e] != raw) ++clamp_hits;
   }
   similarity_.Assign(s);
   if (obs::kMetricsEnabled && metrics_ != nullptr) {
-    metrics_->Add(m_.reinforcements, m);
+    metrics_->Add(m_.reinforcements, static_cast<uint64_t>(rounds) * m);
     metrics_->Add(m_.af_terms, counts.af);
     metrics_->Add(m_.tf_terms, counts.tf);
     metrics_->Add(m_.wsf_terms, counts.wsf);

@@ -122,13 +122,14 @@ class SimilarityEngine {
   /// activeness (ANCOR's periodic consolidation of recently active edges).
   void ReinforceEdge(EdgeId e) { Reinforce(e); }
 
-  /// One full reinforcement sweep over all edges without adding activeness
-  /// (the rep-rounds of S_0 and of ANCF's snapshot recompute). Leaves S
-  /// bit-identical to ReinforceEdge(e) for e ascending. Since the sweep
-  /// never touches the activeness, each sigma and each role is computed once
-  /// per sweep: O(n + sum over edges of deg(u) + deg(v)), with two doubles
-  /// per edge of scratch, freed on return.
-  void ReinforceAllEdges();
+  /// `rounds` full reinforcement sweeps over all edges without adding
+  /// activeness (the rep-rounds of S_0 and of ANCF's snapshot recompute).
+  /// Leaves S bit-identical to ReinforceEdge(e) for e ascending, `rounds`
+  /// times over. Since a sweep never touches the activeness, each sigma and
+  /// each role is computed once for all rounds: O(n + rounds * sum over
+  /// edges of deg(u) + deg(v)), with two doubles per edge of scratch, freed
+  /// on return.
+  void ReinforceAllEdges(uint32_t rounds = 1);
 
   /// Anchored active similarity sigma(u, v) of edge e. O(1).
   double Sigma(EdgeId e) const {

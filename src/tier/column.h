@@ -18,8 +18,6 @@ namespace anc::tier {
 inline constexpr uint16_t kColAnchored = 1;    ///< anchored activeness a*(e)
 inline constexpr uint16_t kColSimilarity = 2;  ///< anchored similarity S*(e)
 inline constexpr uint16_t kColSigma = 3;       ///< sigma numerators num(e)
-/// Per-level vote tallies: id = kColVotesBase + (level - 1).
-inline constexpr uint16_t kColVotesBase = 16;
 /// Same-seed bits, eight pyramids per byte: id = kColBitsBase + column
 /// (PyramidIndex::BitColumn).
 inline constexpr uint16_t kColBitsBase = 4096;

@@ -166,10 +166,10 @@ TEST(InvariantCheckerTest, SimilarityOutsideClampIsReported) {
 
 TEST(InvariantCheckerTest, VoteCountCorruptionIsReported) {
   Fixture f;
+  // The vote of an edge is the count of its same-seed bits, so a flipped
+  // bit is a wrong vote.
   const uint32_t level = f.index->DefaultLevel();
-  const VoteCount votes = static_cast<VoteCount>(f.index->VotesOf(0, level));
-  TestHooks::SetVoteCount(*f.index, level, 0,
-                          static_cast<VoteCount>(votes + 1));
+  TestHooks::FlipSameSeedBit(*f.index, /*pyramid=*/0, level, /*e=*/0);
   CheckReport report;
   check::CheckPyramidStructure(*f.index, &report);
   EXPECT_TRUE(Has(report, "pyramid.vote_count")) << report.ToString();

@@ -163,27 +163,23 @@ Graph RandomTieHeavyGraph(uint64_t seed, Rng& rng) {
   return b.Build();
 }
 
-/// A random vote table over `g` in the serving layer's snapshot layout.
+/// Random same-seed bits of k pyramids over `g` in the serving layer's
+/// snapshot layout.
 AncIndex::ClusterState RandomClusterState(const Graph& g, uint32_t k,
-                                          Rng& rng) {
-  AncIndex::ClusterState state;
-  state.num_levels = PyramidIndex::NumLevelsFor(g.NumNodes());
-  state.default_level = PyramidIndex::DefaultLevelFor(g.NumNodes());
-  state.vote_threshold = 1 + static_cast<uint32_t>(rng.Uniform(k));
-  state.vote_counts.resize(state.num_levels);
-  for (auto& row : state.vote_counts) {
-    row.resize(g.NumEdges());
-    for (VoteCount& votes : row) {
-      votes = static_cast<VoteCount>(rng.Uniform(k + 1));
+                                          uint32_t threshold, Rng& rng) {
+  const VoteRule rule(k, threshold);
+  const uint32_t levels = PyramidIndex::NumLevelsFor(g.NumNodes());
+  std::vector<std::vector<uint8_t>> columns(
+      static_cast<size_t>(levels) * rule.groups(),
+      std::vector<uint8_t>(g.NumEdges()));
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const uint32_t bits = std::min<uint32_t>(8, k - (c % rule.groups()) * 8);
+    for (uint8_t& byte : columns[c]) {
+      byte = static_cast<uint8_t>(rng.Uniform(1u << bits));
     }
   }
-  return state;
-}
-
-std::shared_ptr<const serve::ClusterView> RandomView(const Graph& g,
-                                                     uint32_t k, Rng& rng) {
-  return std::make_shared<const serve::ClusterView>(
-      g, RandomClusterState(g, k, rng), /*epoch=*/1, serve::Watermark{});
+  return {VoteTable(rule, std::move(columns)),
+          PyramidIndex::DefaultLevelFor(g.NumNodes())};
 }
 
 /// Two 5-cliques joined by a single bridge, with strongly separated weights:
@@ -422,8 +418,12 @@ TEST(ClusteringKernelTest, KernelsMatchReferenceOnRandomGraphsAndVotes) {
     ExpectKernelsMatchReference(index, "PyramidIndex", seed);
     if (HasFatalFailure()) return;
 
-    const uint32_t k = 1 + static_cast<uint32_t>(rng.Uniform(5));
-    const auto view = RandomView(g, k, rng);
+    // Up to 12 pyramids, so some tables span two bit bytes per edge.
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.Uniform(12));
+    const uint32_t threshold = 1 + static_cast<uint32_t>(rng.Uniform(k));
+    const auto view = std::make_shared<const serve::ClusterView>(
+        g, RandomClusterState(g, k, threshold, rng), /*epoch=*/1,
+        serve::Watermark{});
     ExpectKernelsMatchReference(*view, "ClusterView", seed);
     if (HasFatalFailure()) return;
 
@@ -436,8 +436,7 @@ TEST(ClusteringKernelTest, KernelsMatchReferenceOnRandomGraphsAndVotes) {
     auto router = std::make_shared<const shard::Router>(g, partition);
     // Both shards share the level geometry and threshold; only the tallies
     // differ, as with real shard replicas.
-    AncIndex::ClusterState second = RandomClusterState(g, k, rng);
-    second.vote_threshold = view->vote_threshold();
+    AncIndex::ClusterState second = RandomClusterState(g, k, threshold, rng);
     const shard::ShardedView merged(
         g, router,
         {view, std::make_shared<const serve::ClusterView>(

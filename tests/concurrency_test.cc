@@ -268,11 +268,7 @@ void ExpectSamePyramid(const PyramidIndex& actual,
     EXPECT_EQ(a[slot].seeds, b[slot].seeds) << "slot " << slot;
     EXPECT_EQ(a[slot].seed_of, b[slot].seed_of) << "slot " << slot;
     EXPECT_EQ(a[slot].dist, b[slot].dist) << "slot " << slot;
-    EXPECT_EQ(a[slot].parent, b[slot].parent) << "slot " << slot;
     EXPECT_EQ(a[slot].parent_edge, b[slot].parent_edge) << "slot " << slot;
-    EXPECT_EQ(a[slot].first_child, b[slot].first_child) << "slot " << slot;
-    EXPECT_EQ(a[slot].next_sibling, b[slot].next_sibling) << "slot " << slot;
-    EXPECT_EQ(a[slot].prev_sibling, b[slot].prev_sibling) << "slot " << slot;
   }
 }
 

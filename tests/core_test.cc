@@ -328,11 +328,6 @@ TEST(AncConfigTest, ValidateRejectsEachBadKnob) {
   }
   {
     AncConfig c;
-    c.pyramid.num_pyramids = kMaxPyramids + 1;  // a VoteCount cannot tally it
-    EXPECT_FALSE(c.Validate().ok());
-  }
-  {
-    AncConfig c;
     c.pyramid.theta = 0.0;
     EXPECT_FALSE(c.Validate().ok());
   }

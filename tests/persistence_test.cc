@@ -162,9 +162,20 @@ TEST(SerializationTest, FromTreeStatesRejectsMalformedState) {
   EXPECT_EQ(PyramidIndex::FromTreeStates(g, w, params, std::move(trees)),
             nullptr);
 
-  // Out-of-range parent id.
+  // Out-of-range parent edge.
   trees = good.ExportTreeStates();
-  trees[1].parent[0] = g.NumNodes() + 5;
+  trees[1].parent_edge[0] = g.NumEdges() + 5;
+  EXPECT_EQ(PyramidIndex::FromTreeStates(g, w, params, std::move(trees)),
+            nullptr);
+
+  // A parent edge that does not touch its node.
+  trees = good.ExportTreeStates();
+  EdgeId elsewhere = 0;
+  while (g.Endpoints(elsewhere).first == 0 ||
+         g.Endpoints(elsewhere).second == 0) {
+    ++elsewhere;
+  }
+  trees[1].parent_edge[0] = elsewhere;
   EXPECT_EQ(PyramidIndex::FromTreeStates(g, w, params, std::move(trees)),
             nullptr);
 
@@ -280,17 +291,64 @@ TEST(SerializationTest, VersionSkewRejected) {
   put_magic("ANCTHD01");
   ASSERT_TRUE(LoadIndex(path).ok());
 
-  // Matching magic but a skewed version field is rejected too.
-  {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(8);
-    const uint32_t version = 99;
-    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  // Matching magic but a version field this build does not know (it reads
+  // 1 and 2) is rejected too.
+  for (const uint32_t version : {0u, 3u, 99u}) {
+    {
+      std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    Result<LoadedIndex> skewed = LoadIndex(path);
+    ASSERT_FALSE(skewed.ok()) << "version " << version;
+    EXPECT_EQ(skewed.status().code(), StatusCode::kInvalidArgument)
+        << "version " << version;
   }
-  Result<LoadedIndex> skewed = LoadIndex(path);
-  ASSERT_FALSE(skewed.ok());
-  EXPECT_EQ(skewed.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+TEST(SerializationTest, LoadsVersionOneCheckpoint) {
+  // A version-1 file stores each partition tree with a parent vector and
+  // three child/sibling link vectors, which the loader skips. This seed was
+  // written by the version-1 writer from fuzz/make_corpus.cc's 6-node graph
+  // under the default config, with no activation applied, so a fresh build
+  // over the loaded graph and config must give the same answers, before and
+  // after the same stream.
+  Result<LoadedIndex> loaded = LoadIndex(
+      std::string(ANC_SOURCE_DIR) + "/fuzz/corpus/index/checkpoint_v1.idx");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  AncIndex& restored = *loaded.value().index;
+  const Graph& g = *loaded.value().graph;
+  ASSERT_EQ(g.NumNodes(), 6u);
+  AncIndex fresh(g, restored.config());
+
+  Rng rng(12);
+  const ActivationStream stream = UniformStream(g, 30, 0.3, rng);
+  ASSERT_GE(stream.size(), 30u);
+  for (size_t step = 0; step <= stream.size(); ++step) {
+    if (step > 0) {
+      ASSERT_TRUE(restored.Apply(stream[step - 1]).ok());
+      ASSERT_TRUE(fresh.Apply(stream[step - 1]).ok());
+    }
+    ASSERT_EQ(restored.index().ExportVoteCounts(),
+              fresh.index().ExportVoteCounts())
+        << "step " << step;
+    const auto a = restored.index().ExportTreeStates();
+    const auto b = fresh.index().ExportTreeStates();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t slot = 0; slot < a.size(); ++slot) {
+      ASSERT_EQ(a[slot].seed_of, b[slot].seed_of) << "step " << step;
+      ASSERT_EQ(a[slot].dist, b[slot].dist) << "step " << step;
+      ASSERT_EQ(a[slot].parent_edge, b[slot].parent_edge) << "step " << step;
+    }
+    for (uint32_t l = 1; l <= fresh.num_levels(); ++l) {
+      ASSERT_EQ(restored.Clusters(l).labels, fresh.Clusters(l).labels)
+          << "step " << step << " level " << l;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        ASSERT_EQ(restored.LocalCluster(v, l), fresh.LocalCluster(v, l));
+      }
+    }
+  }
 }
 
 TEST(SerializationTest, MultiPageColumnsRoundTrip) {

@@ -98,6 +98,45 @@ TEST(PyramidIndexTest, VotesMatchPartitionsAfterBuild) {
   }
 }
 
+TEST(VoteRuleTest, PassTableAgreesWithPopcount) {
+  // Every ensemble size up to two bit bytes, every threshold, every byte
+  // value a level can hold: H_l passes exactly when the count of set
+  // same-seed bits reaches the threshold, also through the k <= 8 table.
+  Rng rng(17);
+  for (uint32_t k = 1; k <= 16; ++k) {
+    for (uint32_t threshold = 1; threshold <= k; ++threshold) {
+      const VoteRule rule(k, threshold);
+      ASSERT_EQ(rule.groups(), k <= 8 ? 1u : 2u);
+      const uint32_t levels = 2;
+      std::vector<std::vector<uint8_t>> columns(levels * rule.groups(),
+                                                std::vector<uint8_t>(256));
+      for (size_t c = 0; c < columns.size(); ++c) {
+        const uint32_t bits = std::min<uint32_t>(8, k - (c % rule.groups()) * 8);
+        for (uint32_t b = 0; b < 256; ++b) {
+          columns[c][b] = static_cast<uint8_t>(
+              c < rule.groups() ? b & ((1u << bits) - 1)
+                                : rng.Uniform(1u << bits));
+        }
+      }
+      const VoteTable table(rule, columns);
+      ASSERT_EQ(table.num_levels(), levels);
+      for (uint32_t level = 1; level <= levels; ++level) {
+        for (EdgeId e = 0; e < 256; ++e) {
+          uint32_t want = 0;
+          for (uint32_t g = 0; g < rule.groups(); ++g) {
+            const uint8_t byte = columns[(level - 1) * rule.groups() + g][e];
+            for (uint32_t bit = 0; bit < 8; ++bit) want += (byte >> bit) & 1u;
+          }
+          ASSERT_EQ(table.Votes(e, level), want) << "k " << k;
+          ASSERT_EQ(table[level - 1][e], want) << "k " << k;
+          ASSERT_EQ(table.Passes(e, level), want >= threshold)
+              << "k " << k << " threshold " << threshold << " byte " << e;
+        }
+      }
+    }
+  }
+}
+
 TEST(PyramidIndexTest, CoarsestLevelConnectsComponents) {
   // Level 1 has one seed per pyramid: all nodes in the seed's component
   // share that seed, so every edge in the component passes the vote.

@@ -282,7 +282,7 @@ TEST(ShardedServerTest, ByteIdenticalToSingleIndexOnPartitionLocalStreams) {
   ASSERT_EQ(view.num_levels(), oracle.num_levels());
   EXPECT_EQ(view.DefaultLevel(), oracle.DefaultLevel());
   const AncIndex::ClusterState oracle_state = oracle.ExportClusterState();
-  EXPECT_EQ(view.vote_threshold(), oracle_state.vote_threshold);
+  EXPECT_EQ(view.vote_threshold(), oracle_state.vote_counts.threshold());
   for (uint32_t level = 1; level <= view.num_levels(); ++level) {
     for (EdgeId e = 0; e < g.NumEdges(); ++e) {
       ASSERT_EQ(view.VotesOf(e, level),
@@ -550,7 +550,8 @@ void ExpectRecoveryMatchesFreshReplay(
     const AncIndex::ClusterState got =
         recovered.shard_index(s).ExportClusterState();
     const AncIndex::ClusterState want = replica->ExportClusterState();
-    ASSERT_EQ(got.num_levels, want.num_levels) << "shard " << s;
+    ASSERT_EQ(got.vote_counts.num_levels(), want.vote_counts.num_levels())
+        << "shard " << s;
     ASSERT_EQ(got.vote_counts, want.vote_counts) << "shard " << s;
     fresh.push_back(std::move(replica));
   }

@@ -266,8 +266,9 @@ TEST(SimilarityTest, SweepMatchesPerEdgeReinforcement) {
 
     const obs::StatsSnapshot sweep_before = sweep_metrics.Snapshot();
     const obs::StatsSnapshot per_edge_before = per_edge_metrics.Snapshot();
+    // Three rounds in one call share one evaluation of sigma and roles.
+    sweep.ReinforceAllEdges(/*rounds=*/3);
     for (int round = 0; round < 3; ++round) {
-      sweep.ReinforceAllEdges();
       for (EdgeId e = 0; e < g.NumEdges(); ++e) per_edge.ReinforceEdge(e);
     }
     for (EdgeId e = 0; e < g.NumEdges(); ++e) {
