@@ -117,6 +117,13 @@ class TestHooks {
     server.idle_wait_ = idle_wait;
   }
 
+  /// AwaitSeq callers currently blocked on the server's published
+  /// watermark.
+  static uint32_t WatermarkWaiters(const serve::AncServer& server) {
+    util::MutexLock lock(server.watermark_mutex_);
+    return server.watermark_waiters_;
+  }
+
   /// Sets the byte budget of each of the cache's lock shards (64 MiB / 8
   /// otherwise). Call before the cache is shared.
   static void SetCacheShardBudget(net::QueryCache& cache, size_t bytes) {

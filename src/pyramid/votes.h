@@ -47,6 +47,13 @@ class VoteRule {
     return Votes(columns, e, level) >= threshold_;
   }
 
+  /// H_l at one level for k <= 8, bound once: `column` is the level's byte
+  /// column, read through the 256-entry table. The rule and the column must
+  /// outlive the returned test.
+  auto ByteTest(const uint8_t* column) const {
+    return [this, column](EdgeId e) { return passes_[column[e]]; };
+  }
+
   bool operator==(const VoteRule& other) const = default;
 
  private:
@@ -83,6 +90,16 @@ class VoteTable {
   }
   bool Passes(EdgeId e, uint32_t level) const {
     return rule_.Passes(columns_, e, level);
+  }
+  /// Returns fn(test), where test(e) == Passes(e, level) is bound to the
+  /// level once: for k <= 8 a VoteRule::ByteTest over the level's column,
+  /// otherwise the per-edge vote sum.
+  template <typename Fn>
+  auto WithPassTest(uint32_t level, Fn&& fn) const {
+    if (rule_.groups() == 1) {
+      return fn(rule_.ByteTest(columns_[level - 1].data()));
+    }
+    return fn([this, level](EdgeId e) { return Passes(e, level); });
   }
   Row operator[](size_t level_index) const {
     return Row(this, static_cast<uint32_t>(level_index) + 1);

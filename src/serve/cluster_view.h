@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/anc.h"
@@ -59,6 +60,11 @@ class ClusterView {
   }
   uint32_t VotesOf(EdgeId e, uint32_t level) const {
     return state_.vote_counts.Votes(e, level);
+  }
+  /// The pass test of `level`, bound once per query (VoteTable).
+  template <typename Fn>
+  auto WithPassTest(uint32_t level, Fn&& fn) const {
+    return state_.vote_counts.WithPassTest(level, std::forward<Fn>(fn));
   }
 
   // --- Provenance --------------------------------------------------------

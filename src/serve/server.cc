@@ -408,11 +408,13 @@ Watermark AncServer::watermark() const {
 Status AncServer::AwaitSeq(uint64_t seq, std::chrono::milliseconds timeout) {
   util::MutexLock lock(watermark_mutex_);
   if (published_.seq >= seq) return Status::OK();
+  ++watermark_waiters_;
   const bool reached = watermark_cv_.WaitFor(watermark_mutex_, timeout, [&] {
     watermark_mutex_.AssertHeld();
     return published_.seq >= seq ||
            writer_done_.load(std::memory_order_acquire);
   });
+  --watermark_waiters_;
   if (published_.seq >= seq) return Status::OK();
   return Status::Unavailable(
       reached ? "server stopped before ticket " + std::to_string(seq) +

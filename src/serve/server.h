@@ -298,6 +298,8 @@ class AncServer {
   mutable util::Mutex watermark_mutex_;
   util::CondVar watermark_cv_;
   Watermark published_ ANC_GUARDED_BY(watermark_mutex_);
+  // AwaitSeq callers blocked on watermark_cv_ (read by tests).
+  uint32_t watermark_waiters_ ANC_GUARDED_BY(watermark_mutex_) = 0;
 
   mutable util::Mutex writer_status_mutex_;
   Status writer_status_ ANC_GUARDED_BY(writer_status_mutex_);

@@ -59,6 +59,14 @@ class ShardedView {
   uint32_t VotesOf(EdgeId e, uint32_t level) const {
     return views_[router_->EdgeOwner(e)]->VotesOf(e, level);
   }
+  /// The pass test of `level`, bound once per query. One shard owns every
+  /// edge, so its view's test answers without a router lookup; at k >= 2
+  /// each edge is dispatched to its vote owner.
+  template <typename Fn>
+  auto WithPassTest(uint32_t level, Fn&& fn) const {
+    if (views_.size() == 1) return views_[0]->WithPassTest(level, fn);
+    return fn([this, level](EdgeId e) { return EdgePassesVote(e, level); });
+  }
 
   // --- Vector watermark ---------------------------------------------------
   uint32_t num_shards() const { return static_cast<uint32_t>(views_.size()); }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -14,6 +15,7 @@
 
 #include "activation/stream_generators.h"
 #include "check/test_hooks.h"
+#include "core/anc.h"
 #include "datasets/synthetic.h"
 #include "pyramid/clustering.h"
 #include "pyramid/pyramid_index.h"
@@ -470,6 +472,144 @@ TEST(ClusteringKernelTest, VisitedStampWrapClearsStaleMarks) {
   fresh.join();
 }
 
+/// `count` distinct ids drawn uniformly from [0, num_nodes), always with
+/// the largest id among them, in random order.
+std::vector<NodeId> RandomDistinctIds(uint32_t num_nodes, size_t count,
+                                      Rng& rng) {
+  std::unordered_set<NodeId> seen = {num_nodes - 1};
+  while (seen.size() < count) {
+    seen.insert(static_cast<NodeId>(rng.Uniform(num_nodes)));
+  }
+  std::vector<NodeId> ids(seen.begin(), seen.end());
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.Uniform(i)]);
+  }
+  return ids;
+}
+
+TEST(ClusteringKernelTest, SortNodeIdsMatchesStdSort) {
+  // Graph sizes whose ids need 0 to 32 key bits, across the one-, two- and
+  // three-pass radix widths; answers on both sides of the std::sort cutoff.
+  const uint32_t graph_sizes[] = {1,    2,    63,           64,
+                                  65,   2047, 2048,         2049,
+                                  (1u << 22) + 3, UINT32_MAX};
+  const size_t answer_sizes[] = {1,
+                                 2,
+                                 kRadixSortMinIds - 1,
+                                 kRadixSortMinIds,
+                                 kRadixSortMinIds + 1,
+                                 2 * kRadixSortMinIds + 7,
+                                 3000};
+  Rng rng(37);
+  for (uint32_t num_nodes : graph_sizes) {
+    for (size_t size : answer_sizes) {
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<NodeId> ids =
+            RandomDistinctIds(num_nodes, std::min<size_t>(size, num_nodes), rng);
+        std::vector<NodeId> want = ids;
+        std::sort(want.begin(), want.end());
+        SortNodeIds(&ids, num_nodes);
+        ASSERT_EQ(ids, want) << "n " << num_nodes << " size " << size;
+      }
+    }
+  }
+}
+
+/// Every answer of `got` equals the one of `want`: power and even
+/// clusterings and every node's local cluster at every level, and every
+/// node's smallest cluster.
+template <typename WantT, typename GotT>
+void ExpectSameAnswers(const WantT& want, const GotT& got,
+                       const std::string& what) {
+  const Graph& g = want.graph();
+  ASSERT_EQ(got.num_levels(), want.num_levels()) << what;
+  for (uint32_t level = 1; level <= want.num_levels(); ++level) {
+    const Clustering want_power = PowerClusteringOf(want, level);
+    const Clustering got_power = PowerClusteringOf(got, level);
+    ASSERT_EQ(got_power.num_clusters, want_power.num_clusters)
+        << what << " power level " << level;
+    ASSERT_EQ(got_power.labels, want_power.labels)
+        << what << " power level " << level;
+    const Clustering want_even = EvenClusteringOf(want, level);
+    const Clustering got_even = EvenClusteringOf(got, level);
+    ASSERT_EQ(got_even.num_clusters, want_even.num_clusters)
+        << what << " even level " << level;
+    ASSERT_EQ(got_even.labels, want_even.labels)
+        << what << " even level " << level;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      ASSERT_EQ(LocalClusterOf(got, v, level), LocalClusterOf(want, v, level))
+          << what << " local level " << level << " node " << v;
+    }
+  }
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    for (uint32_t min_size : {2u, 20u}) {
+      std::vector<NodeId> want_members;
+      std::vector<NodeId> got_members;
+      ASSERT_EQ(SmallestClusterLevelOf(got, v, min_size, &got_members),
+                SmallestClusterLevelOf(want, v, min_size, &want_members))
+          << what << " smallest node " << v;
+      ASSERT_EQ(got_members, want_members) << what << " smallest node " << v;
+    }
+  }
+}
+
+TEST(ClusteringKernelTest, EveryVoteSourceAnswersByteIdentically) {
+  // Four communities with no edges between them, so a community-aligned
+  // 2-shard partition cuts nothing and every stream is partition-local.
+  Rng rng(41);
+  PlantedPartitionParams planted;
+  planted.num_communities = 4;
+  planted.min_size = 70;  // level-1 answers pass the radix cutoff
+  planted.max_size = 100;
+  planted.p_in = 0.15;
+  planted.mixing = 0.0;
+  const GroundTruthGraph data = PlantedPartition(planted, rng);
+  const Graph& g = data.graph;
+  const ActivationStream stream =
+      CommunityBiasedStream(g, data.truth.labels, 20, 0.05, 4.0, rng);
+
+  // k = 4 pyramids read one vote byte per edge; k = 12 read two.
+  for (uint32_t k : {4u, 12u}) {
+    const std::string what = "k=" + std::to_string(k);
+    AncConfig config;
+    config.pyramid.num_pyramids = k;
+    config.pyramid.seed = 5;
+    config.mode = AncMode::kOnline;
+    AncIndex oracle(g, config);
+    ASSERT_TRUE(oracle.ApplyStream(stream).ok());
+    const PyramidIndex& live = oracle.index();
+
+    const auto view = std::make_shared<const serve::ClusterView>(
+        g, oracle.ExportClusterState(), /*epoch=*/1, serve::Watermark{});
+    ExpectSameAnswers(live, *view, what + " ClusterView");
+    if (HasFatalFailure()) return;
+
+    shard::Partition one_shard;
+    one_shard.num_shards = 1;
+    one_shard.node_shard.assign(g.NumNodes(), 0);
+    const shard::ShardedView single(
+        g, std::make_shared<const shard::Router>(g, one_shard), {view});
+    ExpectSameAnswers(live, single, what + " ShardedView k=1");
+    if (HasFatalFailure()) return;
+
+    if (k != 4) continue;
+    shard::ShardedOptions options;
+    options.partition.num_shards = 2;
+    options.partition.explicit_assignment = data.truth.labels;
+    for (uint32_t& s : options.partition.explicit_assignment) s %= 2;
+    auto created = shard::ShardedServer::Create(g, config, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    shard::ShardedServer& server = *created.value();
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(server.SubmitStream(stream).ok());
+    ASSERT_TRUE(server.Flush(std::chrono::milliseconds(30000)).ok());
+    EXPECT_EQ(server.halo_deliveries(), 0u);
+    ExpectSameAnswers(live, server.View(), what + " ShardedView k=2");
+    server.Stop();
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(ServeClusteringKernelTest, FourThreadsQueryTwoServersWhileWritersPublish) {
   // Query threads keep one visited-stamp array each and move between two
   // graphs of different size (the array grows and is reused), while both
@@ -545,6 +685,78 @@ TEST(ServeClusteringKernelTest, FourThreadsQueryTwoServersWhileWritersPublish) {
     server->Stop();
     EXPECT_TRUE(server->writer_status().ok());
   }
+}
+
+/// The smallest-cluster answer of SmallestClusterLevelOf, from the
+/// reference local kernel.
+template <typename IndexT>
+std::vector<NodeId> ReferenceSmallestClusterOf(const IndexT& index,
+                                               NodeId query,
+                                               uint32_t min_size) {
+  for (uint32_t level = index.num_levels(); level > 1; --level) {
+    std::vector<NodeId> members = ReferenceLocalClusterOf(index, query, level);
+    if (members.size() >= min_size) return members;
+  }
+  return ReferenceLocalClusterOf(index, query, 1);
+}
+
+TEST(ServeClusteringKernelTest, FourThreadsRunEveryQueryOnOneServerWhileItsWriterPublishes) {
+  // Every query thread keeps its own visited stamps and radix buffer while
+  // the one-shard server's writer publishes a view per batch: each
+  // captured view answers as the reference kernels do, and the server's
+  // own query front answers throughout.
+  Rng rng(31);
+  const Graph g = BarabasiAlbert(900, 3, rng);
+  const ActivationStream stream = UniformStream(g, 40, 0.05, rng);
+
+  AncConfig config;
+  config.pyramid.num_pyramids = 3;
+  config.mode = AncMode::kOnline;
+  shard::ShardedOptions options;
+  options.partition.num_shards = 1;
+  options.serve.snapshot_every_activations = 1;
+  auto created = shard::ShardedServer::Create(g, config, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  shard::ShardedServer& server = *created.value();
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&server, &stop, r] {
+      Rng local(700 + r);
+      uint64_t reads = 0;
+      while (!stop.load(std::memory_order_acquire) || reads < 8) {
+        const shard::ShardedView view = server.View();
+        const NodeId node =
+            static_cast<NodeId>(local.Uniform(view.graph().NumNodes()));
+        const uint32_t level =
+            1 + static_cast<uint32_t>(local.Uniform(view.num_levels()));
+        ASSERT_EQ(view.LocalCluster(node, level),
+                  ReferenceLocalClusterOf(view, node, level));
+        ASSERT_EQ(view.SmallestCluster(node, 64),
+                  ReferenceSmallestClusterOf(view, node, 64));
+        const auto local_answer = server.LocalCluster(node, level);
+        ASSERT_TRUE(local_answer.ok());
+        ASSERT_TRUE(std::is_sorted(local_answer->begin(), local_answer->end()));
+        const auto smallest = server.SmallestCluster(node, 64);
+        ASSERT_TRUE(smallest.ok());
+        ASSERT_TRUE(std::binary_search(smallest->begin(), smallest->end(), node));
+        if (reads % 8 == 0) {
+          ASSERT_EQ(view.Clusters(level).labels,
+                    ReferencePowerClusteringOf(view, level).labels);
+          ASSERT_TRUE(server.Clusters().ok());
+        }
+        ++reads;
+      }
+    });
+  }
+  ASSERT_TRUE(server.SubmitStream(stream).ok());
+  ASSERT_TRUE(server.Flush(std::chrono::milliseconds(30000)).ok());
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  server.Stop();
+  EXPECT_TRUE(server.writer_status().ok());
 }
 
 }  // namespace

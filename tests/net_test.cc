@@ -593,6 +593,20 @@ TEST(NetServerTest, ShardedBackendMatchesShardedView) {
 // watermark built from the other shard's progress would answer at once
 // from a view missing the write.
 
+/// Releases `parked` once a reader blocks on `shard`'s published
+/// watermark, or once `answered` shows a read returned without blocking.
+std::thread ReleaseWhenAwaited(ParkedWriter& parked,
+                               const serve::AncServer& shard,
+                               const std::atomic<bool>& answered) {
+  return std::thread([&parked, &shard, &answered] {
+    while (check::TestHooks::WatermarkWaiters(shard) == 0 &&
+           !answered.load()) {
+      std::this_thread::yield();
+    }
+    parked.Release();
+  });
+}
+
 TEST(NetServerTest, BarrierReadWaitsForTheOwningShard) {
   GroundTruthGraph gt = SmallCommunityGraph();
   std::unique_ptr<shard::ShardedServer> sharded =
@@ -612,14 +626,14 @@ TEST(NetServerTest, BarrierReadWaitsForTheOwningShard) {
   Result<SubmitAck> ack = backend.Submit(&write, 1);
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
 
-  std::thread releaser([&parked] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    parked.Release();
-  });
+  std::atomic<bool> answered{false};
+  std::thread releaser =
+      ReleaseWhenAwaited(parked, sharded->shard(1), answered);
   QueryBody query;
   query.min_seq = ack->last_seq;
   Result<MembersBody> answer = backend.LocalCluster(query);
   const bool waited = parked.released();
+  answered.store(true);
   releaser.join();
   EXPECT_TRUE(waited) << "barrier read returned before shard 1 applied "
                          "ticket " << ack->last_seq;
@@ -652,13 +666,13 @@ TEST(NetServerTest, CachedAnswerDoesNotCoverAnUnpublishedShardWrite) {
   // body under the stamp the barrier read below looks up.
   ASSERT_TRUE(client.LocalCluster(0).ok());
 
-  std::thread releaser([&parked] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    parked.Release();
-  });
+  std::atomic<bool> answered{false};
+  std::thread releaser =
+      ReleaseWhenAwaited(parked, sharded->shard(1), answered);
   Result<MembersBody> answer =
       client.LocalCluster(0, /*level=*/0, /*min_seq=*/ack->last_seq);
   const bool waited = parked.released();
+  answered.store(true);
   releaser.join();
   EXPECT_TRUE(waited) << "cached body served a barrier it does not cover";
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();

@@ -672,12 +672,23 @@ TEST(ServeStressTest, ConcurrentReadersAndProducers) {
 TEST(IngestQueueTest, TracksHighWatermarkAndOldestAge) {
   obs::MetricsRegistry registry;
   IngestQueue q(IngestOptions{}, &registry);
+  const auto before = std::chrono::steady_clock::now();
   ASSERT_TRUE(PushOne(q, {0, 1.0}).ok());
   ASSERT_TRUE(PushOne(q, {0, 2.0}).ok());
   ASSERT_TRUE(PushOne(q, {0, 3.0}).ok());
   EXPECT_EQ(q.high_watermark(), 3u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_GT(q.OldestAgeSeconds(), 0.005);
+  // The oldest entry ages with the clock: its age passes 5 ms, and never
+  // exceeds the time since the first push.
+  const auto deadline = before + std::chrono::seconds(10);
+  double age = 0.0;
+  while ((age = q.OldestAgeSeconds()) <= 0.005 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(age, 0.005);
+  EXPECT_LE(age, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - before)
+                     .count());
 
   std::vector<Activation> batch;
   ASSERT_EQ(q.PopBatch(&batch, 16, std::chrono::microseconds(0)), 3u);
