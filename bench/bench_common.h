@@ -1,6 +1,7 @@
 #ifndef ANC_BENCH_BENCH_COMMON_H_
 #define ANC_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -46,6 +47,15 @@ Clustering BestLevelClustering(const AncIndex& anc, uint32_t target,
 /// Per-edge anchored activeness snapshot (weights for baselines that
 /// cluster the weighted snapshot graph).
 std::vector<double> ActivenessSnapshot(const AncIndex& anc);
+
+/// The median of `values` (the upper one of an even count); `values` must
+/// not be empty.
+template <typename T>
+T Median(std::vector<T> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
 
 /// Fixed-width table printing helpers shared by the bench mains.
 void PrintHeader(const std::string& title);

@@ -32,13 +32,6 @@ namespace {
 
 constexpr int kRepeats = 5;
 
-template <typename T>
-T Median(std::vector<T> values) {
-  std::nth_element(values.begin(), values.begin() + values.size() / 2,
-                   values.end());
-  return values[values.size() / 2];
-}
-
 /// Draws activations until `batch` of them change the weight `index` holds
 /// for their edge (counting earlier updates of the same batch). Gives up
 /// after a bounded number of draws; the caller reports a short batch.

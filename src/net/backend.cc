@@ -67,13 +67,14 @@ uint64_t Backend::StampFor(const shard::ShardedView& view) {
   // One shard never changes owner (a handoff needs two), so its epoch is
   // already a collision-free monotone stamp.
   if (view.num_shards() == 1) return view.shard(0).epoch();
-  // Fold the vertex->shard assignment epoch in alongside the per-shard view
+  // Fold the view's assignment epoch in alongside the per-shard view
   // epochs: live migration changes which shard owns an edge without touching
   // any shard's view epoch, so a cached answer merged under the old
-  // assignment would otherwise survive the swap. assignment_epoch() is
-  // monotonic, so reading it after View() can only over-invalidate.
+  // assignment would otherwise survive the swap. The epoch is the one
+  // captured with the view's router; the server's current one could pair a
+  // view merged under the old router with the new assignment.
   std::vector<uint64_t> epochs = view.Epochs();
-  epochs.push_back(server_->assignment_epoch());
+  epochs.push_back(view.assignment_epoch());
   util::MutexLock lock(stamp_mutex_);
   if (epochs != last_epochs_) {
     last_epochs_ = std::move(epochs);

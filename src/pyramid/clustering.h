@@ -215,8 +215,15 @@ class BasicZoomCursor {
     return true;
   }
 
-  /// All clusters at the cursor's granularity (power clustering).
-  Clustering Clusters() const { return PowerClusteringOf(*index_, level_); }
+  /// All clusters at the cursor's granularity (power clustering), through
+  /// the source's own Clusters when it has one (a view's answer slot).
+  Clustering Clusters() const {
+    if constexpr (requires { index_->Clusters(level_); }) {
+      return index_->Clusters(level_);
+    } else {
+      return PowerClusteringOf(*index_, level_);
+    }
+  }
 
   /// The local cluster of `query` at the cursor's granularity.
   std::vector<NodeId> Local(NodeId query) const {

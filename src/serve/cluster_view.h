@@ -1,8 +1,11 @@
 #ifndef ANC_SERVE_CLUSTER_VIEW_H_
 #define ANC_SERVE_CLUSTER_VIEW_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "graph/clustering_types.h"
 #include "graph/graph.h"
 #include "pyramid/clustering.h"
+#include "util/status.h"
 
 namespace anc::serve {
 
@@ -36,7 +40,8 @@ struct Watermark {
 /// watermark. Views are shared by shared_ptr: any number of query threads
 /// read one concurrently with zero synchronization (all state is const
 /// after construction), while the writer keeps mutating the live index and
-/// publishing fresh views.
+/// publishing fresh views. The one exception is the answer slots behind
+/// Clusters: each is filled once, under std::call_once, and read-only after.
 class ClusterView {
  public:
   ClusterView(const Graph& graph, AncIndex::ClusterState state,
@@ -45,7 +50,8 @@ class ClusterView {
         state_(std::move(state)),
         epoch_(epoch),
         watermark_(watermark),
-        published_at_(std::chrono::steady_clock::now()) {}
+        published_at_(std::chrono::steady_clock::now()),
+        slots_(std::make_unique<Slot[]>(2 * num_levels())) {}
 
   ClusterView(const ClusterView&) = delete;
   ClusterView& operator=(const ClusterView&) = delete;
@@ -84,9 +90,18 @@ class ClusterView {
   // --- Queries (identical semantics to AncIndex) --------------------------
 
   /// All clusters at `level` (power clustering by default; Section V-B).
+  /// The view never changes, so the first call per (level, mode) runs the
+  /// O(n + m) sweep into that pair's slot and every later call copies the
+  /// n labels out of it.
   Clustering Clusters(uint32_t level, bool power = true) const {
-    return power ? PowerClusteringOf(*this, level)
-                 : EvenClusteringOf(*this, level);
+    ANC_CHECK(level >= 1 && level <= num_levels(), "level out of range");
+    Slot& slot = slots_[2 * (level - 1) + (power ? 0 : 1)];
+    std::call_once(slot.once, [&] {
+      slot.answer = power ? PowerClusteringOf(*this, level)
+                          : EvenClusteringOf(*this, level);
+      slot.filled.store(true, std::memory_order_release);
+    });
+    return slot.answer;
   }
 
   /// All clusters at the Theta(sqrt n) default granularity (Problem 1.1).
@@ -114,9 +129,17 @@ class ClusterView {
     return BasicZoomCursor<ClusterView>(*this);
   }
 
-  /// Heap bytes of the captured vote tables.
+  /// Heap bytes of the captured vote tables and the answer slots: at most
+  /// 2 * num_levels() * n labels once every slot is filled.
   size_t MemoryBytes() const {
-    return sizeof(*this) + state_.vote_counts.MemoryBytes();
+    size_t bytes = sizeof(*this) + state_.vote_counts.MemoryBytes();
+    for (uint32_t i = 0; i < 2 * num_levels(); ++i) {
+      bytes += sizeof(Slot);
+      if (slots_[i].filled.load(std::memory_order_acquire)) {
+        bytes += slots_[i].answer.labels.capacity() * sizeof(uint32_t);
+      }
+    }
+    return bytes;
   }
 
  private:
@@ -125,6 +148,15 @@ class ClusterView {
   uint64_t epoch_;
   Watermark watermark_;
   std::chrono::steady_clock::time_point published_at_;
+
+  /// The Clusters answer of one (level, mode), computed on first use.
+  struct Slot {
+    std::once_flag once;
+    std::atomic<bool> filled{false};  // answer readable (MemoryBytes)
+    Clustering answer;
+  };
+  /// slots_[2 * (level - 1)] is power clustering, the next one even.
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace anc::serve

@@ -720,35 +720,38 @@ void ShardedServer::SetTraceSink(obs::TraceSink* sink) {
   }
 }
 
-ShardedView ShardedServer::View() const {
-  ANC_CHECK(started_once_, "ShardedServer::View before Start()");
+ShardedView ShardedServer::View() const { return Capture(nullptr, {}); }
+
+ShardedView ShardedServer::GatherView(obs::TraceContext trace) const {
+  obs::ScopedTimer gather_timer(&registry_, gather_us_);
+  return Capture(obs::kMetricsEnabled ? registry_.trace_sink() : nullptr,
+                 trace);
+}
+
+ShardedView ShardedServer::Capture(obs::TraceSink* sink,
+                                   obs::TraceContext trace) const {
+  ANC_CHECK(started_once_, "ShardedServer view captured before Start()");
   // Router snapshot FIRST, per-shard views second. A migration publishes
   // the target shard's post-import view *before* swapping the router, so
   // in this order a capture holding the new assignment always sees the
   // target's imported state; the reverse order could pair a new router
-  // with a pre-import view.
-  const std::shared_ptr<const Router> router = this->router();
-  std::vector<std::shared_ptr<const serve::ClusterView>> views;
-  views.reserve(shards_.size());
-  for (const Shard& shard : shards_) views.push_back(shard.server->View());
-  return ShardedView(*graph_, router, std::move(views));
-}
-
-ShardedView ShardedServer::GatherView(obs::TraceContext trace) const {
-  ANC_CHECK(started_once_, "ShardedServer::GatherView before Start()");
-  obs::ScopedTimer gather_timer(&registry_, gather_us_);
-  obs::TraceSink* sink =
-      obs::kMetricsEnabled ? registry_.trace_sink() : nullptr;
-  // Same router-before-views capture order as View() (see the comment
-  // there): required for migration consistency.
-  const std::shared_ptr<const Router> router = this->router();
+  // with a pre-import view. The assignment epoch moves with the router
+  // under router_mutex_, so the pair read here always belongs together.
+  std::shared_ptr<const Router> router;
+  uint64_t assignment_epoch = 0;
+  {
+    util::MutexLock lock(router_mutex_);
+    router = router_;
+    assignment_epoch = assignment_epoch_.load(std::memory_order_relaxed);
+  }
   std::vector<std::shared_ptr<const serve::ClusterView>> views;
   views.reserve(shards_.size());
   for (uint32_t s = 0; s < num_shards(); ++s) {
     obs::TraceSpan span(sink, "shard.gather", trace, static_cast<int>(s));
     views.push_back(shards_[s].server->View());
   }
-  return ShardedView(*graph_, router, std::move(views));
+  return ShardedView(*graph_, std::move(router), std::move(views),
+                     assignment_epoch);
 }
 
 Result<Clustering> ShardedServer::Clusters(uint32_t level) const {
@@ -978,8 +981,8 @@ Status ShardedServer::FinalizeHandoff(
       util::MutexLock router_lock(router_mutex_);
       router_ = std::move(new_router);
       partition_stats_ = std::move(new_stats);
+      assignment_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
-    assignment_epoch_.fetch_add(1, std::memory_order_acq_rel);
     handoff_.reset();
   }
   // The swap is committed; persist the new assignment so a clean restart

@@ -226,9 +226,11 @@ class ShardedServer {
   std::shared_ptr<const Router> router() const;
   PartitionStats partition_stats() const;
   uint32_t num_shards() const { return num_shards_; }
-  /// Bumped every time the vertex→shard assignment swaps (live migration).
-  /// Folded into the net layer's cache-epoch vector so a cached answer
-  /// merged under an old assignment can never be served after a swap.
+  /// Bumped every time the vertex→shard assignment swaps (live migration),
+  /// under the same lock as the swap. Every captured view carries the
+  /// epoch of its router (ShardedView::assignment_epoch), and the net
+  /// layer folds that into its cache stamp, so a cached answer merged under
+  /// an old assignment can never be served after a swap.
   uint64_t assignment_epoch() const {
     return assignment_epoch_.load(std::memory_order_acquire);
   }
@@ -416,6 +418,10 @@ class ShardedServer {
   /// Captures the vector watermark like View(), emitting one shard.gather
   /// span per shard under `trace` (and the gather_us histogram).
   ShardedView GatherView(obs::TraceContext trace) const;
+  /// The one capture behind View() and GatherView(); spans go to `sink`
+  /// when it is non-null.
+  ShardedView Capture(obs::TraceSink* sink, obs::TraceContext trace) const
+      ANC_EXCLUDES(router_mutex_);
 
   /// watermark() / durable_watermark(): the lowest per-shard mark over the
   /// shards that still owe deliveries, or every issued ticket when none
@@ -458,6 +464,8 @@ class ShardedServer {
   mutable util::Mutex router_mutex_;
   std::shared_ptr<const Router> router_ ANC_GUARDED_BY(router_mutex_);
   PartitionStats partition_stats_ ANC_GUARDED_BY(router_mutex_);
+  /// Written under router_mutex_ only; atomic so assignment_epoch() reads
+  /// it lock-free.
   std::atomic<uint64_t> assignment_epoch_{1};
   std::atomic<uint64_t> next_migration_id_{1};
   /// Per-shard flag: a rolled-back migration left imports in the live

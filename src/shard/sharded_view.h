@@ -35,11 +35,16 @@ class ShardedView {
   /// `graph` must outlive the view. `router` is the assignment snapshot the
   /// merge dispatches through — shared ownership, because a live migration
   /// can swap the server's router underneath a captured view (the view must
-  /// keep merging under the assignment it was captured with). `views` must
-  /// hold one non-null snapshot per router shard.
+  /// keep merging under the assignment it was captured with), and
+  /// `assignment_epoch` is the server's assignment epoch read together with
+  /// it. `views` must hold one non-null snapshot per router shard.
   ShardedView(const Graph& graph, std::shared_ptr<const Router> router,
-              std::vector<std::shared_ptr<const serve::ClusterView>> views)
-      : graph_(&graph), router_(std::move(router)), views_(std::move(views)) {
+              std::vector<std::shared_ptr<const serve::ClusterView>> views,
+              uint64_t assignment_epoch = 0)
+      : graph_(&graph),
+        router_(std::move(router)),
+        views_(std::move(views)),
+        assignment_epoch_(assignment_epoch) {
     ANC_CHECK(router_ != nullptr, "ShardedView needs a router snapshot");
     ANC_CHECK(views_.size() == router_->num_shards(),
               "ShardedView needs one snapshot per shard");
@@ -71,8 +76,10 @@ class ShardedView {
   // --- Vector watermark ---------------------------------------------------
   uint32_t num_shards() const { return static_cast<uint32_t>(views_.size()); }
   const serve::ClusterView& shard(uint32_t s) const { return *views_[s]; }
-  /// The assignment this capture merges under.
+  /// The assignment this capture merges under, and its epoch
+  /// (ShardedServer::assignment_epoch when the router was captured).
   const Router& router() const { return *router_; }
+  uint64_t assignment_epoch() const { return assignment_epoch_; }
 
   /// Per-shard publication epochs — the vector watermark of this capture.
   std::vector<uint64_t> Epochs() const {
@@ -94,8 +101,11 @@ class ShardedView {
   // --- Queries (identical semantics to AncIndex / ClusterView) ------------
 
   /// All clusters at `level`, merged across shards (power clustering by
-  /// default; Section V-B).
+  /// default; Section V-B). One shard's answer is its snapshot's, computed
+  /// once per view (ClusterView::Clusters); a k >= 2 merge runs the sweep
+  /// per query.
   Clustering Clusters(uint32_t level, bool power = true) const {
+    if (views_.size() == 1) return views_[0]->Clusters(level, power);
     return power ? PowerClusteringOf(*this, level)
                  : EvenClusteringOf(*this, level);
   }
@@ -133,6 +143,7 @@ class ShardedView {
   const Graph* graph_;
   std::shared_ptr<const Router> router_;
   std::vector<std::shared_ptr<const serve::ClusterView>> views_;
+  uint64_t assignment_epoch_;
 };
 
 }  // namespace anc::shard

@@ -499,7 +499,8 @@ TEST(NetServerTest, CacheHitIsByteIdenticalAndInvalidatedOnPublish) {
 
   // Publish a new snapshot: the next request observes a newer epoch and
   // the cache is invalidated wholesale.
-  std::vector<Activation> more = MakeActivations(gt.graph, 32, /*seed=*/5, /*t0=*/1000.0);
+  std::vector<Activation> more =
+      MakeActivations(gt.graph, 32, /*seed=*/5, /*t0=*/1000.0);
   ASSERT_TRUE(client.SubmitBatch(more).ok());
   ASSERT_TRUE(client.Flush().ok());
 
@@ -583,6 +584,55 @@ TEST(NetServerTest, ShardedBackendMatchesShardedView) {
 
   net_server.Stop();
   sharded.Stop();
+}
+
+// --- Cache stamps across a live migration ---------------------------------
+
+/// A leader backend whose view stamps the test can read directly.
+class StampingBackend : public ShardedBackend {
+ public:
+  using ShardedBackend::ShardedBackend;
+  using Backend::StampFor;
+};
+
+// A view captured inside FinalizeHandoff's commit merges under the old
+// assignment, after the target shard republished. Stamped after the swap,
+// it must not share its stamp with a post-swap view of the same shard
+// epochs: NetServer would cache its answer under a stamp that reads of the
+// new assignment hit.
+TEST(NetServerTest, ViewPinnedDuringHandoffKeepsTheOldAssignmentStamp) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  std::unique_ptr<shard::ShardedServer> sharded =
+      StartSharded(gt.graph, ShardOptions(2));
+  ASSERT_NE(sharded, nullptr);
+  StampingBackend backend(sharded.get());
+  const std::vector<Activation> batch = MakeActivations(gt.graph, 48);
+  ASSERT_TRUE(backend.Submit(batch.data(), batch.size()).ok());
+  ASSERT_TRUE(backend.Flush(kAwait).ok());
+
+  // Move one vertex of shard 0 to shard 1.
+  shard::Partition moved = sharded->router()->partition();
+  NodeId mover = 0;
+  while (mover < gt.graph.NumNodes() && moved.node_shard[mover] != 0) {
+    ++mover;
+  }
+  ASSERT_LT(mover, gt.graph.NumNodes());
+  moved.node_shard[mover] = 1;
+  ASSERT_TRUE(sharded->BeginHandoff({mover}, 0, 1).ok());
+  std::vector<shard::ShardedView> during;
+  const Status finalized = sharded->FinalizeHandoff(
+      std::make_shared<const shard::Router>(gt.graph, moved),
+      shard::ComputeStats(gt.graph, moved),
+      [&](std::vector<Activation>) {
+        during.push_back(sharded->View());
+        return Status::OK();
+      });
+  ASSERT_TRUE(finalized.ok()) << finalized.ToString();
+  ASSERT_EQ(during.size(), 1u);
+  const shard::ShardedView after = sharded->View();
+  ASSERT_EQ(during[0].Epochs(), after.Epochs()) << "a shard published";
+  EXPECT_LT(during[0].assignment_epoch(), after.assignment_epoch());
+  EXPECT_NE(backend.StampFor(during[0]), backend.StampFor(after));
 }
 
 // --- Read barrier on a sharded leader -------------------------------------
@@ -778,7 +828,8 @@ TEST(NetReplicationTest, FollowerNeverAheadOfLeaderAndBarrierHolds) {
   // barrier read on the follower must refuse (never serve staler than
   // min_seq) and the replica-set client must fall back to the leader.
   puller.Pause(true);
-  std::vector<Activation> more = MakeActivations(gt.graph, 16, /*seed=*/21, /*t0=*/1000.0);
+  std::vector<Activation> more =
+      MakeActivations(gt.graph, 16, /*seed=*/21, /*t0=*/1000.0);
   Result<SubmitAck> ack2 = client.SubmitBatch(more);
   ASSERT_TRUE(ack2.ok());
   ASSERT_TRUE(client.Flush().ok());

@@ -25,6 +25,8 @@
 #include "check/test_hooks.h"
 #include "core/anc.h"
 #include "datasets/synthetic.h"
+#include "net/backend.h"
+#include "net/protocol.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -234,7 +236,8 @@ TEST(IngestQueueTest, EntryAcceptedAfterABlockedWaitIsStampedWhenEnqueued) {
 TEST(ServeEquivalenceTest, ViewMatchesQuiescedIndexAfterFlush) {
   GroundTruthGraph data = SmallCommunityGraph();
   Rng rng(3);
-  ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
 
   // Served path: stream goes through the queue + writer thread.
   AncIndex served(data.graph, SmallConfig());
@@ -264,7 +267,8 @@ TEST(ServeEquivalenceTest, ViewMatchesQuiescedIndexAfterFlush) {
 TEST(ServeEquivalenceTest, ZoomCursorOnViewMatchesIndexCursor) {
   GroundTruthGraph data = SmallCommunityGraph(23);
   Rng rng(5);
-  ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 10, 0.1, 4.0, rng);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 10, 0.1, 4.0, rng);
 
   AncIndex index(data.graph, SmallConfig());
   AncServer server(&index, ServeOptions{});
@@ -299,12 +303,188 @@ TEST(ServeEquivalenceTest, ZoomCursorOnViewMatchesIndexCursor) {
   EXPECT_EQ(view_cursor.level(), view->num_levels());
 }
 
+// --- Answer slots of a view ----------------------------------------------
+
+/// Every (level, mode) answer of `view`, computed by the kernels directly
+/// (past the view's slots): answers[2 * (level - 1)] is power clustering,
+/// the next one even.
+std::vector<Clustering> KernelAnswers(const ClusterView& view) {
+  std::vector<Clustering> answers;
+  for (uint32_t level = 1; level <= view.num_levels(); ++level) {
+    answers.push_back(PowerClusteringOf(view, level));
+    answers.push_back(EvenClusteringOf(view, level));
+  }
+  return answers;
+}
+
+void ExpectSameClustering(const Clustering& got, const Clustering& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.num_clusters, want.num_clusters) << what;
+  EXPECT_EQ(got.labels, want.labels) << what;
+}
+
+TEST(ServeClusterViewTest, RacingFirstCallsFillEachSlotWithTheKernelAnswer) {
+  GroundTruthGraph data = SmallCommunityGraph(31);
+  Rng rng(7);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
+  AncIndex index(data.graph, SmallConfig());
+  ASSERT_TRUE(index.ApplyStream(stream).ok());
+  const auto view = std::make_shared<const ClusterView>(
+      data.graph, index.ExportClusterState(), /*epoch=*/1, Watermark{});
+  const std::vector<Clustering> want = KernelAnswers(*view);
+  // Power and even differ somewhere, so one slot serving both shows.
+  bool modes_differ = false;
+  for (size_t i = 0; i < want.size(); i += 2) {
+    modes_differ |= want[i].labels != want[i + 1].labels;
+  }
+  ASSERT_TRUE(modes_differ);
+
+  // Four threads start together; each walks every (level, mode) from its
+  // own offset, so first calls on one slot race.
+  constexpr int kThreads = 4;
+  const size_t num_slots = want.size();
+  std::vector<std::vector<Clustering>> got(kThreads,
+                                           std::vector<Clustering>(num_slots));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t step = 0; step < num_slots; ++step) {
+        const size_t i = (step + static_cast<size_t>(t)) % num_slots;
+        const uint32_t level = static_cast<uint32_t>(i / 2) + 1;
+        got[t][i] = view->Clusters(level, /*power=*/i % 2 == 0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < num_slots; ++i) {
+      ExpectSameClustering(got[t][i], want[i],
+                           "thread " + std::to_string(t) + " slot " +
+                               std::to_string(i));
+    }
+  }
+}
+
+TEST(ServeClusterViewTest, RepeatedCallsMatchTheLiveIndexAndNewPublishes) {
+  GroundTruthGraph data = SmallCommunityGraph(37);
+  Rng rng(9);
+  ActivationStream first = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
+  ActivationStream second = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
+  const double shift = first.back().time;
+  for (Activation& a : second) a.time += shift;
+
+  AncIndex served(data.graph, SmallConfig());
+  AncServer server(&served, ServeOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  SubmitAll(server, first);
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  const std::shared_ptr<const ClusterView> old_view = server.View();
+  const uint32_t num_levels = old_view->num_levels();
+  std::vector<Clustering> old_answers;
+  for (uint32_t level = 1; level <= num_levels; ++level) {
+    for (bool power : {true, false}) {
+      old_answers.push_back(old_view->Clusters(level, power));
+    }
+  }
+
+  SubmitAll(server, second);
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  server.Stop();
+  const std::shared_ptr<const ClusterView> new_view = server.View();
+  ASSERT_NE(new_view, old_view);
+
+  // The new view answers the live (quiesced) index, call after call; the
+  // retained old view still answers the state it was published at.
+  AncIndex before(data.graph, SmallConfig());
+  ASSERT_TRUE(before.ApplyStream(first).ok());
+  bool state_moved = false;
+  for (uint32_t level = 1; level <= num_levels; ++level) {
+    for (bool power : {true, false}) {
+      const std::string what = "level " + std::to_string(level) +
+                               (power ? " power" : " even");
+      const Clustering live = served.Clusters(level, power);
+      for (int call = 0; call < 3; ++call) {
+        ExpectSameClustering(new_view->Clusters(level, power), live,
+                             what + " new view call " + std::to_string(call));
+        ExpectSameClustering(old_view->Clusters(level, power),
+                             before.Clusters(level, power),
+                             what + " old view call " + std::to_string(call));
+      }
+      state_moved |= live.labels != before.Clusters(level, power).labels;
+    }
+  }
+  EXPECT_TRUE(state_moved) << "the second batch changed no answer";
+}
+
+TEST(ServeClusterViewTest, ServerBackendAndCursorShareTheViewSlots) {
+  GroundTruthGraph data = SmallCommunityGraph(41);
+  Rng rng(13);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
+  std::unique_ptr<shard::ShardedServer> server = StartOneShard(data.graph);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->SubmitStream(stream).ok());
+  ASSERT_TRUE(server->Flush(kAwait).ok());
+  net::ShardedBackend backend(server.get());
+
+  // Nothing publishes from here on, so every read below pins the snapshot
+  // `view` holds, and each first call fills one of its slots.
+  const shard::ShardedView view = server->View();
+  const ClusterView& snapshot = view.shard(0);
+  const std::vector<Clustering> want = KernelAnswers(snapshot);
+  const size_t answer_bytes = data.graph.NumNodes() * sizeof(uint32_t);
+  const size_t empty_bytes = snapshot.MemoryBytes();
+  const uint32_t num_levels = snapshot.num_levels();
+  ASSERT_GE(num_levels, 3u);
+  const uint32_t cursor_level = snapshot.DefaultLevel();
+  const uint32_t server_level = cursor_level == 1 ? 2 : 1;
+  const uint32_t backend_level = cursor_level == num_levels ? num_levels - 1
+                                                            : num_levels;
+  ASSERT_NE(server_level, backend_level);
+
+  const Result<Clustering> from_server = server->Clusters(server_level);
+  ASSERT_TRUE(from_server.ok()) << from_server.status().ToString();
+  ExpectSameClustering(*from_server, want[2 * (server_level - 1)], "server");
+  EXPECT_EQ(snapshot.MemoryBytes(), empty_bytes + answer_bytes);
+
+  net::QueryBody query;
+  query.level = backend_level;
+  const Result<net::ClustersBody> from_backend = backend.Clusters(query);
+  ASSERT_TRUE(from_backend.ok()) << from_backend.status().ToString();
+  EXPECT_EQ(from_backend->labels, want[2 * (backend_level - 1)].labels);
+  EXPECT_EQ(from_backend->num_clusters,
+            want[2 * (backend_level - 1)].num_clusters);
+  EXPECT_EQ(snapshot.MemoryBytes(), empty_bytes + 2 * answer_bytes);
+
+  ExpectSameClustering(view.Zoom().Clusters(), want[2 * (cursor_level - 1)],
+                       "cursor");
+  EXPECT_EQ(snapshot.MemoryBytes(), empty_bytes + 3 * answer_bytes);
+
+  // Every slot filled: the view holds at most 2 * L * n labels.
+  for (uint32_t level = 1; level <= num_levels; ++level) {
+    ExpectSameClustering(view.Clusters(level, /*power=*/false),
+                         want[2 * (level - 1) + 1],
+                         "even level " + std::to_string(level));
+    (void)view.Clusters(level);
+  }
+  EXPECT_EQ(snapshot.MemoryBytes(),
+            empty_bytes + 2 * num_levels * answer_bytes);
+  server->Stop();
+}
+
 // --- Watermark / durability ----------------------------------------------
 
 TEST(ServeWatermarkTest, AwaitSeqIsLinearizable) {
   GroundTruthGraph data = SmallCommunityGraph(31);
   Rng rng(9);
-  ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 15, 0.1, 4.0, rng);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 15, 0.1, 4.0, rng);
 
   AncIndex index(data.graph, SmallConfig());
   ServeOptions options;
@@ -589,7 +769,8 @@ TEST(ServeEdgeCaseTest, ServerQueriesValidateRanges) {
 TEST(ServeStressTest, ConcurrentReadersAndProducers) {
   GroundTruthGraph data = SmallCommunityGraph(83);
   Rng rng(19);
-  ActivationStream stream = CommunityBiasedStream(data.graph, data.truth.labels, 20, 0.05, 4.0, rng);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.05, 4.0, rng);
 
   ServeOptions options;
   options.ingest.clamp_out_of_order = true;  // racing producers
