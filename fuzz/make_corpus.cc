@@ -3,8 +3,9 @@
 // production writers (WalAppender, DurableStore, SaveIndex, the net::
 // frame codec, tier::SegmentWriter, tier::TieredStore::WriteHead), so the
 // checked-in corpora under fuzz/corpus/ always decode on the current
-// format version. index/checkpoint_v1.idx is not written here: it is kept
-// from the version-1 checkpoint writer, for LoadIndex's version-1 path.
+// format version. index/checkpoint_v1.idx and index/checkpoint_v2.idx are
+// not written here: they are kept from the version-1 and version-2
+// checkpoint writers, for LoadIndex's older-version paths.
 // Rerun after a format change:
 //
 //   cmake -B build -S . -DANC_FUZZ=ON && cmake --build build --target make_corpus

@@ -58,7 +58,8 @@ Status ActivenessStore::ActivateAll(const ActivationStream& stream) {
 
 Status ActivenessStore::RestoreAnchored(std::vector<double> anchored,
                                         double anchor_time,
-                                        double last_time) {
+                                        double last_time,
+                                        uint64_t since_rescale) {
   if (anchored.size() != anchored_.size()) {
     return Status::InvalidArgument("anchored size mismatch");
   }
@@ -68,7 +69,7 @@ Status ActivenessStore::RestoreAnchored(std::vector<double> anchored,
   anchored_.Assign(anchored);
   anchor_time_ = anchor_time;
   last_time_ = last_time;
-  since_rescale_ = 0;
+  since_rescale_ = since_rescale;
   return Status::OK();
 }
 

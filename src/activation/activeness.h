@@ -116,6 +116,9 @@ class ActivenessStore {
   /// the decay-maintenance ablation).
   uint64_t rescale_count() const { return rescale_count_; }
 
+  /// Activations counted toward the next interval rescale.
+  uint64_t since_rescale() const { return since_rescale_; }
+
   /// Registers a callback invoked with the applied factor g whenever a
   /// batched rescale fires, so state derived from the activeness (PosM
   /// similarity, sigma caches) stays anchored at the same t* (Lemma 2).
@@ -127,7 +130,7 @@ class ActivenessStore {
   /// wholesale. Size must match; timestamps must satisfy
   /// anchor_time <= last_time.
   Status RestoreAnchored(std::vector<double> anchored, double anchor_time,
-                         double last_time);
+                         double last_time, uint64_t since_rescale = 0);
 
  private:
   /// Test-only corruption seam (tests/check_test.cc): lets the invariant-

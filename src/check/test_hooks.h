@@ -104,7 +104,7 @@ class TestHooks {
 
   // --- Serving-stack constants, per object --------------------------------
 
-  /// Caps the activations the writer drains per batch (AncServer::kMaxBatch
+  /// Caps the activations the writer drains per batch (serve::kWriterBatch
   /// otherwise; must be >= 1). Call before Start().
   static void SetWriterMaxBatch(serve::AncServer& server, size_t max_batch) {
     server.max_batch_ = max_batch;

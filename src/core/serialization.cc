@@ -21,12 +21,16 @@ namespace {
 // truncation with InvalidArgument instead of loading silently-corrupt
 // state; the magic and the explicit version field reject files from a
 // different format generation (the ANCIDX01/ANCIDX02 full snapshots
-// included) rather than misparsing them. Version 2 stores each partition
-// tree as seeds, seed_of, dist and parent_edge; version 1 also stored the
-// parent and three child/sibling link vectors, which the loader skips.
+// included) rather than misparsing them. Version 3 adds, after the
+// similarity page table, the rescale interval and its counter, the sigma
+// numerator page table and A(v), so a loaded index continues bit for bit;
+// versions 1 and 2 recompute the caches by summation. Version 2 stores each
+// partition tree as seeds, seed_of, dist and parent_edge; version 1 also
+// stored the parent and three child/sibling link vectors, which the loader
+// skips.
 constexpr char kMagic[8] = {'A', 'N', 'C', 'T', 'H', 'D', '0', '1'};
 constexpr char kOldMagicPrefix[6] = {'A', 'N', 'C', 'I', 'D', 'X'};
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr uint32_t kLinkedTreeVersion = 1;
 // Corruption guard: refuse to allocate payloads beyond this (a corrupt
 // size field must not drive a multi-GB resize).
@@ -194,11 +198,13 @@ Status ReadPageTable(std::istream& in, const std::string& path,
 Status SaveIndex(const AncIndex& index, const std::string& path) {
   const SimilarityEngine::Snapshot snapshot = index.engine().TakeSnapshot();
   return SaveIndex(index, InlineColumn(snapshot.anchored_activeness),
-                   InlineColumn(snapshot.similarity), path);
+                   InlineColumn(snapshot.similarity),
+                   InlineColumn(snapshot.sigma_numerator), path);
 }
 
 Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
-                 const HeadColumn& similarity, const std::string& path) {
+                 const HeadColumn& similarity, const HeadColumn& sigma,
+                 const std::string& path) {
   // Serialize the payload into memory first so its checksum and size can
   // frame it.
   std::ostringstream out(std::ios::binary);
@@ -235,6 +241,14 @@ Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
   WritePod(out, activeness.last_time());
   WritePageTable(out, anchored);
   WritePageTable(out, similarity);
+  WritePod<uint64_t>(out, config.similarity.rescale_interval);
+  WritePod<uint64_t>(out, activeness.since_rescale());
+  WritePageTable(out, sigma);
+  std::vector<double> node_activity(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    node_activity[v] = index.engine().NodeActivity(v);
+  }
+  WriteVec(out, node_activity);
 
   // --- ANCOR interval bookkeeping ---
   WritePod(out, index.last_reinforce_time());
@@ -287,11 +301,11 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
       !ReadPod(file, &crc)) {
     return Status::InvalidArgument(path + ": truncated index header");
   }
-  if (version != kFormatVersion && version != kLinkedTreeVersion) {
+  if (version < kLinkedTreeVersion || version > kFormatVersion) {
     return Status::InvalidArgument(path + ": index format version " +
                                    std::to_string(version) +
                                    " is not one this build reads (" +
-                                   std::to_string(kLinkedTreeVersion) + " or " +
+                                   std::to_string(kLinkedTreeVersion) + " to " +
                                    std::to_string(kFormatVersion) + ")");
   }
   if (payload_bytes > kMaxPayloadBytes) {
@@ -362,6 +376,17 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
                                   &snapshot.anchored_activeness));
   ANC_RETURN_NOT_OK(
       ReadPageTable(in, path, tier_dir, &mappings, &snapshot.similarity));
+  if (version >= 3) {
+    if (!ReadPod(in, &config.similarity.rescale_interval) ||
+        !ReadPod(in, &snapshot.since_rescale)) {
+      return Status::IoError(path + ": truncated similarity section");
+    }
+    ANC_RETURN_NOT_OK(ReadPageTable(in, path, tier_dir, &mappings,
+                                    &snapshot.sigma_numerator));
+    if (!ReadVec(in, &snapshot.node_activity, kMaxElements)) {
+      return Status::IoError(path + ": truncated similarity section");
+    }
+  }
 
   // --- ANCOR interval bookkeeping ---
   double last_reinforce_time = 0.0;
@@ -391,8 +416,9 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
     if (!read) return Status::IoError(path + ": truncated partition tree");
   }
 
-  // FromSnapshot rebuilds sigma caches and votes from the materialized
-  // vectors, so inline and referenced pages load to the same bytes.
+  // FromSnapshot rebuilds the votes (and, before version 3, the sigma
+  // caches) from the materialized vectors, so inline and referenced pages
+  // load to the same bytes.
   LoadedIndex loaded;
   loaded.index =
       AncIndex::FromSnapshot(*graph, config, snapshot, std::move(trees));

@@ -13,12 +13,12 @@ namespace anc {
 
 /// The checkpoint format ("ANCTHD01", docs/durability.md): graph topology,
 /// configuration, anchored similarity/activeness state, ANCOR bookkeeping
-/// and the pyramid partition trees (exact, tie-breaks included). The two
-/// large per-edge arrays — anchored activeness and anchored similarity —
-/// are stored as page tables: each page is either inline payload or a
-/// {segment, offset, bytes, crc} reference into a sealed tier segment
-/// (docs/storage_tiers.md). Sigma caches and vote tallies are recomputed on
-/// load, so every page-table shape of one state loads byte-identically.
+/// and the pyramid partition trees (exact, tie-breaks included). The three
+/// large per-edge arrays — anchored activeness, anchored similarity and the
+/// sigma numerators — are stored as page tables: each page is either inline
+/// payload or a {segment, offset, bytes, crc} reference into a sealed tier
+/// segment (docs/storage_tiers.md). Vote tallies are recomputed on load, so
+/// every page-table shape of one state loads byte-identically.
 
 /// Directory, next to a checkpoint file, that its page references resolve
 /// against (the TieredStore of the same store directory).
@@ -48,11 +48,12 @@ struct HeadColumn {
 /// without fsync — the store's checkpoint flow owns temp-file/fsync/rename.
 Status SaveIndex(const AncIndex& index, const std::string& path);
 
-/// Writes a checkpoint of `index` whose anchored-activeness and similarity
-/// arrays are the given page tables (TieredStore::WriteHead passes segment
-/// references built from its live columns).
+/// Writes a checkpoint of `index` whose anchored-activeness, similarity and
+/// sigma-numerator arrays are the given page tables (TieredStore::WriteHead
+/// passes segment references built from its live columns).
 Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
-                 const HeadColumn& similarity, const std::string& path);
+                 const HeadColumn& similarity, const HeadColumn& sigma,
+                 const std::string& path);
 
 /// A loaded index together with the graph it references. The graph is heap
 /// allocated and pointer-stable, so the AncIndex's internal reference stays

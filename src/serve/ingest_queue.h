@@ -13,10 +13,14 @@
 
 namespace anc::serve {
 
+/// Activations a writer drains per wakeup, and the default queue bound: a
+/// deeper queue adds only waiting (docs/serving.md, "Knobs").
+inline constexpr size_t kWriterBatch = 256;
+
 struct IngestOptions {
   /// A full queue blocks the producer until the writer drains a slot, so
   /// every accepted activation is applied.
-  size_t capacity = 4096;
+  size_t capacity = kWriterBatch;
   /// Activation timestamps must be non-decreasing across *all* producers
   /// (the index's stream contract). With multiple wall-clock producers,
   /// small inversions at the ingest boundary are expected; true clamps an

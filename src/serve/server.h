@@ -259,19 +259,15 @@ class AncServer {
 
   friend class ::anc::check::TestHooks;
 
-  /// Writer batch coalescing: up to this many queued activations are
-  /// drained and applied per wakeup, amortizing snapshot publication (and
-  /// letting the similarity layer's batched rescale amortize per Lemma 1).
-  static constexpr size_t kMaxBatch = 256;
   /// Idle wakeup granularity of the writer (how often an idle writer runs
   /// queued RunQuiesced callbacks and tier upkeep).
   static constexpr std::chrono::microseconds kIdleWait{1000};
 
   AncIndex* index_;
   ServeOptions options_;
-  // kMaxBatch and kIdleWait, except where a test hook changed them before
+  // kWriterBatch and kIdleWait, except where a test hook changed them before
   // Start(); read by the writer thread only.
-  size_t max_batch_ = kMaxBatch;
+  size_t max_batch_ = kWriterBatch;
   std::chrono::microseconds idle_wait_ = kIdleWait;
   IngestQueue queue_;
   store::DurableStore* const store_;  // null or the constructor's store

@@ -412,20 +412,33 @@ SimilarityEngine::Snapshot SimilarityEngine::TakeSnapshot() const {
     snapshot.anchored_activeness[e] = activeness_.Anchored(e);
   }
   snapshot.similarity = similarity_.ToVector();
+  snapshot.since_rescale = activeness_.since_rescale();
+  snapshot.node_activity = node_activity_;
+  snapshot.sigma_numerator = sigma_numerator_.ToVector();
   return snapshot;
 }
 
 Status SimilarityEngine::Restore(const Snapshot& snapshot) {
+  const bool has_caches = !snapshot.node_activity.empty() ||
+                          !snapshot.sigma_numerator.empty();
   if (snapshot.anchored_activeness.size() != graph_->NumEdges() ||
-      snapshot.similarity.size() != graph_->NumEdges()) {
+      snapshot.similarity.size() != graph_->NumEdges() ||
+      (has_caches &&
+       (snapshot.node_activity.size() != graph_->NumNodes() ||
+        snapshot.sigma_numerator.size() != graph_->NumEdges()))) {
     return Status::InvalidArgument(
         "snapshot does not match the engine's graph");
   }
-  ANC_RETURN_NOT_OK(activeness_.RestoreAnchored(snapshot.anchored_activeness,
-                                                snapshot.anchor_time,
-                                                snapshot.last_time));
+  ANC_RETURN_NOT_OK(activeness_.RestoreAnchored(
+      snapshot.anchored_activeness, snapshot.anchor_time, snapshot.last_time,
+      snapshot.since_rescale));
   similarity_.Assign(snapshot.similarity);
   for (EdgeId e = 0; e < graph_->NumEdges(); ++e) ClampSimilarity(e);
+  if (has_caches) {
+    node_activity_ = snapshot.node_activity;
+    sigma_numerator_.Assign(snapshot.sigma_numerator);
+    return Status::OK();
+  }
   for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
     node_activity_[v] = RecomputeNodeActivity(v);
   }

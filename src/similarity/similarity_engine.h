@@ -168,16 +168,24 @@ class SimilarityEngine {
   struct Snapshot {
     double anchor_time = 0.0;
     double last_time = 0.0;
+    /// Activations since the last batched rescale, so a restored engine
+    /// rescales where the original would have.
+    uint64_t since_rescale = 0;
     std::vector<double> anchored_activeness;  // per edge
     std::vector<double> similarity;           // per edge
+    /// The sigma caches A(v) (per node) and num(e) (per edge). The live
+    /// engine accumulates them by += delta, which a summation from the
+    /// activeness matches only to a few ULPs; empty vectors (checkpoints
+    /// older than ANCTHD01 version 3) are recomputed on Restore.
+    std::vector<double> node_activity;
+    std::vector<double> sigma_numerator;
   };
 
-  /// Captures the current state. The sigma caches are derived and not
-  /// included; Restore() recomputes them.
+  /// Captures the current state, sigma caches included.
   Snapshot TakeSnapshot() const;
 
-  /// Restores a snapshot taken from an engine over the same graph,
-  /// rebuilding the sigma caches. O(n + sum_e min-deg).
+  /// Restores a snapshot taken from an engine over the same graph. Sigma
+  /// caches the snapshot lacks are rebuilt, O(n + sum_e min-deg).
   Status Restore(const Snapshot& snapshot);
 
   /// Hands the per-edge arrays (anchored activeness, similarity, sigma

@@ -530,22 +530,23 @@ void TieredStore::GcLocked() {
 
 Status TieredStore::WriteHead(const AncIndex& index, const std::string& path) {
   util::MutexLock lock(mutex_);
-  ColumnBase* anchored = FindColumnLocked(kColAnchored);
-  ColumnBase* similarity = FindColumnLocked(kColSimilarity);
-  if (anchored == nullptr || similarity == nullptr) {
+  ColumnBase* const sources[3] = {FindColumnLocked(kColAnchored),
+                                  FindColumnLocked(kColSimilarity),
+                                  FindColumnLocked(kColSigma)};
+  for (const ColumnBase* column : sources) {
     // Nothing attached (e.g. the index was rebuilt without re-attaching):
     // an all-inline checkpoint is always correct.
-    return SaveIndex(index, path);
+    if (column == nullptr) return SaveIndex(index, path);
   }
 
-  // Segment promotion: every page of the two persisted columns whose
+  // Segment promotion: every page of the three persisted columns whose
   // current bytes are not already in a sealed segment gets spilled now —
   // the pages stay resident (NoteClean), only their bytes gain a durable
   // cold home. The head below then references segments exclusively, so
   // checkpoint I/O scales with the pages dirtied since the last head, not
   // with the index.
   std::vector<std::pair<ColumnBase*, size_t>> promote;
-  for (ColumnBase* column : {anchored, similarity}) {
+  for (ColumnBase* column : sources) {
     for (size_t p = 0; p < column->num_pages(); ++p) {
       if (column->ColdCopy(p) == nullptr) promote.emplace_back(column, p);
     }
@@ -586,9 +587,8 @@ Status TieredStore::WriteHead(const AncIndex& index, const std::string& path) {
   // inside some live segment; resolve each pointer back to its
   // (segment, offset, crc) directory entry.
   staged_refs_.clear();
-  HeadColumn tables[2];
-  ColumnBase* sources[2] = {anchored, similarity};
-  for (int c = 0; c < 2; ++c) {
+  HeadColumn tables[3];
+  for (int c = 0; c < 3; ++c) {
     ColumnBase* column = sources[c];
     HeadColumn& table = tables[c];
     table.elems = column->size();
@@ -625,7 +625,7 @@ Status TieredStore::WriteHead(const AncIndex& index, const std::string& path) {
       staged_refs_.insert(head_page.segment);
     }
   }
-  return SaveIndex(index, tables[0], tables[1], path);
+  return SaveIndex(index, tables[0], tables[1], tables[2], path);
 }
 
 std::function<Status(const AncIndex&, const std::string&)>

@@ -113,6 +113,51 @@ TEST(SerializationTest, RestoredIndexContinuesTheStream) {
   std::remove(path.c_str());
 }
 
+TEST(SerializationTest, CheckpointedIndexReplaysToTheSameBits) {
+  // The live engine accumulates A(v) and the sigma numerators by += delta,
+  // which a summation from the activeness matches only to a few ULPs, and
+  // reinforcement grows such a gap. So a checkpoint taken anywhere in the
+  // stream, loaded and fed the rest of it, must land on exactly the bits
+  // of the index that never stopped. A short rescale interval makes the
+  // interval rescales fall between the split points.
+  Rng rng(7);
+  Graph g = BarabasiAlbert(200, 3, rng);
+  AncConfig config = TestConfig();
+  config.similarity.rescale_interval = 97;
+  const ActivationStream stream = UniformStream(g, 12, 0.03, rng);
+  AncIndex uninterrupted(g, config);
+  ASSERT_TRUE(uninterrupted.ApplyStream(stream).ok());
+  const SimilarityEngine& want = uninterrupted.engine();
+
+  const std::string path = TempPath("anc_replay_bits.idx");
+  for (const size_t split : {stream.size() / 7, stream.size() / 3,
+                             stream.size() / 2, stream.size() - 5}) {
+    AncIndex prefix(g, config);
+    const std::span<const Activation> all(stream);
+    ASSERT_TRUE(prefix.ApplyBatch(all.first(split)).first_error.ok());
+    ASSERT_TRUE(SaveIndex(prefix, path).ok());
+    Result<LoadedIndex> loaded = LoadIndex(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    AncIndex& restored = *loaded.value().index;
+    ASSERT_TRUE(restored.ApplyBatch(all.subspan(split)).first_error.ok());
+
+    const SimilarityEngine& got = restored.engine();
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      ASSERT_EQ(got.Similarity(e), want.Similarity(e))
+          << "split " << split << " edge " << e;
+      ASSERT_EQ(got.activeness().Anchored(e), want.activeness().Anchored(e))
+          << "split " << split << " edge " << e;
+      ASSERT_EQ(got.SigmaNumerator(e), want.SigmaNumerator(e))
+          << "split " << split << " edge " << e;
+    }
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      ASSERT_EQ(got.NodeActivity(v), want.NodeActivity(v))
+          << "split " << split << " node " << v;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SerializationTest, RestoreTakesTheDefaultThreadCount) {
   // The worker count is a runtime choice: a checkpoint written by a
   // one-thread index restores onto this build's default, and the
@@ -292,8 +337,8 @@ TEST(SerializationTest, VersionSkewRejected) {
   ASSERT_TRUE(LoadIndex(path).ok());
 
   // Matching magic but a version field this build does not know (it reads
-  // 1 and 2) is rejected too.
-  for (const uint32_t version : {0u, 3u, 99u}) {
+  // 1 to 3) is rejected too.
+  for (const uint32_t version : {0u, 4u, 99u}) {
     {
       std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
       file.seekp(8);
@@ -307,15 +352,13 @@ TEST(SerializationTest, VersionSkewRejected) {
   std::remove(path.c_str());
 }
 
-TEST(SerializationTest, LoadsVersionOneCheckpoint) {
-  // A version-1 file stores each partition tree with a parent vector and
-  // three child/sibling link vectors, which the loader skips. This seed was
-  // written by the version-1 writer from fuzz/make_corpus.cc's 6-node graph
-  // under the default config, with no activation applied, so a fresh build
-  // over the loaded graph and config must give the same answers, before and
-  // after the same stream.
-  Result<LoadedIndex> loaded = LoadIndex(
-      std::string(ANC_SOURCE_DIR) + "/fuzz/corpus/index/checkpoint_v1.idx");
+/// Loads an older-version seed of the fuzz corpus. Each was written from
+/// fuzz/make_corpus.cc's 6-node graph under the default config, with no
+/// activation applied, so a fresh build over the loaded graph and config
+/// must give the same answers, before and after the same stream.
+void ExpectSeedContinuesLikeAFreshBuild(const char* seed) {
+  Result<LoadedIndex> loaded = LoadIndex(std::string(ANC_SOURCE_DIR) +
+                                         "/fuzz/corpus/index/" + seed);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   AncIndex& restored = *loaded.value().index;
   const Graph& g = *loaded.value().graph;
@@ -349,6 +392,17 @@ TEST(SerializationTest, LoadsVersionOneCheckpoint) {
       }
     }
   }
+}
+
+TEST(SerializationTest, LoadsVersionOneCheckpoint) {
+  // A version-1 file stores each partition tree with a parent vector and
+  // three child/sibling link vectors, which the loader skips.
+  ExpectSeedContinuesLikeAFreshBuild("checkpoint_v1.idx");
+}
+
+TEST(SerializationTest, LoadsVersionTwoCheckpoint) {
+  // A version-2 file has no sigma caches; the loader recomputes them.
+  ExpectSeedContinuesLikeAFreshBuild("checkpoint_v2.idx");
 }
 
 TEST(SerializationTest, MultiPageColumnsRoundTrip) {

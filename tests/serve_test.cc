@@ -557,12 +557,13 @@ TEST(ServeCadenceTest, DrainedBatchPublishesWithoutATimer) {
 TEST(ServeCadenceTest, SaturatedWriterStillPublishesEverySnapshotInterval) {
   GroundTruthGraph data = SmallCommunityGraph(61);
   AncIndex index(data.graph, SmallConfig());
+  constexpr size_t kQueued = 1024;
   ServeOptions options;
+  options.ingest.capacity = kQueued;  // the whole stream waits in the queue
   AncServer server(&index, options);
   check::TestHooks::SetWriterMaxBatch(server, 16);
   ASSERT_TRUE(server.Start().ok());
 
-  constexpr size_t kQueued = 1024;
   ActivationStream stream;
   for (size_t i = 0; i < kQueued; ++i) {
     stream.push_back({static_cast<EdgeId>(i % data.graph.NumEdges()),
@@ -581,6 +582,50 @@ TEST(ServeCadenceTest, SaturatedWriterStillPublishesEverySnapshotInterval) {
   EXPECT_GE(server.View()->epoch() - epoch_before,
             kQueued / options.snapshot_every_activations);
   server.Stop();
+}
+
+TEST(ServeIngestBoundTest, ClosedLoopProducerQueuesAtMostOneWriterBatch) {
+  // The default queue holds one writer batch: a closed-loop producer that
+  // runs ahead of a parked writer blocks once kWriterBatch activations
+  // wait, so none waits behind more than one batch, and it finishes once
+  // the writer drains.
+  GroundTruthGraph data = SmallCommunityGraph(67);
+  std::unique_ptr<shard::ShardedServer> server = StartOneShard(data.graph);
+  ASSERT_NE(server, nullptr);
+  serve::AncServer& shard = server->shard(0);
+  constexpr size_t kTotal = 4 * serve::kWriterBatch;
+  std::atomic<size_t> submitted{0};
+  size_t submitted_while_parked = 0;
+  {
+    ParkedWriter parked(&shard);
+    std::thread producer([&] {
+      for (size_t i = 0; i < kTotal; ++i) {
+        const Activation activation{
+            static_cast<EdgeId>(i % data.graph.NumEdges()),
+            static_cast<double>(i + 1)};
+        EXPECT_TRUE(server->Submit(activation).ok());
+        submitted.fetch_add(1);
+      }
+    });
+    const auto deadline = std::chrono::steady_clock::now() + kAwait;
+    while (shard.IngestDepth() < serve::kWriterBatch &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Long enough for a producer that was not blocked to finish.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(shard.IngestDepth(), serve::kWriterBatch);
+    submitted_while_parked = submitted.load();
+    parked.Release();
+    producer.join();
+  }
+  EXPECT_LT(submitted_while_parked, kTotal)
+      << "the producer never blocked on the full queue";
+  EXPECT_EQ(submitted.load(), kTotal);
+  ASSERT_TRUE(server->Flush(kAwait).ok());
+  EXPECT_EQ(server->watermark().seq, kTotal);
+  EXPECT_LE(shard.IngestHighWatermark(), serve::kWriterBatch);
+  server->Stop();
 }
 
 TEST(ServeWatermarkTest, RejectPolicySurfacesUnavailable) {
