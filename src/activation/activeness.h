@@ -130,7 +130,7 @@ class ActivenessStore {
   /// wholesale. Size must match; timestamps must satisfy
   /// anchor_time <= last_time.
   Status RestoreAnchored(std::vector<double> anchored, double anchor_time,
-                         double last_time, uint64_t since_rescale = 0);
+                         double last_time, uint64_t since_rescale);
 
  private:
   /// Test-only corruption seam (tests/check_test.cc): lets the invariant-

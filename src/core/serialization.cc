@@ -21,9 +21,10 @@ namespace {
 // truncation with InvalidArgument instead of loading silently-corrupt
 // state; the magic and the explicit version field reject files from a
 // different format generation (the ANCIDX01/ANCIDX02 full snapshots
-// included) rather than misparsing them. Version 3 adds, after the
-// similarity page table, the rescale interval and its counter, the sigma
-// numerator page table and A(v), so a loaded index continues bit for bit;
+// included) rather than misparsing them. Version 3 adds the rescale
+// interval to the configuration and, after the similarity page table, the
+// interval's counter, the sigma numerator page table and A(v), so a loaded
+// index continues bit for bit;
 // versions 1 and 2 recompute the caches by summation. Version 2 stores each
 // partition tree as seeds, seed_of, dist and parent_edge; version 1 also
 // stored the parent and three child/sibling link vectors, which the loader
@@ -234,6 +235,7 @@ Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
   WritePod<uint8_t>(out, static_cast<uint8_t>(config.mode));
   WritePod(out, config.rep);
   WritePod(out, config.reinforce_interval);
+  WritePod<uint64_t>(out, config.similarity.rescale_interval);
 
   // --- similarity / activeness state, as page tables ---
   const ActivenessStore& activeness = index.engine().activeness();
@@ -241,14 +243,9 @@ Status SaveIndex(const AncIndex& index, const HeadColumn& anchored,
   WritePod(out, activeness.last_time());
   WritePageTable(out, anchored);
   WritePageTable(out, similarity);
-  WritePod<uint64_t>(out, config.similarity.rescale_interval);
   WritePod<uint64_t>(out, activeness.since_rescale());
   WritePageTable(out, sigma);
-  std::vector<double> node_activity(g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    node_activity[v] = index.engine().NodeActivity(v);
-  }
-  WriteVec(out, node_activity);
+  WriteVec(out, index.engine().NodeActivities());
 
   // --- ANCOR interval bookkeeping ---
   WritePod(out, index.last_reinforce_time());
@@ -357,6 +354,9 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
             ReadPod(in, &config.pyramid.seed) &&
             ReadPod(in, &saved_num_threads) && ReadPod(in, &mode) &&
             ReadPod(in, &config.rep) && ReadPod(in, &config.reinforce_interval);
+  if (ok && version >= 3) {
+    ok = ReadPod(in, &config.similarity.rescale_interval);
+  }
   if (!ok) return Status::IoError(path + ": truncated config section");
   if (mode > static_cast<uint8_t>(AncMode::kOnlineReinforce)) {
     return Status::InvalidArgument(path + ": unknown mode byte");
@@ -377,8 +377,7 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
   ANC_RETURN_NOT_OK(
       ReadPageTable(in, path, tier_dir, &mappings, &snapshot.similarity));
   if (version >= 3) {
-    if (!ReadPod(in, &config.similarity.rescale_interval) ||
-        !ReadPod(in, &snapshot.since_rescale)) {
+    if (!ReadPod(in, &snapshot.since_rescale)) {
       return Status::IoError(path + ": truncated similarity section");
     }
     ANC_RETURN_NOT_OK(ReadPageTable(in, path, tier_dir, &mappings,

@@ -92,8 +92,13 @@ HealthReport ShardHealthMonitor::Assess(
     ShardScorecard card;
     card.shard = shard.shard;
     card.sample = shard;
-    Check("queue_depth", shard.queue_depth, t.degraded_queue_depth,
-          t.critical_queue_depth, &card.state, &card.reasons);
+    if (shard.queue_capacity > 0 &&
+        shard.queue_depth >= shard.queue_capacity) {
+      card.state = Worse(card.state, HealthState::kDegraded);
+      card.reasons.push_back(
+          "queue_depth " + std::to_string(shard.queue_depth) +
+          " >= capacity " + std::to_string(shard.queue_capacity));
+    }
     Check("queue_oldest_age_s", shard.queue_oldest_age_s,
           t.degraded_staleness_s, t.critical_staleness_s, &card.state,
           &card.reasons);

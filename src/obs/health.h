@@ -22,6 +22,7 @@ struct ShardHealthSample {
   uint32_t shard = 0;
   uint64_t accepted = 0;        ///< per-shard tickets issued
   size_t queue_depth = 0;       ///< unapplied activations in the queue
+  size_t queue_capacity = 0;    ///< the queue's bound (0: not reported)
   double queue_oldest_age_s = 0.0;  ///< age of the oldest queued entry
   uint64_t applied_seq = 0;     ///< published watermark ticket
   uint64_t durable_seq = 0;     ///< fsynced watermark ticket
@@ -53,7 +54,10 @@ struct ClusterHealthSample {
 
 /// Degraded / critical trip points. Every check trips kDegraded at the
 /// degraded_* value and kCritical at the critical_* value; the report's
-/// state is the worst tripped check. Defaults reflect docs/sharding.md:
+/// state is the worst tripped check. A shard's queue depth is judged
+/// against the queue's own capacity instead: a full queue (producers
+/// blocked) is degraded, and the staleness checks grade how long it stays
+/// that way. Defaults reflect docs/sharding.md:
 /// LDG cuts ~10-20% of community-structured edges where hash approaches
 /// (k-1)/k, so a 25% cut ratio separates "partitioner doing its job" from
 /// "ingest dominated by halo duplication".
@@ -62,8 +66,6 @@ struct HealthThresholds {
   double critical_cut_ratio = 0.60;
   double degraded_balance = 1.5;
   double critical_balance = 2.5;
-  size_t degraded_queue_depth = 1024;
-  size_t critical_queue_depth = 16384;
   double degraded_staleness_s = 0.5;  ///< queue oldest-entry age / view age
   double critical_staleness_s = 5.0;
   uint64_t degraded_durable_lag = 4096;  ///< applied_seq - durable_seq
@@ -83,7 +85,7 @@ struct HealthThresholds {
 };
 
 /// One shard's verdict: the tripped checks, each as a human-readable
-/// reason string ("queue_depth 9000 >= 1024").
+/// reason string ("queue_depth 256 >= capacity 256").
 struct ShardScorecard {
   uint32_t shard = 0;
   HealthState state = HealthState::kHealthy;

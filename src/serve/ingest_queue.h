@@ -101,6 +101,9 @@ class IngestQueue {
   /// blocking on a full queue.
   size_t high_watermark() const;
 
+  /// The bound a producer blocks at (IngestOptions::capacity, at least 1).
+  size_t capacity() const { return options_.capacity; }
+
   /// Age of the oldest queued entry (0 when empty) — the ingest-side
   /// staleness bound: everything published lags live time by at least
   /// this much. Gauge anc.serve.ingest_oldest_age_us tracks it at the

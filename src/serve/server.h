@@ -216,6 +216,7 @@ class AncServer {
   // --- Introspection ------------------------------------------------------
 
   size_t IngestDepth() const { return queue_.Depth(); }
+  size_t IngestCapacity() const { return queue_.capacity(); }
   uint64_t accepted() const { return queue_.accepted(); }
   uint64_t rejected() const { return queue_.rejected(); }
   /// Deepest the ingest queue has ever been (capacity headroom).

@@ -27,6 +27,7 @@ obs::ClusterHealthSample CollectHealthSample(const ShardedServer& server) {
     entry.shard = s;
     entry.accepted = shard.accepted();
     entry.queue_depth = shard.IngestDepth();
+    entry.queue_capacity = shard.IngestCapacity();
     entry.queue_oldest_age_s = shard.IngestOldestAgeSeconds();
     entry.applied_seq = shard.watermark().seq;
     entry.durable_seq = shard.durable_watermark().seq;

@@ -413,7 +413,6 @@ SimilarityEngine::Snapshot SimilarityEngine::TakeSnapshot() const {
   }
   snapshot.similarity = similarity_.ToVector();
   snapshot.since_rescale = activeness_.since_rescale();
-  snapshot.node_activity = node_activity_;
   snapshot.sigma_numerator = sigma_numerator_.ToVector();
   return snapshot;
 }

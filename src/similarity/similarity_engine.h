@@ -162,6 +162,7 @@ class SimilarityEngine {
   /// The incrementally maintained caches themselves (anchored), exposed so
   /// the anc::check validators can diff them against the recomputations.
   double NodeActivity(NodeId v) const { return node_activity_[v]; }
+  const std::vector<double>& NodeActivities() const { return node_activity_; }
   double SigmaNumerator(EdgeId e) const { return sigma_numerator_[e]; }
 
   /// Complete anchored state of the engine (serialization support).
@@ -181,7 +182,9 @@ class SimilarityEngine {
     std::vector<double> sigma_numerator;
   };
 
-  /// Captures the current state, sigma caches included.
+  /// Captures the per-edge state, the sigma numerators included; A(v) is
+  /// left empty (NodeActivities() hands it out without a copy), so Restore
+  /// takes a snapshot only once node_activity is filled in.
   Snapshot TakeSnapshot() const;
 
   /// Restores a snapshot taken from an engine over the same graph. Sigma

@@ -120,7 +120,8 @@ class TieredStore : public ColumnHost {
   Status Maintain();
 
   /// Checkpoint snapshot writer (plugs into StoreOptions::checkpoint_writer):
-  /// spills the dirty pages of the anchored/similarity columns into a fresh
+  /// spills the dirty pages of the anchored, similarity and sigma columns
+  /// into a fresh
   /// segment ("segment promotion"), then writes a checkpoint through
   /// SaveIndex whose page tables reference the sealed segments — checkpoint
   /// cost scales with the delta, not the index. With nothing attached it

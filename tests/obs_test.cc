@@ -478,6 +478,7 @@ ClusterHealthSample HealthyCluster() {
     shard.shard = s;
     shard.accepted = 10000;
     shard.queue_depth = 4;
+    shard.queue_capacity = 256;
     shard.queue_oldest_age_s = 0.001;
     shard.applied_seq = 9996;
     shard.durable_seq = 9990;
@@ -517,7 +518,8 @@ TEST(ShardHealthMonitorTest, HashLikeCutRatioTripsCluster) {
 TEST(ShardHealthMonitorTest, PerShardChecksTripIndependently) {
   const ShardHealthMonitor monitor;
   ClusterHealthSample sample = HealthyCluster();
-  sample.shards[1].queue_depth = 5000;       // degraded (>= 1024)
+  sample.shards[0].queue_depth = 255;        // one slot left: healthy
+  sample.shards[1].queue_depth = 256;        // full queue: degraded
   sample.shards[2].applied_seq = 100000;
   sample.shards[2].durable_seq = 1000;       // critical durable lag
   const HealthReport report = monitor.Assess(sample);

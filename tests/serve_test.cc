@@ -34,6 +34,7 @@
 #include "serve/cluster_view.h"
 #include "serve/ingest_queue.h"
 #include "serve/server.h"
+#include "shard/health.h"
 #include "shard/sharded_server.h"
 #include "util/rng.h"
 
@@ -615,6 +616,10 @@ TEST(ServeIngestBoundTest, ClosedLoopProducerQueuesAtMostOneWriterBatch) {
     // Long enough for a producer that was not blocked to finish.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_EQ(shard.IngestDepth(), serve::kWriterBatch);
+    // The health check grades a full queue against its own capacity.
+    const obs::HealthReport full = shard::AssessHealth(*server);
+    EXPECT_EQ(full.shards[0].state, obs::HealthState::kDegraded);
+    EXPECT_EQ(full.shards[0].sample.queue_capacity, serve::kWriterBatch);
     submitted_while_parked = submitted.load();
     parked.Release();
     producer.join();
@@ -625,6 +630,8 @@ TEST(ServeIngestBoundTest, ClosedLoopProducerQueuesAtMostOneWriterBatch) {
   ASSERT_TRUE(server->Flush(kAwait).ok());
   EXPECT_EQ(server->watermark().seq, kTotal);
   EXPECT_LE(shard.IngestHighWatermark(), serve::kWriterBatch);
+  EXPECT_EQ(shard::AssessHealth(*server).shards[0].state,
+            obs::HealthState::kHealthy);
   server->Stop();
 }
 
