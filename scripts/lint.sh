@@ -51,9 +51,10 @@ run_tidy() {
   fi
 }
 
-# Every field of every `struct *Options` in the serving directories must be
-# set somewhere outside tests/: a knob that only tests (or nothing) set is
-# a constant in disguise. A field counts as set when a line writes it —
+# Every field of every `struct *Options` or `struct *Thresholds` in the
+# serving and observability directories must be set somewhere outside
+# tests/: a knob that only tests (or nothing) set is a constant in
+# disguise. A field counts as set when a line writes it —
 # `=`, a brace initializer, `>>` or `.emplace(` — through a prefix of its
 # struct's type: a variable the same file declares with that type (or a
 # `using` alias of it), or a holder field of that type, so
@@ -62,8 +63,8 @@ run_tidy() {
 # deployment address, and every caller in the tree serves on loopback.
 check_options_have_callers() {
   local defs uses
-  defs=$(find src/net src/rebalance src/serve src/shard src/store src/tier \
-    -name '*.h' | sort)
+  defs=$(find src/net src/obs src/rebalance src/serve src/shard src/store \
+    src/tier -name '*.h' | sort)
   uses=$(find src bench examples perfbench fuzz \
     \( -name '*.cc' -o -name '*.h' -o -name '*.cpp' \) | sort)
   # shellcheck disable=SC2086
@@ -106,10 +107,10 @@ check_options_have_callers() {
     }
     # Pass 1: the struct definitions, their fields and type aliases.
     pass == 1 && /^class [A-Za-z_]+/ { cls = $2 }
-    pass == 1 && /^ *using [A-Za-z_]+ = [A-Za-z_]*Options;/ {
+    pass == 1 && /^ *using [A-Za-z_]+ = [A-Za-z_]*(Options|Thresholds);/ {
       t = $4; sub(/;/, "", t); type_of[cls "::" $2] = t
     }
-    pass == 1 && /^struct [A-Za-z_]*Options \{/ {
+    pass == 1 && /^struct [A-Za-z_]*(Options|Thresholds) \{/ {
       sname = $2; body = ""; inside = 1; type_of[sname] = sname; next
     }
     pass == 1 && inside && /^\};/ {
@@ -123,7 +124,7 @@ check_options_have_callers() {
         gsub(/[ \t]/, "", f)
         t = substr(d, 1, RSTART - 1)
         nfields++; fname[nfields] = f; fstruct[nfields] = sname
-        if (match(t, /[A-Za-z_]*Options/)) {
+        if (match(t, /[A-Za-z_]*(Options|Thresholds)/)) {
           prefix[substr(t, RSTART, RLENGTH), f] = 1  # a holder field
         }
       }
@@ -214,8 +215,9 @@ run_portable() {
     fail=1
   fi
   if ! check_options_have_callers; then
-    echo "[lint] error: the *Options fields above are set nowhere outside" \
-      "tests/ (make each a constant next to its user, or delete it)" >&2
+    echo "[lint] error: the *Options/*Thresholds fields above are set" \
+      "nowhere outside tests/ (make each a constant next to its user, or" \
+      "delete it)" >&2
     fail=1
   fi
 }

@@ -4,22 +4,12 @@
 #include <utility>
 
 #include "obs/json.h"
-#include "store/wal.h"
 
 namespace anc::net {
 namespace {
 
 /// How long a leader read waits for its min_seq barrier.
 constexpr std::chrono::milliseconds kBarrierTimeout{5000};
-
-/// Replication log budget. Overflow drops the oldest frames, and a follower
-/// that still needed them gets FailedPrecondition and must re-bootstrap.
-/// Bounds the RAM of a leader that no follower drains.
-constexpr size_t kMaxLogBytes = size_t{64} << 20;
-
-/// A follower that has not pulled within this window no longer pins the
-/// replication log (it re-bootstraps if it comes back too late).
-constexpr std::chrono::milliseconds kFollowerExpiry{10000};
 
 /// Resolves a requested level (0 = default) against a view's geometry.
 Result<uint32_t> ResolveLevel(const shard::ShardedView& view,
@@ -200,81 +190,12 @@ std::string Backend::HealthJson() {
 
 // --- ShardedBackend ---------------------------------------------------------
 
-ShardedBackend::ShardedBackend(shard::ShardedServer* server)
-    : Backend(server),
-      repl_log_bytes_id_(server->metrics().Gauge("anc.net.repl_log_bytes")) {}
-
-void ShardedBackend::UpdateLogGaugeLocked() {
-  server_->metrics().Set(repl_log_bytes_id_, static_cast<int64_t>(log_bytes_));
-}
-
-size_t ShardedBackend::replication_log_bytes() const {
-  util::MutexLock lock(log_mutex_);
-  return log_bytes_;
-}
-
-void ShardedBackend::TrimAckedLocked() {
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = followers_.begin(); it != followers_.end();) {
-    if (now - it->second.last_seen > kFollowerExpiry) {
-      it = followers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (followers_.empty()) return;
-  uint64_t min_acked = UINT64_MAX;
-  for (const auto& [id, ack] : followers_) {
-    min_acked = std::min(min_acked, ack.acked_seq);
-  }
-  // Every live follower holds tickets <= min_acked; shipping them again
-  // is impossible (pulls are strictly after the ack), so the entries are
-  // dead weight.
-  while (!log_.empty() && log_.front().last_seq <= min_acked) {
-    log_bytes_ -= log_.front().frame.size();
-    log_base_seq_ = std::max(log_base_seq_, log_.front().last_seq);
-    log_.pop_front();
-  }
-}
-
 Result<SubmitAck> ShardedBackend::Submit(const Activation* data,
                                          size_t count) {
-  // Ticket issue and log append are one critical section: once the batch
-  // holds tickets, the record covering them is already in the log, so the
-  // watermark can never advance past a ticket PullLog cannot ship.
-  // (SubmitBatch can block on ingest backpressure while this is held —
-  // replication pulls then wait too, which is the correct order: a
-  // follower must not outrun the leader's own ingest.)
-  util::MutexLock lock(log_mutex_);
-  uint64_t last_seq = 0;
-  auto accepted = server_->SubmitBatch(data, count, &last_seq);
-  ANC_RETURN_NOT_OK(accepted.status());
   SubmitAck ack;
+  auto accepted = server_->SubmitBatch(data, count, &ack.last_seq);
+  ANC_RETURN_NOT_OK(accepted.status());
   ack.accepted = *accepted;
-  ack.last_seq = last_seq;
-  if (server_->num_shards() == 1 && *accepted > 0) {
-    if (*accepted == count) {
-      LogEntry entry;
-      entry.first_seq = last_seq - count + 1;
-      entry.last_seq = last_seq;
-      store::AppendWalFrame(&entry.frame, data, count, entry.first_seq);
-      log_bytes_ += entry.frame.size();
-      log_.push_back(std::move(entry));
-      while (log_bytes_ > kMaxLogBytes && !log_.empty()) {
-        log_bytes_ -= log_.front().frame.size();
-        log_base_seq_ = log_.front().last_seq;
-        log_.pop_front();
-      }
-    } else {
-      // The queue refused some entries mid-batch; which tickets map to
-      // which applied activations is no longer known, so the log has a
-      // hole. Followers past this point must re-bootstrap.
-      log_base_seq_ = std::max(log_base_seq_, last_seq);
-      log_bytes_ = 0;
-      log_.clear();
-    }
-    UpdateLogGaugeLocked();
-  }
   return ack;
 }
 
@@ -316,42 +237,41 @@ Result<LogChunkBody> ShardedBackend::PullLog(const PullLogBody& req) {
         "a sharded leader serves no single-stream replication log; "
         "replicate a one-shard leader (docs/networking.md)");
   }
-  // The ship mark caps what followers may apply: the durable watermark
-  // when the leader runs with durability (a follower must never be ahead
-  // of what leader recovery reproduces), the published watermark
-  // otherwise.
-  const uint64_t ship_mark = server_->durable()
-                                 ? server_->durable_watermark().seq
-                                 : server_->watermark().seq;
-  LogChunkBody chunk;
-  chunk.ship_seq = ship_mark;
-  util::MutexLock lock(log_mutex_);
-  if (req.follower_id != 0) {
-    // The pull is the ack: the follower owns everything <= after_seq, so
-    // record it (even when this pull then fails the trimmed-log check —
-    // the ack is true regardless) and drop whatever every live follower
-    // has acked.
-    FollowerAck& ack = followers_[req.follower_id];
-    ack.acked_seq = std::max(ack.acked_seq, req.after_seq);
-    ack.last_seen = std::chrono::steady_clock::now();
-    TrimAckedLocked();
-    UpdateLogGaugeLocked();
-  }
-  if (req.after_seq < log_base_seq_) {
+  if (!server_->durable()) {
     return Status::FailedPrecondition(
-        "replication log trimmed past seq " + std::to_string(req.after_seq) +
-        " (log starts after " + std::to_string(log_base_seq_) +
-        "); follower must re-bootstrap");
+        "only a durable leader replicates: its WAL is the replication log");
   }
-  uint32_t shipped = 0;
+  if (!server_->recovery_info().empty()) {
+    return Status::FailedPrecondition(
+        "a recovered leader restarted its tickets at 1 on top of the "
+        "recovered state, so its log does not replay from a fresh replica");
+  }
+  // Only what leader recovery reproduces ships. The mark is read before
+  // the WAL, so every frame it covers is already on disk.
+  LogChunkBody chunk;
+  chunk.ship_seq = server_->shard(0).durable_watermark().seq;
   const uint32_t max_records = req.max_records == 0 ? 64 : req.max_records;
-  for (const LogEntry& entry : log_) {
-    if (entry.last_seq <= req.after_seq) continue;
-    if (entry.last_seq > ship_mark) break;  // not yet shippable
-    if (shipped == max_records) break;
-    chunk.frames.append(entry.frame);
-    ++shipped;
+  util::MutexLock lock(cursor_mutex_);
+  store::WalReader wal(
+      server_->shard_store(0)->dir(), req.after_seq,
+      cursor_seq_ == req.after_seq ? cursor_position_ : store::WalPosition{});
+  uint64_t covered = req.after_seq;
+  store::WalPosition position = wal.position();
+  store::WalRecord record;
+  std::string_view frame;
+  uint32_t shipped = 0;
+  while (shipped < max_records && wal.Next(&record, &frame)) {
+    if (record.last_seq() > chunk.ship_seq) break;  // not yet durable
+    if (record.last_seq() > req.after_seq) {
+      chunk.frames.append(frame);
+      covered = record.last_seq();
+      ++shipped;
+    }
+    position = wal.position();
   }
+  if (shipped == 0 && !wal.status().ok()) return wal.status();
+  cursor_seq_ = covered;
+  cursor_position_ = position;
   return chunk;
 }
 

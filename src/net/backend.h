@@ -3,8 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +11,7 @@
 #include "obs/stats.h"
 #include "shard/sharded_server.h"
 #include "shard/sharded_view.h"
+#include "store/store.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -78,7 +77,7 @@ class Backend {
   // --- Replication --------------------------------------------------------
   /// Leader-side log stream: WAL frames covering tickets after
   /// `req.after_seq`, capped at the ship mark. FailedPrecondition when this
-  /// backend does not serve a log.
+  /// backend does not serve a log. `req.follower_id` is ignored.
   virtual Result<LogChunkBody> PullLog(const PullLogBody& req) = 0;
 
  protected:
@@ -111,20 +110,19 @@ class Backend {
 /// in-process ShardedView queries, and every watermark is in the server's
 /// global tickets.
 ///
-/// A one-shard leader also owns the replication log: Submit appends each
-/// accepted batch as one store:: WAL frame *under the same mutex that
-/// issues its tickets*, so the watermark can never pass a ticket the log
-/// does not hold — PullLog never has a gap below the ship mark. The ship
-/// mark is the durable watermark when the server runs with durability (a
-/// follower is never ahead of what leader recovery reproduces), the
-/// published watermark otherwise. With k > 1 PullLog is FailedPrecondition:
-/// a follower tracks one ticket stream, and the shards' streams do not form
-/// one (docs/networking.md "Replication and sharding").
+/// A durable one-shard leader replicates: its WAL is the replication log,
+/// and PullLog ships shard 0's on-disk frames up to its durable mark, so a
+/// follower is never ahead of what leader recovery reproduces. The frames
+/// carry shard-0 tickets. They equal the global tickets until a delivery is
+/// refused and trail them afterwards, so a follower's marks stay a lower
+/// bound of the leader tickets it covers. PullLog is FailedPrecondition for
+/// a non-durable leader, for k > 1 (the shards' streams do not form one;
+/// docs/networking.md "Replication and sharding") and for a leader built by
+/// RecoverAll (its tickets restarted at 1 on top of the recovered state).
 class ShardedBackend : public Backend {
  public:
-  /// `server` must be started and outlive the backend. The
-  /// anc.net.repl_log_bytes gauge lands in server->metrics().
-  explicit ShardedBackend(shard::ShardedServer* server);
+  /// `server` must be started and outlive the backend.
+  explicit ShardedBackend(shard::ShardedServer* server) : Backend(server) {}
 
   Result<SubmitAck> Submit(const Activation* data, size_t count) override;
   Status Flush(std::chrono::milliseconds timeout) override;
@@ -133,39 +131,15 @@ class ShardedBackend : public Backend {
   WatermarkBody Watermark() override;
   Result<LogChunkBody> PullLog(const PullLogBody& req) override;
 
-  /// Bytes of WAL frames the replication log holds right now (the value
-  /// the anc.net.repl_log_bytes gauge mirrors, readable without metrics).
-  size_t replication_log_bytes() const ANC_EXCLUDES(log_mutex_);
-
  private:
-  struct LogEntry {
-    uint64_t first_seq = 0;
-    uint64_t last_seq = 0;
-    std::string frame;  ///< one store:: WAL frame
-  };
-
-  struct FollowerAck {
-    uint64_t acked_seq = 0;
-    std::chrono::steady_clock::time_point last_seen;
-  };
-
   Result<Pinned> Pin(uint64_t min_seq) override;
 
-  /// Drops expired followers, then trims every entry acked by all live
-  /// ones. No-op while no live follower is registered (nothing proves the
-  /// entries were shipped anywhere).
-  void TrimAckedLocked() ANC_REQUIRES(log_mutex_);
-  void UpdateLogGaugeLocked() ANC_REQUIRES(log_mutex_);
-
-  obs::GaugeId repl_log_bytes_id_;
-
-  mutable util::Mutex log_mutex_;
-  std::deque<LogEntry> log_ ANC_GUARDED_BY(log_mutex_);
-  size_t log_bytes_ ANC_GUARDED_BY(log_mutex_) = 0;
-  /// Tickets <= this were trimmed out of the log.
-  uint64_t log_base_seq_ ANC_GUARDED_BY(log_mutex_) = 0;
-  /// follower_id -> latest ack, for ack-keyed truncation.
-  std::map<uint64_t, FollowerAck> followers_ ANC_GUARDED_BY(log_mutex_);
+  /// Where the last pull stopped: every frame before `position` covers
+  /// tickets <= `seq`, so a pull after `seq` (a caught-up follower's next
+  /// poll) resumes there instead of rescanning its segment.
+  util::Mutex cursor_mutex_;
+  uint64_t cursor_seq_ ANC_GUARDED_BY(cursor_mutex_) = 0;
+  store::WalPosition cursor_position_ ANC_GUARDED_BY(cursor_mutex_);
 };
 
 }  // namespace anc::net

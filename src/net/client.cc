@@ -250,12 +250,11 @@ Result<std::string> Client::Metrics() {
   return std::move(body->text);
 }
 
-Result<LogChunkBody> Client::PullLog(uint64_t after_seq, uint32_t max_records,
-                                     uint64_t follower_id) {
+Result<LogChunkBody> Client::PullLog(uint64_t after_seq,
+                                     uint32_t max_records) {
   PullLogBody body;
   body.after_seq = after_seq;
   body.max_records = max_records;
-  body.follower_id = follower_id;
   std::string bytes;
   AppendPullLogBody(&bytes, body);
   auto payload = Call(Op::kPullLog, bytes);

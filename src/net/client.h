@@ -55,8 +55,7 @@ class Client {
   Result<std::string> HealthJson();
   /// Prometheus text exposition of the server's metrics (the /metrics op).
   Result<std::string> Metrics();
-  Result<LogChunkBody> PullLog(uint64_t after_seq, uint32_t max_records = 64,
-                               uint64_t follower_id = 0);
+  Result<LogChunkBody> PullLog(uint64_t after_seq, uint32_t max_records = 64);
 
   // --- Introspection ------------------------------------------------------
   /// Response flags of the last completed call (kFlagCacheHit /

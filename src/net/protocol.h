@@ -221,28 +221,20 @@ struct TextBody {
 void AppendTextBody(std::string* out, const TextBody& body);
 Status DecodeTextBody(ByteReader* in, TextBody* out);
 
-/// kPullLog request: replication pull of WAL frames. `after_seq` doubles
-/// as the follower's ack — everything <= after_seq is applied on its side
-/// — so a leader that knows who is pulling can truncate its replication
-/// log up to the slowest live follower (docs/networking.md "Log
-/// truncation").
+/// kPullLog request: replication pull of WAL frames.
 struct PullLogBody {
   uint64_t after_seq = 0;     ///< ship records with seq > after_seq
   uint32_t max_records = 64;  ///< bound per round trip
-  /// Stable identity of the pulling follower; 0 = anonymous (the pull is
-  /// served but not tracked for ack-based truncation). Wire-optional: a
-  /// body without the trailing id decodes as 0, so old pullers keep
-  /// working.
+  /// The pulling follower's identity. Wire-optional (a body without it
+  /// decodes as 0); the leader ignores it.
   uint64_t follower_id = 0;
 };
 void AppendPullLogBody(std::string* out, const PullLogBody& body);
 Status DecodePullLogBody(ByteReader* in, PullLogBody* out);
 
-/// kPullLog response: concatenated store:: WAL frames (byte-identical to
-/// segment frames; decode with store::DecodeWalFrame) plus the leader's
-/// ship mark — the durable watermark when the leader runs with
-/// durability, the published watermark otherwise. Followers may never
-/// apply past it.
+/// kPullLog response: concatenated store:: WAL frames, the leader's
+/// on-disk bytes (decode with store::DecodeWalFrame), plus the leader's
+/// ship mark: its durable watermark. Followers may never apply past it.
 struct LogChunkBody {
   uint64_t ship_seq = 0;  ///< highest seq the leader will currently ship
   std::string frames;     ///< zero or more WAL frames, contiguous

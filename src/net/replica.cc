@@ -69,6 +69,15 @@ Status Follower::ApplyChunk(const LogChunkBody& chunk) {
           "] straddles the submitted mark " + std::to_string(submitted_));
       break;
     }
+    if (record->first_seq > submitted_ + 1) {
+      // A lost record: applying past it would diverge the replica.
+      failure = Status::FailedPrecondition(
+          "replication record [" + std::to_string(record->first_seq) + ", " +
+          std::to_string(record->last_seq()) +
+          "] leaves a ticket gap after the submitted mark " +
+          std::to_string(submitted_));
+      break;
+    }
     auto accepted = server_->SubmitBatch(record->activations.data(),
                                          record->activations.size());
     if (!accepted.ok()) {

@@ -49,9 +49,11 @@ class Follower {
   /// ticket order): records at or below the submitted mark are skipped as
   /// duplicates, the rest are submitted to the replica and published
   /// (Flush) before the applied mark advances. A corrupt frame fails
-  /// InvalidArgument with nothing past it applied — but the prefix before
-  /// it IS published, so the puller's retry (which re-pulls from the
-  /// applied mark) never re-applies a record that already made it in.
+  /// InvalidArgument, and a record that does not start right after the
+  /// submitted mark (a lost record) fails FailedPrecondition, with nothing
+  /// past either applied — but the prefix before it IS published, so the
+  /// puller's retry (which re-pulls from the applied mark) never re-applies
+  /// a record that already made it in.
   Status ApplyChunk(const LogChunkBody& chunk);
 
   /// Last leader ticket covered by the replica's published view.
@@ -117,8 +119,7 @@ class FollowerBackend : public Backend {
 
 /// The follower's pull loop: a background thread that drains the leader's
 /// replication log (kPullLog) into Follower::ApplyChunk. Pausable — the
-/// injected-stall lever the staleness tests use. The puller pulls
-/// anonymously (follower id 0), so it never holds the leader's log back.
+/// injected-stall lever the staleness tests use.
 class ReplicationPuller {
  public:
   /// `follower` must outlive the puller; `leader` is the puller's own

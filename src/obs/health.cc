@@ -10,6 +10,35 @@ namespace anc::obs {
 
 namespace {
 
+// Degraded / critical trip points. A shard's queue depth is judged against
+// the queue's own capacity instead: a full queue (producers blocked) is
+// degraded, and the staleness checks grade how long it stays that way.
+// LDG cuts ~10-20% of community-structured edges where hash approaches
+// (k-1)/k (docs/sharding.md), so a 25% cut ratio separates "partitioner
+// doing its job" from "ingest dominated by halo duplication".
+constexpr double kDegradedCutRatio = 0.25;
+constexpr double kCriticalCutRatio = 0.60;
+constexpr double kDegradedBalance = 1.5;
+constexpr double kCriticalBalance = 2.5;
+/// Queue oldest-entry age and view age, in seconds.
+constexpr double kDegradedStalenessS = 0.5;
+constexpr double kCriticalStalenessS = 5.0;
+/// applied_seq - durable_seq.
+constexpr uint64_t kDegradedDurableLag = 4096;
+constexpr uint64_t kCriticalDurableLag = 65536;
+/// Ingest skew: max per-shard accepted / mean accepted.
+constexpr double kDegradedLoadSkew = 2.0;
+constexpr double kCriticalLoadSkew = 4.0;
+/// Observed-cut drift: observed_cut_ratio minus the static cut_ratio.
+/// Sustained drift means the partition was computed for traffic that no
+/// longer exists; the fix is a rebalance (src/rebalance/), so the degraded
+/// trip point matches the cut monitor's drift threshold.
+constexpr double kDegradedCutDrift = 0.15;
+constexpr double kCriticalCutDrift = 0.40;
+/// Skew and drift are judged only from this many accepted tickets on
+/// (early traffic is noise).
+constexpr uint64_t kMinAcceptedForSkew = 1024;
+
 std::string FormatDouble(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3g", value);
@@ -50,15 +79,13 @@ const char* HealthStateName(HealthState state) {
   return "unknown";
 }
 
-HealthReport ShardHealthMonitor::Assess(
-    const ClusterHealthSample& sample) const {
+HealthReport Assess(const ClusterHealthSample& sample) {
   HealthReport report;
   report.sample = sample;
 
-  const HealthThresholds& t = thresholds_;
-  Check("cut_ratio", sample.cut_ratio, t.degraded_cut_ratio,
-        t.critical_cut_ratio, &report.cluster_state, &report.cluster_reasons);
-  Check("balance", sample.balance, t.degraded_balance, t.critical_balance,
+  Check("cut_ratio", sample.cut_ratio, kDegradedCutRatio, kCriticalCutRatio,
+        &report.cluster_state, &report.cluster_reasons);
+  Check("balance", sample.balance, kDegradedBalance, kCriticalBalance,
         &report.cluster_state, &report.cluster_reasons);
   if (sample.halo_partial > 0) {
     // Any refused fan-out delivery means a replica's boundary went stale —
@@ -73,17 +100,16 @@ HealthReport ShardHealthMonitor::Assess(
     total_accepted += shard.accepted;
     max_accepted = std::max(max_accepted, shard.accepted);
   }
-  if (!sample.shards.empty() &&
-      total_accepted >= t.min_accepted_for_skew) {
+  if (!sample.shards.empty() && total_accepted >= kMinAcceptedForSkew) {
     const double mean =
         static_cast<double>(total_accepted) / sample.shards.size();
     const double skew = mean > 0.0 ? max_accepted / mean : 0.0;
-    Check("load_skew", skew, t.degraded_load_skew, t.critical_load_skew,
+    Check("load_skew", skew, kDegradedLoadSkew, kCriticalLoadSkew,
           &report.cluster_state, &report.cluster_reasons);
   }
-  if (sample.accepted >= t.min_accepted_for_skew) {
+  if (sample.accepted >= kMinAcceptedForSkew) {
     const double drift = sample.observed_cut_ratio - sample.cut_ratio;
-    Check("cut_drift", drift, t.degraded_cut_drift, t.critical_cut_drift,
+    Check("cut_drift", drift, kDegradedCutDrift, kCriticalCutDrift,
           &report.cluster_state, &report.cluster_reasons);
   }
 
@@ -100,16 +126,16 @@ HealthReport ShardHealthMonitor::Assess(
           " >= capacity " + std::to_string(shard.queue_capacity));
     }
     Check("queue_oldest_age_s", shard.queue_oldest_age_s,
-          t.degraded_staleness_s, t.critical_staleness_s, &card.state,
+          kDegradedStalenessS, kCriticalStalenessS, &card.state,
           &card.reasons);
-    Check("view_age_s", shard.view_age_s, t.degraded_staleness_s,
-          t.critical_staleness_s, &card.state, &card.reasons);
+    Check("view_age_s", shard.view_age_s, kDegradedStalenessS,
+          kCriticalStalenessS, &card.state, &card.reasons);
     if (shard.durable_enabled) {
       const uint64_t lag = shard.applied_seq >= shard.durable_seq
                                ? shard.applied_seq - shard.durable_seq
                                : 0;
-      Check("durable_lag", lag, t.degraded_durable_lag,
-            t.critical_durable_lag, &card.state, &card.reasons);
+      Check("durable_lag", lag, kDegradedDurableLag, kCriticalDurableLag,
+            &card.state, &card.reasons);
     }
     report.shards.push_back(std::move(card));
   }

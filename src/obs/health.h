@@ -16,7 +16,7 @@ const char* HealthStateName(HealthState state);
 
 /// Per-shard observation folded into a scorecard. The shard layer builds
 /// these from its servers (shard::CollectHealthSample); keeping the types
-/// plain here lets the monitor live in obs without depending on serve or
+/// plain here lets Assess live in obs without depending on serve or
 /// shard.
 struct ShardHealthSample {
   uint32_t shard = 0;
@@ -52,38 +52,6 @@ struct ClusterHealthSample {
   std::vector<ShardHealthSample> shards;
 };
 
-/// Degraded / critical trip points. Every check trips kDegraded at the
-/// degraded_* value and kCritical at the critical_* value; the report's
-/// state is the worst tripped check. A shard's queue depth is judged
-/// against the queue's own capacity instead: a full queue (producers
-/// blocked) is degraded, and the staleness checks grade how long it stays
-/// that way. Defaults reflect docs/sharding.md:
-/// LDG cuts ~10-20% of community-structured edges where hash approaches
-/// (k-1)/k, so a 25% cut ratio separates "partitioner doing its job" from
-/// "ingest dominated by halo duplication".
-struct HealthThresholds {
-  double degraded_cut_ratio = 0.25;
-  double critical_cut_ratio = 0.60;
-  double degraded_balance = 1.5;
-  double critical_balance = 2.5;
-  double degraded_staleness_s = 0.5;  ///< queue oldest-entry age / view age
-  double critical_staleness_s = 5.0;
-  uint64_t degraded_durable_lag = 4096;  ///< applied_seq - durable_seq
-  uint64_t critical_durable_lag = 65536;
-  /// Ingest skew: max per-shard accepted / mean accepted. Only judged once
-  /// total accepted reaches min_accepted_for_skew (early traffic is noise).
-  double degraded_load_skew = 2.0;
-  double critical_load_skew = 4.0;
-  uint64_t min_accepted_for_skew = 1024;
-  /// Observed-cut drift: observed_cut_ratio minus the static cut_ratio.
-  /// Judged under the same min_accepted_for_skew floor. Sustained drift
-  /// means the partition was computed for traffic that no longer exists;
-  /// the fix is a rebalance (src/rebalance/, docs/sharding.md), so the
-  /// degraded trip point matches the cut monitor's drift threshold.
-  double degraded_cut_drift = 0.15;
-  double critical_cut_drift = 0.40;
-};
-
 /// One shard's verdict: the tripped checks, each as a human-readable
 /// reason string ("queue_depth 256 >= capacity 256").
 struct ShardScorecard {
@@ -109,21 +77,10 @@ struct HealthReport {
 };
 
 /// Folds a ClusterHealthSample into per-shard scorecards and an overall
-/// state (docs/observability.md). Pure function of (sample, thresholds) —
-/// call it on every assessment; keep the monitor around to hold the
-/// thresholds.
-class ShardHealthMonitor {
- public:
-  ShardHealthMonitor(HealthThresholds thresholds = {})  // NOLINT: implicit
-      : thresholds_(thresholds) {}
-
-  const HealthThresholds& thresholds() const { return thresholds_; }
-
-  HealthReport Assess(const ClusterHealthSample& sample) const;
-
- private:
-  HealthThresholds thresholds_;
-};
+/// state (docs/observability.md). Every check trips kDegraded and
+/// kCritical at fixed trip points (health.cc); the report's state is the
+/// worst tripped check.
+HealthReport Assess(const ClusterHealthSample& sample);
 
 }  // namespace anc::obs
 

@@ -1,8 +1,6 @@
 #include "rebalance/migrator.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -32,23 +30,6 @@ constexpr uint32_t kCatchupMaxRounds = 64;
 bool IsSimulatedCrash(const Status& status) {
   return status.code() == StatusCode::kUnavailable &&
          status.message().rfind("simulated crash", 0) == 0;
-}
-
-/// A's WAL segments as (base_seq, path), sorted by base_seq.
-std::vector<std::pair<uint64_t, std::string>> ListWalSegments(
-    const std::string& shard_dir) {
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(shard_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    uint64_t base_seq = 0;
-    if (std::sscanf(name.c_str(), "wal-%20" SCNu64 ".log", &base_seq) == 1 &&
-        name.size() == 28) {
-      segments.emplace_back(base_seq, entry.path().string());
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-  return segments;
 }
 
 /// The edges whose deliveries must be handed to `to`: incident to the
@@ -86,13 +67,6 @@ Status Migrator::WriteWalTailSidecar(
   const std::string shard_dir =
       (fs::path(server_->store_dir()) / ("shard-" + std::to_string(from)))
           .string();
-  const auto segments = ListWalSegments(shard_dir);
-  if (segments.empty() || segments.front().first > 1) {
-    return Status::FailedPrecondition(
-        "shard " + std::to_string(from) +
-        ": WAL does not reach back to ticket 1 (a checkpoint trimmed the "
-        "history the handoff needs)");
-  }
   // Edges this shard *imported* (it was a migration target) have their
   // pre-import history only in the archived sidecars of those migrations,
   // never in this shard's WAL. An archived edge got no routed deliveries
@@ -115,26 +89,29 @@ Status Migrator::WriteWalTailSidecar(
                         info.status().message());
     }
   }
-  for (const auto& [base_seq, segment_path] : segments) {
-    if (base_seq > s_a) break;
-    const auto collect = [&](const store::WalRecord& record) {
-      for (size_t i = 0; i < record.activations.size(); ++i) {
-        const uint64_t seq = record.first_seq + i;
-        if (seq > s_a) return Status::OK();
-        const Activation& a = record.activations[i];
-        if (a.edge < edge_in_handoff.size() && edge_in_handoff[a.edge]) {
-          tail.push_back(a);
-        }
+  // The shard's own history, gapless from ticket 1 through S_A.
+  store::WalReader wal(shard_dir, /*after_seq=*/0);
+  store::WalRecord record;
+  uint64_t wanted_seq = 1;
+  while (wanted_seq <= s_a && wal.Next(&record)) {
+    if (record.first_seq != wanted_seq) break;
+    for (size_t i = 0; i < record.activations.size(); ++i) {
+      if (record.first_seq + i > s_a) break;
+      const Activation& a = record.activations[i];
+      if (a.edge < edge_in_handoff.size() && edge_in_handoff[a.edge]) {
+        tail.push_back(a);
       }
-      return Status::OK();
-    };
-    Result<store::WalSegmentInfo> info =
-        store::ReadWalSegment(segment_path, collect,
-                              /*truncate_torn_tail=*/false);
-    if (!info.ok()) {
-      return Status(info.status().code(), "sidecar snapshot: " +
-                                              info.status().message());
     }
+    wanted_seq = record.last_seq() + 1;
+  }
+  if (wanted_seq <= s_a) {
+    return Status::FailedPrecondition(
+        "shard " + std::to_string(from) + ": WAL lacks ticket " +
+        std::to_string(wanted_seq) + " of the handoff's history 1.." +
+        std::to_string(s_a) + " (" +
+        (wal.status().ok() ? std::string("a checkpoint trimmed it")
+                           : wal.status().ToString()) +
+        ")");
   }
 
   Result<std::unique_ptr<store::WalAppender>> appender =

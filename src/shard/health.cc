@@ -46,9 +46,8 @@ obs::ClusterHealthSample CollectHealthSample(const ShardedServer& server) {
   return sample;
 }
 
-obs::HealthReport AssessHealth(const ShardedServer& server,
-                               const obs::ShardHealthMonitor& monitor) {
-  return monitor.Assess(CollectHealthSample(server));
+obs::HealthReport AssessHealth(const ShardedServer& server) {
+  return obs::Assess(CollectHealthSample(server));
 }
 
 }  // namespace anc::shard

@@ -6,17 +6,15 @@
 
 namespace anc::shard {
 
-/// Folds a running ShardedServer into the plain sample the obs-layer
-/// ShardHealthMonitor assesses (docs/observability.md): the partitioner
-/// scorecard (cut ratio, balance), router counters (halo_partial) and one
-/// ShardHealthSample per shard (queue depth / oldest age, published and
-/// durable watermarks, view staleness, epoch). Safe on any thread while
-/// the server runs.
+/// Folds a running ShardedServer into the plain sample obs::Assess grades
+/// (docs/observability.md): the partitioner scorecard (cut ratio,
+/// balance), router counters (halo_partial) and one ShardHealthSample per
+/// shard (queue depth / oldest age, published and durable watermarks, view
+/// staleness, epoch). Safe on any thread while the server runs.
 obs::ClusterHealthSample CollectHealthSample(const ShardedServer& server);
 
-/// Convenience: CollectHealthSample + Assess under `monitor`'s thresholds.
-obs::HealthReport AssessHealth(const ShardedServer& server,
-                               const obs::ShardHealthMonitor& monitor = {});
+/// Convenience: obs::Assess(CollectHealthSample(server)).
+obs::HealthReport AssessHealth(const ShardedServer& server);
 
 }  // namespace anc::shard
 

@@ -493,6 +493,76 @@ StoreStats DurableStore::Stats() const {
 }
 
 // ---------------------------------------------------------------------------
+// Reading the WAL
+
+std::vector<WalSegmentFile> ListWalSegments(const std::string& dir) {
+  std::vector<WalSegmentFile> segments;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    uint64_t base_seq = 0;
+    if (ParseSegmentName(entry.path().filename().string(), &base_seq)) {
+      segments.push_back({base_seq, entry.path().string()});
+    }
+  }
+  std::sort(segments.begin(), segments.end(),
+            [](const WalSegmentFile& a, const WalSegmentFile& b) {
+              return a.base_seq < b.base_seq;
+            });
+  return segments;
+}
+
+WalReader::WalReader(const std::string& dir, uint64_t after_seq,
+                     WalPosition resume)
+    : segments_(ListWalSegments(dir)) {
+  const auto resumed = std::find_if(
+      segments_.begin(), segments_.end(),
+      [&](const WalSegmentFile& s) { return s.base_seq == resume.segment; });
+  if (resumed != segments_.end()) {
+    next_segment_ = static_cast<size_t>(resumed - segments_.begin());
+    position_ = resume;
+    return;
+  }
+  while (next_segment_ + 1 < segments_.size() &&
+         segments_[next_segment_ + 1].base_seq <= after_seq + 1) {
+    ++next_segment_;
+    ++skipped_segments_;
+  }
+  if (next_segment_ < segments_.size()) {
+    position_.segment = segments_[next_segment_].base_seq;
+  }
+}
+
+bool WalReader::Next(WalRecord* record, std::string_view* frame) {
+  while (status_.ok()) {
+    if (current_.has_value()) {
+      if (current_->Next(record, frame)) {
+        position_ = {current_->base_seq(), current_->offset()};
+        return true;
+      }
+      if (current_->torn_tail()) return false;
+    }
+    if (next_segment_ == segments_.size()) return false;
+    const WalSegmentFile& segment = segments_[next_segment_];
+    // The position's offset applies only to the segment it names.
+    const uint64_t offset =
+        position_.segment == segment.base_seq ? position_.offset : 0;
+    Result<WalSegmentReader> opened =
+        WalSegmentReader::Open(segment.path, offset);
+    if (!opened.ok()) {
+      status_ = opened.status();
+      return false;
+    }
+    current_.emplace(std::move(opened).value());
+    ++next_segment_;
+  }
+  return false;
+}
+
+Status WalReader::TruncateTornTail() {
+  return current_.has_value() ? current_->TruncateTornTail() : Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Recovery
 
 Result<RecoveredStore> Recover(const std::string& dir) {
@@ -552,85 +622,59 @@ Result<RecoveredStore> Recover(const std::string& dir,
   recovered.watermark.time =
       recovered.index->engine().activeness().last_time();
 
-  // Replay the WAL tail in segment order. Stops at the first invalid frame
-  // (torn tails are truncated); a torn segment ends the replay — records in
-  // later segments would leave a gap in the ticket prefix.
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    uint64_t base_seq = 0;
-    if (ParseSegmentName(name, &base_seq)) {
-      segments.emplace_back(base_seq, entry.path().string());
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-
-  AncIndex* index = recovered.index.get();
-  RecoveredStore* rec = &recovered;
-  for (size_t s = 0; s < segments.size(); ++s) {
-    const auto& [base_seq, path] = segments[s];
-    // A segment is provably covered by the checkpoint when the *next*
-    // segment starts at or before checkpoint_seq + 1: every record in this
-    // one then has seq <= checkpoint_seq. Skip it without reading a byte.
-    if (s + 1 < segments.size() &&
-        segments[s + 1].first <= recovered.checkpoint_seq + 1) {
-      ++recovered.skipped_segments;
+  // Replay the WAL tail in ticket order, skipping the segments the
+  // checkpoint provably covers without reading a byte. Stops at the first
+  // invalid frame (a torn tail is truncated): records past it would leave
+  // a gap in the ticket prefix.
+  WalReader wal(dir, recovered.checkpoint_seq);
+  WalRecord record;
+  AncIndex& index = *recovered.index;
+  while (wal.Next(&record)) {
+    // Replay must start strictly after the checkpoint: a record whose
+    // whole ticket run is covered is counted and dropped, never applied.
+    if (record.last_seq() <= recovered.checkpoint_seq) {
+      ++recovered.skipped_records;
       continue;
     }
-    const auto replay = [index, rec, &options](const WalRecord& record) {
-      // Replay must start strictly after the checkpoint: a record whose
-      // whole ticket run is covered is counted and dropped, never applied.
-      const uint64_t last_seq =
-          record.first_seq + record.activations.size() - 1;
-      if (!record.activations.empty() && last_seq <= rec->checkpoint_seq) {
-        ++rec->skipped_records;
-        return Status::OK();
+    // Activations up to the checkpoint are covered by the snapshot.
+    const std::span<const Activation> acts(record.activations);
+    size_t begin = record.first_seq > recovered.checkpoint_seq
+                       ? 0
+                       : recovered.checkpoint_seq - record.first_seq + 1;
+    while (begin < acts.size()) {
+      // Each run of non-deferred activations replays as one batch.
+      size_t end = begin;
+      while (end < acts.size() &&
+             !(options.defer &&
+               options.defer(acts[end], record.first_seq + end))) {
+        ++end;
       }
-      // Activations up to the checkpoint are covered by the snapshot.
-      const std::span<const Activation> acts(record.activations);
-      size_t begin = record.first_seq > rec->checkpoint_seq
-                         ? 0
-                         : rec->checkpoint_seq - record.first_seq + 1;
-      while (begin < acts.size()) {
-        // Each run of non-deferred activations replays as one batch.
-        size_t end = begin;
-        while (end < acts.size() &&
-               !(options.defer &&
-                 options.defer(acts[end], record.first_seq + end))) {
-          ++end;
-        }
-        if (end > begin) {
-          // Mirror the serve writer: a failed apply is counted and skipped,
-          // so replay converges to the same state the live index reached.
-          const AncIndex::BatchOutcome outcome =
-              index->ApplyBatch(acts.subspan(begin, end - begin));
-          rec->replayed_activations += outcome.applied;
-          rec->skipped_applies += outcome.refused;
-          rec->watermark.time = std::max(rec->watermark.time, outcome.max_time);
-          rec->watermark.seq =
-              std::max(rec->watermark.seq, record.first_seq + end - 1);
-        }
-        if (end < acts.size()) {
-          // Held back for the caller to re-apply after migration sidecars;
-          // the ticket itself is accounted for (the live writer applied it).
-          rec->deferred.push_back(acts[end]);
-          ++rec->replayed_activations;
-          rec->watermark.seq =
-              std::max(rec->watermark.seq, record.first_seq + end);
-        }
-        begin = end + 1;
+      if (end > begin) {
+        // Mirror the serve writer: a failed apply is counted and skipped,
+        // so replay converges to the same state the live index reached.
+        const AncIndex::BatchOutcome outcome =
+            index.ApplyBatch(acts.subspan(begin, end - begin));
+        recovered.replayed_activations += outcome.applied;
+        recovered.skipped_applies += outcome.refused;
+        recovered.watermark.time =
+            std::max(recovered.watermark.time, outcome.max_time);
+        recovered.watermark.seq =
+            std::max(recovered.watermark.seq, record.first_seq + end - 1);
       }
-      ++rec->replayed_records;
-      return Status::OK();
-    };
-    Result<WalSegmentInfo> info =
-        ReadWalSegment(path, replay, /*truncate_torn_tail=*/true);
-    if (!info.ok()) break;  // unreadable segment header: end of trusted log
-    if (info.value().torn_tail) {
-      recovered.truncated_tail = true;
-      break;
+      if (end < acts.size()) {
+        // Held back for the caller to re-apply after migration sidecars;
+        // the ticket itself is accounted for (the live writer applied it).
+        recovered.deferred.push_back(acts[end]);
+        ++recovered.replayed_activations;
+        recovered.watermark.seq =
+            std::max(recovered.watermark.seq, record.first_seq + end);
+      }
+      begin = end + 1;
     }
+    ++recovered.replayed_records;
   }
+  recovered.skipped_segments = wal.skipped_segments();
+  recovered.truncated_tail = wal.torn_tail() && wal.TruncateTornTail().ok();
   return recovered;
 }
 

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/anc.h"
@@ -173,6 +175,66 @@ class DurableStore {
     obs::GaugeId durable_seq;
     obs::GaugeId generation;
   } m_;
+};
+
+/// One WAL segment of a store directory: the first ticket it may hold and
+/// its path.
+struct WalSegmentFile {
+  uint64_t base_seq = 0;
+  std::string path;
+};
+
+/// The WAL segments of store directory `dir`, sorted by base ticket.
+std::vector<WalSegmentFile> ListWalSegments(const std::string& dir);
+
+/// A place in a store directory's WAL: a segment, named by its base
+/// ticket, and a byte offset in it.
+struct WalPosition {
+  uint64_t segment = 0;
+  uint64_t offset = 0;
+};
+
+/// Reads a store directory's WAL in ticket order across its segments — the
+/// one WAL walk behind Recover, the migrator's WAL-tail sidecar and
+/// replication (net::ShardedBackend::PullLog).
+class WalReader {
+ public:
+  /// Lists `dir`'s segments. Reading starts at `resume` when it names a
+  /// listed segment, else at the first segment that may hold a ticket
+  /// after `after_seq`: a segment whose successor starts at or below
+  /// after_seq + 1 holds none and is skipped unopened. Records at or below
+  /// after_seq in the first segment read are still returned.
+  WalReader(const std::string& dir, uint64_t after_seq,
+            WalPosition resume = {});
+
+  /// Decodes the next record (and its on-disk frame bytes into *frame when
+  /// non-null; they stay valid until the next call). False at the end of
+  /// the readable log: the end of the last segment, an invalid frame
+  /// (torn_tail()), or a segment that cannot be opened (status()).
+  bool Next(WalRecord* record, std::string_view* frame = nullptr);
+
+  /// Just past the last record Next returned (the start point before the
+  /// first). A reader resumed there yields exactly the records appended
+  /// since.
+  WalPosition position() const { return position_; }
+  uint64_t skipped_segments() const { return skipped_segments_; }
+  bool torn_tail() const {
+    return current_.has_value() && current_->torn_tail();
+  }
+  /// OK unless a segment could not be opened.
+  const Status& status() const { return status_; }
+
+  /// Truncates the torn segment to its valid prefix: recovery's cleanup
+  /// for a write torn by a crash. No-op unless torn_tail().
+  Status TruncateTornTail();
+
+ private:
+  std::vector<WalSegmentFile> segments_;
+  size_t next_segment_ = 0;  ///< index into segments_ of the next to open
+  std::optional<WalSegmentReader> current_;
+  WalPosition position_;
+  uint64_t skipped_segments_ = 0;
+  Status status_;
 };
 
 /// The reconstructed state Recover() hands back: the checkpointed graph +

@@ -5,8 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "util/crc32c.h"
 #include "store/test_hooks.h"
@@ -136,90 +136,71 @@ Result<WalRecord> DecodeWalFrame(const uint8_t* data, size_t size,
   return record;
 }
 
+Result<WalSegmentReader> WalSegmentReader::Open(const std::string& path,
+                                                uint64_t offset) {
+  Result<std::unique_ptr<MappedFile>> file = MappedFile::Open(path);
+  if (!file.ok()) {
+    return Status::IoError("cannot open WAL segment " + path + ": " +
+                           file.status().message());
+  }
+  WalSegmentReader reader(std::move(file).value());
+  const MappedFile& mapped = *reader.file_;
+  if (mapped.size() < kWalSegmentHeaderBytes ||
+      std::memcmp(mapped.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+    return Status::InvalidArgument(path + ": not a WAL segment");
+  }
+  reader.base_seq_ = ReadPod<uint64_t>(mapped.data() + sizeof(kWalMagic));
+  reader.offset_ = std::max<uint64_t>(offset, kWalSegmentHeaderBytes);
+  return reader;
+}
+
+bool WalSegmentReader::Next(WalRecord* record, std::string_view* frame) {
+  if (torn_tail_ || offset_ >= file_->size()) return false;
+  const char* at = file_->data() + offset_;
+  size_t consumed = 0;
+  Result<WalRecord> decoded =
+      DecodeWalFrame(reinterpret_cast<const uint8_t*>(at),
+                     file_->size() - offset_, &consumed);
+  if (!decoded.ok()) {
+    torn_tail_ = true;
+    return false;
+  }
+  *record = std::move(decoded).value();
+  if (frame != nullptr) *frame = std::string_view(at, consumed);
+  offset_ += consumed;
+  return true;
+}
+
+Status WalSegmentReader::TruncateTornTail() const {
+  if (!torn_tail_) return Status::OK();
+  if (::truncate(file_->path().c_str(), static_cast<off_t>(offset_)) != 0) {
+    return Status::IoError("cannot truncate torn tail of " + file_->path() +
+                           ": " + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 Result<WalSegmentInfo> ReadWalSegment(
     const std::string& path, const std::function<Status(const WalRecord&)>& fn,
     bool truncate_torn_tail) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open WAL segment " + path);
-  }
-
+  Result<WalSegmentReader> reader = WalSegmentReader::Open(path);
+  ANC_RETURN_NOT_OK(reader.status());
   WalSegmentInfo info;
-  char header[kWalSegmentHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file) != sizeof(header) ||
-      std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-    std::fclose(file);
-    return Status::InvalidArgument(path + ": not a WAL segment");
-  }
-  info.base_seq = ReadPod<uint64_t>(header + sizeof(kWalMagic));
-  info.valid_bytes = kWalSegmentHeaderBytes;
-
-  std::string payload;
+  info.base_seq = reader->base_seq();
+  info.file_bytes = reader->file_bytes();
   WalRecord record;
-  while (true) {
-    char frame_header[kWalFrameHeaderBytes];
-    const size_t got = std::fread(frame_header, 1, sizeof(frame_header), file);
-    if (got == 0) break;  // clean end of log
-    if (got != sizeof(frame_header)) {
-      info.torn_tail = true;
-      break;
-    }
-    const uint32_t length = ReadPod<uint32_t>(frame_header);
-    const uint32_t crc = ReadPod<uint32_t>(frame_header + 4);
-    if (length < sizeof(uint64_t) + sizeof(uint32_t) ||
-        length > kMaxWalPayloadBytes) {
-      info.torn_tail = true;
-      break;
-    }
-    payload.resize(length);
-    if (std::fread(payload.data(), 1, length, file) != length) {
-      info.torn_tail = true;
-      break;
-    }
-    if (Crc32c(payload.data(), payload.size()) != crc) {
-      info.torn_tail = true;
-      break;
-    }
-    const uint64_t first_seq = ReadPod<uint64_t>(payload.data());
-    const uint32_t count = ReadPod<uint32_t>(payload.data() + 8);
-    if (count == 0 ||
-        length != sizeof(uint64_t) + sizeof(uint32_t) +
-                      static_cast<uint64_t>(count) * kWalEntryBytes) {
-      info.torn_tail = true;
-      break;
-    }
-    record.first_seq = first_seq;
-    record.activations.resize(count);
-    const char* entry = payload.data() + 12;
-    for (uint32_t i = 0; i < count; ++i, entry += kWalEntryBytes) {
-      record.activations[i].edge = ReadPod<uint32_t>(entry);
-      record.activations[i].time = ReadPod<double>(entry + 4);
-      info.last_time = std::max(info.last_time, record.activations[i].time);
-    }
-    info.valid_bytes += kWalFrameHeaderBytes + length;
+  while (reader->Next(&record)) {
     ++info.records;
-    info.activations += count;
+    info.activations += record.activations.size();
     info.last_seq = std::max(info.last_seq, record.last_seq());
-    if (fn != nullptr) {
-      const Status status = fn(record);
-      if (!status.ok()) {
-        std::fclose(file);
-        return status;
-      }
+    for (const Activation& a : record.activations) {
+      info.last_time = std::max(info.last_time, a.time);
     }
+    if (fn != nullptr) ANC_RETURN_NOT_OK(fn(record));
   }
-  if (std::fseek(file, 0, SEEK_END) == 0) {
-    info.file_bytes = static_cast<uint64_t>(std::ftell(file));
-  }
-  std::fclose(file);
-
-  if (info.torn_tail && truncate_torn_tail) {
-    if (::truncate(path.c_str(),
-                   static_cast<off_t>(info.valid_bytes)) != 0) {
-      return Status::IoError("cannot truncate torn tail of " + path + ": " +
-                             std::strerror(errno));
-    }
-  }
+  info.valid_bytes = reader->offset();
+  info.torn_tail = reader->torn_tail();
+  if (truncate_torn_tail) ANC_RETURN_NOT_OK(reader->TruncateTornTail());
   return info;
 }
 

@@ -5,9 +5,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "activation/activeness.h"
+#include "util/mapped_file.h"
 #include "util/status.h"
 
 namespace anc::store {
@@ -59,26 +62,60 @@ struct WalSegmentInfo {
 
 /// Encodes one record as a standalone WAL frame — the exact
 /// [u32 payload_len][u32 crc32c(payload)][payload] bytes WalAppender puts
-/// into a segment. Shared by the appender and the replication log stream
-/// (net::, docs/networking.md), so followers apply byte-identical frames.
+/// into a segment.
 void AppendWalFrame(std::string* out, const Activation* data, size_t count,
                     uint64_t first_seq);
 
 /// Decodes one frame from an in-memory buffer — the inverse of
-/// AppendWalFrame, with the same validation as ReadWalSegment's frame loop
-/// (short header, zero/oversized length, short payload, CRC mismatch,
-/// inconsistent count all fail with InvalidArgument; nothing past a bad
-/// frame can be trusted). On success *consumed advances past the frame.
+/// AppendWalFrame and the one frame decoder every WAL reader uses. A short
+/// header, zero/oversized length, short payload, CRC mismatch or
+/// inconsistent count fails with InvalidArgument; nothing past a bad frame
+/// can be trusted. On success *consumed advances past the frame.
 Result<WalRecord> DecodeWalFrame(const uint8_t* data, size_t size,
                                  size_t* consumed);
 
+/// Reads one WAL segment frame by frame through DecodeWalFrame, over a
+/// read-only mapping of the bytes the file held when it was opened (a live
+/// segment's later appends need a fresh reader).
+class WalSegmentReader {
+ public:
+  /// Maps `path` and checks its header (InvalidArgument when the file is
+  /// not a WAL segment). Reading starts at byte `offset`, or just past the
+  /// header when `offset` is smaller.
+  static Result<WalSegmentReader> Open(const std::string& path,
+                                       uint64_t offset = 0);
+
+  /// Decodes the next frame into *record, and its on-disk bytes into
+  /// *frame when non-null (they live as long as the reader). False at the
+  /// end of the valid prefix: the end of the mapped bytes, or an invalid
+  /// frame (torn_tail()).
+  bool Next(WalRecord* record, std::string_view* frame = nullptr);
+
+  uint64_t base_seq() const { return base_seq_; }
+  /// Byte offset just past the last frame Next returned.
+  uint64_t offset() const { return offset_; }
+  uint64_t file_bytes() const { return file_->size(); }
+  /// Trailing torn/corrupt bytes stopped the read.
+  bool torn_tail() const { return torn_tail_; }
+  /// Truncates the file to the valid prefix read so far: recovery's
+  /// cleanup for a write torn by a crash. No-op unless torn_tail().
+  Status TruncateTornTail() const;
+
+ private:
+  explicit WalSegmentReader(std::unique_ptr<MappedFile> file)
+      : file_(std::move(file)) {}
+
+  std::unique_ptr<MappedFile> file_;
+  uint64_t base_seq_ = 0;
+  uint64_t offset_ = 0;
+  bool torn_tail_ = false;
+};
+
 /// Scans a segment front to back, invoking `fn` for every valid record in
-/// order; decoding stops at the first invalid frame (short header, zero or
-/// oversized length, short payload, CRC mismatch, inconsistent count) —
-/// nothing past a bad frame can be trusted. With `truncate_torn_tail` the
-/// file is truncated to the valid prefix, the recovery-time cleanup for a
-/// write torn by a crash. A non-OK status from `fn` aborts the scan and is
-/// returned.
+/// order; decoding stops at the first invalid frame (see DecodeWalFrame).
+/// With `truncate_torn_tail` the file is truncated to the valid prefix, the
+/// recovery-time cleanup for a write torn by a crash. A non-OK status from
+/// `fn` aborts the scan and is returned.
 Result<WalSegmentInfo> ReadWalSegment(
     const std::string& path, const std::function<Status(const WalRecord&)>& fn,
     bool truncate_torn_tail = false);

@@ -115,10 +115,28 @@ std::unique_ptr<shard::ShardedServer> StartSharded(
   return std::move(created).value();
 }
 
-// A started leader stack: a one-shard ShardedServer + ShardedBackend +
-// NetServer, torn down in reverse order. `server` is the single shard's
-// engine, whose published view the remote answers must match.
+// Durable one-shard options over a fresh store directory named after the
+// running test.
+shard::ShardedOptions DurableOptions(std::string* dir) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  *dir = (std::filesystem::temp_directory_path() /
+          (std::string("anc_net_") + test->test_suite_name() + "_" +
+           test->name()))
+             .string();
+  std::filesystem::remove_all(*dir);
+  shard::ShardedOptions options = ShardOptions(1);
+  options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
+  options.store_dir = *dir;
+  return options;
+}
+
+// A started leader stack: a durable one-shard ShardedServer (its WAL is the
+// replication log) + ShardedBackend + NetServer, torn down in reverse
+// order. `server` is the single shard's engine, whose published view the
+// remote answers must match.
 struct LeaderStack {
+  std::string dir;
   std::unique_ptr<shard::ShardedServer> sharded;
   serve::AncServer* server = nullptr;
   std::unique_ptr<ShardedBackend> backend;
@@ -126,7 +144,7 @@ struct LeaderStack {
 
   static LeaderStack Start(const Graph& graph) {
     LeaderStack s;
-    s.sharded = StartSharded(graph, ShardOptions(1));
+    s.sharded = StartSharded(graph, DurableOptions(&s.dir));
     s.server = &s.sharded->shard(0);
     s.backend = std::make_unique<ShardedBackend>(s.sharded.get());
     s.net = std::make_unique<NetServer>(s.backend.get(), NetServerOptions{});
@@ -140,7 +158,10 @@ struct LeaderStack {
 
   ~LeaderStack() {
     if (net) net->Stop();
-    if (sharded) sharded->Stop();
+    if (sharded) {
+      sharded->Stop();
+      std::filesystem::remove_all(dir);
+    }
   }
 };
 
@@ -959,132 +980,134 @@ TEST(NetProtocolTest, PullLogBodyCarriesFollowerIdAndDecodesLegacy) {
   EXPECT_EQ(legacy_out.follower_id, 0u);
 }
 
-TEST(NetReplicationTest, SlowestFollowerAckShrinksReplicationLog) {
+TEST(NetReplicationTest, FollowerOfTheWalMatchesTheLeaderAtEveryLevel) {
   GroundTruthGraph gt = SmallCommunityGraph();
-  std::unique_ptr<shard::ShardedServer> created =
-      StartSharded(gt.graph, ShardOptions(1));
-  ASSERT_NE(created, nullptr);
-  shard::ShardedServer& server = *created;
+  LeaderStack leader = LeaderStack::Start(gt.graph);
+  shard::ShardedServer& server = *leader.sharded;
 
-  ShardedBackend backend(&server);
+  auto follower_created = Follower::Create(gt.graph, SmallConfig());
+  ASSERT_TRUE(follower_created.ok());
+  Follower& follower = **follower_created;
+  auto puller_conn = Client::Connect("127.0.0.1", leader.net->port());
+  ASSERT_TRUE(puller_conn.ok());
+  ReplicationPuller puller(&follower, std::move(*puller_conn));
+  puller.Start();
 
-  std::vector<Activation> batch = MakeActivations(gt.graph, 24);
-  Result<SubmitAck> ack = backend.Submit(batch.data(), batch.size());
+  // Writes through the backend and straight into the server: the WAL holds
+  // both.
+  std::vector<Activation> first = MakeActivations(gt.graph, 24);
+  Result<SubmitAck> ack =
+      leader.backend->Submit(first.data(), first.size());
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  ASSERT_EQ(ack->accepted, batch.size());
-  ASSERT_TRUE(backend.Flush(kAwait).ok());
-  const uint64_t last = ack->last_seq;
-
-  // The accessor holds the log size in every build; the gauge mirrors it
-  // only when metrics are compiled in.
-  auto expect_gauge = [&server](size_t bytes) {
-    if (!obs::kMetricsEnabled) return;
-    EXPECT_EQ(server.Stats().gauge("anc.net.repl_log_bytes"),
-              static_cast<int64_t>(bytes));
-  };
-  const size_t full = backend.replication_log_bytes();
-  ASSERT_GT(full, 0u);
-  expect_gauge(full);
-
-  // Two followers register. Neither ack covers the log yet, so nothing
-  // may be trimmed — the slowest follower rules.
-  PullLogBody pull;
-  pull.max_records = 256;
-  pull.follower_id = 1;
-  pull.after_seq = 0;
-  ASSERT_TRUE(backend.PullLog(pull).ok());
-  pull.follower_id = 2;
-  pull.after_seq = last;  // the fast follower has everything
-  ASSERT_TRUE(backend.PullLog(pull).ok());
-  EXPECT_EQ(backend.replication_log_bytes(), full);
-  expect_gauge(full);
-
-  // The slowest follower catches up: every entry is acked by all live
-  // followers and the log shrinks to zero.
-  pull.follower_id = 1;
-  pull.after_seq = last;
-  ASSERT_TRUE(backend.PullLog(pull).ok());
-  EXPECT_EQ(backend.replication_log_bytes(), 0u);
-  expect_gauge(0);
-
-  // The trimmed history is gone for good: a brand-new anonymous puller
-  // starting from 0 must re-bootstrap.
-  PullLogBody bootstrap;
-  Result<LogChunkBody> rebooted = backend.PullLog(bootstrap);
-  ASSERT_FALSE(rebooted.ok());
-  EXPECT_EQ(rebooted.status().code(), StatusCode::kFailedPrecondition);
-
-  server.Stop();
-}
-
-// Decodes every WAL frame of a log chunk into its activations.
-std::vector<Activation> ShippedActivations(const LogChunkBody& chunk,
-                                           uint64_t* first_seq) {
-  std::vector<Activation> shipped;
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(chunk.frames.data());
-  size_t size = chunk.frames.size();
-  while (size > 0) {
-    size_t consumed = 0;
-    Result<store::WalRecord> record =
-        store::DecodeWalFrame(data, size, &consumed);
-    EXPECT_TRUE(record.ok()) << record.status().ToString();
-    if (!record.ok()) break;
-    if (shipped.empty()) *first_seq = record->first_seq;
-    shipped.insert(shipped.end(), record->activations.begin(),
-                   record->activations.end());
-    data += consumed;
-    size -= consumed;
-  }
-  return shipped;
-}
-
-TEST(NetReplicationTest, PartlyRefusedBatchCutsTheReplicationLog) {
-  GroundTruthGraph gt = SmallCommunityGraph();
-  LeaderStack stack = LeaderStack::Start(gt.graph);
-  ShardedBackend& backend = *stack.backend;
-
-  std::vector<Activation> first = MakeActivations(gt.graph, 8);
-  Result<SubmitAck> whole = backend.Submit(first.data(), first.size());
-  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
-  ASSERT_EQ(whole->accepted, first.size());
+  std::vector<Activation> direct =
+      MakeActivations(gt.graph, 24, /*seed=*/5, /*t0=*/100.0);
+  ASSERT_TRUE(server.SubmitBatch(direct.data(), direct.size()).ok());
 
   // A regressed timestamp mid-batch: the ingest queue (no clamping by
-  // default) refuses that entry and keeps the rest.
+  // default) refuses that entry and keeps the rest, so shard-0 tickets
+  // fall one behind the global ones from here on.
   std::vector<Activation> torn =
-      MakeActivations(gt.graph, 8, /*seed=*/5, /*t0=*/100.0);
+      MakeActivations(gt.graph, 24, /*seed=*/6, /*t0=*/200.0);
   torn[3].time = 1.0;
-  Result<SubmitAck> partial = backend.Submit(torn.data(), torn.size());
+  Result<SubmitAck> partial = leader.backend->Submit(torn.data(), torn.size());
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_GT(partial->accepted, 0u);
   EXPECT_LT(partial->accepted, torn.size());
-  ASSERT_TRUE(backend.Flush(kAwait).ok());
 
-  // Which tickets the applied entries hold is unknown, so the log is cut at
-  // the partial batch: a follower starting from scratch must re-bootstrap.
-  Result<LogChunkBody> from_scratch = backend.PullLog(PullLogBody{});
-  ASSERT_FALSE(from_scratch.ok());
-  EXPECT_EQ(from_scratch.status().code(), StatusCode::kFailedPrecondition);
-
-  // Later batches ship again, and nothing of the cut batch rides along.
   std::vector<Activation> after =
-      MakeActivations(gt.graph, 8, /*seed=*/6, /*t0=*/200.0);
-  Result<SubmitAck> ack = backend.Submit(after.data(), after.size());
-  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  ASSERT_EQ(ack->accepted, after.size());
-  ASSERT_TRUE(backend.Flush(kAwait).ok());
-  PullLogBody tail;
-  tail.after_seq = partial->last_seq;
-  Result<LogChunkBody> chunk = backend.PullLog(tail);
-  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-  uint64_t first_seq = 0;
-  const std::vector<Activation> shipped =
-      ShippedActivations(*chunk, &first_seq);
-  EXPECT_EQ(first_seq, partial->last_seq + 1);
-  ASSERT_EQ(shipped.size(), after.size());
-  for (size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(shipped[i].edge, after[i].edge) << "entry " << i;
-    EXPECT_EQ(shipped[i].time, after[i].time) << "entry " << i;
+      MakeActivations(gt.graph, 24, /*seed=*/7, /*t0=*/300.0);
+  ASSERT_TRUE(server.SubmitBatch(after.data(), after.size()).ok());
+  ASSERT_TRUE(server.FlushDurable(kAwait).ok());
+
+  const uint64_t durable = server.shard(0).durable_watermark().seq;
+  EXPECT_EQ(durable, first.size() + direct.size() + partial->accepted +
+                         after.size());
+  Status caught_up = follower.AwaitApplied(durable, kAwait);
+  ASSERT_TRUE(caught_up.ok())
+      << caught_up.ToString() << " / " << puller.last_status().ToString();
+  puller.Stop();
+  EXPECT_EQ(follower.applied_leader_seq(), durable);
+
+  const shard::ShardedView leader_view = server.View();
+  const shard::ShardedView follower_view = follower.server().View();
+  ASSERT_EQ(follower_view.num_levels(), leader_view.num_levels());
+  for (uint32_t level = 1; level <= leader_view.num_levels(); ++level) {
+    const Clustering ours = follower_view.Clusters(level);
+    const Clustering theirs = leader_view.Clusters(level);
+    EXPECT_EQ(ours.num_clusters, theirs.num_clusters) << "level " << level;
+    EXPECT_EQ(ours.labels, theirs.labels) << "level " << level;
+    for (NodeId v = 0; v < gt.graph.NumNodes(); ++v) {
+      EXPECT_EQ(follower_view.LocalCluster(v, level),
+                leader_view.LocalCluster(v, level))
+          << "node " << v << " level " << level;
+    }
   }
+}
+
+TEST(NetReplicationTest, NonDurableLeaderRefusesToReplicate) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  std::unique_ptr<shard::ShardedServer> server =
+      StartSharded(gt.graph, ShardOptions(1));
+  ASSERT_NE(server, nullptr);
+  ShardedBackend backend(server.get());
+  std::vector<Activation> batch = MakeActivations(gt.graph, 8);
+  ASSERT_TRUE(backend.Submit(batch.data(), batch.size()).ok());
+  ASSERT_TRUE(backend.Flush(kAwait).ok());
+
+  Result<LogChunkBody> chunk = backend.PullLog(PullLogBody{});
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_EQ(chunk.status().code(), StatusCode::kFailedPrecondition);
+  server->Stop();
+}
+
+TEST(NetReplicationTest, RecoveredLeaderRefusesToReplicate) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  std::string dir;
+  shard::ShardedOptions options = DurableOptions(&dir);
+  {
+    std::unique_ptr<shard::ShardedServer> server =
+        StartSharded(gt.graph, options);
+    ASSERT_NE(server, nullptr);
+    std::vector<Activation> batch = MakeActivations(gt.graph, 40);
+    ASSERT_TRUE(server->SubmitBatch(batch.data(), batch.size()).ok());
+    ASSERT_TRUE(server->FlushDurable(kAwait).ok());
+    server->Stop();
+  }
+  auto recovered = shard::ShardedServer::RecoverAll(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  shard::ShardedServer& server = **recovered;
+  ASSERT_TRUE(server.Start().ok());
+  ShardedBackend backend(&server);
+
+  // The new session's tickets restart at 1 on top of the recovered state,
+  // so its log would not replay from a fresh follower's initial state.
+  Result<LogChunkBody> chunk = backend.PullLog(PullLogBody{});
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_EQ(chunk.status().code(), StatusCode::kFailedPrecondition);
+  server.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NetReplicationTest, FollowerRefusesATicketGap) {
+  GroundTruthGraph gt = SmallCommunityGraph();
+  std::vector<Activation> first = MakeActivations(gt.graph, 8);
+  std::vector<Activation> later =
+      MakeActivations(gt.graph, 8, /*seed=*/9, /*t0=*/100.0);
+  // Tickets 1-8, then 17-24: the record holding 9-16 was lost.
+  LogChunkBody gapped;
+  store::AppendWalFrame(&gapped.frames, first.data(), first.size(),
+                        /*first_seq=*/1);
+  store::AppendWalFrame(&gapped.frames, later.data(), later.size(),
+                        /*first_seq=*/17);
+
+  auto follower_created = Follower::Create(gt.graph, SmallConfig());
+  ASSERT_TRUE(follower_created.ok());
+  Follower& follower = **follower_created;
+  Status applied = follower.ApplyChunk(gapped);
+  EXPECT_EQ(applied.code(), StatusCode::kFailedPrecondition)
+      << applied.ToString();
+  EXPECT_EQ(follower.applied_leader_seq(), 8u)
+      << "the prefix before the gap is published, nothing past it applied";
 }
 
 TEST(NetReplicationTest, DurableLeaderShipsOnlyDurableTickets) {

@@ -463,7 +463,7 @@ TEST(ExporterTest, RenderPrometheusEmitsExpositionFormat) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardHealthMonitor
+// Assess (shard health)
 // ---------------------------------------------------------------------------
 
 ClusterHealthSample HealthyCluster() {
@@ -490,8 +490,7 @@ ClusterHealthSample HealthyCluster() {
 }
 
 TEST(ShardHealthMonitorTest, HealthyClusterReadsHealthy) {
-  const ShardHealthMonitor monitor;
-  const HealthReport report = monitor.Assess(HealthyCluster());
+  const HealthReport report = Assess(HealthyCluster());
   EXPECT_EQ(report.overall, HealthState::kHealthy);
   EXPECT_EQ(report.cluster_state, HealthState::kHealthy);
   EXPECT_TRUE(report.cluster_reasons.empty());
@@ -503,12 +502,11 @@ TEST(ShardHealthMonitorTest, HealthyClusterReadsHealthy) {
 }
 
 TEST(ShardHealthMonitorTest, HashLikeCutRatioTripsCluster) {
-  const ShardHealthMonitor monitor;
   ClusterHealthSample sample = HealthyCluster();
   // A hash partitioner on a community graph cuts ~ (k-1)/k of the edges.
   sample.cut_edges = 750;
   sample.cut_ratio = 0.75;
-  const HealthReport report = monitor.Assess(sample);
+  const HealthReport report = Assess(sample);
   EXPECT_EQ(report.cluster_state, HealthState::kCritical);
   EXPECT_EQ(report.overall, HealthState::kCritical);
   ASSERT_FALSE(report.cluster_reasons.empty());
@@ -516,13 +514,12 @@ TEST(ShardHealthMonitorTest, HashLikeCutRatioTripsCluster) {
 }
 
 TEST(ShardHealthMonitorTest, PerShardChecksTripIndependently) {
-  const ShardHealthMonitor monitor;
   ClusterHealthSample sample = HealthyCluster();
   sample.shards[0].queue_depth = 255;        // one slot left: healthy
   sample.shards[1].queue_depth = 256;        // full queue: degraded
   sample.shards[2].applied_seq = 100000;
   sample.shards[2].durable_seq = 1000;       // critical durable lag
-  const HealthReport report = monitor.Assess(sample);
+  const HealthReport report = Assess(sample);
   EXPECT_EQ(report.cluster_state, HealthState::kHealthy);
   EXPECT_EQ(report.shards[0].state, HealthState::kHealthy);
   EXPECT_EQ(report.shards[1].state, HealthState::kDegraded);
@@ -530,14 +527,13 @@ TEST(ShardHealthMonitorTest, PerShardChecksTripIndependently) {
   EXPECT_EQ(report.overall, HealthState::kCritical);
   // Disabling durability suppresses the lag check entirely.
   sample.shards[2].durable_enabled = false;
-  EXPECT_EQ(monitor.Assess(sample).shards[2].state, HealthState::kHealthy);
+  EXPECT_EQ(Assess(sample).shards[2].state, HealthState::kHealthy);
 }
 
 TEST(ShardHealthMonitorTest, ReportSerializesToParsableJson) {
-  const ShardHealthMonitor monitor;
   ClusterHealthSample sample = HealthyCluster();
   sample.cut_ratio = 0.30;  // one degraded reason to exercise the arrays
-  const HealthReport report = monitor.Assess(sample);
+  const HealthReport report = Assess(sample);
   Json parsed;
   ASSERT_TRUE(Json::Parse(report.ToJson(), &parsed));
   ASSERT_TRUE(parsed.is_object());

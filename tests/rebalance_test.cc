@@ -481,7 +481,6 @@ TEST(ActivityTrackerTest, ObserveAndRotateTrackDecayedCounts) {
 // --- Health surfacing -----------------------------------------------------
 
 TEST(RebalanceHealthTest, ObservedCutDriftTripsClusterScorecard) {
-  obs::ShardHealthMonitor monitor;
   obs::ClusterHealthSample sample;
   sample.num_shards = 2;
   sample.num_edges = 1000;
@@ -495,7 +494,7 @@ TEST(RebalanceHealthTest, ObservedCutDriftTripsClusterScorecard) {
   sample.shards[0].accepted = 2048;
   sample.shards[1].accepted = 2048;
 
-  const obs::HealthReport report = monitor.Assess(sample);
+  const obs::HealthReport report = obs::Assess(sample);
   EXPECT_NE(report.cluster_state, obs::HealthState::kHealthy)
       << report.ToString();
   bool found = false;
@@ -506,7 +505,7 @@ TEST(RebalanceHealthTest, ObservedCutDriftTripsClusterScorecard) {
 
   // Below the traffic floor the drift check stays quiet.
   sample.accepted = 100;
-  EXPECT_EQ(monitor.Assess(sample).cluster_state, obs::HealthState::kHealthy);
+  EXPECT_EQ(obs::Assess(sample).cluster_state, obs::HealthState::kHealthy);
 }
 
 // --- Router re-delivery after an assignment change (satellite) ------------

@@ -850,25 +850,32 @@ TEST(ShardHealthTest, ViewAgesOnlyWhileTheShardOwesWork) {
   ASSERT_TRUE(server.SubmitStream(stream).ok());
   ASSERT_TRUE(server.Flush(kAwait).ok());
 
-  // Any positive view age trips this monitor.
-  obs::HealthThresholds thresholds;
-  thresholds.degraded_staleness_s = 1e-9;
-  const obs::ShardHealthMonitor monitor(thresholds);
   const auto view_age_tripped = [&] {
-    const obs::HealthReport report = shard::AssessHealth(server, monitor);
+    const obs::HealthReport report = shard::AssessHealth(server);
     for (const std::string& reason : report.shards[0].reasons) {
       if (reason.find("view_age_s") != std::string::npos) return true;
     }
     return false;
   };
-  EXPECT_FALSE(view_age_tripped()) << "a caught-up view is not stale";
+  const auto eventually = [](const auto& condition) {
+    const auto deadline = std::chrono::steady_clock::now() + kAwait;
+    while (!condition() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return condition();
+  };
   {
     ParkedWriter parked(&server.shard(0));
     const Activation pending{0, stream.back().time + 1.0};
     ASSERT_TRUE(server.SubmitBatch(&pending, 1).ok());
-    EXPECT_TRUE(view_age_tripped()) << "a pending ticket ages the view";
+    // The staleness check trips once the owed view is 0.5 s old.
+    EXPECT_TRUE(eventually(view_age_tripped))
+        << "a pending ticket ages the view";
   }
   ASSERT_TRUE(server.Flush(kAwait).ok());
+  ASSERT_TRUE(eventually(
+      [&] { return server.shard(0).View()->AgeSeconds() > 0.5; }));
+  EXPECT_FALSE(view_age_tripped()) << "a caught-up view is not stale";
   server.Stop();
 }
 

@@ -231,6 +231,81 @@ TEST(WalTest, NonWalFileRejected) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(WalTest, ReaderSkipsCoveredSegmentsAndResumesAtItsPosition) {
+  Rng rng(17);
+  const Graph g = BarabasiAlbert(60, 3, rng);
+  const std::string dir = TempDir("anc_wal_reader");
+  AncIndex index(g, TestConfig());
+  auto opened = DurableStore::Open(dir, index, Mark{0, 0.0});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DurableStore& store = *opened.value();
+  uint64_t next_seq = 1;
+  const auto append = [&] {
+    std::vector<Activation> batch;
+    for (int i = 0; i < 4; ++i) {
+      batch.push_back(Activation{static_cast<EdgeId>(next_seq % g.NumEdges()),
+                                 static_cast<double>(next_seq)});
+      ++next_seq;
+    }
+    ASSERT_TRUE(store.Append(batch, next_seq - batch.size()).ok());
+  };
+  // One segment per four-ticket record: bases 1, 5, 9, 13 and 17.
+  check::TestHooks::SetWalSegmentBytes(store, 1);
+  for (int r = 0; r < 5; ++r) append();
+  ASSERT_TRUE(store.Sync().ok());
+  const std::vector<store::WalSegmentFile> segments =
+      store::ListWalSegments(dir);
+  ASSERT_EQ(segments.size(), 5u);
+  ASSERT_EQ(segments[2].base_seq, 9u);
+
+  // Reading after ticket 10 (third segment) must not open the first two:
+  // wreck their headers, and any read of them would end the scan early.
+  for (size_t i = 0; i < 2; ++i) {
+    std::fstream file(segments[i].path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.write("garbage!", 8);
+  }
+  const auto read_all = [](store::WalReader* reader) {
+    std::vector<uint64_t> first_seqs;
+    WalRecord record;
+    while (reader->Next(&record)) first_seqs.push_back(record.first_seq);
+    return first_seqs;
+  };
+  store::WalReader reader(dir, /*after_seq=*/10);
+  EXPECT_EQ(read_all(&reader), (std::vector<uint64_t>{9, 13, 17}));
+  EXPECT_EQ(reader.skipped_segments(), 2u);
+  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+  EXPECT_FALSE(reader.torn_tail());
+  const store::WalPosition position = reader.position();
+  EXPECT_EQ(position.segment, 17u);
+
+  // Two more records land in the live segment; a read resumed at the
+  // returned position yields exactly them.
+  check::TestHooks::SetWalSegmentBytes(store, uint64_t{1} << 20);
+  append();
+  append();
+  ASSERT_TRUE(store.Sync().ok());
+  store::WalReader resumed(dir, /*after_seq=*/20, position);
+  EXPECT_EQ(read_all(&resumed), (std::vector<uint64_t>{21, 25}));
+  EXPECT_EQ(resumed.position().segment, 17u);
+  EXPECT_GT(resumed.position().offset, position.offset);
+
+  // A torn frame at the end of the live segment ends the read, without an
+  // error.
+  {
+    std::ofstream file(segments[4].path, std::ios::binary | std::ios::app);
+    const uint32_t length = 1000;
+    file.write(reinterpret_cast<const char*>(&length), sizeof(length));
+    file.write("torn", 4);
+  }
+  store::WalReader torn(dir, /*after_seq=*/20, position);
+  EXPECT_EQ(read_all(&torn), (std::vector<uint64_t>{21, 25}));
+  EXPECT_TRUE(torn.torn_tail());
+  EXPECT_TRUE(torn.status().ok()) << torn.status().ToString();
+  opened.value().reset();
+  std::filesystem::remove_all(dir);
+}
+
 // --- Crash matrix ---------------------------------------------------------
 
 struct DriveOutcome {
@@ -453,12 +528,11 @@ TEST(StoreRecoveryTest, CheckpointCoveredWalFramesAreSkippedNotReplayed) {
   // rotated to: the newest data segment then has no successor proving its
   // range, so recovery must read it and count its covered records.
   ASSERT_TRUE(TestHooks::CorruptByte(dir + "/MANIFEST", -1).ok());
-  {
-    char rotated[64];
-    std::snprintf(rotated, sizeof(rotated), "wal-%020llu.log",
-                  static_cast<unsigned long long>(applied + 1));
-    ASSERT_TRUE(std::filesystem::remove(dir + "/" + rotated));
-  }
+  const std::vector<store::WalSegmentFile> segments =
+      store::ListWalSegments(dir);
+  ASSERT_FALSE(segments.empty());
+  ASSERT_EQ(segments.back().base_seq, applied + 1);
+  ASSERT_TRUE(std::filesystem::remove(segments.back().path));
   Result<RecoveredStore> recovered = store::Recover(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   RecoveredStore& rec = recovered.value();
